@@ -18,7 +18,7 @@ from typing import Any, Mapping, Sequence
 
 from . import jsonio, laws
 from .dgcat import DgCategory, Violation, check_axioms
-from .fixtures import fixture_by_name, standard_fixtures
+from .fixtures import FIXTURES, fixture_by_name
 from .horn import (CannotFillOuterHorn, HornError, IncompatibleHorn,
                    check_gp, check_horn, complete_horn, fill_horn,
                    lift_filler)
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--category", default="three_term",
                            help="category JSON path, or a fixture name "
                                 "(default: three_term; known fixtures: "
-                                + ", ".join(n for n, _ in standard_fixtures())
+                                + ", ".join(FIXTURES)
                                 + ")")
         p.add_argument("--out", help="write the JSON report/document here")
         p.add_argument("--format", choices=("text", "json"), default="text",

@@ -9,7 +9,9 @@ seeded pseudo-random complex categories with conjugated differentials.
 
 from __future__ import annotations
 
+import functools
 import random
+from typing import Callable
 
 from .dgcat import (DgCategory, make_complex_category, complex_from_dense,
                     random_complex)
@@ -74,21 +76,25 @@ def random_complex_category(seed: int = 0,
     return make_complex_category(complexes, names=("A", "B", "C"))
 
 
+# Fixture name → builder, in the stable's deterministic order.  Callers
+# build only the fixtures they name.
+FIXTURES: dict[str, Callable[[], DgCategory]] = {
+    "exterior": exterior_category,
+    "two_term": two_term_category,
+    "three_term": three_term_category,
+    "twisted": mc_twisted_category,
+    "complexes_a": functools.partial(random_complex_category, 11),
+    "complexes_b": functools.partial(random_complex_category, 23),
+}
+
+
 def standard_fixtures() -> list[tuple[str, DgCategory]]:
     """The named fixture stable, in deterministic order."""
-    return [
-        ("exterior", exterior_category()),
-        ("two_term", two_term_category()),
-        ("three_term", three_term_category()),
-        ("twisted", mc_twisted_category()),
-        ("complexes_a", random_complex_category(11)),
-        ("complexes_b", random_complex_category(23)),
-    ]
+    return [(name, build()) for name, build in FIXTURES.items()]
 
 
 def fixture_by_name(name: str) -> DgCategory:
-    for fixture_name, cat in standard_fixtures():
-        if fixture_name == name:
-            return cat
-    raise KeyError(f"unknown fixture {name!r}; known: "
-                   + ", ".join(n for n, _ in standard_fixtures()))
+    if name not in FIXTURES:
+        raise KeyError(f"unknown fixture {name!r}; known: "
+                       + ", ".join(FIXTURES))
+    return FIXTURES[name]()

@@ -39,14 +39,14 @@ def key_to_seq(key: str) -> Seq:
     return seq
 
 
-def _elem_doc(value: Any) -> Any:
+def _elem_doc(value: Any, nested: bool = False) -> Any:
     """Normalize a ring-element document: allow bare ints, forbid floats."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError("ring elements must be exact: use \"p/q\" strings")
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, list):
-        return [_elem_doc(item) for item in value]
+    if isinstance(value, list) and not nested:
+        return [_elem_doc(item, nested=True) for item in value]
     if isinstance(value, str):
         return value
     raise ValueError(f"cannot read a ring element from {value!r}")
@@ -99,7 +99,7 @@ def category_from_json(doc: Mapping) -> DgCategory:
     known = set(objects)
 
     def obj(name: Any) -> str:
-        if name not in known:
+        if not isinstance(name, str) or name not in known:
             raise ValueError(f"unknown object {name!r}")
         return name
 
@@ -108,33 +108,49 @@ def category_from_json(doc: Mapping) -> DgCategory:
             raise ValueError(f"expected an integer, got {value!r}")
         return value
 
+    def records(value: Any, width: int, what: str) -> list:
+        if not isinstance(value, list) or any(
+                not isinstance(item, list) or len(item) != width
+                for item in value):
+            raise ValueError(f"{what} must be a list of {width}-item lists")
+        return value
+
+    def index(value: Any, hom: tuple[str, str, int], what: str) -> int:
+        size = ranks.get(hom, 0)
+        if not 0 <= integer(value) < size:
+            x, y, t = hom
+            raise ValueError(f"{what} {value} is out of range: hom({x}, {y}) "
+                             f"has rank {size} in degree {t}")
+        return value
+
     ranks = {}
-    for record in doc.get("ranks", []):
-        x, y, t, r = record
+    for x, y, t, r in records(doc.get("ranks", []), 4, "\"ranks\""):
         if integer(r) < 0:
             raise ValueError("ranks must be nonnegative")
         ranks[(obj(x), obj(y), integer(t))] = r
     diffs = {}
-    for record in doc.get("diffs", []):
-        x, y, t, entries = record
+    for x, y, t, entries in records(doc.get("diffs", []), 4, "\"diffs\""):
+        source, target = (obj(x), obj(y), integer(t)), (x, y, t + 1)
         cols: dict[int, list] = {}
-        for j, i, a in entries:
-            cols.setdefault(integer(j), []).append(
-                (integer(i), element_from_json(_elem_doc(a), ring)))
-        diffs[(obj(x), obj(y), integer(t))] = {
-            j: tuple(v) for j, v in cols.items()}
+        for j, i, a in records(entries, 3, "diff entries"):
+            cols.setdefault(index(j, source, "diff column"), []).append(
+                (index(i, target, "diff row"),
+                 element_from_json(_elem_doc(a), ring)))
+        diffs[source] = {j: tuple(v) for j, v in cols.items()}
     comps = {}
-    for record in doc.get("comps", []):
-        x, y, z, s, t, entries = record
+    for x, y, z, s, t, entries in records(doc.get("comps", []), 6,
+                                          "\"comps\""):
+        key = (obj(x), obj(y), obj(z), integer(s), integer(t))
         tensor: dict[tuple[int, int], list] = {}
-        for i, j, r, a in entries:
-            tensor.setdefault((integer(i), integer(j)), []).append(
-                (integer(r), element_from_json(_elem_doc(a), ring)))
-        comps[(obj(x), obj(y), obj(z), integer(s), integer(t))] = {
-            key: tuple(v) for key, v in tensor.items()}
+        for i, j, r, a in records(entries, 4, "comp entries"):
+            pair = (index(i, (y, z, t), "comp outer index"),
+                    index(j, (x, y, s), "comp inner index"))
+            tensor.setdefault(pair, []).append(
+                (index(r, (x, z, s + t), "comp result index"),
+                 element_from_json(_elem_doc(a), ring)))
+        comps[key] = {pair: tuple(v) for pair, v in tensor.items()}
     identities = {}
-    for record in doc.get("identities", []):
-        x, coords = record
+    for x, coords in records(doc.get("identities", []), 2, "\"identities\""):
         identities[obj(x)] = _coords_from(coords, ring)
     missing = known - set(identities)
     if missing:

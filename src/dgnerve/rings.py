@@ -35,6 +35,7 @@ dgnerve.rings.NotAUnit: element with body 0 is not invertible
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,6 +139,17 @@ class SquareZeroRing:
         if self.ideal_rank < 0:
             raise ValueError("ideal rank must be non-negative")
 
+    # RingElement is frozen, so each ring shares one instance of each
+    # constant.  They are made on first use, not with the ring: a ring read
+    # from a document may be too large to pad out before it is validated.
+    @functools.cached_property
+    def _zero(self) -> RingElement:
+        return self.element(0)
+
+    @functools.cached_property
+    def _one(self) -> RingElement:
+        return self.element(1)
+
     # -- constructors ------------------------------------------------------
 
     def element(self,
@@ -150,10 +162,10 @@ class SquareZeroRing:
         return RingElement(as_rational(body), coords + pad)
 
     def zero(self) -> RingElement:
-        return self.element(0)
+        return self._zero
 
     def one(self) -> RingElement:
-        return self.element(1)
+        return self._one
 
     def from_rational(self, q: int | str | Fraction) -> RingElement:
         return self.element(q)
@@ -218,7 +230,11 @@ def rational_to_str(q: Fraction) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    """Parse ``"p/q"``; any unreadable text, ``"1/0"`` too, is a ValueError."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def element_to_json(x: RingElement) -> str | list[str]:

@@ -104,6 +104,48 @@ def test_check_non_object_document_exit_2(tmp_path, capsys):
     assert "must be an object" in err
 
 
+def _check_edited_category(tmp_path, capsys, cat, path, value):
+    """Run ``check`` on the category document with one entry replaced."""
+    doc = jsonio.category_to_json(cat)
+    *parents, last = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    return run_cli(capsys, "check", write_doc(tmp_path, "bad.json", doc))
+
+
+@pytest.mark.parametrize("path, message", [
+    (("diffs", 0, 3, 0, 1), "diff row 99 is out of range"),
+    (("diffs", 0, 3, 0, 0), "diff column 99 is out of range"),
+    (("comps", 0, 5, 0, 0), "comp outer index 99 is out of range"),
+    (("comps", 0, 5, 0, 1), "comp inner index 99 is out of range"),
+    (("comps", 0, 5, 0, 2), "comp result index 99 is out of range"),
+])
+def test_check_out_of_range_tensor_index_exit_2(tmp_path, capsys, three_term,
+                                                 path, message):
+    code, out, err = _check_edited_category(tmp_path, capsys, three_term,
+                                            path, 99)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("ranks",), 5, '"ranks" must be a list of 4-item lists'),
+    (("comps", 0, 5, 0), None, "comp entries must be a list of 4-item lists"),
+    (("identities", 0, 1, 0), "1/0", "zero denominator in '1/0'"),
+], ids=["ranks_not_a_list", "null_comp_entry", "zero_denominator"])
+def test_check_malformed_category_exit_2(tmp_path, capsys, three_term,
+                                         path, value, message):
+    code, out, err = _check_edited_category(tmp_path, capsys, three_term,
+                                            path, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+
+
 def test_check_simplex_with_star(tmp_path, capsys, three_term):
     simplex = identity_simplex(three_term, "C0", 2)
     path = write_doc(tmp_path, "simplex.json", jsonio.simplex_to_json(simplex))

@@ -20,6 +20,7 @@ from dgnerve.dgcat import (
     ChainComplex,
     InvalidComplex,
     NotEquivalence,
+    Violation,
     check_axioms,
     complex_from_dense,
     find_equivalence_witness,
@@ -29,6 +30,8 @@ from dgnerve.dgcat import (
     reset_witness_calls,
     witness_call_count,
 )
+from dgnerve.fixtures import three_term_category
+from dgnerve.mc import twist
 from dgnerve.rings import RATIONALS, SquareZeroRing
 
 
@@ -67,6 +70,135 @@ def test_flipped_sign_breaks_leibniz(two_term):
     report = check_axioms(bad)
     assert report
     assert any(v.kind == "leibniz" for v in report)
+
+
+def _reference_check_axioms(cat):
+    """Oracle: every identity checked on basis morphisms one at a time, with
+    ``compose`` and ``differential``, in the order ``check_axioms`` reports."""
+    out = []
+    objects = cat.objects
+
+    for obj in objects:
+        if obj not in cat.identities:
+            out.append(Violation("missing_identity", (obj,),
+                                 "object has no unit element"))
+            continue
+        if len(cat.identities[obj]) != cat.rank(obj, obj, 0):
+            out.append(Violation("identity_rank", (obj,),
+                                 "unit coordinates do not match hom rank"))
+
+    for (x, y, t) in sorted(cat.ranks):
+        for j in range(cat.rank(x, y, t)):
+            basis = cat.basis_morphism(x, y, t, j)
+            if not cat.differential(cat.differential(basis)).is_zero():
+                out.append(Violation("d_squared", (x, y, t, j),
+                                     "d(d(basis element)) is nonzero"))
+    for obj in objects:
+        if obj in cat.identities and \
+                cat.rank(obj, obj, 0) == len(cat.identities[obj]):
+            if not cat.differential(cat.identity(obj)).is_zero():
+                out.append(Violation("unit_not_closed", (obj,),
+                                     "d(identity) is nonzero"))
+
+    for (x, y, t) in sorted(cat.ranks):
+        for j in range(cat.rank(x, y, t)):
+            basis = cat.basis_morphism(x, y, t, j)
+            if cat.compose(cat.identity(y), basis) != basis:
+                out.append(Violation("unit_left", (x, y, t, j),
+                                     "1∘f differs from f"))
+            if cat.compose(basis, cat.identity(x)) != basis:
+                out.append(Violation("unit_right", (x, y, t, j),
+                                     "f∘1 differs from f"))
+
+    for x, y, z in itertools.product(objects, repeat=3):
+        for s in cat.degrees(x, y):
+            for t in cat.degrees(y, z):
+                for j in range(cat.rank(x, y, s)):
+                    f = cat.basis_morphism(x, y, s, j)
+                    df = cat.differential(f)
+                    for i in range(cat.rank(y, z, t)):
+                        g = cat.basis_morphism(y, z, t, i)
+                        lhs = cat.differential(cat.compose(g, f))
+                        rhs = cat.compose(cat.differential(g), f) + \
+                            cat.compose(g, df).scale((-1) ** t)
+                        if lhs != rhs:
+                            out.append(Violation(
+                                "leibniz", (x, y, z, s, t, i, j),
+                                "d(g∘f) ≠ d(g)∘f + (−1)^{|g|} g∘d(f)"))
+
+    for x, y, z, w in itertools.product(objects, repeat=4):
+        for s in cat.degrees(x, y):
+            for t in cat.degrees(y, z):
+                for u in cat.degrees(z, w):
+                    for j in range(cat.rank(x, y, s)):
+                        f = cat.basis_morphism(x, y, s, j)
+                        for i in range(cat.rank(y, z, t)):
+                            g = cat.basis_morphism(y, z, t, i)
+                            gf = cat.compose(g, f)
+                            for l in range(cat.rank(z, w, u)):
+                                h = cat.basis_morphism(z, w, u, l)
+                                if cat.compose(h, gf) != \
+                                        cat.compose(cat.compose(h, g), f):
+                                    out.append(Violation(
+                                        "associativity",
+                                        (x, y, z, w, s, t, u, l, i, j),
+                                        "(h∘g)∘f ≠ h∘(g∘f)"))
+    return out
+
+
+def triple_one_comp_entry(cat):
+    """Copy of ``cat`` with one composition coefficient tripled."""
+    key = sorted(cat.comps)[-1]
+    tensor = dict(cat.comps[key])
+    pair = sorted(tensor)[0]
+    (r, a), *rest = tensor[pair]
+    tensor[pair] = ((r, a * 3), *rest)
+    return dataclasses.replace(cat, comps={**cat.comps, key: tensor})
+
+
+def double_comp_block(cat, key):
+    """Copy of ``cat`` with the composition block ``key`` doubled: many
+    failures per block, so the order within a block is tested too."""
+    tensor = {pair: tuple((r, a * 2) for r, a in entries)
+              for pair, entries in cat.comps[key].items()}
+    return dataclasses.replace(cat, comps={**cat.comps, key: tensor})
+
+
+def double_one_unit(cat):
+    """Copy of ``cat`` with the unit of its first object doubled."""
+    obj = cat.objects[0]
+    units = tuple(c * 2 for c in cat.identities[obj])
+    return dataclasses.replace(cat, identities={**cat.identities, obj: units})
+
+
+def mc_mutant(cat):
+    """``cat`` twisted by an element off the Maurer-Cartan locus."""
+    (obj,) = cat.objects
+    return twist(cat, {obj: cat.morphism(obj, obj, 1, [1, 0])},
+                 validate=False)
+
+
+@pytest.mark.parametrize("build", [
+    lambda f: flip_one_diff_sign(f["two_term"]),
+    lambda f: flip_one_diff_sign(f["complexes_a"]),
+    lambda f: triple_one_comp_entry(f["three_term"]),
+    lambda f: triple_one_comp_entry(f["complexes_b"]),
+    lambda f: double_comp_block(f["complexes_a"], ("A", "A", "B", -2, 0)),
+    lambda f: double_one_unit(f["complexes_a"]),
+    lambda f: mc_mutant(f["three_term"]),
+    lambda f: opposite(flip_one_diff_sign(f["complexes_b"])),
+    lambda f: opposite(triple_one_comp_entry(f["twisted"])),
+    lambda f: opposite(f["exterior"]),
+    lambda f: three_term_category(SquareZeroRing(2)),
+    lambda f: flip_one_diff_sign(three_term_category(SquareZeroRing(2))),
+], ids=["flipped_diff_sign", "flipped_diff_sign_3_objects",
+        "tripled_comp_entry", "tripled_comp_entry_3_objects",
+        "doubled_comp_block", "doubled_unit",
+        "mc_mutant", "opposite_flipped_sign", "opposite_tripled_twisted",
+        "opposite_exterior", "ring_rank_2", "ring_rank_2_flipped_sign"])
+def test_check_axioms_matches_basis_oracle(all_fixtures, build):
+    cat = build(dict(all_fixtures))
+    assert check_axioms(cat) == _reference_check_axioms(cat)
 
 
 def test_violations_serialize():

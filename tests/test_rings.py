@@ -6,6 +6,7 @@ implemented below on raw monomial dictionaries with no reference to
 ``RingElement`` arithmetic.
 """
 
+import doctest
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dgnerve.rings
 from dgnerve.rings import (
     NotAUnit,
     RATIONALS,
@@ -229,3 +231,16 @@ def test_random_element_lands_in_ring():
         assert ring.contains(x)
     y = random_element(ring, rng, ideal_only=True)
     assert y.in_ideal()
+
+
+def test_module_doctest_passes():
+    failed, attempted = doctest.testmod(dgnerve.rings)
+    assert attempted > 0
+    assert failed == 0
+
+
+def test_constants_are_shared_per_ring():
+    ring = SquareZeroRing(2)
+    assert ring.zero() is ring.zero() and ring.one() is ring.one()
+    assert ring.zero() == ring.element(0) and ring.one() == ring.element(1)
+    assert SquareZeroRing(2) == ring and hash(SquareZeroRing(2)) == hash(ring)
