@@ -99,6 +99,8 @@ def _load_doc(path: str) -> Mapping:
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}: invalid JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:        # an integer literal past the digit cap
+        raise CliInputError(f"{path}: {exc}") from exc
     if not isinstance(doc, Mapping):
         raise CliInputError(f"{path}: top-level JSON value must be an object")
     return doc

@@ -15,9 +15,12 @@ equations, produces explicit fillers:
   order-reversing vertex map and a per-cell sign twist,
 
 and lifts fillers through square-zero ring extensions: given a filler of
-the horn reduced mod the ideal, the error terms φ, ψ of an arbitrary
-coordinate lift are pure-ideal cocycles, and an explicit correction ε
-(built from the same witness data) repairs the lift exactly.
+the horn reduced mod the ideal, the error terms (φ, ψ) of an arbitrary
+coordinate lift are pure-ideal and satisfy the identities of an
+obstruction pair, so the same formulas applied to (φ, ψ) give the
+correction ε that repairs the lift exactly.  Both paths go through one
+solver, ``_solve_pair``, and k = n horns cross to the opposite category
+once, in ``compute_obstruction``.
 
 ``check_gp`` packages all of this into seeded randomized sweeps: sample a
 valid simplex, puncture it, refill, validate, then run the reduce/lift
@@ -35,8 +38,9 @@ from .dgcat import (DgCategory, Morphism, NotEquivalence, Violation,
 from .glin import nullspace
 from .mc import (promote_morphism, reduce_category, reduce_morphism,
                  tensor_with_ring)
-from .nerve import (NerveSimplex, PINNED, Seq, SignPattern, degeneracy,
-                    increasing_sequences, required_boundary, validate_simplex)
+from .nerve import (NerveSimplex, PINNED, Seq, SignPattern,
+                    cell_shape_violation, degeneracy, increasing_sequences,
+                    required_boundary, validate_simplex)
 from .rings import SquareZeroRing
 
 
@@ -140,28 +144,13 @@ def check_horn(cat: DgCategory, horn: HornData,
     for obj in horn.objects:
         if obj not in cat.identities:
             return [Violation("horn_shape", (obj,), "unknown object")]
-    out: list[Violation] = []
     present = horn.present_sequences()
-    for seq in set(horn.cells) - set(present):
-        out.append(Violation("unexpected_cell", tuple(seq),
-                             "cell stored for a missing or invalid sequence"))
-    for seq in present:
-        cell = horn.cells.get(seq)
-        if cell is None:
-            out.append(Violation("missing_cell", seq, "no cell stored"))
-            continue
-        want_src = horn.objects[seq[0]]
-        want_tgt = horn.objects[seq[-1]]
-        want_deg = 1 - (len(seq) - 1)
-        if (cell.source, cell.target) != (want_src, want_tgt):
-            out.append(Violation("cell_endpoints", seq,
-                                 f"cell maps {cell.source}->{cell.target}, "
-                                 f"expected {want_src}->{want_tgt}"))
-        elif cell.degree != want_deg:
-            out.append(Violation("cell_degree", seq,
-                                 f"degree {cell.degree}, expected {want_deg}"))
-        elif len(cell.coords) != cat.rank(want_src, want_tgt, want_deg):
-            out.append(Violation("cell_rank", seq, "wrong coordinate count"))
+    out = [Violation("unexpected_cell", tuple(seq),
+                     "cell stored for a missing or invalid sequence")
+           for seq in set(horn.cells) - set(present)]
+    out += [v for v in (cell_shape_violation(cat, horn.objects, seq,
+                                             horn.cells.get(seq))
+                        for seq in present) if v]
     if out:
         return out
     for seq in present:
@@ -227,10 +216,9 @@ def compute_obstruction(cat: DgCategory, horn: HornData,
     if problems:
         raise IncompatibleHorn(problems)
     n, k = horn.n, horn.k
-    if k == n:
-        inner = compute_obstruction(opposite(cat), opposite_horn(horn), signs)
-        return Obstruction(n, k, inner.U, inner.V, None, inner.alpha,
-                           inner.category, op_reduced=True)
+    op_reduced = k == n
+    if op_reduced:
+        cat, horn = opposite(cat), opposite_horn(horn)
     miss = horn.missing_face
     U = required_boundary(cat, horn.objects, horn.cell, miss, signs)
 
@@ -240,8 +228,8 @@ def compute_obstruction(cat: DgCategory, horn: HornData,
         return horn.cell(seq)
 
     V = required_boundary(cat, horn.objects, patched, horn.full_seq, signs)
-    if k == 0:
-        obs = Obstruction(n, k, U, V, None, horn.cell((0, 1)), cat)
+    if horn.k == 0:                        # k = 0, or k = n reversed
+        obs = Obstruction(n, k, U, V, None, horn.cell((0, 1)), cat, op_reduced)
     else:
         obs = Obstruction(n, k, U, V, signs.face_sign(k, n), None, cat)
     bad = obstruction_violations(obs)
@@ -262,6 +250,45 @@ class Filler:
     face: Morphism
 
 
+def _solve_pair(obs: Obstruction, U: Morphism, V: Morphism) -> Filler:
+    """A (face, top) with d(face) = U and d(top) = face∘α + V (outer) or
+    sign·face + V (inner), in the vertex order of ``obs.category``.
+
+    Inner: face = −σ·V, top = 0.  Outer: with (a, g, h) an equivalence
+    witness for α, face = −V∘a + (−1)ⁿU∘h and
+    top = (−1)ⁿ(face∘h∘α − face∘α∘g − V∘g).
+    """
+    cat, n, alpha = obs.category, obs.n, obs.alpha
+    if alpha is None:
+        return Filler(n, obs.k, cat.zero(V.source, V.target, V.degree - 1),
+                      V.scale(-obs.sign))
+    try:
+        w = find_equivalence_witness(cat, alpha)
+    except NotEquivalence as exc:
+        raise CannotFillOuterHorn(
+            f"edge ({n - 1}, {n}) admits no equivalence witness"
+            if obs.op_reduced else
+            f"edge (0, 1) admits no equivalence witness: {exc}") from exc
+    sgn = (-1) ** n
+    face = cat.compose(V, w.a).scale(-1) + cat.compose(U, w.h).scale(sgn)
+    top = (cat.compose(face, cat.compose(w.h, alpha))
+           - cat.compose(face, cat.compose(alpha, w.g))
+           - cat.compose(V, w.g)).scale(sgn)
+    return Filler(n, 0, top, face)
+
+
+def _transport(obs: Obstruction, filler: Filler) -> Filler:
+    """Move a filler between the horn's vertex order and the obstruction's
+    (the two differ only for k = n, which is solved in the opposite)."""
+    return opposite_filler(filler) if obs.op_reduced else filler
+
+
+def fill_horn(cat: DgCategory, horn: HornData,
+              signs: SignPattern = PINNED) -> Filler:
+    obs = compute_obstruction(cat, horn, signs)
+    return _transport(obs, _solve_pair(obs, obs.U, obs.V))
+
+
 def fill_inner(cat: DgCategory, horn: HornData,
                signs: SignPattern = PINNED) -> Filler:
     """α̂_face = −σ_k·V and α̂_top = 0 solve both missing equations.
@@ -270,10 +297,7 @@ def fill_inner(cat: DgCategory, horn: HornData,
     """
     if not horn.is_inner:
         raise ValueError("fill_inner requires 0 < k < n")
-    obs = compute_obstruction(cat, horn, signs)
-    face = obs.V.scale(-obs.sign)
-    top = cat.zero(horn.objects[0], horn.objects[-1], 1 - horn.n)
-    return Filler(horn.n, horn.k, top, face)
+    return fill_horn(cat, horn, signs)
 
 
 def fill_outer_zero(cat: DgCategory, horn: HornData,
@@ -281,19 +305,7 @@ def fill_outer_zero(cat: DgCategory, horn: HornData,
     """Fill a k = 0 horn using an equivalence witness for the edge (0,1)."""
     if horn.k != 0:
         raise ValueError("fill_outer_zero requires k = 0")
-    obs = compute_obstruction(cat, horn, signs)
-    alpha = obs.alpha
-    try:
-        w = find_equivalence_witness(cat, alpha)
-    except NotEquivalence as exc:
-        raise CannotFillOuterHorn(
-            f"edge (0, 1) admits no equivalence witness: {exc}") from exc
-    sgn = (-1) ** horn.n
-    face = cat.compose(obs.V, w.a).scale(-1) + cat.compose(obs.U, w.h).scale(sgn)
-    top = (cat.compose(face, cat.compose(w.h, alpha))
-           - cat.compose(face, cat.compose(alpha, w.g))
-           - cat.compose(obs.V, w.g)).scale(sgn)
-    return Filler(horn.n, 0, top, face)
+    return fill_horn(cat, horn, signs)
 
 
 def fill_outer_n(cat: DgCategory, horn: HornData,
@@ -301,22 +313,7 @@ def fill_outer_n(cat: DgCategory, horn: HornData,
     """Fill a k = n horn by passing to the opposite category."""
     if horn.k != horn.n:
         raise ValueError("fill_outer_n requires k = n")
-    try:
-        op_filler = fill_outer_zero(opposite(cat), opposite_horn(horn), signs)
-    except CannotFillOuterHorn as exc:
-        n = horn.n
-        raise CannotFillOuterHorn(
-            f"edge ({n - 1}, {n}) admits no equivalence witness") from exc
-    return opposite_filler(op_filler)
-
-
-def fill_horn(cat: DgCategory, horn: HornData,
-              signs: SignPattern = PINNED) -> Filler:
-    if horn.is_inner:
-        return fill_inner(cat, horn, signs)
-    if horn.k == 0:
-        return fill_outer_zero(cat, horn, signs)
-    return fill_outer_n(cat, horn, signs)
+    return fill_horn(cat, horn, signs)
 
 
 # -- opposite-category transport ------------------------------------------------
@@ -335,6 +332,11 @@ def _op_cell(cell: Morphism, k: int) -> Morphism:
     return flipped if _mu(k) == 1 else flipped.scale(-1)
 
 
+def _op_cells(n: int, cells: Mapping[Seq, Morphism]) -> dict[Seq, Morphism]:
+    return {_op_seq(n, seq): _op_cell(cell, len(seq) - 1)
+            for seq, cell in cells.items()}
+
+
 def opposite_simplex(simplex: NerveSimplex) -> NerveSimplex:
     """The same simplex read backwards in the opposite category.
 
@@ -342,17 +344,13 @@ def opposite_simplex(simplex: NerveSimplex) -> NerveSimplex:
     (−1)^{k(k+1)/2+1}, which makes all residuals transport on the nose.
     Involutive.
     """
-    n = simplex.n
-    cells = {_op_seq(n, seq): _op_cell(cell, len(seq) - 1)
-             for seq, cell in simplex.cells.items()}
-    return NerveSimplex(tuple(reversed(simplex.objects)), cells)
+    return NerveSimplex(tuple(reversed(simplex.objects)),
+                        _op_cells(simplex.n, simplex.cells))
 
 
 def opposite_horn(horn: HornData) -> HornData:
-    n = horn.n
-    cells = {_op_seq(n, seq): _op_cell(cell, len(seq) - 1)
-             for seq, cell in horn.cells.items()}
-    return HornData(n, n - horn.k, tuple(reversed(horn.objects)), cells)
+    return HornData(horn.n, horn.n - horn.k, tuple(reversed(horn.objects)),
+                    _op_cells(horn.n, horn.cells))
 
 
 def opposite_filler(filler: Filler) -> Filler:
@@ -387,12 +385,12 @@ def promote_filler(cat: DgCategory, filler: Filler) -> Filler:
 
 # -- square-zero lifting ----------------------------------------------------------
 
-def _check_filler_shape(cat: DgCategory, horn: HornData, top: Morphism,
-                        face: Morphism) -> None:
+def _check_filler_shape(horn: HornData, filler: Filler) -> None:
     n = horn.n
     miss = horn.missing_face
     want_top = (horn.objects[0], horn.objects[-1], 1 - n)
     want_face = (horn.objects[miss[0]], horn.objects[miss[-1]], 2 - n)
+    top, face = filler.top, filler.face
     got_top = (top.source, top.target, top.degree)
     got_face = (face.source, face.target, face.degree)
     if got_top != want_top or got_face != want_face:
@@ -415,62 +413,34 @@ def lift_filler(cat: DgCategory, horn: HornData, filler_mod_ideal: Filler,
 
     lie in I because the reduction solves the reduced equations — if not,
     InvalidReduction.  They satisfy d(φ) = 0 and d(ψ) = −φ∘α (outer) /
-    −sign·φ (inner), so the witness-built correction ε kills them exactly,
-    and α̂ = α̃ − ε fills the horn over the full ring while reducing
-    coordinatewise back to ``filler_mod_ideal``.
+    −sign·φ (inner), so the error pair is itself fillable: the fill
+    formulas applied to (φ, ψ) give a correction ε, and α̂ = α̃ − ε fills
+    the horn over the full ring while reducing coordinatewise back to
+    ``filler_mod_ideal``.
     """
-    n, k = horn.n, horn.k
-    if (filler_mod_ideal.n, filler_mod_ideal.k) != (n, k):
+    if (filler_mod_ideal.n, filler_mod_ideal.k) != (horn.n, horn.k):
         raise ValueError("filler does not match horn dimensions")
-    if k == n:
-        try:
-            op = lift_filler(opposite(cat), opposite_horn(horn),
-                             opposite_filler(filler_mod_ideal),
-                             lifts=opposite_filler(lifts) if lifts else None,
-                             signs=signs)
-        except CannotFillOuterHorn as exc:
-            raise CannotFillOuterHorn(
-                f"edge ({n - 1}, {n}) admits no equivalence witness") from exc
-        return opposite_filler(op)
-
     obs = compute_obstruction(cat, horn, signs)
-    if lifts is not None:
-        top_l, face_l = lifts.top, lifts.face
-        if (reduce_morphism(top_l).coords != filler_mod_ideal.top.coords
-                or reduce_morphism(face_l).coords
-                != filler_mod_ideal.face.coords):
-            raise InvalidReduction(
-                "provided lifts do not reduce to the given filler")
-    else:
-        top_l = promote_morphism(cat, filler_mod_ideal.top)
-        face_l = promote_morphism(cat, filler_mod_ideal.face)
-    _check_filler_shape(cat, horn, top_l, face_l)
+    if lifts is None:
+        lifts = promote_filler(cat, filler_mod_ideal)
+    elif (reduce_morphism(lifts.top).coords != filler_mod_ideal.top.coords
+          or reduce_morphism(lifts.face).coords
+          != filler_mod_ideal.face.coords):
+        raise InvalidReduction(
+            "provided lifts do not reduce to the given filler")
+    _check_filler_shape(horn, lifts)
 
-    phi = cat.differential(face_l) - obs.U
-    if k == 0:
-        psi = cat.differential(top_l) - cat.compose(face_l, obs.alpha) - obs.V
-    else:
-        psi = cat.differential(top_l) - face_l.scale(obs.sign) - obs.V
+    ambient, lifted = obs.category, _transport(obs, lifts)
+    edge_term = (lifted.face.scale(obs.sign) if obs.alpha is None
+                 else ambient.compose(lifted.face, obs.alpha))
+    phi = ambient.differential(lifted.face) - obs.U
+    psi = ambient.differential(lifted.top) - edge_term - obs.V
     if not (phi.in_ideal() and psi.in_ideal()):
         raise InvalidReduction(
             "mod-ideal filler does not solve the reduced horn equations")
-
-    if k == 0:
-        try:
-            w = find_equivalence_witness(cat, obs.alpha)
-        except NotEquivalence as exc:
-            raise CannotFillOuterHorn(
-                f"edge (0, 1) admits no equivalence witness: {exc}") from exc
-        sgn = (-1) ** n
-        eps_face = (cat.compose(psi, w.a).scale(-1)
-                    + cat.compose(phi, w.h).scale(sgn))
-        eps_top = (cat.compose(eps_face, cat.compose(w.h, obs.alpha))
-                   - cat.compose(eps_face, cat.compose(obs.alpha, w.g))
-                   - cat.compose(psi, w.g)).scale(sgn)
-    else:
-        eps_face = psi.scale(-obs.sign)
-        eps_top = cat.zero(top_l.source, top_l.target, top_l.degree)
-    return Filler(n, k, top_l - eps_top, face_l - eps_face)
+    eps = _solve_pair(obs, phi, psi)
+    return _transport(obs, Filler(eps.n, eps.k, lifted.top - eps.top,
+                                  lifted.face - eps.face))
 
 
 # -- randomized generation ---------------------------------------------------------

@@ -176,36 +176,37 @@ def simplex_residual(cat: DgCategory, simplex: NerveSimplex, seq: Seq,
         cat, simplex.objects, simplex.cell, seq, signs)
 
 
+def cell_shape_violation(cat: DgCategory, objects: Sequence[str], seq: Seq,
+                         cell: Morphism | None) -> Violation | None:
+    """Why ``cell`` cannot be the cell at ``seq`` (None if it can): it is
+    missing, or its endpoints, degree 1 − k or coordinate count are off."""
+    if cell is None:
+        return Violation("missing_cell", seq, "no cell stored")
+    src, tgt, deg = objects[seq[0]], objects[seq[-1]], 2 - len(seq)
+    if (cell.source, cell.target) != (src, tgt):
+        return Violation("cell_endpoints", seq,
+                         f"cell maps {cell.source}->{cell.target}, "
+                         f"expected {src}->{tgt}")
+    if cell.degree != deg:
+        return Violation("cell_degree", seq,
+                         f"degree {cell.degree}, expected {deg}")
+    if len(cell.coords) != cat.rank(src, tgt, deg):
+        return Violation("cell_rank", seq, "wrong coordinate count")
+    return None
+
+
 def validate_simplex(cat: DgCategory, simplex: NerveSimplex,
                      signs: SignPattern = PINNED) -> list[Violation]:
     """Shape and residual violations of one simplex (empty = valid)."""
-    out: list[Violation] = []
     n = simplex.n
     if n < 0:
         return [Violation("shape", ("objects",), "no vertices")]
     for obj in simplex.objects:
         if obj not in cat.identities:
             return [Violation("shape", (obj,), "unknown object")]
-    for seq in increasing_sequences(n):
-        k = len(seq) - 1
-        cell = simplex.cells.get(seq)
-        if cell is None:
-            out.append(Violation("missing_cell", seq, "no cell stored"))
-            continue
-        want_src = simplex.objects[seq[0]]
-        want_tgt = simplex.objects[seq[-1]]
-        if (cell.source, cell.target) != (want_src, want_tgt):
-            out.append(Violation("cell_endpoints", seq,
-                                 f"cell maps {cell.source}->{cell.target}, "
-                                 f"expected {want_src}->{want_tgt}"))
-            continue
-        if cell.degree != 1 - k:
-            out.append(Violation("cell_degree", seq,
-                                 f"degree {cell.degree}, expected {1 - k}"))
-            continue
-        if len(cell.coords) != cat.rank(want_src, want_tgt, 1 - k):
-            out.append(Violation("cell_rank", seq, "wrong coordinate count"))
-            continue
+    out = [v for v in (cell_shape_violation(cat, simplex.objects, seq,
+                                            simplex.cells.get(seq))
+                       for seq in increasing_sequences(n)) if v]
     if out:
         return out
     for seq in increasing_sequences(n):

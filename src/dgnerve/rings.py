@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -229,8 +230,15 @@ def rational_to_str(q: Fraction) -> str:
     return str(q)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def rational_from_str(s: str) -> Fraction:
-    """Parse ``"p/q"``; any unreadable text, ``"1/0"`` too, is a ValueError."""
+    """Parse ``"p"`` or ``"p/q"`` in plain decimal digits; any other text
+    (``"1.5"``, ``"1e999999"``, ``" 1"``, a non-string), ``"1/0"``, and
+    digit strings past Python's int-parsing cap are a ValueError."""
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise ValueError(f"not a rational \"p\" or \"p/q\": {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:

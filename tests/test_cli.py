@@ -17,7 +17,8 @@ from dgnerve import jsonio, laws
 from dgnerve.cli import main
 from dgnerve.dgcat import Morphism
 from dgnerve.fixtures import dual_numbers, standard_fixtures, three_term_category
-from dgnerve.horn import (HornData, complete_horn, extract_horn, fill_horn,
+from dgnerve.horn import (HornData, IncompatibleHorn, check_horn,
+                          complete_horn, extract_horn, fill_horn, lift_filler,
                           random_horn, reduce_filler, reduce_horn)
 from dgnerve.mc import reduce_category
 from dgnerve.nerve import (NerveSimplex, SignPattern, identity_simplex,
@@ -90,6 +91,16 @@ def test_check_malformed_json_exit_2(tmp_path, capsys):
     assert "column" in err
 
 
+def test_check_integer_literal_past_digit_cap_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "category", "ring": ' + "1" * 5000 + "}")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "4300 digits" in err
+
+
 def test_check_missing_file_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", str(tmp_path / "absent.json"))
     assert code == 2
@@ -135,7 +146,10 @@ def test_check_out_of_range_tensor_index_exit_2(tmp_path, capsys, three_term,
     (("ranks",), 5, '"ranks" must be a list of 4-item lists'),
     (("comps", 0, 5, 0), None, "comp entries must be a list of 4-item lists"),
     (("identities", 0, 1, 0), "1/0", "zero denominator in '1/0'"),
-], ids=["ranks_not_a_list", "null_comp_entry", "zero_denominator"])
+    (("identities", 0, 1, 0), "1e999999", "'1e999999'"),
+    (("identities", 0, 1, 0), "1.5", "'1.5'"),
+], ids=["ranks_not_a_list", "null_comp_entry", "zero_denominator",
+        "exponent", "decimal_point"])
 def test_check_malformed_category_exit_2(tmp_path, capsys, three_term,
                                          path, value, message):
     code, out, err = _check_edited_category(tmp_path, capsys, three_term,
@@ -286,6 +300,28 @@ def test_fill_incompatible_horn_reports_violations(tmp_path, capsys,
     report = json.loads(out_path.read_text())
     assert report["error"] == "incompatible_horn"
     assert ["0", "1"] in [v["location"] for v in report["violations"]]
+
+
+def test_incompatible_outer_n_horn_reports_its_own_sequences(tmp_path, capsys,
+                                                             three_term):
+    # k = n horns are solved in the opposite category, but their violations
+    # name the horn's own sequences, as check_horn does.
+    horn = random_horn(three_term, random.Random(19), 3, 3, witnessed=True)
+    doc = jsonio.horn_to_json(horn)
+    doc["cells"]["0,1"] = ["0", "1", "0"]
+    bad = jsonio.horn_from_json(doc, three_term)
+    expected = check_horn(three_term, bad)
+    assert [v.location for v in expected] == [(0, 1), (0, 1, 3)]
+    with pytest.raises(IncompatibleHorn) as fill_exc:
+        fill_horn(three_term, bad)
+    with pytest.raises(IncompatibleHorn) as lift_exc:
+        lift_filler(three_term, bad, fill_horn(three_term, horn))
+    assert fill_exc.value.violations == lift_exc.value.violations == expected
+    path = write_doc(tmp_path, "horn.json", doc)
+    code, out, _ = run_cli(capsys, "fill", path, "--category", "three_term",
+                           "--format", "json")
+    assert code == 1
+    assert json.loads(out)["violations"] == [v.to_json() for v in expected]
 
 
 # -- lift -------------------------------------------------------------------------

@@ -201,6 +201,17 @@ def test_check_axioms_matches_basis_oracle(all_fixtures, build):
     assert check_axioms(cat) == _reference_check_axioms(cat)
 
 
+def test_missing_unit_is_reported_not_raised(three_term, complexes):
+    # the unit laws of blocks touching a unitless object are skipped; the
+    # other objects' unit laws are still checked (and hold)
+    missing = "object has no unit element"
+    assert check_axioms(dataclasses.replace(three_term, identities={})) == [
+        Violation("missing_identity", ("C0",), missing)]
+    units = {x: u for x, u in complexes.identities.items() if x != "B"}
+    assert check_axioms(dataclasses.replace(complexes, identities=units)) == [
+        Violation("missing_identity", ("B",), missing)]
+
+
 def test_violations_serialize():
     ring = RATIONALS
     cat = make_complex_category(

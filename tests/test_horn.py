@@ -15,12 +15,15 @@ import random
 
 import pytest
 
-from dgnerve.dgcat import opposite, reset_witness_calls, witness_call_count
+from dgnerve.dgcat import (NotEquivalence, find_equivalence_witness, opposite,
+                           reset_witness_calls, witness_call_count)
 from dgnerve.horn import (
     CannotFillOuterHorn,
     Filler,
     HornData,
+    HornError,
     IncompatibleHorn,
+    InvalidReduction,
     check_gp,
     check_horn,
     complete_horn,
@@ -30,13 +33,20 @@ from dgnerve.horn import (
     fill_inner,
     fill_outer_n,
     fill_outer_zero,
+    lift_filler,
     obstruction_violations,
     opposite_filler,
     opposite_horn,
+    opposite_simplex,
     random_horn,
     random_valid_simplex,
+    reduce_filler,
+    reduce_horn,
 )
+from dgnerve.mc import (promote_morphism, reduce_category, reduce_morphism,
+                        tensor_with_ring)
 from dgnerve.nerve import NerveSimplex, identity_simplex, validate_simplex, validate_star
+from dgnerve.rings import SquareZeroRing
 
 GRID = [(2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2)]
 
@@ -287,6 +297,149 @@ def test_outer_n_names_last_edge(three_term):
     with pytest.raises(CannotFillOuterHorn) as exc:
         fill_outer_n(three_term, extract_horn(bad, 2))
     assert "(1, 2)" in str(exc.value)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_opposite_simplex_is_an_involution_into_the_opposite(
+        three_term, complexes, n):
+    for cat in (three_term, complexes):
+        op = opposite(cat)
+        for seed in range(3):
+            rng = random.Random(600 + 10 * n + seed)
+            simplex = random_valid_simplex(cat, rng, n, witnessed=seed != 1)
+            reversed_simplex = opposite_simplex(simplex)
+            assert opposite_simplex(reversed_simplex) == simplex
+            assert validate_simplex(op, reversed_simplex) == []
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the fill and lift formulas as written one horn kind at a time,
+# with k = n routed through the opposite category by recursion.
+# ---------------------------------------------------------------------------
+
+
+def _reference_fill_outer_zero(cat, horn):
+    obs = compute_obstruction(cat, horn)
+    alpha = obs.alpha
+    try:
+        w = find_equivalence_witness(cat, alpha)
+    except NotEquivalence as exc:
+        raise CannotFillOuterHorn(
+            f"edge (0, 1) admits no equivalence witness: {exc}") from exc
+    sgn = (-1) ** horn.n
+    face = cat.compose(obs.V, w.a).scale(-1) + cat.compose(obs.U, w.h).scale(sgn)
+    top = (cat.compose(face, cat.compose(w.h, alpha))
+           - cat.compose(face, cat.compose(alpha, w.g))
+           - cat.compose(obs.V, w.g)).scale(sgn)
+    return Filler(horn.n, 0, top, face)
+
+
+def _reference_fill_horn(cat, horn):
+    n = horn.n
+    if horn.is_inner:
+        obs = compute_obstruction(cat, horn)
+        top = cat.zero(horn.objects[0], horn.objects[-1], 1 - n)
+        return Filler(n, horn.k, top, obs.V.scale(-obs.sign))
+    if horn.k == 0:
+        return _reference_fill_outer_zero(cat, horn)
+    try:
+        op_filler = _reference_fill_outer_zero(opposite(cat),
+                                               opposite_horn(horn))
+    except CannotFillOuterHorn as exc:
+        raise CannotFillOuterHorn(
+            f"edge ({n - 1}, {n}) admits no equivalence witness") from exc
+    return opposite_filler(op_filler)
+
+
+def _reference_lift_filler(cat, horn, filler_mod_ideal, lifts=None):
+    n, k = horn.n, horn.k
+    if (filler_mod_ideal.n, filler_mod_ideal.k) != (n, k):
+        raise ValueError("filler does not match horn dimensions")
+    if k == n:
+        try:
+            op = _reference_lift_filler(
+                opposite(cat), opposite_horn(horn),
+                opposite_filler(filler_mod_ideal),
+                opposite_filler(lifts) if lifts else None)
+        except CannotFillOuterHorn as exc:
+            raise CannotFillOuterHorn(
+                f"edge ({n - 1}, {n}) admits no equivalence witness") from exc
+        return opposite_filler(op)
+    obs = compute_obstruction(cat, horn)
+    if lifts is not None:
+        top_l, face_l = lifts.top, lifts.face
+        if (reduce_morphism(top_l).coords != filler_mod_ideal.top.coords
+                or reduce_morphism(face_l).coords
+                != filler_mod_ideal.face.coords):
+            raise InvalidReduction(
+                "provided lifts do not reduce to the given filler")
+    else:
+        top_l = promote_morphism(cat, filler_mod_ideal.top)
+        face_l = promote_morphism(cat, filler_mod_ideal.face)
+    phi = cat.differential(face_l) - obs.U
+    if k == 0:
+        psi = cat.differential(top_l) - cat.compose(face_l, obs.alpha) - obs.V
+    else:
+        psi = cat.differential(top_l) - face_l.scale(obs.sign) - obs.V
+    if not (phi.in_ideal() and psi.in_ideal()):
+        raise InvalidReduction(
+            "mod-ideal filler does not solve the reduced horn equations")
+    if k == 0:
+        try:
+            w = find_equivalence_witness(cat, obs.alpha)
+        except NotEquivalence as exc:
+            raise CannotFillOuterHorn(
+                f"edge (0, 1) admits no equivalence witness: {exc}") from exc
+        sgn = (-1) ** n
+        eps_face = (cat.compose(psi, w.a).scale(-1)
+                    + cat.compose(phi, w.h).scale(sgn))
+        eps_top = (cat.compose(eps_face, cat.compose(w.h, obs.alpha))
+                   - cat.compose(eps_face, cat.compose(obs.alpha, w.g))
+                   - cat.compose(psi, w.g)).scale(sgn)
+    else:
+        eps_face = psi.scale(-obs.sign)
+        eps_top = cat.zero(top_l.source, top_l.target, top_l.degree)
+    return Filler(n, k, top_l - eps_top, face_l - eps_face)
+
+
+def _outcome(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except HornError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("n,k", [(2, 0), (2, 2), (3, 1), (3, 3), (4, 2)])
+def test_fill_and_lift_match_reference(three_term, complexes, rank, n, k):
+    # Lifts start from the fill of the reduced horn (when there is one) and
+    # from the simplex's own cells plus ideal noise, which also reach the
+    # witness solve on unwitnessed outer horns.
+    for base in (three_term, complexes):
+        big = tensor_with_ring(base, SquareZeroRing(rank))
+        red = reduce_category(big)
+        for witnessed in (True, False):
+            for seed in range(2):
+                rng = random.Random(8000 + 100 * n + 10 * k + seed)
+                simplex = random_valid_simplex(big, rng, n, witnessed=witnessed)
+                horn = extract_horn(simplex, k)
+                for cat, h in ((big, horn), (red, reduce_horn(horn))):
+                    assert _outcome(fill_horn, cat, h) == \
+                        _outcome(_reference_fill_horn, cat, h)
+                own = Filler(n, k, simplex.cell(horn.full_seq),
+                             simplex.cell(horn.missing_face))
+                noisy = Filler(n, k, *(cell + big.random_morphism(
+                    cell.source, cell.target, cell.degree, rng,
+                    ideal_only=True) for cell in (own.top, own.face)))
+                starts = [(reduce_filler(noisy), noisy)]
+                red_filler = _outcome(fill_horn, red, reduce_horn(horn))
+                if isinstance(red_filler, Filler):
+                    starts.append((red_filler, None))
+                for filler_mod_ideal, lifts in starts:
+                    assert _outcome(lift_filler, big, horn, filler_mod_ideal,
+                                    lifts=lifts) == \
+                        _outcome(_reference_lift_filler, big, horn,
+                                 filler_mod_ideal, lifts)
 
 
 # ---------------------------------------------------------------------------

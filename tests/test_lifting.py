@@ -2,7 +2,8 @@
 
 The correction pair ε = (ε_top, ε_face) built inside ``lift_filler`` is
 recovered here as (lift input − lift output) and checked against its
-defining equations by direct substitution:
+defining equations by direct substitution (for k = n after transport to
+the opposite category, where the obstruction pair lives):
 
     φ = d(α̃_face) − U                  d(ε_face) = φ
     ψ = d(α̃_top) − α̃_face∘α − V       d(ε_top)  = ε_face∘α + ψ   (outer)
@@ -22,6 +23,7 @@ from dgnerve.horn import (
     extract_horn,
     fill_horn,
     lift_filler,
+    opposite_filler,
     random_horn,
     random_valid_simplex,
     reduce_filler,
@@ -111,25 +113,27 @@ def test_correction_equations_by_substitution(towers, n, k):
         lifted = lift_filler(big, horn, red_filler, lifts=lifts)
         assert validate_simplex(big, complete_horn(horn, lifted)) == []
         assert_reduces_to(lifted, red_filler)
-        if k == n:
-            continue  # corrections live in the opposite category
         obs = compute_obstruction(big, horn)
+        cat = obs.category
+        if obs.op_reduced:  # k = n: the equations live in the opposite
+            assert k == n and obs.alpha is not None
+            lifts, lifted = opposite_filler(lifts), opposite_filler(lifted)
         eps_face = lifts.face - lifted.face
         eps_top = lifts.top - lifted.top
-        phi = big.differential(lifts.face) - obs.U
+        phi = cat.differential(lifts.face) - obs.U
         assert phi.in_ideal()
-        assert big.differential(eps_face) == phi
-        if k == 0:
-            psi = big.differential(lifts.top) \
-                - big.compose(lifts.face, obs.alpha) - obs.V
+        assert cat.differential(eps_face) == phi
+        if k in (0, n):
+            psi = cat.differential(lifts.top) \
+                - cat.compose(lifts.face, obs.alpha) - obs.V
             assert psi.in_ideal()
-            assert big.differential(eps_top) == \
-                big.compose(eps_face, obs.alpha) + psi
+            assert cat.differential(eps_top) == \
+                cat.compose(eps_face, obs.alpha) + psi
         else:
-            psi = big.differential(lifts.top) \
+            psi = cat.differential(lifts.top) \
                 - lifts.face.scale(obs.sign) - obs.V
             assert psi.in_ideal()
-            assert big.differential(eps_top) == \
+            assert cat.differential(eps_top) == \
                 eps_face.scale(obs.sign) + psi
 
 

@@ -24,6 +24,7 @@ from dgnerve.rings import (
     element_to_json,
     invert,
     random_element,
+    rational_from_str,
     reduce_mod_ideal,
 )
 
@@ -221,6 +222,20 @@ def test_element_json_round_trip(x):
     else:
         assert isinstance(doc, str)
     assert element_from_json(doc, ring) == x
+
+
+@pytest.mark.parametrize("text, value", [
+    ("7", Fraction(7)), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2))])
+def test_rational_from_str_reads_p_and_p_over_q(text, value):
+    assert rational_from_str(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e999999", "1.5", " 1", "1 ", "1_0", "+1", "1/-2", "", "/2", "\u0663",
+    "1" * 5000, "1/0", 5])
+def test_rational_from_str_rejects_other_text(text):
+    with pytest.raises(ValueError):
+        rational_from_str(text)
 
 
 def test_random_element_lands_in_ring():
