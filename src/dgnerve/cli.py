@@ -9,6 +9,7 @@ inputs and seed produce byte-identical output, in both text and JSON form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import pathlib
@@ -32,7 +33,9 @@ class CliInputError(Exception):
     """Unparseable or inconsistent input: exit code 2."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dgnerve",
         description="Exact checks, horn filling, and square-zero lifting "

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over square-zero extensions.
+"""Exact linear algebra over square-zero extensions.
 
 Matrices are lists of rows of :class:`~dgnerve.rings.RingElement`.  The one
 nontrivial operation is :func:`solve_linear`: solving ``A·x = b`` over
@@ -8,20 +8,23 @@ into layers turns the system into a single rational one,
     A⁰·x⁰           = b⁰          (body layer)
     A⁰·x^l + A^l·x⁰ = b^l         (one block per ideal generator),
 
-which is solved *jointly* by Gauss-Jordan elimination.  Solving the body
-first and then patching the ideal layers is not equivalent: when the body
-matrix is singular the body solution must be chosen compatibly with the
+which is solved *jointly* by one row reduction (:func:`rref`).  Solving the
+body first and then patching the ideal layers is not equivalent: when the
+body matrix is singular the body solution must be chosen compatibly with the
 ideal blocks (``A=[[ε]], b=[ε]`` has the solution ``x=1`` even though the
 body system is ``0·x = 0``).  Consequently solvability over ``B`` implies
 solvability of the body system over Q, but not conversely.
 
-All pivoting is first-nonzero and free variables are set to 0, so results
-are deterministic.
+:func:`rref` eliminates on sparse integer rows and forms ``Fraction``s only
+at the end; its result is the unique reduced row echelon form, the same as
+any exact Gauss-Jordan elimination gives.  Free variables are set to 0, so
+results are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .rings import RingElement, SquareZeroRing
@@ -37,28 +40,72 @@ class NoSolution(ValueError):
 # -- rational core -----------------------------------------------------------
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[tuple[int, int]]]:
-    """Reduced row echelon form; returns (matrix, pivot (row, col) list)."""
-    mat = [list(row) for row in rows]
+    """Reduced row echelon form; returns (matrix, pivot (row, col) list).
+
+    Fraction-free Gauss-Jordan elimination on sparse integer rows.  Each
+    input row is multiplied by the lcm of its denominators into a row
+    ``{col: int}`` that holds only its nonzero entries.  Column by column,
+    the first remaining row with a nonzero entry there becomes the pivot
+    row, and every other row ``row`` with a nonzero ``f`` in that column is
+    replaced by ``a·row − b·pivot`` (``p`` the pivot, ``g = gcd(p, f)``,
+    ``a = p/g``, ``b = f/g``), then divided by the gcd of its entries.  Only
+    at the end is each pivot row divided by its pivot into ``Fraction``s.
+
+    Every step multiplies a row by a nonzero scalar or adds a multiple of
+    another row to it, so the row space never changes; the RREF of a matrix
+    is unique, so the result is the one any exact elimination gives: the
+    pivot rows in column order, then the zero rows.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pending = [row for row in map(_integer_row, rows) if row]
+    echelon: list[dict[int, int]] = []
     pivots: list[tuple[int, int]] = []
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [v - factor * w for v, w in zip(mat[i], mat[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
+        if not pending:
             break
+        i = next((i for i, row in enumerate(pending) if c in row), None)
+        if i is None:
+            continue
+        pivot = pending.pop(i)
+        echelon = [_eliminate(row, pivot, c) if c in row else row
+                   for row in echelon]
+        pending = [_eliminate(row, pivot, c) if c in row else row
+                   for row in pending]
+        pending = [row for row in pending if row]
+        pivots.append((len(echelon), c))
+        echelon.append(pivot)
+    zero = Fraction(0)
+    mat = [[zero] * ncols for _ in range(nrows)]
+    for (r, c), row in zip(pivots, echelon):
+        p = row[c]
+        for j, v in row.items():
+            mat[r][j] = Fraction(v, p)
     return mat, pivots
+
+
+def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
+    """The nonzero entries of ``row`` times the lcm of their denominators."""
+    entries = {c: v for c, v in enumerate(row) if v}
+    scale = lcm(*[v.denominator for v in entries.values()])
+    return {c: v.numerator * (scale // v.denominator)
+            for c, v in entries.items()}
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int],
+               c: int) -> dict[int, int]:
+    """``a·row − b·pivot``, which is 0 in column ``c``, over its content."""
+    g = gcd(pivot[c], row[c])
+    a, b = pivot[c] // g, row[c] // g
+    out = {j: a * v for j, v in row.items()}
+    for j, v in pivot.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    content = gcd(*out.values())
+    return {j: v // content for j, v in out.items()} if content > 1 else out
 
 
 def solve_rational(rows: Sequence[Sequence[Fraction]],

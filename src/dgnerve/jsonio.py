@@ -18,6 +18,14 @@ from .nerve import NerveSimplex, Seq, increasing_sequences
 from .rings import (RingElement, SquareZeroRing, element_from_json,
                     element_to_json)
 
+# Caps on the sizes a document states as single integers.  The memory and
+# time spent on a document grow with these numbers, not with its length: a
+# ring element holds one coordinate per ideal generator, check_axioms visits
+# every basis index of a hom, and an n-simplex has 2^(n+1) − n − 2 cells.
+MAX_IDEAL_RANK = 8
+MAX_HOM_RANK = 256
+MAX_DIMENSION = 8
+
 
 def canonical_dumps(doc: Any) -> str:
     """Deterministic, diff-friendly JSON text (sorted keys, newline at end)."""
@@ -88,8 +96,10 @@ def category_from_json(doc: Mapping) -> DgCategory:
     if not isinstance(doc, Mapping):
         raise ValueError("category document must be a JSON object")
     rank = doc.get("ring", 0)
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
-        raise ValueError("\"ring\" must be a nonnegative ideal rank")
+    if (not isinstance(rank, int) or isinstance(rank, bool)
+            or not 0 <= rank <= MAX_IDEAL_RANK):
+        raise ValueError("\"ring\" must be a nonnegative ideal rank "
+                         f"up to {MAX_IDEAL_RANK}")
     ring = SquareZeroRing(rank)
     objects = doc.get("objects")
     if (not isinstance(objects, list) or not objects
@@ -125,8 +135,9 @@ def category_from_json(doc: Mapping) -> DgCategory:
 
     ranks = {}
     for x, y, t, r in records(doc.get("ranks", []), 4, "\"ranks\""):
-        if integer(r) < 0:
-            raise ValueError("ranks must be nonnegative")
+        if not 0 <= integer(r) <= MAX_HOM_RANK:
+            raise ValueError("ranks must be nonnegative, up to "
+                             f"{MAX_HOM_RANK}")
         ranks[(obj(x), obj(y), integer(t))] = r
     diffs = {}
     for x, y, t, entries in records(doc.get("diffs", []), 4, "\"diffs\""):
@@ -191,7 +202,8 @@ def _cells_from_json(doc: Any, cat: DgCategory,
 def _objects_from(doc: Mapping, cat: DgCategory, n: int) -> tuple[str, ...]:
     objects = doc.get("objects")
     if (not isinstance(objects, list) or len(objects) != n + 1
-            or any(x not in cat.identities for x in objects)):
+            or any(not isinstance(x, str) or x not in cat.identities
+                   for x in objects)):
         raise ValueError("\"objects\" must list n+1 object names from the "
                          "category")
     return tuple(objects)
@@ -199,8 +211,10 @@ def _objects_from(doc: Mapping, cat: DgCategory, n: int) -> tuple[str, ...]:
 
 def _dimension_from(doc: Mapping) -> int:
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("\"n\" must be a nonnegative integer")
+    if (not isinstance(n, int) or isinstance(n, bool)
+            or not 0 <= n <= MAX_DIMENSION):
+        raise ValueError("\"n\" must be a nonnegative integer up to "
+                         f"{MAX_DIMENSION}")
     return n
 
 
@@ -270,7 +284,7 @@ def mc_to_json(eta: Morphism) -> dict:
 
 def mc_from_json(doc: Mapping, cat: DgCategory) -> Morphism:
     obj = doc.get("object")
-    if obj not in cat.identities:
+    if not isinstance(obj, str) or obj not in cat.identities:
         raise ValueError(f"unknown object {obj!r}")
     coords = _coords_from(doc.get("eta", []), cat.ring)
     if len(coords) != cat.rank(obj, obj, 1):

@@ -7,14 +7,19 @@ error), report content, and byte-level determinism of the emitted documents.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import functools
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgnerve import jsonio, laws
-from dgnerve.cli import main
+from dgnerve.cli import build_parser, main
 from dgnerve.dgcat import Morphism
 from dgnerve.fixtures import dual_numbers, standard_fixtures, three_term_category
 from dgnerve.horn import (HornData, IncompatibleHorn, check_horn,
@@ -148,8 +153,10 @@ def test_check_out_of_range_tensor_index_exit_2(tmp_path, capsys, three_term,
     (("identities", 0, 1, 0), "1/0", "zero denominator in '1/0'"),
     (("identities", 0, 1, 0), "1e999999", "'1e999999'"),
     (("identities", 0, 1, 0), "1.5", "'1.5'"),
+    (("ring",), 10 ** 9, '"ring" must be a nonnegative ideal rank up to 8'),
+    (("ranks", 0, 3), 10 ** 9, "ranks must be nonnegative, up to 256"),
 ], ids=["ranks_not_a_list", "null_comp_entry", "zero_denominator",
-        "exponent", "decimal_point"])
+        "exponent", "decimal_point", "huge_ring", "huge_rank"])
 def test_check_malformed_category_exit_2(tmp_path, capsys, three_term,
                                          path, value, message):
     code, out, err = _check_edited_category(tmp_path, capsys, three_term,
@@ -158,6 +165,27 @@ def test_check_malformed_category_exit_2(tmp_path, capsys, three_term,
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert message in err
+
+
+def test_check_simplex_past_dimension_cap_exit_2(tmp_path, capsys):
+    doc = {"kind": "simplex", "n": 30, "objects": ["C0"] * 31, "cells": {}}
+    code, out, err = run_cli(capsys, "check",
+                             write_doc(tmp_path, "simplex.json", doc))
+    assert code == 2
+    assert out == ""
+    assert '"n" must be a nonnegative integer up to 8' in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "simplex", "n": 1, "objects": [["C0"], "C0"], "cells": {}},
+    {"kind": "mc", "object": ["C0"], "eta": []},
+], ids=["simplex_object", "mc_object"])
+def test_check_list_as_object_name_exit_2(tmp_path, capsys, doc):
+    code, out, err = run_cli(capsys, "check",
+                             write_doc(tmp_path, "doc.json", doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_check_simplex_with_star(tmp_path, capsys, three_term):
@@ -536,6 +564,32 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, three_term):
+    cat_path = write_doc(tmp_path, "cat.json",
+                         jsonio.category_to_json(three_term))
+    horn = random_horn(three_term, random.Random(11), 3, 1, witnessed=False)
+    horn_path = write_doc(tmp_path, "horn.json", jsonio.horn_to_json(horn))
+    calls = [["check", cat_path],
+             ["check", cat_path, "--format", "yaml"],
+             ["fill", horn_path, "--format", "json"],
+             ["gp", "--n", "2", "--k", "0", "--trials", "2"],
+             ["fill", "--help"]]
+
+    def run_all(fresh: bool) -> list:
+        results = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            results.append(run_cli(capsys, *argv))
+        return results
+
+    fresh = run_all(fresh=True)
+    assert build_parser() is build_parser()
+    assert run_all(fresh=False) == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0]
+    assert "invalid choice: 'yaml'" in fresh[1][2]
+
+
 # -- serialization round trips -------------------------------------------------------
 
 
@@ -605,3 +659,80 @@ def test_detect_kind_inference(three_term):
         jsonio.detect_kind({"kind": "novel"})
     with pytest.raises(ValueError, match="cannot infer"):
         jsonio.detect_kind({})
+
+
+# -- hostile documents ---------------------------------------------------------------
+
+HOSTILE = [None, "1/0", "", 1.5, float("nan"), float("inf"), True, -1, 0,
+           10 ** 9, 10 ** 400, -(10 ** 400), [], {}, [[["1"]]], {"0,1": []}]
+
+
+def _hostile_bases():
+    """Valid documents over a rank-1 three_term, and the CLI call that reads
+    each one: as the checked or filled input, or as ``--category``."""
+    cat = three_term_category(dual_numbers(1))
+    rng = random.Random(23)
+    horns = {(n, k): jsonio.horn_to_json(random_horn(cat, rng, n, k))
+             for n, k in [(3, 1), (2, 0), (2, 2)]}
+    fixed = {"cat": jsonio.category_to_json(cat), "horn": horns[3, 1]}
+    return fixed, {
+        "category": (fixed["cat"], ["check", "{doc}"]),
+        "category_option": (fixed["cat"], ["check", "{horn}",
+                                           "--category", "{doc}"]),
+        "simplex": (jsonio.simplex_to_json(identity_simplex(cat, "C0", 2)),
+                    ["check", "{doc}", "--star", "--category", "{cat}"]),
+        "horn_check": (horns[3, 1], ["check", "{doc}", "--category", "{cat}"]),
+        "horn_fill_0": (horns[2, 0], ["fill", "{doc}", "--category", "{cat}"]),
+        "horn_fill_n": (horns[2, 2], ["fill", "{doc}", "--category", "{cat}"]),
+        "mc": (jsonio.mc_to_json(cat.morphism("C0", "C0", 1, [0, 1])),
+               ["check", "{doc}", "--category", "{cat}"]),
+    }
+
+
+HOSTILE_FIXED, HOSTILE_BASES = _hostile_bases()
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three nodes dropped, replaced by a hostile value
+    or by a value of another type, or nested one list deeper."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (
+                parent is None or draw(st.booleans())):
+            key = draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            continue
+        action = draw(st.sampled_from(["drop", "hostile", "swap", "nest"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "hostile":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(HOSTILE)))
+        elif action == "swap":
+            parent[key] = len(node) if isinstance(node, str) else str(node)
+        else:
+            parent[key] = [node]
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_hostile_documents_keep_the_exit_code_contract(tmp_path_factory,
+                                                       data):
+    name = data.draw(st.sampled_from(sorted(HOSTILE_BASES)))
+    base, argv = HOSTILE_BASES[name]
+    doc = data.draw(mutated(base))
+    workdir = tmp_path_factory.mktemp("hostile")
+    paths = {}
+    for key, value in [("doc", doc), *HOSTILE_FIXED.items()]:
+        paths[key] = workdir / f"{key}.json"
+        paths[key].write_text(json.dumps(value))
+    argv = [arg.format(**paths) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

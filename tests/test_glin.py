@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgnerve import dgcat, glin
+from dgnerve.fixtures import random_complex_category, three_term_category
 from dgnerve.glin import (
     NoSolution,
     compose_maps,
@@ -21,8 +23,10 @@ from dgnerve.glin import (
     mat_vec,
     nullspace,
     rational_nullspace,
+    rref,
     solve_linear,
 )
+from dgnerve.horn import random_valid_simplex
 from dgnerve.rings import RingElement, SquareZeroRing, RATIONALS, random_element
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -204,3 +208,125 @@ def test_rational_systems_multiply_back(mat, vec):
     except NoSolution:
         return
     assert mat_vec(a, x, ring) == b
+
+
+# ---------------------------------------------------------------------------
+# The elimination kernel against dense Fraction Gauss-Jordan.
+# ---------------------------------------------------------------------------
+
+
+def _reference_rref(rows):
+    """Dense Gauss-Jordan over Fraction, first-nonzero pivots: the oracle."""
+    mat = [list(row) for row in rows]
+    pivots = []
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [v - factor * w for v, w in zip(mat[i], mat[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
+def _fractions(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+BIG = Fraction(10 ** 30, 7)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[]],
+    [[], [], []],
+    [[0, 0, 0], [0, 0, 0]],
+    [[1, 2], [0, 0], [3, 4]],
+    [[0, 0, 0], [0, 2, 1], [0, 0, 0]],
+    [[1, 2], [3, 4], [5, 6], [7, 8], [9, 11]],
+    [[1, 2, 3, 4, 5], [2, 4, 6, 8, 11]],
+    [[1, 3, 5], [1, 3, 5], [2, 6, 10]],
+    [[BIG, 1, Fraction(3, -7)], [-BIG, Fraction(-5, -2), 0],
+     [Fraction(1, 10 ** 30), BIG, BIG]],
+    [[1, 1, 1], [1, 1, 2]],                     # inconsistent [A | b]
+    [[0, 0, 5], [0, 3, 1]],
+], ids=["empty", "no_columns", "three_empty_rows", "all_zero", "zero_row",
+        "zero_rows_around", "tall", "wide", "duplicate_rows", "huge_entries",
+        "inconsistent", "late_pivots"])
+def test_rref_matches_reference_on_hand_cases(rows):
+    rows = _fractions(rows)
+    assert rref(rows) == _reference_rref(rows)
+
+
+entries = st.one_of(
+    st.just(Fraction(0)), small,
+    st.sampled_from([BIG, -BIG, Fraction(3, -7), Fraction(-1, 10 ** 30)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda ncols: st.lists(
+    st.lists(entries, min_size=ncols, max_size=ncols), max_size=7)))
+def test_rref_matches_reference(rows):
+    red, pivots = rref(rows)
+    assert (red, pivots) == _reference_rref(rows)
+    assert all(isinstance(v, Fraction) for row in red for v in row)
+
+
+def _witness_systems(cat, seed, edges=3):
+    """The linear systems of equivalence-witness queries in ``cat``: on
+    sampled closed edges with witnesses, and on zero edges (no witness)."""
+    rng = random.Random(seed)
+    alphas = [random_valid_simplex(cat, rng, 1).cells[(0, 1)]
+              for _ in range(edges)]
+    alphas += [cat.zero(x, x, 0) for x in cat.objects]
+    systems = []
+
+    def record(matrix, rhs, ring):
+        systems.append((matrix, rhs))
+        return solve_linear(matrix, rhs, ring)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(glin, "solve_linear", record)
+        for alpha in alphas:
+            try:
+                dgcat.find_equivalence_witness(cat, alpha)
+            except dgcat.NotEquivalence:
+                pass
+    return systems
+
+
+def _solve_outcome(matrix, rhs, ring):
+    try:
+        return solve_linear(matrix, rhs, ring)
+    except NoSolution:
+        return NoSolution
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("build", [
+    three_term_category,
+    lambda ring: random_complex_category(3, ring),
+], ids=["three_term", "random_complex"])
+def test_witness_systems_match_reference(monkeypatch, build, rank):
+    ring = SquareZeroRing(rank)
+    systems = _witness_systems(build(ring), seed=40 + rank)
+    assert systems
+    got = [(_solve_outcome(a, b, ring), nullspace(a, ring))
+           for a, b in systems]
+    monkeypatch.setattr(glin, "rref", _reference_rref)
+    want = [(_solve_outcome(a, b, ring), nullspace(a, ring))
+            for a, b in systems]
+    assert got == want
+    assert any(x is NoSolution for x, _ in got)
+    assert any(x is not NoSolution for x, _ in got)
