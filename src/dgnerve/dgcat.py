@@ -19,6 +19,14 @@ associativity, and strict unitality.  Violations are returned as data, not
 raised, so corrupted inputs can be reported coordinate by coordinate.
 
 Morphisms are homogeneous: an element of a single ``hom(X, Y)_degree``.
+
+Differentials, composites and the signed sums made of them (nerve
+boundaries and residuals, cochain differentials and products) are all
+computed by one accumulator, :class:`MorphismSum`.  It holds each output
+coordinate as m + 1 integer layers (the body, then one per ideal generator)
+over one denominator, multiplies structure constants and coordinates as
+Python ints, and forms one ``Fraction`` per layer per coordinate when the
+sum is read.  Morphisms keep their ``RingElement`` coordinates.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import glin
@@ -37,6 +46,7 @@ from .rings import (RATIONALS, RingElement, SquareZeroRing, random_element,
 Entries = tuple[tuple[int, RingElement], ...]   # sparse coordinate vector
 SparseCols = dict[int, Entries]                 # column index → image entries
 BilTensor = dict[tuple[int, int], Entries]      # (outer, inner) → entries
+Layers = tuple[list[int], int]                  # integer layers, denominator
 
 
 class InvalidComplex(ValueError):
@@ -158,41 +168,14 @@ class DgCategory:
     # -- dg-structure ------------------------------------------------------
 
     def differential(self, f: Morphism) -> Morphism:
-        out_rank = self.rank(f.source, f.target, f.degree + 1)
-        acc = [self.ring.zero()] * out_rank
-        cols = self.diffs.get((f.source, f.target, f.degree))
-        if cols:
-            for j, c in enumerate(f.coords):
-                if c.is_zero():
-                    continue
-                for i, a in cols.get(j, ()):
-                    acc[i] = acc[i] + a * c
-        return Morphism(f.source, f.target, f.degree + 1, tuple(acc))
+        return MorphismSum(self, f.source, f.target, f.degree + 1) \
+            .add_differential(f).result()
 
     def compose(self, outer: Morphism, inner: Morphism) -> Morphism:
         """``outer ∘ inner`` (apply ``inner`` first)."""
-        if inner.target != outer.source:
-            raise ValueError(
-                f"morphisms do not compose: {inner.source}->{inner.target} "
-                f"then {outer.source}->{outer.target}")
-        degree = inner.degree + outer.degree
-        out_rank = self.rank(inner.source, outer.target, degree)
-        acc = [self.ring.zero()] * out_rank
-        tensor = self.comps.get((inner.source, inner.target, outer.target,
-                                 inner.degree, outer.degree))
-        if tensor:
-            nz_outer = [(i, c) for i, c in enumerate(outer.coords)
-                        if not c.is_zero()]
-            nz_inner = [(j, c) for j, c in enumerate(inner.coords)
-                        if not c.is_zero()]
-            for i, ci in nz_outer:
-                for j, cj in nz_inner:
-                    entries = tensor.get((i, j))
-                    if entries:
-                        coeff = ci * cj
-                        for r, a in entries:
-                            acc[r] = acc[r] + a * coeff
-        return Morphism(inner.source, outer.target, degree, tuple(acc))
+        return MorphismSum(self, inner.source, outer.target,
+                           inner.degree + outer.degree) \
+            .add_compose(outer, inner).result()
 
     def dense_differential(self, source: str, target: str,
                            degree: int) -> list[list[RingElement]]:
@@ -216,6 +199,147 @@ class DgCategory:
                                              ideal_noise=ideal_noise,
                                              ideal_only=ideal_only)
                               for _ in range(n)))
+
+
+class MorphismSum:
+    """A signed sum of terms in one hom block ``hom(source, target)_degree``:
+    morphisms, their differentials and composites, each added with an int
+    sign.
+
+    This is the one place that knows the integer-layer format.  Each output
+    coordinate is held as m + 1 ints (the body, then one layer per ideal
+    generator) over one denominator shared by the whole sum, so structure
+    constants and coordinates are multiplied and added as Python ints;
+    ``result`` builds one ``Fraction`` per layer per coordinate.
+    """
+
+    def __init__(self, cat: DgCategory, source: str, target: str,
+                 degree: int):
+        self.cat = cat
+        self.shape = (source, target, degree)
+        self.rank = cat.rank(source, target, degree)
+        self.width = cat.ring.ideal_rank + 1
+        self.den = 1
+        self.num = [0] * (self.rank * self.width)
+
+    def add(self, f: Morphism, sign: int = 1) -> "MorphismSum":
+        """``self += sign·f``."""
+        self._check_shape((f.source, f.target, f.degree))
+        if len(f.coords) != self.rank:
+            raise ValueError("morphism rank mismatch")
+        for r, c in enumerate(f.coords):
+            if len(c.ideal) + 1 != self.width:
+                raise ValueError("ring elements of different ideal rank")
+            layers = self._layers(c)
+            if layers:
+                nums, den = layers
+                scale, base = sign * self._scale(den), r * self.width
+                for offset, v in enumerate(nums):
+                    self.num[base + offset] += scale * v
+        return self
+
+    def add_differential(self, f: Morphism, sign: int = 1) -> "MorphismSum":
+        """``self += sign·d(f)``."""
+        self._check_shape((f.source, f.target, f.degree + 1))
+        cols = self.cat.diffs.get((f.source, f.target, f.degree))
+        if cols:
+            for j, c in enumerate(f.coords):
+                entries = cols.get(j)
+                layers = entries and self._layers(c)
+                if layers:
+                    self._add_entries(entries, *layers, sign)
+        return self
+
+    def add_compose(self, outer: Morphism, inner: Morphism,
+                    sign: int = 1) -> "MorphismSum":
+        """``self += sign·(outer ∘ inner)`` (apply ``inner`` first)."""
+        if inner.target != outer.source:
+            raise ValueError(
+                f"morphisms do not compose: {inner.source}->{inner.target} "
+                f"then {outer.source}->{outer.target}")
+        self._check_shape((inner.source, outer.target,
+                           inner.degree + outer.degree))
+        tensor = self.cat.comps.get((inner.source, inner.target, outer.target,
+                                     inner.degree, outer.degree))
+        if tensor:
+            nz_inner = self._nonzero(inner)
+            for i, (o_nums, o_den) in self._nonzero(outer):
+                for j, (i_nums, i_den) in nz_inner:
+                    entries = tensor.get((i, j))
+                    if entries:
+                        self._add_entries(entries, _product(o_nums, i_nums),
+                                          o_den * i_den, sign)
+        return self
+
+    def result(self) -> Morphism:
+        """The sum as a morphism with ``Fraction`` layers."""
+        w, den, zero = self.width, self.den, self.cat.ring.zero()
+        coords = []
+        for base in range(0, len(self.num), w):
+            layers = self.num[base:base + w]
+            if any(layers):
+                body, *ideal = [Fraction(v, den) for v in layers]
+                coords.append(RingElement(body, tuple(ideal)))
+            else:
+                coords.append(zero)
+        return Morphism(*self.shape, tuple(coords))
+
+    def _check_shape(self, shape: tuple[str, str, int]) -> None:
+        if shape != self.shape:
+            raise ValueError(
+                "morphism shape mismatch: {}->{} deg {} vs {}->{} deg {}"
+                .format(*self.shape, *shape))
+
+    def _nonzero(self, f: Morphism) -> list[tuple[int, Layers]]:
+        """(index, layers) of the nonzero coordinates of ``f``."""
+        return [(i, layers) for i, layers in
+                enumerate(map(self._layers, f.coords)) if layers]
+
+    def _layers(self, c: RingElement) -> Layers | None:
+        """The layers of ``c`` as ints over their least common denominator;
+        None for zero, which is skipped like a missing term."""
+        nums, dens = [c.body.numerator], [c.body.denominator]
+        for q in c.ideal:
+            nums.append(q.numerator)
+            dens.append(q.denominator)
+        if not any(nums):
+            return None
+        if len(nums) != self.width:
+            raise ValueError("ring elements of different ideal rank")
+        den = lcm(*dens)
+        if den != 1:
+            nums = [n * (den // d) for n, d in zip(nums, dens)]
+        return nums, den
+
+    def _add_entries(self, entries: Entries, c: list[int], c_den: int,
+                     sign: int) -> None:
+        """Coordinate ``r += sign·a·(c/c_den)`` for each structure constant
+        entry (r, a); ε·ε terms vanish."""
+        w, c0 = self.width, c[0]
+        for r, a in entries:
+            layers = self._layers(a)
+            if layers:
+                a_nums, a_den = layers
+                scale = sign * self._scale(a_den * c_den)
+                num, base, a0 = self.num, r * w, a_nums[0]
+                num[base] += scale * a0 * c0
+                for k in range(1, w):
+                    num[base + k] += scale * (a0 * c[k] + a_nums[k] * c0)
+
+    def _scale(self, den: int) -> int:
+        """The factor that puts a term over ``den`` onto the shared
+        denominator, which first grows to a common multiple if needed."""
+        if self.den % den:
+            grow = lcm(self.den, den) // self.den
+            self.num = [v * grow for v in self.num]
+            self.den *= grow
+        return self.den // den
+
+
+def _product(a: list[int], c: list[int]) -> list[int]:
+    """Layers of a product in Q ⊕ I, where ε·ε terms vanish."""
+    a0, c0 = a[0], c[0]
+    return [a0 * c0] + [a0 * cl + al * c0 for al, cl in zip(a[1:], c[1:])]
 
 
 def sparsify(coords: Sequence[RingElement]) -> Entries:
@@ -267,6 +391,13 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
             out.append(Violation("identity_rank", (obj,),
                                  "unit coordinates do not match hom rank"))
     blocks = [(x, y, t) for (x, y, t), r in sorted(cat.ranks.items()) if r]
+    degs = defaultdict(list)                  # cat.degrees(x, y), built once
+    for (x, y, t), r in sorted(cat.ranks.items()):
+        if r > 0:
+            degs[x, y].append(t)
+    # objects z with a nonempty hom(y, z), in object order: composable
+    # chains are walked along these, so empty blocks cost nothing
+    reach = {y: [z for z in objects if (y, z) in degs] for y in objects}
     for (x, y, t) in blocks:
         report("d_squared", (x, y, t), {(j,): _apply(diffs[x, y, t + 1], d, {})
                                         for j, d in diffs[x, y, t].items()},
@@ -287,8 +418,9 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
                 report("unit_right", (x, y, t), {(j,): _apply(right, [
                     ((j, k), c) for k, c in sparsify(ids[x])], {j: -one})},
                     "f∘1 differs from f")
-    for x, y, z in itertools.product(objects, repeat=3):
-        for s, t in itertools.product(cat.degrees(x, y), cat.degrees(y, z)):
+    for x, y, z in ((x, y, z) for x in objects for y in reach[x]
+                    for z in reach[y]):
+        for s, t in itertools.product(degs[x, y], degs[y, z]):
             res = {key: _apply(diffs[x, z, s + t], entries, {})
                    for key, entries in comps[x, y, z, s, t].items()}
             _contract(res, [((i,), d) for i, d in diffs[y, z, t].items()],
@@ -297,9 +429,9 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
                       comps[x, y, z, s + 1, t], 1, t % 2 == 0)
             report("leibniz", (x, y, z, s, t), res,
                    "d(g∘f) ≠ d(g)∘f + (−1)^{|g|} g∘d(f)")
-    for x, y, z, w in itertools.product(objects, repeat=4):
-        for s, t, u in itertools.product(cat.degrees(x, y), cat.degrees(y, z),
-                                         cat.degrees(z, w)):
+    for x, y, z, w in ((x, y, z, w) for x in objects for y in reach[x]
+                       for z in reach[y] for w in reach[z]):
+        for s, t, u in itertools.product(degs[x, y], degs[y, z], degs[z, w]):
             res = {}                          # h∘(g∘f) − (h∘g)∘f
             _contract(res, comps[x, y, z, s, t].items(),
                       comps[x, z, w, s + t, u], 1, False)
@@ -418,7 +550,7 @@ def make_complex_category(complexes: Sequence[ChainComplex],
         if not target_index:
             continue
         cols: SparseCols = {}
-        sign = ring.from_rational(-((-1) ** t))
+        sign = ring.from_rational(1 if t % 2 else -1)
         for pos, (i, row, col) in enumerate(basis):
             entries: list[tuple[int, RingElement]] = []
             # d_B ∘ f : unit (i, row, col) pushes forward along d_B at i+t

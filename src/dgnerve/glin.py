@@ -17,7 +17,9 @@ solvability of the body system over Q, but not conversely.
 
 :func:`rref` eliminates on sparse integer rows and forms ``Fraction``s only
 at the end; its result is the unique reduced row echelon form, the same as
-any exact Gauss-Jordan elimination gives.  Free variables are set to 0, so
+any exact Gauss-Jordan elimination gives.  :func:`solve_linear` and
+:func:`nullspace` build the layered system directly as such rows and hand
+them to the same elimination loop.  Free variables are set to 0, so
 results are deterministic.
 """
 
@@ -58,9 +60,22 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    pending = [row for row in map(_integer_row, rows) if row]
-    echelon: list[dict[int, int]] = []
-    pivots: list[tuple[int, int]] = []
+    echelon = _echelon([_integer_row(_nonzero(row)) for row in rows],
+                       ncols)
+    zero = Fraction(0)
+    mat = [[zero] * ncols for _ in range(nrows)]
+    for r, (c, row) in enumerate(echelon):
+        for j, v in row.items():
+            mat[r][j] = Fraction(v, row[c])
+    return mat, [(r, c) for r, (c, _) in enumerate(echelon)]
+
+
+def _echelon(rows: list[dict[int, int]],
+             ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """The one elimination loop (see :func:`rref`) on integer rows: the
+    (pivot column, reduced row) pairs in column order, still undivided."""
+    pending = [row for row in rows if row]
+    echelon: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
         if not pending:
             break
@@ -68,28 +83,25 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         if i is None:
             continue
         pivot = pending.pop(i)
-        echelon = [_eliminate(row, pivot, c) if c in row else row
-                   for row in echelon]
+        echelon = [(d, _eliminate(row, pivot, c)) if c in row else (d, row)
+                   for d, row in echelon]
         pending = [_eliminate(row, pivot, c) if c in row else row
                    for row in pending]
         pending = [row for row in pending if row]
-        pivots.append((len(echelon), c))
-        echelon.append(pivot)
-    zero = Fraction(0)
-    mat = [[zero] * ncols for _ in range(nrows)]
-    for (r, c), row in zip(pivots, echelon):
-        p = row[c]
-        for j, v in row.items():
-            mat[r][j] = Fraction(v, p)
-    return mat, pivots
+        echelon.append((c, pivot))
+    return echelon
 
 
-def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
-    """The nonzero entries of ``row`` times the lcm of their denominators."""
-    entries = {c: v for c, v in enumerate(row) if v}
+def _integer_row(entries: dict[int, Fraction]) -> dict[int, int]:
+    """Sparse nonzero entries ``{col: Fraction}`` times the lcm of their
+    denominators."""
     scale = lcm(*[v.denominator for v in entries.values()])
     return {c: v.numerator * (scale // v.denominator)
             for c, v in entries.items()}
+
+
+def _nonzero(row: Sequence[Fraction]) -> dict[int, Fraction]:
+    return {c: v for c, v in enumerate(row) if v}
 
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int],
@@ -108,73 +120,80 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int],
     return {j: v // content for j, v in out.items()} if content > 1 else out
 
 
-def solve_rational(rows: Sequence[Sequence[Fraction]],
-                   rhs: Sequence[Fraction]) -> list[Fraction]:
-    """One solution of a rational system (free variables 0), or NoSolution."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if nrows == 0:
-        return []
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+def _solve(rows: list[dict[int, int]], ncols: int) -> list[Fraction]:
+    """One solution (free variables 0) of integer rows ``[A | b]``, with
+    ``b`` in column ``ncols``, or NoSolution."""
     solution = [Fraction(0)] * ncols
-    for r, c in pivots:
+    for c, row in _echelon(rows, ncols + 1):
         if c == ncols:
             raise NoSolution("inconsistent linear system")
-        solution[c] = red[r][ncols]
+        solution[c] = Fraction(row.get(ncols, 0), row[c])
     return solution
 
 
-def rational_nullspace(rows: Sequence[Sequence[Fraction]],
-                       ncols: int) -> list[list[Fraction]]:
-    """A basis of the rational kernel of the matrix."""
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    red, pivots = rref(rows)
-    pivot_cols = {c for _, c in pivots}
+def _kernel(rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:
+    """A basis of the rational kernel of integer rows, one vector per
+    non-pivot column."""
+    echelon = _echelon(rows, ncols)
+    pivot_cols = {c for c, _ in echelon}
     basis = []
     for j in range(ncols):
         if j in pivot_cols:
             continue
         v = [Fraction(0)] * ncols
         v[j] = Fraction(1)
-        for r, c in pivots:
-            v[c] = -red[r][j]
+        for c, row in echelon:
+            v[c] = -Fraction(row.get(j, 0), row[c])
         basis.append(v)
     return basis
 
 
+def solve_rational(rows: Sequence[Sequence[Fraction]],
+                   rhs: Sequence[Fraction]) -> list[Fraction]:
+    """One solution of a rational system (free variables 0), or NoSolution."""
+    ncols = len(rows[0]) if rows else 0
+    return _solve([_integer_row(_nonzero([*row, b]))
+                   for row, b in zip(rows, rhs)], ncols)
+
+
+def rational_nullspace(rows: Sequence[Sequence[Fraction]],
+                       ncols: int) -> list[list[Fraction]]:
+    """A basis of the rational kernel of the matrix."""
+    return _kernel([_integer_row(_nonzero(row)) for row in rows], ncols)
+
+
 # -- layered systems over B ---------------------------------------------------
 
-def _expand(matrix: Matrix, rhs: Vector,
-            ring: SquareZeroRing) -> tuple[list[list[Fraction]], list[Fraction], int]:
+def _expand(matrix: Matrix, rhs: Vector | None,
+            ring: SquareZeroRing) -> list[dict[int, int]]:
+    """The integer rows of the layered rational system, block ``l`` of
+    columns holding ``x^l``; ``rhs``, if given, is the last column."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     m = ring.ideal_rank
-    zero = Fraction(0)
-    big_rows: list[list[Fraction]] = []
-    big_rhs: list[Fraction] = []
+    rows = []
     for layer in range(m + 1):
         for i in range(nrows):
-            row = [zero] * ((m + 1) * ncols)
+            row = {}
             for j in range(ncols):
                 entry = matrix[i][j]
-                body = entry.body
-                if body != 0:
-                    row[layer * ncols + j] = body
-                if layer > 0:
-                    ideal_coeff = entry.ideal[layer - 1]
-                    if ideal_coeff != 0:
-                        row[j] += ideal_coeff
-            big_rows.append(row)
-            b = rhs[i]
-            big_rhs.append(b.body if layer == 0 else b.ideal[layer - 1])
-    return big_rows, big_rhs, ncols
+                if entry.body:
+                    row[layer * ncols + j] = entry.body
+                if layer > 0 and entry.ideal[layer - 1]:
+                    row[j] = entry.ideal[layer - 1]
+            if rhs is not None:
+                b = rhs[i].body if layer == 0 else rhs[i].ideal[layer - 1]
+                if b:
+                    row[(m + 1) * ncols] = b
+            rows.append(_integer_row(row))
+    return rows
+
+
+def _ring_vector(flat: Sequence[Fraction], ncols: int,
+                 m: int) -> list[RingElement]:
+    return [RingElement(flat[j], tuple(flat[layer * ncols + j]
+                                       for layer in range(1, m + 1)))
+            for j in range(ncols)]
 
 
 def solve_linear(matrix: Matrix, rhs: Vector,
@@ -186,29 +205,18 @@ def solve_linear(matrix: Matrix, rhs: Vector,
         if any(not b.is_zero() for b in rhs):
             raise NoSolution("inconsistent linear system (no unknowns)")
         return []
-    big_rows, big_rhs, _ = _expand(matrix, rhs, ring)
-    flat = solve_rational(big_rows, big_rhs)
     m = ring.ideal_rank
-    return [RingElement(flat[j],
-                        tuple(flat[layer * ncols + j] for layer in range(1, m + 1)))
-            for j in range(ncols)]
+    flat = _solve(_expand(matrix, rhs, ring), (m + 1) * ncols)
+    return _ring_vector(flat, ncols, m)
 
 
 def nullspace(matrix: Matrix, ring: SquareZeroRing) -> list[list[RingElement]]:
     """A rational basis of ``{x : A·x = 0}`` over ``ring`` (as a Q-space)."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    zero_rhs = [ring.zero()] * nrows
-    big_rows, _, _ = _expand(matrix, zero_rhs, ring)
     m = ring.ideal_rank
-    basis = rational_nullspace(big_rows, (m + 1) * ncols)
-    out = []
-    for flat in basis:
-        out.append([RingElement(flat[j],
-                                tuple(flat[layer * ncols + j]
-                                      for layer in range(1, m + 1)))
-                    for j in range(ncols)])
-    return out
+    return [_ring_vector(flat, ncols, m) for flat in
+            _kernel(_expand(matrix, None, ring), (m + 1) * ncols)]
 
 
 # -- matrix utilities ---------------------------------------------------------

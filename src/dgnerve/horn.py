@@ -39,8 +39,9 @@ from .glin import nullspace
 from .mc import (promote_morphism, reduce_category, reduce_morphism,
                  tensor_with_ring)
 from .nerve import (NerveSimplex, PINNED, Seq, SignPattern,
-                    cell_shape_violation, degeneracy, increasing_sequences,
-                    required_boundary, validate_simplex)
+                    cell_residual, cell_shape_violation, degeneracy,
+                    increasing_sequences, required_boundary,
+                    validate_simplex)
 from .rings import SquareZeroRing
 
 
@@ -154,9 +155,8 @@ def check_horn(cat: DgCategory, horn: HornData,
     if out:
         return out
     for seq in present:
-        residual = cat.differential(horn.cell(seq)) - required_boundary(
-            cat, horn.objects, horn.cell, seq, signs)
-        if not residual.is_zero():
+        if not cell_residual(cat, horn.objects, horn.cell, seq,
+                             signs).is_zero():
             out.append(Violation("residual", seq,
                                  "present cells violate a residual equation"))
     return out

@@ -75,7 +75,7 @@ def law_cochain_leibniz(cat: DgCategory, rng: random.Random, n: int,
         cochain_scale(
             cochain_compose(cat, eta, cochain_differential(cat, phi, signs),
                             signs),
-            (-1) ** eta.degree))
+            -1 if eta.degree % 2 else 1))
     if not cochain_equal(lhs, rhs):
         return f"Leibniz fails for degrees ({eta.degree}, {phi.degree})"
     return None

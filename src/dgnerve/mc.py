@@ -140,7 +140,7 @@ def twist(cat: DgCategory, elements: Mapping[str, Morphism] | Iterable[MCElement
         eta_src = family.get(x)
         eta_tgt = family.get(y)
         cols: SparseCols = {}
-        sign = (-1) ** t
+        sign = -1 if t % 2 else 1
         for j in range(n):
             basis = cat.basis_morphism(x, y, t, j)
             image = cat.differential(basis)

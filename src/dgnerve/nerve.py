@@ -32,7 +32,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .dgcat import DgCategory, Morphism, Violation, find_equivalence_witness, NotEquivalence
+from .dgcat import (DgCategory, Morphism, MorphismSum, NotEquivalence,
+                    Violation, find_equivalence_witness)
 from .rings import SquareZeroRing
 
 Seq = tuple[int, ...]
@@ -156,24 +157,35 @@ def required_boundary(cat: DgCategory, objects: Sequence[str],
     are fetched, never ``seq`` itself, so this also serves horn data in
     which the cell at ``seq`` is the one being solved for.
     """
+    total = MorphismSum(cat, objects[seq[0]], objects[seq[-1]], 3 - len(seq))
+    return _add_boundary(total, getter, seq, signs, 1).result()
+
+
+def _add_boundary(total: MorphismSum, getter: CellGetter, seq: Seq,
+                  signs: SignPattern, sign: int) -> MorphismSum:
+    """``total += sign·(required boundary of seq)``."""
     k = len(seq) - 1
-    total = cat.zero(objects[seq[0]], objects[seq[-1]], 2 - k)
     for p in range(1, k):
-        face = seq[:p] + seq[p + 1:]
-        total = total + getter(face).scale(signs.face_sign(p, k))
-        top, bot = seq[p:], seq[:p + 1]
-        cut = cat.compose(getter(top), getter(bot))
-        total = total + cut.scale(signs.cut_sign(p, k) * (-1) ** (k - p))
+        total.add(getter(seq[:p] + seq[p + 1:]), sign * signs.face_sign(p, k))
+        total.add_compose(getter(seq[p:]), getter(seq[:p + 1]),
+                          sign * signs.cut_sign(p, k) * (-1) ** (k - p))
     return total
+
+
+def cell_residual(cat: DgCategory, objects: Sequence[str], getter: CellGetter,
+                  seq: Seq, signs: SignPattern = PINNED) -> Morphism:
+    """R(seq) = d(cell(seq)) − required boundary, for simplex or horn data;
+    zero exactly when the cell at ``seq`` satisfies its equation."""
+    cell = getter(seq)
+    total = MorphismSum(cat, cell.source, cell.target, cell.degree + 1)
+    return _add_boundary(total.add_differential(cell), getter, seq, signs,
+                         -1).result()
 
 
 def simplex_residual(cat: DgCategory, simplex: NerveSimplex, seq: Seq,
                      signs: SignPattern = PINNED) -> Morphism:
     """R(seq) = d(α(seq)) − required boundary; zero on valid simplices."""
-    seq = tuple(seq)
-    cell = simplex.cell(seq)
-    return cat.differential(cell) - required_boundary(
-        cat, simplex.objects, simplex.cell, seq, signs)
+    return cell_residual(cat, simplex.objects, simplex.cell, tuple(seq), signs)
 
 
 def cell_shape_violation(cat: DgCategory, objects: Sequence[str], seq: Seq,
@@ -210,7 +222,8 @@ def validate_simplex(cat: DgCategory, simplex: NerveSimplex,
     if out:
         return out
     for seq in increasing_sequences(n):
-        if not simplex_residual(cat, simplex, seq, signs).is_zero():
+        if not cell_residual(cat, simplex.objects, simplex.cell, seq,
+                             signs).is_zero():
             out.append(Violation("residual", seq,
                                  "cell differential does not match faces/cuts"))
     return out
@@ -349,24 +362,20 @@ def cochain_equal(left: NerveCochain, right: NerveCochain) -> bool:
     return True
 
 
-def _convolve_component(cat: DgCategory, outer: NerveCochain,
-                        inner: NerveCochain, seq: Seq,
-                        signs: SignPattern) -> Morphism:
+def _add_convolution(total: MorphismSum, outer: NerveCochain,
+                     inner: NerveCochain, seq: Seq, signs: SignPattern,
+                     sign: int) -> MorphismSum:
+    """``total += sign·(outer ∘ inner)(seq)``, summed over the two-sided cuts
+    of ``seq``; components that are not stored are zero."""
     k = len(seq) - 1
-    degree = outer.degree + inner.degree - k
-    acc = cat.zero(inner.source.objects[seq[0]],
-                   outer.target.objects[seq[-1]], degree)
     for p in range(1, k):
-        top, bot = seq[p:], seq[:p + 1]
-        outer_part = outer.component(cat, top)
-        if outer_part.is_zero():
-            continue
-        inner_part = inner.component(cat, bot)
-        if inner_part.is_zero():
-            continue
-        sign = signs.cut_sign(p, k) * (-1) ** (inner.degree * (k - p))
-        acc = acc + cat.compose(outer_part, inner_part).scale(sign)
-    return acc
+        outer_part = outer.components.get(seq[p:])
+        inner_part = inner.components.get(seq[:p + 1])
+        if outer_part is not None and inner_part is not None:
+            koszul = -1 if inner.degree * (k - p) % 2 else 1
+            total.add_compose(outer_part, inner_part,
+                              sign * signs.cut_sign(p, k) * koszul)
+    return total
 
 
 def cochain_compose(cat: DgCategory, outer: NerveCochain, inner: NerveCochain,
@@ -379,7 +388,10 @@ def cochain_compose(cat: DgCategory, outer: NerveCochain, inner: NerveCochain,
     degree = outer.degree + inner.degree
     components: dict[Seq, Morphism] = {}
     for seq in increasing_sequences(inner.n):
-        value = _convolve_component(cat, outer, inner, seq, signs)
+        total = MorphismSum(cat, inner.source.objects[seq[0]],
+                            outer.target.objects[seq[-1]],
+                            degree - (len(seq) - 1))
+        value = _add_convolution(total, outer, inner, seq, signs, 1).result()
         if not value.is_zero():
             components[seq] = value
     return NerveCochain(inner.source, outer.target, degree, components)
@@ -396,23 +408,24 @@ def cochain_differential(cat: DgCategory, cochain: NerveCochain,
     cochains between valid simplices it squares to zero.
     """
     t = cochain.degree
+    koszul = -1 if t % 2 else 1
     f_cells = cells_cochain(cochain.source)
     g_cells = cells_cochain(cochain.target)
     components: dict[Seq, Morphism] = {}
     for seq in increasing_sequences(cochain.n):
         k = len(seq) - 1
-        value = cat.differential(cochain.component(cat, seq))
+        total = MorphismSum(cat, cochain.source.objects[seq[0]],
+                            cochain.target.objects[seq[-1]], t + 1 - k)
+        own = cochain.components.get(seq)
+        if own is not None:
+            total.add_differential(own)
         for p in range(1, k):
-            face_seq = seq[:p] + seq[p + 1:]
-            part = cochain.component(cat, face_seq)
-            if not part.is_zero():
-                value = value + part.scale((-1) ** t * signs.face_sign(p, k))
-        g_eta = _convolve_component(cat, g_cells, cochain, seq, signs)
-        if not g_eta.is_zero():
-            value = value - g_eta
-        eta_f = _convolve_component(cat, cochain, f_cells, seq, signs)
-        if not eta_f.is_zero():
-            value = value + eta_f.scale((-1) ** t)
+            part = cochain.components.get(seq[:p] + seq[p + 1:])
+            if part is not None:
+                total.add(part, koszul * signs.face_sign(p, k))
+        _add_convolution(total, g_cells, cochain, seq, signs, -1)
+        _add_convolution(total, cochain, f_cells, seq, signs, koszul)
+        value = total.result()
         if not value.is_zero():
             components[seq] = value
     return NerveCochain(cochain.source, cochain.target, t + 1, components)

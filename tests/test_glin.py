@@ -330,3 +330,69 @@ def test_witness_systems_match_reference(monkeypatch, build, rank):
     assert got == want
     assert any(x is NoSolution for x, _ in got)
     assert any(x is not NoSolution for x, _ in got)
+
+
+def _reference_expand(matrix, rhs, ring):
+    """The dense Fraction rows of the layered system (the old ``_expand``)."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    m = ring.ideal_rank
+    big_rows, big_rhs = [], []
+    for layer in range(m + 1):
+        for i in range(nrows):
+            row = [Fraction(0)] * ((m + 1) * ncols)
+            for j in range(ncols):
+                row[layer * ncols + j] = matrix[i][j].body
+                if layer > 0:
+                    row[j] += matrix[i][j].ideal[layer - 1]
+            big_rows.append(row)
+            big_rhs.append(rhs[i].body if layer == 0
+                           else rhs[i].ideal[layer - 1])
+    return big_rows, big_rhs
+
+
+def _reference_layered(matrix, rhs, ring):
+    """``solve_linear`` outcome and ``nullspace`` by dense elimination of
+    the dense layered rows: the oracle for the sparse integer rows."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    width = (ring.ideal_rank + 1) * ncols
+    rows, b = _reference_expand(matrix, rhs, ring)
+
+    def ring_vector(flat):
+        return [RingElement(flat[j], tuple(flat[j + ncols * layer] for layer
+                                           in range(1, ring.ideal_rank + 1)))
+                for j in range(ncols)]
+
+    red, pivots = _reference_rref([row + [v] for row, v in zip(rows, b)])
+    if any(c == width for _, c in pivots):
+        solution = NoSolution
+    else:
+        flat = [Fraction(0)] * width
+        for r, c in pivots:
+            flat[c] = red[r][width]
+        solution = ring_vector(flat)
+    red, pivots = _reference_rref(rows)
+    kernel = []
+    for j in sorted(set(range(width)) - {c for _, c in pivots}):
+        flat = [Fraction(0)] * width
+        flat[j] = Fraction(1)
+        for r, c in pivots:
+            flat[c] = -red[r][j]
+        kernel.append(ring_vector(flat))
+    return solution, kernel
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("build", [
+    three_term_category,
+    lambda ring: random_complex_category(3, ring),
+], ids=["three_term", "random_complex"])
+def test_layered_rows_match_dense_reference(build, rank):
+    ring = SquareZeroRing(rank)
+    systems = _witness_systems(build(ring), seed=40 + rank)
+    systems.append(([[ring.generator(0)]], [ring.generator(0)]) if rank
+                   else ([[ring.zero(), ring.one()]], [ring.one()]))
+    for a, b in systems:
+        assert (_solve_outcome(a, b, ring), nullspace(a, ring)) == \
+            _reference_layered(a, b, ring)

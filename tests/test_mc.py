@@ -202,3 +202,36 @@ def test_random_mc_elements_are_sometimes_nonzero(two_term, rng):
     (obj,) = cat.objects
     draws = [random_mc_element(cat, obj, rng) for _ in range(20)]
     assert any(not eta.is_zero() for eta in draws)
+
+
+# ---------------------------------------------------------------------------
+# No floating point: signs of negative degrees are int parities.
+# ---------------------------------------------------------------------------
+
+
+def test_negative_degrees_keep_signs_exact(monkeypatch):
+    """(−1)**t is the float −1.0 for negative t.  With ``as_rational``
+    refusing floats, building a complex category with negative hom degrees,
+    twisting it, and the law battery give what an unpatched run gives."""
+    from dgnerve import rings
+    from dgnerve.fixtures import three_term_category
+    from dgnerve.laws import run_laws
+
+    def run():
+        cat = three_term_category()
+        eta = cat.morphism("C0", "C0", 1, [0, 1])
+        return cat, twist(cat, {"C0": eta}), run_laws(cat, seed=5, trials=4)
+
+    want = run()
+    assert min(t for (_, _, t) in want[0].ranks) < 0
+    f = want[0].identity("C0")
+    assert f.scale(-1.0) == -f               # callers may still pass floats
+    real = rings.as_rational
+
+    def exact_only(value):
+        if isinstance(value, float):
+            raise TypeError(f"float {value!r} reached exact arithmetic")
+        return real(value)
+
+    monkeypatch.setattr(rings, "as_rational", exact_only)
+    assert run() == want

@@ -1,0 +1,326 @@
+"""The integer-layer accumulator ``MorphismSum`` against the Fraction loops.
+
+The ``_reference_*`` functions are the bodies that ``DgCategory.differential``
+and ``compose``, ``nerve.required_boundary`` and ``cochain_differential``
+had before they moved onto the accumulator: every term passes through
+``RingElement`` arithmetic on its own.  The arithmetic is exact, so the two
+must agree with ``==`` on every input, including sums that cancel to zero.
+"""
+
+import functools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dgnerve.dgcat import (Morphism, MorphismSum, check_axioms,
+                           complex_from_dense, make_complex_category)
+from dgnerve.fixtures import FIXTURES
+from dgnerve.horn import random_valid_simplex
+from dgnerve.laws import COCHAIN_DEGREES, random_cochain
+from dgnerve.mc import tensor_with_ring, twist
+from dgnerve.nerve import (PINNED, NerveCochain, cells_cochain,
+                           cochain_differential, increasing_sequences,
+                           required_boundary)
+from dgnerve.rings import SquareZeroRing, random_element
+
+
+# -- the Fraction-loop oracles -------------------------------------------------
+
+def _reference_differential(cat, f):
+    out_rank = cat.rank(f.source, f.target, f.degree + 1)
+    acc = [cat.ring.zero()] * out_rank
+    cols = cat.diffs.get((f.source, f.target, f.degree))
+    if cols:
+        for j, c in enumerate(f.coords):
+            if c.is_zero():
+                continue
+            for i, a in cols.get(j, ()):
+                acc[i] = acc[i] + a * c
+    return Morphism(f.source, f.target, f.degree + 1, tuple(acc))
+
+
+def _reference_compose(cat, outer, inner):
+    if inner.target != outer.source:
+        raise ValueError(
+            f"morphisms do not compose: {inner.source}->{inner.target} "
+            f"then {outer.source}->{outer.target}")
+    degree = inner.degree + outer.degree
+    out_rank = cat.rank(inner.source, outer.target, degree)
+    acc = [cat.ring.zero()] * out_rank
+    tensor = cat.comps.get((inner.source, inner.target, outer.target,
+                            inner.degree, outer.degree))
+    if tensor:
+        nz_outer = [(i, c) for i, c in enumerate(outer.coords)
+                    if not c.is_zero()]
+        nz_inner = [(j, c) for j, c in enumerate(inner.coords)
+                    if not c.is_zero()]
+        for i, ci in nz_outer:
+            for j, cj in nz_inner:
+                entries = tensor.get((i, j))
+                if entries:
+                    coeff = ci * cj
+                    for r, a in entries:
+                        acc[r] = acc[r] + a * coeff
+    return Morphism(inner.source, outer.target, degree, tuple(acc))
+
+
+def _reference_required_boundary(cat, objects, getter, seq, signs=PINNED):
+    k = len(seq) - 1
+    total = cat.zero(objects[seq[0]], objects[seq[-1]], 2 - k)
+    for p in range(1, k):
+        face = seq[:p] + seq[p + 1:]
+        total = total + getter(face).scale(signs.face_sign(p, k))
+        top, bot = seq[p:], seq[:p + 1]
+        cut = _reference_compose(cat, getter(top), getter(bot))
+        total = total + cut.scale(signs.cut_sign(p, k) * (-1) ** (k - p))
+    return total
+
+
+def _reference_convolve_component(cat, outer, inner, seq, signs):
+    k = len(seq) - 1
+    degree = outer.degree + inner.degree - k
+    acc = cat.zero(inner.source.objects[seq[0]],
+                   outer.target.objects[seq[-1]], degree)
+    for p in range(1, k):
+        top, bot = seq[p:], seq[:p + 1]
+        outer_part = outer.component(cat, top)
+        if outer_part.is_zero():
+            continue
+        inner_part = inner.component(cat, bot)
+        if inner_part.is_zero():
+            continue
+        sign = signs.cut_sign(p, k) * (-1) ** (inner.degree * (k - p))
+        acc = acc + _reference_compose(cat, outer_part, inner_part).scale(sign)
+    return acc
+
+
+def _reference_cochain_differential(cat, cochain, signs=PINNED):
+    t = cochain.degree
+    f_cells = cells_cochain(cochain.source)
+    g_cells = cells_cochain(cochain.target)
+    components = {}
+    for seq in increasing_sequences(cochain.n):
+        k = len(seq) - 1
+        value = _reference_differential(cat, cochain.component(cat, seq))
+        for p in range(1, k):
+            face_seq = seq[:p] + seq[p + 1:]
+            part = cochain.component(cat, face_seq)
+            if not part.is_zero():
+                value = value + part.scale((-1) ** t * signs.face_sign(p, k))
+        g_eta = _reference_convolve_component(cat, g_cells, cochain, seq,
+                                              signs)
+        if not g_eta.is_zero():
+            value = value - g_eta
+        eta_f = _reference_convolve_component(cat, cochain, f_cells, seq,
+                                              signs)
+        if not eta_f.is_zero():
+            value = value + eta_f.scale((-1) ** t)
+        if not value.is_zero():
+            components[seq] = value
+    return NerveCochain(cochain.source, cochain.target, t + 1, components)
+
+
+# -- categories ------------------------------------------------------------------
+
+def fractional_category():
+    """Two complexes whose differentials have entries 3/2, −1/3 and 2/9, so
+    the hom differentials' structure constants are not integers."""
+    big = complex_from_dense(SquareZeroRing(0), {0: 1, 1: 2, 2: 1}, {
+        0: [[Fraction(3, 2)], [Fraction(-1, 3)]],
+        1: [[Fraction(2, 9), 1]]})
+    small = complex_from_dense(SquareZeroRing(0), {-1: 1, 0: 1},
+                               {-1: [[Fraction(-1, 3)]]})
+    return make_complex_category([big, small], names=("P", "Q"))
+
+
+def ideal_twisted_category(ring):
+    """``three_term`` over ``ring`` twisted by ε·v, v a degree-1 cycle: the
+    twisted differential's structure constants have ideal layers."""
+    cat = tensor_with_ring(FIXTURES["three_term"](), ring)
+    eta = Morphism("C0", "C0", 1, (ring.zero(), ring.generator(0)))
+    return twist(cat, {"C0": eta})
+
+
+CATEGORY_NAMES = (*FIXTURES, "fractional", "ideal_twisted")
+
+
+@functools.cache
+def category(name, rank):
+    if name == "ideal_twisted":
+        return ideal_twisted_category(SquareZeroRing(max(rank, 1)))
+    base = fractional_category() if name == "fractional" else FIXTURES[name]()
+    return tensor_with_ring(base, SquareZeroRing(rank)) if rank else base
+
+
+def test_test_categories_have_the_constants_they_claim():
+    frac, ideal = fractional_category(), category("ideal_twisted", 1)
+    assert check_axioms(frac) == check_axioms(ideal) == []
+    constants = {a.body for cols in frac.diffs.values()
+                 for entries in cols.values() for _, a in entries}
+    assert {Fraction(3, 2), Fraction(1, 3), Fraction(2, 9)} <= \
+        {abs(q) for q in constants}
+    assert any(not a.in_ideal() and any(a.ideal)
+               for cols in ideal.diffs.values()
+               for entries in cols.values() for _, a in entries)
+
+
+def noisy(cat, source, target, degree, rng):
+    """A random morphism with denominators up to 7 and ideal noise."""
+    n = cat.rank(source, target, degree)
+    return Morphism(source, target, degree, tuple(
+        random_element(cat.ring, rng, span=9, max_denominator=7)
+        for _ in range(n)))
+
+
+def random_terms(cat, rng, count):
+    """A random block and up to ``count`` signed terms in it, each a
+    morphism, a differential or a composite: (block, [(kind, args, sign)])."""
+    x, z = rng.choice(cat.objects), rng.choice(cat.objects)
+    degree = rng.choice(cat.degrees(x, z) or [0])
+    terms = []
+    for _ in range(count):
+        kind, sign = rng.choice(("add", "diff", "compose")), rng.choice((1, -1))
+        if kind == "add":
+            terms.append((kind, (noisy(cat, x, z, degree, rng),), sign))
+        elif kind == "diff":
+            terms.append((kind, (noisy(cat, x, z, degree - 1, rng),), sign))
+        else:
+            y = rng.choice(cat.objects)
+            s = rng.choice(cat.degrees(x, y) or [0])
+            inner = noisy(cat, x, y, s, rng)
+            outer = noisy(cat, y, z, degree - s, rng)
+            terms.append((kind, (outer, inner), sign))
+    return (x, z, degree), terms
+
+
+def reference_sum(cat, block, terms):
+    total = cat.zero(*block)
+    for kind, args, sign in terms:
+        term = {"add": lambda f: f,
+                "diff": lambda f: _reference_differential(cat, f),
+                "compose": lambda g, f: _reference_compose(cat, g, f)}[kind]
+        total = total + term(*args).scale(sign)
+    return total
+
+
+def kernel_sum(cat, block, terms):
+    total = MorphismSum(cat, *block)
+    for kind, args, sign in terms:
+        {"add": total.add, "diff": total.add_differential,
+         "compose": total.add_compose}[kind](*args, sign)
+    return total.result()
+
+
+# -- oracle tests ----------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CATEGORY_NAMES), st.integers(0, 2),
+       st.integers(0, 2 ** 32))
+def test_differential_and_compose_match_reference(name, rank, seed):
+    cat, rng = category(name, rank), random.Random(seed)
+    for x in cat.objects:
+        for y in cat.objects:
+            for s in cat.degrees(x, y):
+                f = noisy(cat, x, y, s, rng)
+                assert cat.differential(f) == _reference_differential(cat, f)
+                for z in cat.objects:
+                    for t in cat.degrees(y, z):
+                        g = noisy(cat, y, z, t, rng)
+                        assert cat.compose(g, f) == \
+                            _reference_compose(cat, g, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CATEGORY_NAMES), st.integers(0, 2),
+       st.integers(0, 2 ** 32), st.integers(1, 6))
+def test_signed_sums_match_reference(name, rank, seed, count):
+    cat, rng = category(name, rank), random.Random(seed)
+    block, terms = random_terms(cat, rng, count)
+    assert kernel_sum(cat, block, terms) == reference_sum(cat, block, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CATEGORY_NAMES), st.integers(0, 2),
+       st.integers(0, 2 ** 32), st.integers(1, 4))
+def test_sums_that_cancel_are_exactly_zero(name, rank, seed, count):
+    cat, rng = category(name, rank), random.Random(seed)
+    block, terms = random_terms(cat, rng, count)
+    both = terms + [(kind, args, -sign) for kind, args, sign in terms[::-1]]
+    rng.shuffle(both)
+    got = kernel_sum(cat, block, both)
+    assert got == cat.zero(*block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CATEGORY_NAMES), st.integers(0, 2),
+       st.integers(0, 2 ** 32), st.integers(2, 4))
+def test_boundaries_and_cochain_differentials_match_reference(name, rank, seed,
+                                                              n):
+    cat, rng = category(name, rank), random.Random(seed)
+    source = random_valid_simplex(cat, rng, n, witnessed=False)
+    target = random_valid_simplex(cat, rng, n, witnessed=False)
+    cells = {seq: noisy(cat, cell.source, cell.target, cell.degree, rng)
+             for seq, cell in source.cells.items()}
+    for seq in increasing_sequences(n, min_length=3):
+        assert required_boundary(cat, source.objects, cells.get, seq) == \
+            _reference_required_boundary(cat, source.objects, cells.get, seq)
+    eta = random_cochain(cat, rng, source, target,
+                         rng.choice(COCHAIN_DEGREES))
+    want = _reference_cochain_differential(cat, eta)
+    got = cochain_differential(cat, eta)
+    assert (got.degree, got.components) == (want.degree, want.components)
+
+
+# -- errors (the same type and text as the Fraction loops give) --------------------
+
+def test_term_from_another_block_is_a_shape_mismatch():
+    cat = category("three_term", 0)
+    seq = (0, 1, 2)
+    cells = {s: cat.zero("C0", "C0", 1 - (len(s) - 1))
+             for s in increasing_sequences(2)}
+    cells[(0, 2)] = cat.zero("C0", "C0", 1)
+    with pytest.raises(ValueError) as info:
+        required_boundary(cat, ("C0",) * 3, cells.get, seq)
+    assert str(info.value) == \
+        "morphism shape mismatch: C0->C0 deg 0 vs C0->C0 deg 1"
+
+
+def test_term_with_wrong_coordinate_count_is_a_rank_mismatch():
+    cat = category("three_term", 0)
+    cells = {s: cat.zero("C0", "C0", 1 - (len(s) - 1))
+             for s in increasing_sequences(2)}
+    short = cells[(0, 2)]
+    cells[(0, 2)] = Morphism(short.source, short.target, short.degree,
+                             short.coords[1:])
+    with pytest.raises(ValueError, match=r"^morphism rank mismatch$"):
+        required_boundary(cat, ("C0",) * 3, cells.get, (0, 1, 2))
+
+
+def test_morphisms_that_do_not_compose():
+    cat = category("complexes_a", 0)
+    f = cat.zero("A", "B", 0)
+    g = cat.zero("C", "A", 0)
+    with pytest.raises(ValueError) as info:
+        cat.compose(g, f)
+    assert str(info.value) == "morphisms do not compose: A->B then C->A"
+
+
+@pytest.mark.parametrize("op", ["differential", "compose", "add"])
+def test_coordinate_from_another_ring_rank(op):
+    cat = category("three_term", 1)
+    alien = SquareZeroRing(2)
+    f = cat.identity("C0")
+    stray = Morphism(f.source, f.target, f.degree,
+                     tuple(alien.element(c.body, [1, 1]) for c in f.coords))
+    with pytest.raises(ValueError,
+                       match=r"^ring elements of different ideal rank$"):
+        if op == "differential":
+            cat.differential(stray)
+        elif op == "compose":
+            cat.compose(f, stray)
+        else:
+            cells = {(0, 1): f, (1, 2): f, (0, 2): stray}
+            required_boundary(cat, ("C0",) * 3, cells.get, (0, 1, 2))

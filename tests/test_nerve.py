@@ -15,10 +15,13 @@ import random
 import pytest
 
 from dgnerve.dgcat import check_axioms
+from dgnerve.fixtures import fixture_by_name
 from dgnerve.horn import random_valid_simplex
 from dgnerve.laws import COCHAIN_DEGREES, random_cochain
+from dgnerve.mc import tensor_with_ring
 from dgnerve.nerve import (
     NerveSimplex,
+    cell_residual,
     cells_cochain,
     cochain_add,
     cochain_compose,
@@ -37,6 +40,7 @@ from dgnerve.nerve import (
     validate_star,
     zero_cochain,
 )
+from dgnerve.rings import SquareZeroRing
 
 
 def is_zero_cochain(cochain):
@@ -104,6 +108,61 @@ def test_edge_residual_is_differential(three_term, rng):
     simplex = make_simplex([obj] * 2, {(0, 1): edge})
     assert simplex_residual(three_term, simplex, (0, 1)) == \
         three_term.differential(edge)
+
+
+# R(s) written out term by term for k ≤ 4, without SignPattern: the dg-nerve
+# equation (Lurie, Higher Algebra §1.3.1) in this package's conventions,
+#   R(s) = d(α(s)) − Σ_p (−1)^p α(s∖i_p) − Σ_p (−1)^{k(p+1)} α(i_p…i_k)∘α(i_0…i_p)
+# over 0 < p < k.  A term is (sign, face) or (sign, top, bottom), with
+# positions into s = (i_0, …, i_k).
+HAND_RESIDUAL_TERMS = {
+    1: [],
+    2: [(+1, (0, 2)), (-1, (1, 2), (0, 1))],
+    3: [(+1, (0, 2, 3)), (-1, (0, 1, 3)),
+        (-1, (1, 2, 3), (0, 1)), (+1, (2, 3), (0, 1, 2))],
+    4: [(+1, (0, 2, 3, 4)), (-1, (0, 1, 3, 4)), (+1, (0, 1, 2, 4)),
+        (-1, (1, 2, 3, 4), (0, 1)), (-1, (2, 3, 4), (0, 1, 2)),
+        (-1, (3, 4), (0, 1, 2, 3))],
+}
+
+
+def hand_residual(cat, cells, seq):
+    def cell(positions):
+        return cells[tuple(seq[i] for i in positions)]
+
+    total = cat.differential(cells[seq])
+    for sign, *parts in HAND_RESIDUAL_TERMS[len(seq) - 1]:
+        term = cell(parts[0]) if len(parts) == 1 else \
+            cat.compose(cell(parts[0]), cell(parts[1]))
+        total = total + term if sign > 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+@pytest.mark.parametrize("name", ["three_term", "twisted", "complexes_a"])
+def test_residual_matches_hand_expansion(name, rank):
+    cat = fixture_by_name(name)
+    if rank:
+        cat = tensor_with_ring(cat, SquareZeroRing(rank))
+    rng = random.Random(f"{name}/{rank}")
+    broken = 0
+    for n in (1, 2, 3, 4):
+        simplex = random_valid_simplex(cat, rng, n, witnessed=False)
+        for seq in increasing_sequences(n):
+            got = cell_residual(cat, simplex.objects, simplex.cell, seq)
+            assert got == hand_residual(cat, simplex.cells, seq)
+            assert got.is_zero()
+        cells = dict(simplex.cells)
+        for _ in range(2):                    # corrupt two random cells
+            seq = rng.choice(increasing_sequences(n))
+            cell = cells[seq]
+            cells[seq] = cell + cat.random_morphism(
+                cell.source, cell.target, cell.degree, rng)
+        for seq in increasing_sequences(n):
+            got = cell_residual(cat, simplex.objects, cells.__getitem__, seq)
+            assert got == hand_residual(cat, cells, seq)
+            broken += not got.is_zero()
+    assert broken
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
