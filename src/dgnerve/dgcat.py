@@ -22,11 +22,9 @@ Morphisms are homogeneous: an element of a single ``hom(X, Y)_degree``.
 
 Differentials, composites and the signed sums made of them (nerve
 boundaries and residuals, cochain differentials and products) are all
-computed by one accumulator, :class:`MorphismSum`.  It holds each output
-coordinate as m + 1 integer layers (the body, then one per ideal generator)
-over one denominator, multiplies structure constants and coordinates as
-Python ints, and forms one ``Fraction`` per layer per coordinate when the
-sum is read.  Morphisms keep their ``RingElement`` coordinates.
+computed by one accumulator, :class:`MorphismSum`.  It reads the integer
+layers of each ``RingElement`` coordinate and structure constant (see
+:mod:`dgnerve.rings`) and multiplies and adds them as Python ints.
 """
 
 from __future__ import annotations
@@ -40,13 +38,12 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import glin
-from .rings import (RATIONALS, RingElement, SquareZeroRing, random_element,
-                    as_rational)
+from .rings import (RATIONALS, RingElement, SquareZeroRing, from_layers,
+                    random_element)
 
 Entries = tuple[tuple[int, RingElement], ...]   # sparse coordinate vector
 SparseCols = dict[int, Entries]                 # column index → image entries
 BilTensor = dict[tuple[int, int], Entries]      # (outer, inner) → entries
-Layers = tuple[list[int], int]                  # integer layers, denominator
 
 
 class InvalidComplex(ValueError):
@@ -159,7 +156,7 @@ class DgCategory:
     def morphism(self, source: str, target: str, degree: int,
                  coords: Iterable) -> Morphism:
         tup = tuple(c if isinstance(c, RingElement)
-                    else self.ring.from_rational(as_rational(c))
+                    else self.ring.element(c)
                     for c in coords)
         if len(tup) != self.rank(source, target, degree):
             raise ValueError("coordinate vector has wrong length")
@@ -206,11 +203,10 @@ class MorphismSum:
     morphisms, their differentials and composites, each added with an int
     sign.
 
-    This is the one place that knows the integer-layer format.  Each output
-    coordinate is held as m + 1 ints (the body, then one layer per ideal
-    generator) over one denominator shared by the whole sum, so structure
-    constants and coordinates are multiplied and added as Python ints;
-    ``result`` builds one ``Fraction`` per layer per coordinate.
+    Each output coordinate is held as the integer layers of a
+    ``RingElement`` (the body, then one layer per ideal generator) over one
+    denominator shared by the whole sum, so structure constants and
+    coordinates are multiplied and added as Python ints.
     """
 
     def __init__(self, cat: DgCategory, source: str, target: str,
@@ -227,15 +223,10 @@ class MorphismSum:
         self._check_shape((f.source, f.target, f.degree))
         if len(f.coords) != self.rank:
             raise ValueError("morphism rank mismatch")
-        for r, c in enumerate(f.coords):
-            if len(c.ideal) + 1 != self.width:
-                raise ValueError("ring elements of different ideal rank")
-            layers = self._layers(c)
-            if layers:
-                nums, den = layers
-                scale, base = sign * self._scale(den), r * self.width
-                for offset, v in enumerate(nums):
-                    self.num[base + offset] += scale * v
+        for r, nums, den in self._nonzero(f):
+            scale, base = sign * self._scale(den), r * self.width
+            for offset, v in enumerate(nums):
+                self.num[base + offset] += scale * v
         return self
 
     def add_differential(self, f: Morphism, sign: int = 1) -> "MorphismSum":
@@ -243,11 +234,10 @@ class MorphismSum:
         self._check_shape((f.source, f.target, f.degree + 1))
         cols = self.cat.diffs.get((f.source, f.target, f.degree))
         if cols:
-            for j, c in enumerate(f.coords):
+            for j, nums, den in self._nonzero(f):
                 entries = cols.get(j)
-                layers = entries and self._layers(c)
-                if layers:
-                    self._add_entries(entries, *layers, sign)
+                if entries:
+                    self._add_entries(entries, nums, den, sign)
         return self
 
     def add_compose(self, outer: Morphism, inner: Morphism,
@@ -263,8 +253,8 @@ class MorphismSum:
                                      inner.degree, outer.degree))
         if tensor:
             nz_inner = self._nonzero(inner)
-            for i, (o_nums, o_den) in self._nonzero(outer):
-                for j, (i_nums, i_den) in nz_inner:
+            for i, o_nums, o_den in self._nonzero(outer):
+                for j, i_nums, i_den in nz_inner:
                     entries = tensor.get((i, j))
                     if entries:
                         self._add_entries(entries, _product(o_nums, i_nums),
@@ -272,17 +262,11 @@ class MorphismSum:
         return self
 
     def result(self) -> Morphism:
-        """The sum as a morphism with ``Fraction`` layers."""
+        """The sum as a morphism."""
         w, den, zero = self.width, self.den, self.cat.ring.zero()
-        coords = []
-        for base in range(0, len(self.num), w):
-            layers = self.num[base:base + w]
-            if any(layers):
-                body, *ideal = [Fraction(v, den) for v in layers]
-                coords.append(RingElement(body, tuple(ideal)))
-            else:
-                coords.append(zero)
-        return Morphism(*self.shape, tuple(coords))
+        layers = [self.num[b:b + w] for b in range(0, len(self.num), w)]
+        return Morphism(*self.shape, tuple(
+            from_layers(v, den) if any(v) else zero for v in layers))
 
     def _check_shape(self, shape: tuple[str, str, int]) -> None:
         if shape != self.shape:
@@ -290,41 +274,30 @@ class MorphismSum:
                 "morphism shape mismatch: {}->{} deg {} vs {}->{} deg {}"
                 .format(*self.shape, *shape))
 
-    def _nonzero(self, f: Morphism) -> list[tuple[int, Layers]]:
-        """(index, layers) of the nonzero coordinates of ``f``."""
-        return [(i, layers) for i, layers in
-                enumerate(map(self._layers, f.coords)) if layers]
+    def _nonzero(self, f: Morphism) -> list[tuple[int, tuple[int, ...], int]]:
+        """(index, layers, denominator) of the nonzero coordinates of ``f``;
+        zero ones are skipped like missing terms."""
+        out = [(i, c.nums, c.den) for i, c in enumerate(f.coords)
+               if any(c.nums)]
+        for _, nums, _ in out:
+            if len(nums) != self.width:
+                raise ValueError("ring elements of different ideal rank")
+        return out
 
-    def _layers(self, c: RingElement) -> Layers | None:
-        """The layers of ``c`` as ints over their least common denominator;
-        None for zero, which is skipped like a missing term."""
-        nums, dens = [c.body.numerator], [c.body.denominator]
-        for q in c.ideal:
-            nums.append(q.numerator)
-            dens.append(q.denominator)
-        if not any(nums):
-            return None
-        if len(nums) != self.width:
-            raise ValueError("ring elements of different ideal rank")
-        den = lcm(*dens)
-        if den != 1:
-            nums = [n * (den // d) for n, d in zip(nums, dens)]
-        return nums, den
-
-    def _add_entries(self, entries: Entries, c: list[int], c_den: int,
+    def _add_entries(self, entries: Entries, c: Sequence[int], c_den: int,
                      sign: int) -> None:
         """Coordinate ``r += sign·a·(c/c_den)`` for each structure constant
         entry (r, a); ε·ε terms vanish."""
         w, c0 = self.width, c[0]
         for r, a in entries:
-            layers = self._layers(a)
-            if layers:
-                a_nums, a_den = layers
-                scale = sign * self._scale(a_den * c_den)
-                num, base, a0 = self.num, r * w, a_nums[0]
-                num[base] += scale * a0 * c0
-                for k in range(1, w):
-                    num[base + k] += scale * (a0 * c[k] + a_nums[k] * c0)
+            a_nums = a.nums
+            if len(a_nums) != w:
+                raise ValueError("ring elements of different ideal rank")
+            scale = sign * self._scale(a.den * c_den)
+            num, base, a0 = self.num, r * w, a_nums[0]
+            num[base] += scale * a0 * c0
+            for k in range(1, w):
+                num[base + k] += scale * (a0 * c[k] + a_nums[k] * c0)
 
     def _scale(self, den: int) -> int:
         """The factor that puts a term over ``den`` onto the shared
@@ -336,7 +309,7 @@ class MorphismSum:
         return self.den // den
 
 
-def _product(a: list[int], c: list[int]) -> list[int]:
+def _product(a: Sequence[int], c: Sequence[int]) -> list[int]:
     """Layers of a product in Q ⊕ I, where ε·ε terms vanish."""
     a0, c0 = a[0], c[0]
     return [a0 * c0] + [a0 * cl + al * c0 for al, cl in zip(a[1:], c[1:])]
@@ -486,7 +459,7 @@ def complex_from_dense(ring: SquareZeroRing, dims: Mapping[int, int],
     dmats = {}
     for i, mat in dict(d).items():
         dmats[i] = [[e if isinstance(e, RingElement)
-                     else ring.from_rational(as_rational(e)) for e in row]
+                     else ring.element(e) for e in row]
                     for row in mat]
     return ChainComplex(ring, dict(dims), dmats)
 

@@ -18,9 +18,9 @@ solvability of the body system over Q, but not conversely.
 :func:`rref` eliminates on sparse integer rows and forms ``Fraction``s only
 at the end; its result is the unique reduced row echelon form, the same as
 any exact Gauss-Jordan elimination gives.  :func:`solve_linear` and
-:func:`nullspace` build the layered system directly as such rows and hand
-them to the same elimination loop.  Free variables are set to 0, so
-results are deterministic.
+:func:`nullspace` copy the integer layers of each ``RingElement`` into such
+rows and hand them to the same elimination loop.  Free variables are set
+to 0, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .rings import RingElement, SquareZeroRing
+from .rings import RingElement, SquareZeroRing, from_layers
 
 Matrix = Sequence[Sequence[RingElement]]
 Vector = Sequence[RingElement]
@@ -148,14 +148,6 @@ def _kernel(rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def solve_rational(rows: Sequence[Sequence[Fraction]],
-                   rhs: Sequence[Fraction]) -> list[Fraction]:
-    """One solution of a rational system (free variables 0), or NoSolution."""
-    ncols = len(rows[0]) if rows else 0
-    return _solve([_integer_row(_nonzero([*row, b]))
-                   for row, b in zip(rows, rhs)], ncols)
-
-
 def rational_nullspace(rows: Sequence[Sequence[Fraction]],
                        ncols: int) -> list[list[Fraction]]:
     """A basis of the rational kernel of the matrix."""
@@ -167,25 +159,25 @@ def rational_nullspace(rows: Sequence[Sequence[Fraction]],
 def _expand(matrix: Matrix, rhs: Vector | None,
             ring: SquareZeroRing) -> list[dict[int, int]]:
     """The integer rows of the layered rational system, block ``l`` of
-    columns holding ``x^l``; ``rhs``, if given, is the last column."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
+    columns holding ``x^l``; ``rhs``, if given, is the last column.  Every
+    layer of equation ``i`` is scaled by the lcm of its denominators."""
+    ncols = len(matrix[0]) if matrix else 0
     m = ring.ideal_rank
+    scales = [lcm(*[e.den for e in row], 1 if rhs is None else rhs[i].den)
+              for i, row in enumerate(matrix)]
     rows = []
     for layer in range(m + 1):
-        for i in range(nrows):
+        for i, scale in enumerate(scales):
             row = {}
-            for j in range(ncols):
-                entry = matrix[i][j]
-                if entry.body:
-                    row[layer * ncols + j] = entry.body
-                if layer > 0 and entry.ideal[layer - 1]:
-                    row[j] = entry.ideal[layer - 1]
-            if rhs is not None:
-                b = rhs[i].body if layer == 0 else rhs[i].ideal[layer - 1]
-                if b:
-                    row[(m + 1) * ncols] = b
-            rows.append(_integer_row(row))
+            for j, e in enumerate(matrix[i]):
+                if e.nums[0]:
+                    row[layer * ncols + j] = e.nums[0] * (scale // e.den)
+                if layer and e.nums[layer]:
+                    row[j] = e.nums[layer] * (scale // e.den)
+            if rhs is not None and rhs[i].nums[layer]:
+                row[(m + 1) * ncols] = \
+                    rhs[i].nums[layer] * (scale // rhs[i].den)
+            rows.append(row)
     return rows
 
 
@@ -238,10 +230,8 @@ def compose_maps(outer: Matrix, inner: Matrix) -> list[list[RingElement]]:
                     continue
                 term = coeff * inner[k][c]
                 acc = term if acc is None else acc + term
-            if acc is None:
-                zero_proto = row[0] if row else inner[0][c]
-                acc = RingElement(Fraction(0),
-                                  (Fraction(0),) * len(zero_proto.ideal))
+            if acc is None:               # zero, of the entries' rank
+                acc = from_layers([0] * len((row or inner[0])[0].nums), 1)
             new_row.append(acc)
         out.append(new_row)
     return out

@@ -162,7 +162,11 @@ def category_from_json(doc: Mapping) -> DgCategory:
         comps[key] = {pair: tuple(v) for pair, v in tensor.items()}
     identities = {}
     for x, coords in records(doc.get("identities", []), 2, "\"identities\""):
-        identities[obj(x)] = _coords_from(coords, ring)
+        units = identities[obj(x)] = _coords_from(coords, ring)
+        if len(units) != ranks.get((x, x, 0), 0):
+            raise ValueError(f"unit of {x} has {len(units)} coordinates: "
+                             f"hom({x}, {x}) has rank "
+                             f"{ranks.get((x, x, 0), 0)} in degree 0")
     missing = known - set(identities)
     if missing:
         raise ValueError(f"objects without identities: {sorted(missing)}")

@@ -4,11 +4,14 @@ This module is the scalar layer for the whole package.  A *square-zero
 extension* is the ring ``B = Q ⊕ I`` where the ideal ``I`` is a free
 Q-module of finite rank ``m`` with generators ``ε₁, …, ε_m`` and every
 product of two ideal elements vanishes (``I² = 0``).  Elements are stored
-as a rational *body* plus a tuple of rational ideal coordinates::
+as integer layers over one denominator, in lowest terms::
 
-    x = body + ideal[0]·ε₁ + … + ideal[m-1]·ε_m
+    x = (nums[0] + nums[1]·ε₁ + … + nums[m]·ε_m) / den = body + Σ ideal·ε
 
-so multiplication truncates all ε·ε terms,
+with ``den > 0`` and ``gcd(den, *nums) == 1`` (zero is ``((0, …), 1)``), so
+equal elements are stored alike and arithmetic runs on ints.  ``body`` and
+``ideal`` read the layers as ``Fraction``s.  Multiplication truncates all
+ε·ε terms,
 
     (b + v)·(b′ + v′) = b·b′ + (b·v′ + b′·v),
 
@@ -17,7 +20,7 @@ and an element is a unit exactly when its body is nonzero,
     (b + v)⁻¹ = b⁻¹ − b⁻²·v.
 
 The rank-0 ring is plain Q; quotienting by the ideal is just dropping the
-ideal coordinates.
+ideal layers.
 
 >>> B = SquareZeroRing(1)
 >>> x = B.element(2, [5])
@@ -27,6 +30,8 @@ True
 True
 >>> reduce_mod_ideal(x).body
 Fraction(2, 1)
+>>> B.element("1/2", ["1/3"]).nums, B.element("1/2", ["1/3"]).den
+((3, 2), 6)
 >>> invert(B.element(0, [1]))
 Traceback (most recent call last):
     ...
@@ -40,9 +45,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction, "RingElement"]
 
@@ -58,45 +62,68 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class RingElement:
-    """One element of a square-zero extension: body + ideal coordinates."""
+    """One element of a square-zero extension: the integer layers ``nums``
+    (body first) over the denominator ``den``, in lowest terms.  Treated as
+    immutable, like ``Fraction``; ``RingElement(body, ideal)`` builds one
+    from rationals, :func:`from_layers` from ints."""
 
-    body: Fraction
-    ideal: tuple[Fraction, ...] = ()
+    __slots__ = ("nums", "den")
+
+    def __init__(self, body: int | str | Fraction,
+                 ideal: Iterable[int | str | Fraction] = ()) -> None:
+        qs = [as_rational(body), *map(as_rational, ideal)]
+        self.den = lcm(*[q.denominator for q in qs])
+        self.nums = tuple(q.numerator * (self.den // q.denominator)
+                          for q in qs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"RingElement(body={self.body!r}, ideal={self.ideal!r})"
 
     # -- helpers -----------------------------------------------------------
 
     @property
-    def ideal_rank(self) -> int:
-        return len(self.ideal)
+    def body(self) -> Fraction:
+        return Fraction(self.nums[0], self.den)
+
+    @property
+    def ideal(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.nums[1:])
 
     def is_zero(self) -> bool:
-        return self.body == 0 and all(c == 0 for c in self.ideal)
+        return not any(self.nums)
 
     def in_ideal(self) -> bool:
         """True when the element lies in the square-zero ideal (body 0)."""
-        return self.body == 0
+        return self.nums[0] == 0
 
     def _coerce(self, other: Scalar) -> "RingElement":
         if isinstance(other, RingElement):
-            if len(other.ideal) != len(self.ideal):
+            if len(other.nums) != len(self.nums):
                 raise ValueError("ring elements of different ideal rank")
             return other
-        zero = Fraction(0)
-        return RingElement(as_rational(other), (zero,) * len(self.ideal))
+        return RingElement(other, (0,) * (len(self.nums) - 1))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: Scalar) -> "RingElement":
         o = self._coerce(other)
-        return RingElement(self.body + o.body,
-                           tuple(a + b for a, b in zip(self.ideal, o.ideal)))
+        a, b = self.den, o.den
+        return from_layers([x * b + y * a for x, y in zip(self.nums, o.nums)],
+                           a * b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingElement":
-        return RingElement(-self.body, tuple(-a for a in self.ideal))
+        return from_layers([-v for v in self.nums], self.den)
 
     def __sub__(self, other: Scalar) -> "RingElement":
         return self + (-self._coerce(other))
@@ -106,18 +133,27 @@ class RingElement:
 
     def __mul__(self, other: Scalar) -> "RingElement":
         o = self._coerce(other)
-        body = self.body * o.body
-        ideal = tuple(self.body * b + o.body * a
-                      for a, b in zip(self.ideal, o.ideal))
-        return RingElement(body, ideal)
+        (a0, *a), (b0, *b) = self.nums, o.nums
+        return from_layers([a0 * b0] + [a0 * y + b0 * x for x, y in zip(a, b)],
+                           self.den * o.den)
 
     __rmul__ = __mul__
 
     def invert(self) -> "RingElement":
-        if self.body == 0:
+        (n0, *ideal), den = self.nums, self.den
+        if n0 == 0:
             raise NotAUnit("element with body 0 is not invertible")
-        inv = 1 / self.body
-        return RingElement(inv, tuple(-c * inv * inv for c in self.ideal))
+        return from_layers([den * n0] + [-den * v for v in ideal], n0 * n0)
+
+
+def from_layers(nums: Sequence[int], den: int) -> RingElement:
+    """The element ``(nums[0] + Σ_k nums[k]·ε_k) / den`` for a nonzero
+    ``den``, brought to lowest terms with a positive denominator."""
+    g = gcd(den, *nums) * (-1 if den < 0 else 1)
+    x = object.__new__(RingElement)
+    x.nums = tuple(v // g for v in nums) if g != 1 else tuple(nums)
+    x.den = den // g
+    return x
 
 
 def invert(x: RingElement) -> RingElement:
@@ -127,7 +163,7 @@ def invert(x: RingElement) -> RingElement:
 
 def reduce_mod_ideal(x: RingElement) -> RingElement:
     """Image of ``x`` in the quotient ``B/I``, i.e. the rank-0 ring."""
-    return RingElement(x.body, ())
+    return from_layers(x.nums[:1], x.den)
 
 
 @dataclass(frozen=True)
@@ -140,7 +176,7 @@ class SquareZeroRing:
         if self.ideal_rank < 0:
             raise ValueError("ideal rank must be non-negative")
 
-    # RingElement is frozen, so each ring shares one instance of each
+    # RingElements are not mutated, so each ring shares one instance of each
     # constant.  They are made on first use, not with the ring: a ring read
     # from a document may be too large to pad out before it is validated.
     @functools.cached_property
@@ -156,11 +192,11 @@ class SquareZeroRing:
     def element(self,
                 body: int | str | Fraction,
                 ideal: Iterable[int | str | Fraction] = ()) -> RingElement:
-        coords = tuple(as_rational(c) for c in ideal)
+        coords = tuple(ideal)
         if len(coords) > self.ideal_rank:
             raise ValueError("too many ideal coordinates for this ring")
-        pad = (Fraction(0),) * (self.ideal_rank - len(coords))
-        return RingElement(as_rational(body), coords + pad)
+        pad = (0,) * (self.ideal_rank - len(coords))
+        return RingElement(body, coords + pad)
 
     def zero(self) -> RingElement:
         return self._zero
@@ -175,18 +211,17 @@ class SquareZeroRing:
         """The ideal generator ε_{index+1}."""
         if not 0 <= index < self.ideal_rank:
             raise ValueError("no such ideal generator")
-        coords = [Fraction(0)] * self.ideal_rank
-        coords[index] = Fraction(1)
-        return RingElement(Fraction(0), tuple(coords))
+        return self.element(0, [int(k == index)
+                                for k in range(self.ideal_rank)])
 
     # -- structure maps ----------------------------------------------------
 
     def contains(self, x: RingElement) -> bool:
-        return len(x.ideal) == self.ideal_rank
+        return len(x.nums) == self.ideal_rank + 1
 
     def promote(self, x: RingElement) -> RingElement:
         """Embed an element of the rank-0 ring along ``Q → B``."""
-        if x.ideal:
+        if len(x.nums) != 1:
             raise ValueError("can only promote rank-0 elements")
         return self.element(x.body)
 
@@ -202,26 +237,19 @@ class SquareZeroRing:
 RATIONALS = SquareZeroRing(0)
 
 
-def random_rational(rng: random.Random, *, span: int = 2,
-                    max_denominator: int = 2) -> Fraction:
-    """A small random rational, kept tiny so exact arithmetic stays fast."""
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_denominator))
-
-
 def random_element(ring: SquareZeroRing, rng: random.Random, *,
                    span: int = 2, max_denominator: int = 2,
                    ideal_noise: bool = True,
                    ideal_only: bool = False) -> RingElement:
-    """A random element of ``ring`` with small numerators and denominators."""
-    body = Fraction(0) if ideal_only else random_rational(
-        rng, span=span, max_denominator=max_denominator)
-    if ideal_noise or ideal_only:
-        ideal = tuple(random_rational(rng, span=span,
-                                      max_denominator=max_denominator)
-                      for _ in range(ring.ideal_rank))
-    else:
-        ideal = (Fraction(0),) * ring.ideal_rank
-    return RingElement(body, ideal)
+    """A random element of ``ring``: each drawn layer is ``p/q`` with
+    ``|p| ≤ span`` and ``1 ≤ q ≤ max_denominator``, the body first."""
+    def draw() -> tuple[int, int]:
+        return rng.randint(-span, span), rng.randint(1, max_denominator)
+    pairs = [(0, 1) if ideal_only else draw()]
+    pairs += [draw() if ideal_noise or ideal_only else (0, 1)
+              for _ in range(ring.ideal_rank)]
+    den = lcm(*[q for _, q in pairs])
+    return from_layers([p * (den // q) for p, q in pairs], den)
 
 
 # -- serialization ----------------------------------------------------------
@@ -247,9 +275,9 @@ def rational_from_str(s: str) -> Fraction:
 
 def element_to_json(x: RingElement) -> str | list[str]:
     """Canonical JSON form: a bare string over Q, a list over larger rings."""
-    if not x.ideal:
+    if len(x.nums) == 1:
         return rational_to_str(x.body)
-    return [rational_to_str(x.body)] + [rational_to_str(c) for c in x.ideal]
+    return [rational_to_str(q) for q in (x.body, *x.ideal)]
 
 
 def element_from_json(doc: str | Sequence[str], ring: SquareZeroRing) -> RingElement:

@@ -155,8 +155,12 @@ def test_check_out_of_range_tensor_index_exit_2(tmp_path, capsys, three_term,
     (("identities", 0, 1, 0), "1.5", "'1.5'"),
     (("ring",), 10 ** 9, '"ring" must be a nonnegative ideal rank up to 8'),
     (("ranks", 0, 3), 10 ** 9, "ranks must be nonnegative, up to 256"),
+    (("identities", 0, 1), ["1", "1"], "unit of C0 has 2 coordinates: "
+                                       "hom(C0, C0) has rank 3 in degree 0"),
+    (("identities", 0, 1), ["1"] * 5, "unit of C0 has 5 coordinates"),
 ], ids=["ranks_not_a_list", "null_comp_entry", "zero_denominator",
-        "exponent", "decimal_point", "huge_ring", "huge_rank"])
+        "exponent", "decimal_point", "huge_ring", "huge_rank", "short_unit",
+        "long_unit"])
 def test_check_malformed_category_exit_2(tmp_path, capsys, three_term,
                                          path, value, message):
     code, out, err = _check_edited_category(tmp_path, capsys, three_term,
@@ -165,6 +169,29 @@ def test_check_malformed_category_exit_2(tmp_path, capsys, three_term,
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["check_star", "fill"])
+def test_short_unit_exit_2_before_the_witness_solve(tmp_path, capsys,
+                                                    three_term, command):
+    """A unit one coordinate short would index past the right-hand side of
+    the witness system; the category parser rejects it first."""
+    doc = jsonio.category_to_json(three_term)
+    doc["identities"][0][1] = ["1", "1"]
+    if command == "check_star":
+        simplex = jsonio.simplex_to_json(identity_simplex(three_term, "C0", 1))
+        argv = ["check", write_doc(tmp_path, "simplex.json", simplex),
+                "--star"]
+    else:
+        horn = random_horn(three_term, random.Random(5), 2, 0)
+        argv = ["fill", write_doc(tmp_path, "horn.json",
+                                  jsonio.horn_to_json(horn))]
+    code, out, err = run_cli(capsys, *argv, "--category",
+                             write_doc(tmp_path, "cat.json", doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "unit of C0 has 2 coordinates" in err
 
 
 def test_check_simplex_past_dimension_cap_exit_2(tmp_path, capsys):
@@ -669,21 +696,33 @@ HOSTILE = [None, "1/0", "", 1.5, float("nan"), float("inf"), True, -1, 0,
 
 def _hostile_bases():
     """Valid documents over a rank-1 three_term, and the CLI call that reads
-    each one: as the checked or filled input, or as ``--category``."""
+    each one: as the checked, filled or lifted input, as the mod-ideal
+    filler of ``lift``, or as ``--category``."""
     cat = three_term_category(dual_numbers(1))
     rng = random.Random(23)
-    horns = {(n, k): jsonio.horn_to_json(random_horn(cat, rng, n, k))
+    horns = {(n, k): random_horn(cat, rng, n, k)
              for n, k in [(3, 1), (2, 0), (2, 2)]}
-    fixed = {"cat": jsonio.category_to_json(cat), "horn": horns[3, 1]}
+    red_filler = fill_horn(reduce_category(cat), reduce_horn(horns[3, 1]))
+    horns = {key: jsonio.horn_to_json(h) for key, h in horns.items()}
+    simplex = jsonio.simplex_to_json(identity_simplex(cat, "C0", 2))
+    fixed = {"cat": jsonio.category_to_json(cat), "horn": horns[3, 1],
+             "filler": jsonio.filler_to_json(red_filler, ("C0",) * 4),
+             "simplex": simplex}
     return fixed, {
         "category": (fixed["cat"], ["check", "{doc}"]),
         "category_option": (fixed["cat"], ["check", "{horn}",
                                            "--category", "{doc}"]),
-        "simplex": (jsonio.simplex_to_json(identity_simplex(cat, "C0", 2)),
-                    ["check", "{doc}", "--star", "--category", "{cat}"]),
+        "category_star": (fixed["cat"], ["check", "{simplex}", "--star",
+                                         "--category", "{doc}"]),
+        "simplex": (simplex, ["check", "{doc}", "--star", "--category",
+                              "{cat}"]),
         "horn_check": (horns[3, 1], ["check", "{doc}", "--category", "{cat}"]),
         "horn_fill_0": (horns[2, 0], ["fill", "{doc}", "--category", "{cat}"]),
         "horn_fill_n": (horns[2, 2], ["fill", "{doc}", "--category", "{cat}"]),
+        "lift_horn": (horns[3, 1], ["lift", "{doc}", "{filler}",
+                                    "--category", "{cat}"]),
+        "lift_filler": (fixed["filler"], ["lift", "{horn}", "{doc}",
+                                          "--category", "{cat}"]),
         "mc": (jsonio.mc_to_json(cat.morphism("C0", "C0", 1, [0, 1])),
                ["check", "{doc}", "--category", "{cat}"]),
     }

@@ -3,12 +3,17 @@
 The multiplication law is cross-checked against an independent oracle: the
 truncated polynomial ring Q[t₁,…,t_m]/(monomials of total degree ≥ 2),
 implemented below on raw monomial dictionaries with no reference to
-``RingElement`` arithmetic.
+``RingElement`` arithmetic.  The integer-layer storage is checked with
+``==`` against ``FractionElement``, the element as it was stored before:
+a ``Fraction`` body and a tuple of ``Fraction`` ideal coordinates.
 """
 
 import doctest
+import operator
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +27,7 @@ from dgnerve.rings import (
     SquareZeroRing,
     element_from_json,
     element_to_json,
+    from_layers,
     invert,
     random_element,
     rational_from_str,
@@ -63,6 +69,77 @@ def poly_add(p: dict, q: dict) -> dict:
     for e, c in q.items():
         out[e] = out.get(e, Fraction(0)) + c
     return {e: c for e, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# The Fraction-stored element that integer layers replaced.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FractionElement:
+    body: Fraction
+    ideal: tuple[Fraction, ...] = ()
+
+    def _coerce(self, other):
+        if isinstance(other, FractionElement):
+            if len(other.ideal) != len(self.ideal):
+                raise ValueError("ring elements of different ideal rank")
+            return other
+        return FractionElement(Fraction(other),
+                               (Fraction(0),) * len(self.ideal))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FractionElement(
+            self.body + o.body,
+            tuple(a + b for a, b in zip(self.ideal, o.ideal)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionElement(-self.body, tuple(-a for a in self.ideal))
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return FractionElement(self.body * o.body,
+                               tuple(self.body * b + o.body * a
+                                     for a, b in zip(self.ideal, o.ideal)))
+
+    __rmul__ = __mul__
+
+    def invert(self):
+        if self.body == 0:
+            raise NotAUnit("element with body 0 is not invertible")
+        inv = 1 / self.body
+        return FractionElement(inv, tuple(-c * inv * inv for c in self.ideal))
+
+
+def old_random_element(ring, rng, *, span=2, max_denominator=2,
+                       ideal_noise=True, ideal_only=False):
+    """``random_element`` as it drew Fractions before integer layers."""
+    def rational():
+        return Fraction(rng.randint(-span, span),
+                        rng.randint(1, max_denominator))
+    body = Fraction(0) if ideal_only else rational()
+    ideal = tuple(rational() if ideal_noise or ideal_only else Fraction(0)
+                  for _ in range(ring.ideal_rank))
+    return FractionElement(body, ideal)
+
+
+def assert_matches(new, old):
+    """``new`` is the layered form of ``old``, in canonical form."""
+    assert (new.body, new.ideal) == (old.body, old.ideal)
+    assert new.den > 0 and gcd(new.den, *new.nums) == 1
+    assert len(new.nums) == len(old.ideal) + 1
+    if old.body == 0 and not any(old.ideal):
+        assert new.nums == (0,) * len(new.nums) and new.den == 1
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +261,92 @@ def test_invert_units(x):
     else:
         assert invert(x) * x == ring.one()
         assert invert(invert(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# Integer layers against the Fraction-stored element.
+# ---------------------------------------------------------------------------
+
+pairs_of_old = st.integers(0, 3).flatmap(lambda m: st.tuples(
+    *[st.builds(FractionElement, rationals, st.tuples(*([rationals] * m)))
+      for _ in range(2)]))
+scalars = st.one_of(st.integers(-9, 9), rationals)
+
+
+@settings(max_examples=200)
+@given(pairs_of_old, scalars)
+def test_arithmetic_matches_fraction_oracle(pair, q):
+    old_x, old_y = pair
+    x, y = (RingElement(v.body, v.ideal) for v in pair)
+    assert_matches(x, old_x)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert_matches(op(x, y), op(old_x, old_y))
+        assert_matches(op(x, q), op(old_x, q))
+        assert_matches(op(q, x), op(q, old_x))
+    assert_matches(-x, -old_x)
+    assert_matches(x - x, old_x - old_x)
+    if old_x.body == 0:
+        with pytest.raises(NotAUnit, match="^element with body 0 is not "
+                                           "invertible$"):
+            invert(x)
+    else:
+        assert_matches(invert(x), old_x.invert())
+
+
+@settings(max_examples=100)
+@given(pairs_of_old)
+def test_equality_hash_and_views_match_fraction_oracle(pair):
+    old_x, old_y = pair
+    x, y = (RingElement(v.body, v.ideal) for v in pair)
+    assert (x == y) == (old_x == old_y)
+    assert x == (x + y) - y and hash(x) == hash((x + y) - y)
+    assert x != old_x and x != x.body
+    scaled = from_layers([6 * v for v in x.nums], 6 * x.den)
+    assert scaled == x and hash(scaled) == hash(x)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 3).flatmap(lambda m: st.tuples(st.integers(1, 3),
+                                                    elements(m))))
+def test_different_ideal_ranks_rejected_like_fraction_oracle(args):
+    extra, x = args
+    old = FractionElement(x.body, x.ideal)
+    y = RingElement(1, (0,) * (len(x.ideal) + extra))
+    old_y = FractionElement(y.body, y.ideal)
+    for op in (operator.add, operator.sub, operator.mul):
+        for new_args, old_args in (((x, y), (old, old_y)),
+                                   ((y, x), (old_y, old))):
+            with pytest.raises(ValueError) as want:
+                op(*old_args)
+            with pytest.raises(ValueError, match=f"^{want.value}$"):
+                op(*new_args)
+    assert x != y
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+       st.integers(-12, 12).filter(bool))
+def test_from_layers_is_canonical(nums, den):
+    x = from_layers(nums, den)
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert (x.body, *x.ideal) == tuple(Fraction(v, den) for v in nums)
+    if not any(nums):
+        assert (x.nums, x.den) == ((0,) * len(nums), 1)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 3), st.integers(0, 2 ** 32), st.integers(1, 9),
+       st.integers(1, 9), st.booleans(), st.booleans())
+def test_random_element_draws_like_fraction_oracle(rank, seed, span, den,
+                                                   noise, only):
+    ring = SquareZeroRing(rank)
+    rng, old_rng = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        kwargs = dict(span=span, max_denominator=den, ideal_noise=noise,
+                      ideal_only=only)
+        assert_matches(random_element(ring, rng, **kwargs),
+                       old_random_element(ring, old_rng, **kwargs))
+    assert rng.getstate() == old_rng.getstate()
 
 
 # ---------------------------------------------------------------------------
