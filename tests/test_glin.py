@@ -313,6 +313,29 @@ def _solve_outcome(matrix, rhs, ring):
         return NoSolution
 
 
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("build", [
+    three_term_category,
+    lambda ring: random_complex_category(3, ring),
+], ids=["three_term", "random_complex"])
+def test_witness_systems_match_reference(build, rank):
+    """Witness queries pose both solvable and unsolvable systems; every
+    solution multiplies back to the right-hand side and every nullspace
+    vector is killed by the matrix."""
+    ring = SquareZeroRing(rank)
+    systems = _witness_systems(build(ring), seed=40 + rank)
+    assert systems
+    outcomes = [_solve_outcome(a, b, ring) for a, b in systems]
+    assert any(x is NoSolution for x in outcomes)
+    assert any(x is not NoSolution for x in outcomes)
+    for (a, b), x in zip(systems, outcomes):
+        if x is not NoSolution:
+            assert mat_vec(a, x, ring) == list(b)
+        zero = [ring.zero()] * len(a)
+        for v in nullspace(a, ring):
+            assert mat_vec(a, v, ring) == zero
+
+
 def _reference_expand(matrix, rhs, ring):
     """The dense Fraction rows of the layered system (the old ``_expand``)."""
     nrows = len(matrix)
@@ -372,9 +395,6 @@ def _reference_layered(matrix, rhs, ring):
 def test_layered_rows_match_dense_reference(build, rank):
     ring = SquareZeroRing(rank)
     systems = _witness_systems(build(ring), seed=40 + rank)
-    outcomes = [_solve_outcome(a, b, ring) for a, b in systems]
-    assert any(x is NoSolution for x in outcomes)
-    assert any(x is not NoSolution for x in outcomes)
     systems.append(([[ring.generator(0)]], [ring.generator(0)]) if rank
                    else ([[ring.zero(), ring.one()]], [ring.one()]))
     for a, b in systems:
