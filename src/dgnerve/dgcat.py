@@ -20,11 +20,12 @@ raised, so corrupted inputs can be reported coordinate by coordinate.
 
 Morphisms are homogeneous: an element of a single ``hom(X, Y)_degree``.
 
-Differentials, composites and the signed sums made of them (nerve
-boundaries and residuals, cochain differentials and products) are all
-computed by one accumulator, :class:`MorphismSum`.  It reads the integer
-layers of each ``RingElement`` coordinate and structure constant (see
-:mod:`dgnerve.rings`) and multiplies and adds them as Python ints.
+Differentials, composites and the signed sums made of them (the axiom
+residuals of :func:`check_axioms`, nerve boundaries and residuals, horn
+equations, cochain differentials and products, twisted differentials) are
+all computed by one accumulator, :class:`MorphismSum`.  It reads the
+integer layers of each ``RingElement`` coordinate and structure constant
+(see :mod:`dgnerve.rings`) and multiplies and adds them as Python ints.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -261,6 +263,19 @@ class MorphismSum:
                                           o_den * i_den, sign)
         return self
 
+    def add_block(self, cols: Mapping, pairs: Iterable[tuple],
+                  sign: int = 1) -> "MorphismSum":
+        """``self += sign·Σ c·cols[j]`` over (j, c) in ``pairs``: a ``diffs``
+        block, or a ``comps`` block at index pairs j, applied to a sparse
+        vector of ring elements."""
+        for j, c in pairs:
+            entries = cols.get(j)
+            if entries:
+                if len(c.nums) != self.width:
+                    raise ValueError("ring elements of different ideal rank")
+                self._add_entries(entries, c.nums, c.den, sign)
+        return self
+
     def result(self) -> Morphism:
         """The sum as a morphism."""
         w, den, zero = self.width, self.den, self.cat.ring.zero()
@@ -321,41 +336,56 @@ def sparsify(coords: Sequence[RingElement]) -> Entries:
 
 # -- axiom checking -----------------------------------------------------------
 
-def _apply(cols: Mapping, pairs: Iterable, vec: dict) -> dict:
-    """``vec += Σ c·cols[j]`` over (j, c) in ``pairs``, in place: a ``diffs``
-    block, or a ``comps`` block at index pairs j, applied to a vector."""
-    for j, c in pairs:
-        for r, a in cols.get(j, ()):
-            vec[r] = vec[r] + a * c if r in vec else a * c
-    return vec
-
-
-def _contract(res: dict, vectors: Iterable, tensor: BilTensor, side: int,
-              negate: bool) -> None:
-    """``res[key + (e,)] += ±v∘e`` (side 0) or ``res[(e,) + key] += ±e∘v``
-    (side 1) through a ``comps`` block, for keyed vectors v, basis indices e."""
+def _contract(res: Mapping, vectors: Iterable, tensor: BilTensor, side: int,
+              sign: int) -> None:
+    """``res[key + (e,)] += sign·v∘e`` (side 0) or ``res[(e,) + key] +=
+    sign·e∘v`` (side 1) through a ``comps`` block, for keyed vectors v and
+    basis indices e."""
     slot: dict = {}
     for pair in tensor:
         slot.setdefault(pair[side], []).append(pair)
     for key, pairs in vectors:
         for r, a in pairs:
             for pair in slot.get(r, ()):
-                _apply(tensor, [(pair, -a if negate else a)], res.setdefault(
-                    (pair[0],) + key if side else key + (pair[1],), {}))
+                res[(pair[0],) + key if side else key + (pair[1],)] \
+                    .add_block(tensor, ((pair, a),), sign)
+
+
+def _index_range(cat: DgCategory) -> Iterable[Violation]:
+    """Structure entries with an index outside the rank of its hom block."""
+    for (x, y, t), cols in sorted(cat.diffs.items()):
+        cols_n, rows_n = cat.rank(x, y, t), cat.rank(x, y, t + 1)
+        for j in sorted(cols):
+            for r, _ in cols[j]:
+                if not (0 <= j < cols_n and 0 <= r < rows_n):
+                    yield Violation("index_range", (x, y, t, j, r),
+                                    "diff index outside the hom rank")
+    for (x, y, z, s, t), tensor in sorted(cat.comps.items()):
+        outer_n, inner_n = cat.rank(y, z, t), cat.rank(x, y, s)
+        result_n = cat.rank(x, z, s + t)
+        for i, j in sorted(tensor):
+            for r, _ in tensor[i, j]:
+                if not (0 <= i < outer_n and 0 <= j < inner_n
+                        and 0 <= r < result_n):
+                    yield Violation("index_range", (x, y, z, s, t, i, j, r),
+                                    "comp index outside the hom rank")
 
 
 def check_axioms(cat: DgCategory) -> list[Violation]:
     """Every broken dg-category identity, as data.  Each residual (left minus
-    right side) is summed in sparse vectors, one tensor block at a time: the
-    cost is the count of nonzero products, not O(B³) basis compositions."""
+    right side) is one :class:`MorphismSum` per basis tuple, filled one
+    structure block at a time: the cost is the count of nonzero products,
+    not O(B³) basis compositions.  The sums index coordinates by the
+    structure entries, so an entry with an index outside its hom block is
+    reported as ``index_range`` and no identity is checked."""
     out: list[Violation] = []
-    objects, ids, one = cat.objects, cat.identities, cat.ring.one()
+    objects, ids = cat.objects, cat.identities
     diffs, comps = defaultdict(dict, cat.diffs), defaultdict(dict, cat.comps)
 
-    def report(kind: str, block: tuple, res: dict, detail: str) -> None:
+    def report(kind: str, block: tuple, res: Mapping, detail: str) -> None:
         out.extend(Violation(kind, block + key, detail)   # last index slowest
                    for key in sorted(res, key=lambda k: k[::-1])
-                   if any(not c.is_zero() for c in res[key].values()))
+                   if any(res[key].num))
     for obj in objects:
         if obj not in ids:
             out.append(Violation("missing_identity", (obj,),
@@ -363,53 +393,58 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
         elif len(ids[obj]) != cat.rank(obj, obj, 0):
             out.append(Violation("identity_rank", (obj,),
                                  "unit coordinates do not match hom rank"))
-    blocks = [(x, y, t) for (x, y, t), r in sorted(cat.ranks.items()) if r]
+    bad_indices = list(_index_range(cat))
+    if bad_indices:
+        return out + bad_indices
+    blocks = [key for key, r in sorted(cat.ranks.items()) if r > 0]
     degs = defaultdict(list)                  # cat.degrees(x, y), built once
-    for (x, y, t), r in sorted(cat.ranks.items()):
-        if r > 0:
-            degs[x, y].append(t)
+    for (x, y, t) in blocks:
+        degs[x, y].append(t)
     # objects z with a nonempty hom(y, z), in object order: composable
     # chains are walked along these, so empty blocks cost nothing
     reach = {y: [z for z in objects if (y, z) in degs] for y in objects}
     for (x, y, t) in blocks:
-        report("d_squared", (x, y, t), {(j,): _apply(diffs[x, y, t + 1], d, {})
-                                        for j, d in diffs[x, y, t].items()},
-               "d(d(basis element)) is nonzero")
+        res = defaultdict(partial(MorphismSum, cat, x, y, t + 2))
+        for j, d in diffs[x, y, t].items():
+            res[(j,)].add_block(diffs[x, y, t + 1], d)
+        report("d_squared", (x, y, t), res, "d(d(basis element)) is nonzero")
     for obj in objects:
         if obj in ids and cat.rank(obj, obj, 0) == len(ids[obj]):
-            report("unit_not_closed", (obj,), {(): _apply(
-                diffs[obj, obj, 0], sparsify(ids[obj]), {})},
+            report("unit_not_closed", (obj,), {(): MorphismSum(
+                cat, obj, obj, 1).add_differential(cat.identity(obj))},
                 "d(identity) is nonzero")
     for (x, y, t) in blocks:                  # 1∘f − f and f∘1 − f
-        left, right = comps[x, y, y, t, 0], comps[x, x, y, 0, t]
         for j in range(cat.ranks[(x, y, t)]):
+            e = cat.basis_morphism(x, y, t, j)
             if y in ids:                      # a missing unit is reported above
-                report("unit_left", (x, y, t), {(j,): _apply(left, [
-                    ((i, j), c) for i, c in sparsify(ids[y])], {j: -one})},
+                report("unit_left", (x, y, t), {(j,): MorphismSum(
+                    cat, x, y, t).add_compose(cat.identity(y), e).add(e, -1)},
                     "1∘f differs from f")
             if x in ids:
-                report("unit_right", (x, y, t), {(j,): _apply(right, [
-                    ((j, k), c) for k, c in sparsify(ids[x])], {j: -one})},
+                report("unit_right", (x, y, t), {(j,): MorphismSum(
+                    cat, x, y, t).add_compose(e, cat.identity(x)).add(e, -1)},
                     "f∘1 differs from f")
     for x, y, z in ((x, y, z) for x in objects for y in reach[x]
                     for z in reach[y]):
         for s, t in itertools.product(degs[x, y], degs[y, z]):
-            res = {key: _apply(diffs[x, z, s + t], entries, {})
-                   for key, entries in comps[x, y, z, s, t].items()}
+            res = defaultdict(partial(MorphismSum, cat, x, z, s + t + 1))
+            for key, entries in comps[x, y, z, s, t].items():
+                res[key].add_block(diffs[x, z, s + t], entries)
             _contract(res, [((i,), d) for i, d in diffs[y, z, t].items()],
-                      comps[x, y, z, s, t + 1], 0, True)
+                      comps[x, y, z, s, t + 1], 0, -1)
             _contract(res, [((j,), d) for j, d in diffs[x, y, s].items()],
-                      comps[x, y, z, s + 1, t], 1, t % 2 == 0)
+                      comps[x, y, z, s + 1, t], 1, 1 if t % 2 else -1)
             report("leibniz", (x, y, z, s, t), res,
                    "d(g∘f) ≠ d(g)∘f + (−1)^{|g|} g∘d(f)")
     for x, y, z, w in ((x, y, z, w) for x in objects for y in reach[x]
                        for z in reach[y] for w in reach[z]):
         for s, t, u in itertools.product(degs[x, y], degs[y, z], degs[z, w]):
-            res = {}                          # h∘(g∘f) − (h∘g)∘f
+            # h∘(g∘f) − (h∘g)∘f per (l, i, j), each made on first use
+            res = defaultdict(partial(MorphismSum, cat, x, w, s + t + u))
             _contract(res, comps[x, y, z, s, t].items(),
-                      comps[x, z, w, s + t, u], 1, False)
+                      comps[x, z, w, s + t, u], 1, 1)
             _contract(res, comps[y, z, w, t, u].items(),
-                      comps[x, y, w, s, t + u], 0, True)
+                      comps[x, y, w, s, t + u], 0, -1)
             report("associativity", (x, y, z, w, s, t, u), res,
                    "(h∘g)∘f ≠ h∘(g∘f)")
     return out

@@ -33,13 +33,14 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .dgcat import (DgCategory, Morphism, NotEquivalence, Violation,
-                    find_equivalence_witness, opposite, witness_call_count)
+from .dgcat import (DgCategory, Morphism, MorphismSum, NotEquivalence,
+                    Violation, find_equivalence_witness, opposite,
+                    witness_call_count)
 from .glin import nullspace
 from .mc import (promote_morphism, reduce_category, reduce_morphism,
                  tensor_with_ring)
 from .nerve import (NerveSimplex, PINNED, Seq, SignPattern,
-                    cell_residual, cell_shape_violation, degeneracy,
+                    cell_shape_violation, cell_violations, degeneracy,
                     increasing_sequences, required_boundary,
                     validate_simplex)
 from .rings import SquareZeroRing
@@ -146,20 +147,12 @@ def check_horn(cat: DgCategory, horn: HornData,
         if obj not in cat.identities:
             return [Violation("horn_shape", (obj,), "unknown object")]
     present = horn.present_sequences()
-    out = [Violation("unexpected_cell", tuple(seq),
-                     "cell stored for a missing or invalid sequence")
-           for seq in set(horn.cells) - set(present)]
-    out += [v for v in (cell_shape_violation(cat, horn.objects, seq,
-                                             horn.cells.get(seq))
-                        for seq in present) if v]
-    if out:
-        return out
-    for seq in present:
-        if not cell_residual(cat, horn.objects, horn.cell, seq,
-                             signs).is_zero():
-            out.append(Violation("residual", seq,
-                                 "present cells violate a residual equation"))
-    return out
+    unexpected = [Violation("unexpected_cell", tuple(seq),
+                            "cell stored for a missing or invalid sequence")
+                  for seq in set(horn.cells) - set(present)]
+    return cell_violations(cat, horn.objects, horn.cells, present,
+                           "present cells violate a residual equation",
+                           signs, unexpected)
 
 
 # -- obstructions --------------------------------------------------------------
@@ -190,23 +183,27 @@ class Obstruction:
     op_reduced: bool = False
 
 
+def _top_equation(obs: Obstruction, top: Morphism, face: Morphism,
+                  sign: int) -> MorphismSum:
+    """d(top) + sign·face∘α (outer) or d(top) + sign·σ·face (inner), in
+    ``obs.category``: the top cell's equation, through the face cell."""
+    total = MorphismSum(obs.category, top.source, top.target, top.degree + 1)
+    total.add_differential(top)
+    if obs.alpha is None:
+        return total.add(face, sign * obs.sign)
+    return total.add_compose(face, obs.alpha, sign)
+
+
 def obstruction_violations(obs: Obstruction) -> list[Violation]:
     """Check the cocycle identities of an obstruction pair (empty = ok)."""
-    cat = obs.category
     out: list[Violation] = []
-    if not cat.differential(obs.U).is_zero():
+    if not obs.category.differential(obs.U).is_zero():
         out.append(Violation("obstruction_dU", (obs.n, obs.k),
                              "d(U) is nonzero"))
-    if obs.alpha is not None:
-        lhs = cat.differential(obs.V) + cat.compose(obs.U, obs.alpha)
-        if not lhs.is_zero():
-            out.append(Violation("obstruction_dV", (obs.n, obs.k),
-                                 "d(V) + U∘α is nonzero"))
-    else:
-        lhs = cat.differential(obs.V) + obs.U.scale(obs.sign)
-        if not lhs.is_zero():
-            out.append(Violation("obstruction_dV", (obs.n, obs.k),
-                                 "sign·U + d(V) is nonzero"))
+    if not _top_equation(obs, obs.V, obs.U, 1).result().is_zero():
+        out.append(Violation("obstruction_dV", (obs.n, obs.k),
+                             "sign·U + d(V) is nonzero" if obs.alpha is None
+                             else "d(V) + U∘α is nonzero"))
     return out
 
 
@@ -385,19 +382,6 @@ def promote_filler(cat: DgCategory, filler: Filler) -> Filler:
 
 # -- square-zero lifting ----------------------------------------------------------
 
-def _check_filler_shape(horn: HornData, filler: Filler) -> None:
-    n = horn.n
-    miss = horn.missing_face
-    want_top = (horn.objects[0], horn.objects[-1], 1 - n)
-    want_face = (horn.objects[miss[0]], horn.objects[miss[-1]], 2 - n)
-    top, face = filler.top, filler.face
-    got_top = (top.source, top.target, top.degree)
-    got_face = (face.source, face.target, face.degree)
-    if got_top != want_top or got_face != want_face:
-        raise ValueError(f"filler cells have shapes {got_top}, {got_face}; "
-                         f"expected {want_top}, {want_face}")
-
-
 def lift_filler(cat: DgCategory, horn: HornData, filler_mod_ideal: Filler,
                 *, lifts: Filler | None = None,
                 signs: SignPattern = PINNED) -> Filler:
@@ -428,52 +412,51 @@ def lift_filler(cat: DgCategory, horn: HornData, filler_mod_ideal: Filler,
           != filler_mod_ideal.face.coords):
         raise InvalidReduction(
             "provided lifts do not reduce to the given filler")
-    _check_filler_shape(horn, lifts)
+    for seq, cell in ((horn.full_seq, lifts.top),
+                      (horn.missing_face, lifts.face)):
+        bad = cell_shape_violation(cat, horn.objects, seq, cell)
+        if bad:
+            raise ValueError(f"filler cell {seq}: {bad.detail}")
 
-    ambient, lifted = obs.category, _transport(obs, lifts)
-    edge_term = (lifted.face.scale(obs.sign) if obs.alpha is None
-                 else ambient.compose(lifted.face, obs.alpha))
-    phi = ambient.differential(lifted.face) - obs.U
-    psi = ambient.differential(lifted.top) - edge_term - obs.V
+    lifted = _transport(obs, lifts)
+    face, top = lifted.face, lifted.top
+    phi = MorphismSum(obs.category, face.source, face.target,
+                      face.degree + 1).add_differential(face)
+    phi = phi.add(obs.U, -1).result()
+    psi = _top_equation(obs, top, face, -1).add(obs.V, -1).result()
     if not (phi.in_ideal() and psi.in_ideal()):
         raise InvalidReduction(
             "mod-ideal filler does not solve the reduced horn equations")
     eps = _solve_pair(obs, phi, psi)
-    return _transport(obs, Filler(eps.n, eps.k, lifted.top - eps.top,
-                                  lifted.face - eps.face))
+    return _transport(obs, Filler(eps.n, eps.k, top - eps.top,
+                                  face - eps.face))
 
 
 # -- randomized generation ---------------------------------------------------------
 
 def _random_edge_simplex(cat: DgCategory, rng: random.Random,
                          witnessed: bool) -> NerveSimplex:
-    if witnessed:
-        X = rng.choice(cat.objects)
-        scalar = rng.choice((1, 1, 1, -1, 2))
-        edge = cat.identity(X).scale(scalar)
-        xi = cat.random_morphism(X, X, -1, rng)
-        edge = edge + cat.differential(xi)
-        return NerveSimplex((X, X), {(0, 1): edge})
     X = rng.choice(cat.objects)
+    if witnessed:
+        scalar = rng.choice((1, 1, 1, -1, 2))
+        xi = cat.random_morphism(X, X, -1, rng)
+        edge = MorphismSum(cat, X, X, 0).add(cat.identity(X), scalar)
+        return NerveSimplex((X, X), {(0, 1): edge.add_differential(xi)
+                                     .result()})
     Y = rng.choice(cat.objects)
     ncols = cat.rank(X, Y, 0)
-    edge = cat.zero(X, Y, 0)
+    edge = MorphismSum(cat, X, Y, 0)
     if ncols:
         matrix = cat.dense_differential(X, Y, 0)
         if matrix:
             basis = nullspace(matrix, cat.ring)
         else:
-            basis = [[cat.ring.one() if i == j else cat.ring.zero()
-                      for i in range(ncols)] for j in range(ncols)]
-        if basis:
-            coords = list(edge.coords)
-            for _ in range(2):
-                vec = rng.choice(basis)
-                c = rng.choice((0, 1, 1, -1, 2))
-                if c:
-                    coords = [x + v * c for x, v in zip(coords, vec)]
-            edge = Morphism(X, Y, 0, tuple(coords))
-    return NerveSimplex((X, Y), {(0, 1): edge})
+            basis = [cat.basis_morphism(X, Y, 0, j).coords
+                     for j in range(ncols)]
+        for _ in range(2 if basis else 0):
+            vec = Morphism(X, Y, 0, tuple(rng.choice(basis)))
+            edge.add(vec, rng.choice((0, 1, 1, -1, 2)))
+    return NerveSimplex((X, Y), {(0, 1): edge.result()})
 
 
 def random_valid_simplex(cat: DgCategory, rng: random.Random, n: int, *,
@@ -501,25 +484,20 @@ def random_valid_simplex(cat: DgCategory, rng: random.Random, n: int, *,
     cells = dict(simplex.cells)
     full = tuple(range(n + 1))
     first, last = objects[0], objects[-1]
+    top = MorphismSum(cat, first, last, 1 - n).add(cells[full])
     for a in range(1, n):
         xi = cat.random_morphism(first, last, 1 - n, rng)
-        if xi.is_zero():
-            continue
         face_seq = full[:a] + full[a + 1:]
         cells[face_seq] = cells[face_seq] + cat.differential(xi)
-        cells[full] = cells[full] + xi.scale(signs.face_sign(a, n))
+        top.add(xi, signs.face_sign(a, n))
     xi1 = cat.random_morphism(objects[1], last, 1 - n, rng)
-    if not xi1.is_zero():
-        cells[full[1:]] = cells[full[1:]] + cat.differential(xi1)
-        cells[full] = cells[full] + cat.compose(xi1, cells[(0, 1)])
+    cells[full[1:]] = cells[full[1:]] + cat.differential(xi1)
+    top.add_compose(xi1, cells[(0, 1)])
     xi2 = cat.random_morphism(first, objects[-2], 1 - n, rng)
-    if not xi2.is_zero():
-        cells[full[:-1]] = cells[full[:-1]] + cat.differential(xi2)
-        cells[full] = cells[full] + cat.compose(
-            cells[(n - 1, n)], xi2).scale((-1) ** n)
+    cells[full[:-1]] = cells[full[:-1]] + cat.differential(xi2)
+    top.add_compose(cells[(n - 1, n)], xi2, (-1) ** n)
     zeta = cat.random_morphism(first, last, -n, rng)
-    if not zeta.is_zero():
-        cells[full] = cells[full] + cat.differential(zeta)
+    cells[full] = top.add_differential(zeta).result()
     return NerveSimplex(objects, cells)
 
 

@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .dgcat import (BilTensor, DgCategory, Morphism, SparseCols, Violation,
-                    sparsify)
+from .dgcat import (BilTensor, DgCategory, Morphism, MorphismSum, SparseCols,
+                    Violation, sparsify)
 from .rings import RingElement, SquareZeroRing
 
 from . import glin
@@ -91,7 +91,8 @@ def promote_morphism(cat: DgCategory, f: Morphism) -> Morphism:
 
 def mc_defect(cat: DgCategory, eta: Morphism) -> Morphism:
     """The failure d(η) + η∘η of the MC equation."""
-    return cat.differential(eta) + cat.compose(eta, eta)
+    return MorphismSum(cat, eta.source, eta.target, eta.degree + 1) \
+        .add_differential(eta).add_compose(eta, eta).result()
 
 
 def check_mc(cat: DgCategory, eta: Morphism) -> list[Violation]:
@@ -143,12 +144,12 @@ def twist(cat: DgCategory, elements: Mapping[str, Morphism] | Iterable[MCElement
         sign = -1 if t % 2 else 1
         for j in range(n):
             basis = cat.basis_morphism(x, y, t, j)
-            image = cat.differential(basis)
+            image = MorphismSum(cat, x, y, t + 1).add_differential(basis)
             if eta_tgt is not None:
-                image = image + cat.compose(eta_tgt, basis)
+                image.add_compose(eta_tgt, basis)
             if eta_src is not None:
-                image = image - cat.compose(basis, eta_src).scale(sign)
-            entries = sparsify(image.coords)
+                image.add_compose(basis, eta_src, -sign)
+            entries = sparsify(image.result().coords)
             if entries:
                 cols[j] = entries
         if cols:

@@ -207,6 +207,23 @@ def cell_shape_violation(cat: DgCategory, objects: Sequence[str], seq: Seq,
     return None
 
 
+def cell_violations(cat: DgCategory, objects: Sequence[str],
+                    cells: Mapping[Seq, Morphism], seqs: Sequence[Seq],
+                    detail: str, signs: SignPattern,
+                    found: Sequence[Violation] = ()) -> list[Violation]:
+    """``found`` plus the shape violations of the cells at ``seqs``; when
+    there are none, one ``residual`` (with ``detail``) per cell at ``seqs``
+    whose equation fails."""
+    shapes = (cell_shape_violation(cat, objects, seq, cells.get(seq))
+              for seq in seqs)
+    out = [*found, *filter(None, shapes)]
+    if out:
+        return out
+    return [Violation("residual", seq, detail) for seq in seqs
+            if not cell_residual(cat, objects, cells.__getitem__, seq,
+                                 signs).is_zero()]
+
+
 def validate_simplex(cat: DgCategory, simplex: NerveSimplex,
                      signs: SignPattern = PINNED) -> list[Violation]:
     """Shape and residual violations of one simplex (empty = valid)."""
@@ -216,17 +233,10 @@ def validate_simplex(cat: DgCategory, simplex: NerveSimplex,
     for obj in simplex.objects:
         if obj not in cat.identities:
             return [Violation("shape", (obj,), "unknown object")]
-    out = [v for v in (cell_shape_violation(cat, simplex.objects, seq,
-                                            simplex.cells.get(seq))
-                       for seq in increasing_sequences(n)) if v]
-    if out:
-        return out
-    for seq in increasing_sequences(n):
-        if not cell_residual(cat, simplex.objects, simplex.cell, seq,
-                             signs).is_zero():
-            out.append(Violation("residual", seq,
-                                 "cell differential does not match faces/cuts"))
-    return out
+    return cell_violations(cat, simplex.objects, simplex.cells,
+                           increasing_sequences(n),
+                           "cell differential does not match faces/cuts",
+                           signs)
 
 
 def validate_star(cat: DgCategory, simplex: NerveSimplex,

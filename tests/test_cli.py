@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 from dgnerve import jsonio, laws
 from dgnerve.cli import build_parser, main
 from dgnerve.dgcat import Morphism
-from dgnerve.fixtures import dual_numbers, standard_fixtures, three_term_category
+from dgnerve.fixtures import (dual_numbers, random_complex_category,
+                              standard_fixtures, three_term_category)
 from dgnerve.horn import (HornData, IncompatibleHorn, check_horn,
                           complete_horn, extract_horn, fill_horn, lift_filler,
                           random_horn, reduce_filler, reduce_horn)
-from dgnerve.mc import reduce_category
+from dgnerve.mc import reduce_category, tensor_with_ring
 from dgnerve.nerve import (NerveSimplex, SignPattern, identity_simplex,
                            increasing_sequences)
 
@@ -468,6 +469,31 @@ def test_lift_malformed_filler_exit_2(dual_setup, capsys):
     assert "invalid JSON" in err
 
 
+def test_lift_filler_of_another_horn_exit_2(tmp_path, capsys):
+    # the filler document parses against its own objects, so its cells are
+    # checked against the horn's shape only inside lift_filler
+    cat = tensor_with_ring(random_complex_category(11), dual_numbers(1))
+
+    def zero_horn(objects):
+        cells = {seq: cat.zero(objects[seq[0]], objects[seq[-1]],
+                               2 - len(seq))
+                 for seq in increasing_sequences(2)}
+        return extract_horn(NerveSimplex(objects, cells), 1)
+    other = zero_horn(("A", "A", "A"))
+    filler = fill_horn(reduce_category(cat), reduce_horn(other))
+    code, out, err = run_cli(
+        capsys, "lift",
+        write_doc(tmp_path, "horn.json",
+                  jsonio.horn_to_json(zero_horn(("C", "C", "B")))),
+        write_doc(tmp_path, "filler.json",
+                  jsonio.filler_to_json(filler, other.objects)),
+        "--category", write_doc(tmp_path, "cat.json",
+                                jsonio.category_to_json(cat)))
+    assert (code, out) == (2, "")
+    assert err == ("error: filler cell (0, 1, 2): cell maps A->A, "
+                   "expected C->B\n")
+
+
 # -- laws -------------------------------------------------------------------------
 
 
@@ -734,7 +760,9 @@ HOSTILE_FIXED, HOSTILE_BASES = _hostile_bases()
 @st.composite
 def mutated(draw, doc):
     """``doc`` with one to three nodes dropped, replaced by a hostile value
-    or by a value of another type, or nested one list deeper."""
+    or by a value of another type, nested one list deeper, or (a list)
+    given a second copy of one of its items, so a vector or a unit grows by
+    one coordinate."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
         parent, key, node = None, None, doc
@@ -745,13 +773,19 @@ def mutated(draw, doc):
             parent, node = node, node[key]
         if parent is None:
             continue
-        action = draw(st.sampled_from(["drop", "hostile", "swap", "nest"]))
+        actions = ["drop", "hostile", "swap", "nest"]
+        if isinstance(node, list) and node:
+            actions.append("dup")
+        action = draw(st.sampled_from(actions))
         if action == "drop":
             del parent[key]
         elif action == "hostile":
             parent[key] = copy.deepcopy(draw(st.sampled_from(HOSTILE)))
         elif action == "swap":
             parent[key] = len(node) if isinstance(node, str) else str(node)
+        elif action == "dup":
+            i = draw(st.sampled_from(range(len(node))))
+            node.insert(i, copy.deepcopy(node[i]))
         else:
             parent[key] = [node]
     return doc

@@ -246,6 +246,37 @@ def test_unit_only_objects_are_checked_quickly():
     assert check_axioms(cat) == _reference_check_axioms(cat) != []
 
 
+@pytest.mark.parametrize("column, row, bad", [
+    (1, 4, [(1, 4)]),               # row index = rank + 1
+    (1, -1, [(1, -1)]),             # a negative row index
+    (2, 1, [(2, 1), (2, 2)]),       # column index = rank: both its entries
+], ids=["row_rank_plus_1", "row_minus_1", "column_rank"])
+def test_out_of_range_diff_index_is_reported_not_raised(three_term, column,
+                                                         row, bad):
+    # A category built in code can hold indices the parser rejects.  The
+    # sums would raise on an index past the rank and wrap −1 into another
+    # coordinate, so check_axioms reports them and checks nothing else.
+    key = ("C0", "C0", -1)          # rank 2, differential into rank 3
+    cols = dict(three_term.diffs[key])
+    (_, a), *rest = cols.pop(1)
+    cols[column] = ((row, a), *rest)
+    cat = dataclasses.replace(three_term,
+                              diffs={**three_term.diffs, key: cols})
+    assert check_axioms(cat) == [
+        Violation("index_range", key + pair, "diff index outside the hom rank")
+        for pair in bad]
+
+
+def test_out_of_range_comp_index_is_reported_not_raised(three_term):
+    key = ("C0", "C0", "C0", 0, 0)
+    tensor = dict(three_term.comps[key])
+    tensor[-1, 0] = tensor.pop((0, 0))
+    cat = dataclasses.replace(three_term,
+                              comps={**three_term.comps, key: tensor})
+    assert check_axioms(cat) == [Violation(
+        "index_range", key + (-1, 0, 0), "comp index outside the hom rank")]
+
+
 def test_missing_unit_is_reported_not_raised(three_term, complexes):
     # the unit laws of blocks touching a unitless object are skipped; the
     # other objects' unit laws are still checked (and hold)

@@ -10,6 +10,7 @@ the opposite category, where the obstruction pair lives):
     ψ = d(α̃_top) − σ·α̃_face − V       d(ε_top)  = σ·ε_face + ψ   (inner)
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -194,6 +195,18 @@ def test_dimension_mismatch_rejected(towers):
         random_horn(big, rng, 2, 0, witnessed=True)))
     with pytest.raises(ValueError):
         lift_filler(big, horn, other)
+
+
+@pytest.mark.parametrize("cell", ["top", "face"])
+def test_lifts_of_the_wrong_degree_are_rejected(towers, cell):
+    big, red = towers[1]
+    horn = random_horn(big, random.Random(53), 3, 1, witnessed=True)
+    red_filler = fill_horn(red, reduce_horn(horn))
+    lifts = promote_filler(big, red_filler)
+    shifted = dataclasses.replace(getattr(lifts, cell), degree=5)
+    with pytest.raises(ValueError, match="degree 5, expected"):
+        lift_filler(big, horn, red_filler,
+                    lifts=dataclasses.replace(lifts, **{cell: shifted}))
 
 
 @pytest.mark.parametrize("k_of_n", [0, 1])
