@@ -20,12 +20,13 @@ raised, so corrupted inputs can be reported coordinate by coordinate.
 
 Morphisms are homogeneous: an element of a single ``hom(X, Y)_degree``.
 
-Differentials, composites and the signed sums made of them (the axiom
-residuals of :func:`check_axioms`, nerve boundaries and residuals, horn
-equations, cochain differentials and products, twisted differentials) are
-all computed by one accumulator, :class:`MorphismSum`.  It reads the
-integer layers of each ``RingElement`` coordinate and structure constant
-(see :mod:`dgnerve.rings`) and multiplies and adds them as Python ints.
+Differentials, composites and the signed sums made of them (the unit laws
+of :func:`check_axioms`, nerve boundaries and residuals, horn equations,
+cochain differentials and products, twisted differentials) are all
+computed by one accumulator, :class:`MorphismSum`.  It reads the integer
+layers of each ``RingElement`` coordinate and structure constant (see
+:mod:`dgnerve.rings`) and multiplies and adds them as Python ints.  d² = 0,
+Leibniz and associativity are one sparse join of structure constants.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -263,19 +263,6 @@ class MorphismSum:
                                           o_den * i_den, sign)
         return self
 
-    def add_block(self, cols: Mapping, pairs: Iterable[tuple],
-                  sign: int = 1) -> "MorphismSum":
-        """``self += sign·Σ c·cols[j]`` over (j, c) in ``pairs``: a ``diffs``
-        block, or a ``comps`` block at index pairs j, applied to a sparse
-        vector of ring elements."""
-        for j, c in pairs:
-            entries = cols.get(j)
-            if entries:
-                if len(c.nums) != self.width:
-                    raise ValueError("ring elements of different ideal rank")
-                self._add_entries(entries, c.nums, c.den, sign)
-        return self
-
     def result(self) -> Morphism:
         """The sum as a morphism."""
         w, den, zero = self.width, self.den, self.cat.ring.zero()
@@ -327,7 +314,11 @@ class MorphismSum:
 def _product(a: Sequence[int], c: Sequence[int]) -> list[int]:
     """Layers of a product in Q ⊕ I, where ε·ε terms vanish."""
     a0, c0 = a[0], c[0]
-    return [a0 * c0] + [a0 * cl + al * c0 for al, cl in zip(a[1:], c[1:])]
+    out = [a0 * c0]
+    if len(a) > 1:                            # Q alone has one layer
+        for al, cl in zip(a[1:], c[1:]):
+            out.append(a0 * cl + al * c0)
+    return out
 
 
 def sparsify(coords: Sequence[RingElement]) -> Entries:
@@ -335,21 +326,6 @@ def sparsify(coords: Sequence[RingElement]) -> Entries:
 
 
 # -- axiom checking -----------------------------------------------------------
-
-def _contract(res: Mapping, vectors: Iterable, tensor: BilTensor, side: int,
-              sign: int) -> None:
-    """``res[key + (e,)] += sign·v∘e`` (side 0) or ``res[(e,) + key] +=
-    sign·e∘v`` (side 1) through a ``comps`` block, for keyed vectors v and
-    basis indices e."""
-    slot: dict = {}
-    for pair in tensor:
-        slot.setdefault(pair[side], []).append(pair)
-    for key, pairs in vectors:
-        for r, a in pairs:
-            for pair in slot.get(r, ()):
-                res[(pair[0],) + key if side else key + (pair[1],)] \
-                    .add_block(tensor, ((pair, a),), sign)
-
 
 def _index_range(cat: DgCategory) -> Iterable[Violation]:
     """Structure entries with an index outside the rank of its hom block."""
@@ -371,21 +347,82 @@ def _index_range(cat: DgCategory) -> Iterable[Violation]:
                                     "comp index outside the hom rank")
 
 
+def _read(cat: DgCategory) -> tuple[dict, dict, list]:
+    """Every structure entry as integer layers over its block's denominator:
+    the blocks of each source object, and each entry under the hom block and
+    index of its result; hom blocks are numbered, so table keys hash fast."""
+    width, by_source, by_result, ids = cat.ring.ideal_rank + 1, {}, {}, {}
+
+    def hom(*block: object) -> int:
+        return ids.setdefault(block, len(ids))
+    for key, block in itertools.chain(cat.diffs.items(), cat.comps.items()):
+        consts = [a for entries in block.values() for _, a in entries]
+        if any(len(a.nums) != width for a in consts):
+            raise ValueError("ring elements of different ideal rank")
+        den = lcm(*(a.den for a in consts))
+        entries = [(b if isinstance(b, tuple) else (b,), r,
+                    [v * (den // a.den) for v in a.nums])
+                   for b, block_entries in block.items()
+                   for r, a in block_entries if any(a.nums)]
+        if len(key) == 3:                     # d(f) is one degree above f
+            x, y, t = key
+            homs, result = (hom(x, y, t),), hom(x, y, t + 1)
+        else:                                 # g∘f is in degree |g| + |f|
+            x, y, z, s, t = key
+            homs, result = (hom(x, y, s), hom(y, z, t)), hom(x, z, s + t)
+        by_source.setdefault(x, []).append((homs, t, den, entries))
+        for b, r, layers in entries:
+            by_result.setdefault((result, r), []).append(
+                (homs, b, layers, den))
+    return by_source, by_result, list(ids)
+
+
+def _join(blocks: list, by_result: Mapping) -> dict:
+    """Every product of an entry of ``blocks`` (applied last) with one whose
+    result it takes in, added under (the identity's hom block numbers, basis
+    tuple, coordinate, layer, product of the two blocks' denominators)."""
+    table: dict = defaultdict(int)
+    for last, t, den, entries in blocks:
+        if len(last) == 1:                    # d(d(f)) and d(g∘f)
+            for (j,), q, c in entries:
+                for homs, b, a, a_den in by_result.get((last[0], j), ()):
+                    for k, v in enumerate(_product(a, c)):
+                        table[homs, b, q, k, a_den * den] += v
+            continue
+        (inner, outer), sign = last, 1 if t % 2 else -1
+        for (i, j), q, c in entries:
+            # −(h∘g)∘f and −d(g)∘f: i is the result of h∘g or d(g)
+            for homs, b, a, a_den in by_result.get((outer, i), ()):
+                for k, v in enumerate(_product(a, c)):
+                    table[(inner,) + homs, b + (j,), q, k, a_den * den] -= v
+            # h∘(g∘f) and −(−1)^{|g|} g∘d(f): j is the result of g∘f or d(f)
+            for homs, b, a, a_den in by_result.get((inner, j), ()):
+                for k, v in enumerate(_product(a, c)):
+                    table[homs + (outer,), (i,) + b, q, k, a_den * den] += \
+                        v if len(homs) == 2 else sign * v
+    return table
+
+
+def _failing(table: Mapping) -> set:
+    """(hom block numbers, basis tuple) of the identities with a nonzero
+    entry; a coordinate held under several denominators is summed first."""
+    by_den: dict = defaultdict(dict)
+    for key, v in table.items():
+        if v:
+            by_den[key[:4]][key[4]] = v
+    return {key[:2] for key, nums in by_den.items()
+            if sum(v * (lcm(*nums) // den) for den, v in nums.items())}
+
+
 def check_axioms(cat: DgCategory) -> list[Violation]:
-    """Every broken dg-category identity, as data.  Each residual (left minus
-    right side) is one :class:`MorphismSum` per basis tuple, filled one
-    structure block at a time: the cost is the count of nonzero products,
-    not O(B³) basis compositions.  The sums index coordinates by the
-    structure entries, so an entry with an index outside its hom block is
-    reported as ``index_range`` and no identity is checked."""
+    """Every broken dg-category identity, as data.  d² = 0, Leibniz and
+    associativity join the nonzero structure entries on their shared index,
+    one table per source object, so the cost is the count of nonzero
+    structure products.  Unit laws are one :class:`MorphismSum` per basis
+    element.  An entry with an index outside its hom block is reported as
+    ``index_range`` and no identity is checked."""
     out: list[Violation] = []
     objects, ids = cat.objects, cat.identities
-    diffs, comps = defaultdict(dict, cat.diffs), defaultdict(dict, cat.comps)
-
-    def report(kind: str, block: tuple, res: Mapping, detail: str) -> None:
-        out.extend(Violation(kind, block + key, detail)   # last index slowest
-                   for key in sorted(res, key=lambda k: k[::-1])
-                   if any(res[key].num))
     for obj in objects:
         if obj not in ids:
             out.append(Violation("missing_identity", (obj,),
@@ -396,57 +433,46 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
     bad_indices = list(_index_range(cat))
     if bad_indices:
         return out + bad_indices
-    blocks = [key for key, r in sorted(cat.ranks.items()) if r > 0]
-    degs = defaultdict(list)                  # cat.degrees(x, y), built once
-    for (x, y, t) in blocks:
-        degs[x, y].append(t)
-    # objects z with a nonempty hom(y, z), in object order: composable
-    # chains are walked along these, so empty blocks cost nothing
-    reach = {y: [z for z in objects if (y, z) in degs] for y in objects}
-    for (x, y, t) in blocks:
-        res = defaultdict(partial(MorphismSum, cat, x, y, t + 2))
-        for j, d in diffs[x, y, t].items():
-            res[(j,)].add_block(diffs[x, y, t + 1], d)
-        report("d_squared", (x, y, t), res, "d(d(basis element)) is nonzero")
+    pos = {x: n for n, x in enumerate(objects)}
+    by_source, by_result, hom_blocks = _read(cat)
+    found = defaultdict(list)       # hom-block count → (identity, basis)
+    for blocks in by_source.values():     # one table per source object
+        for numbers, basis in _failing(_join(blocks, by_result)):
+            homs = [hom_blocks[h] for h in numbers]
+            objs = (homs[0][0], *(hom[1] for hom in homs))
+            # d² holds on every block; the other laws on chains of objects
+            if len(homs) == 1 or all(o in pos for o in objs):
+                found[len(homs)].append(
+                    (objs + tuple(hom[2] for hom in homs), basis))
+
+    def report(kind: str, n: int, detail: str, order=None) -> None:
+        out.extend(Violation(kind, ident + basis, detail)
+                   for ident, basis in sorted(found[n], key=order))
+    report("d_squared", 1, "d(d(basis element)) is nonzero")
     for obj in objects:
         if obj in ids and cat.rank(obj, obj, 0) == len(ids[obj]):
-            report("unit_not_closed", (obj,), {(): MorphismSum(
-                cat, obj, obj, 1).add_differential(cat.identity(obj))},
-                "d(identity) is nonzero")
-    for (x, y, t) in blocks:                  # 1∘f − f and f∘1 − f
-        for j in range(cat.ranks[(x, y, t)]):
+            if any(MorphismSum(cat, obj, obj, 1).add_differential(
+                    cat.identity(obj)).num):
+                out.append(Violation("unit_not_closed", (obj,),
+                                     "d(identity) is nonzero"))
+    for (x, y, t), rank in sorted(cat.ranks.items()):   # 1∘f − f and f∘1 − f
+        for j in range(rank):
             e = cat.basis_morphism(x, y, t, j)
-            if y in ids:                      # a missing unit is reported above
-                report("unit_left", (x, y, t), {(j,): MorphismSum(
-                    cat, x, y, t).add_compose(cat.identity(y), e).add(e, -1)},
-                    "1∘f differs from f")
-            if x in ids:
-                report("unit_right", (x, y, t), {(j,): MorphismSum(
-                    cat, x, y, t).add_compose(e, cat.identity(x)).add(e, -1)},
-                    "f∘1 differs from f")
-    for x, y, z in ((x, y, z) for x in objects for y in reach[x]
-                    for z in reach[y]):
-        for s, t in itertools.product(degs[x, y], degs[y, z]):
-            res = defaultdict(partial(MorphismSum, cat, x, z, s + t + 1))
-            for key, entries in comps[x, y, z, s, t].items():
-                res[key].add_block(diffs[x, z, s + t], entries)
-            _contract(res, [((i,), d) for i, d in diffs[y, z, t].items()],
-                      comps[x, y, z, s, t + 1], 0, -1)
-            _contract(res, [((j,), d) for j, d in diffs[x, y, s].items()],
-                      comps[x, y, z, s + 1, t], 1, 1 if t % 2 else -1)
-            report("leibniz", (x, y, z, s, t), res,
-                   "d(g∘f) ≠ d(g)∘f + (−1)^{|g|} g∘d(f)")
-    for x, y, z, w in ((x, y, z, w) for x in objects for y in reach[x]
-                       for z in reach[y] for w in reach[z]):
-        for s, t, u in itertools.product(degs[x, y], degs[y, z], degs[z, w]):
-            # h∘(g∘f) − (h∘g)∘f per (l, i, j), each made on first use
-            res = defaultdict(partial(MorphismSum, cat, x, w, s + t + u))
-            _contract(res, comps[x, y, z, s, t].items(),
-                      comps[x, z, w, s + t, u], 1, 1)
-            _contract(res, comps[y, z, w, t, u].items(),
-                      comps[x, y, w, s, t + u], 0, -1)
-            report("associativity", (x, y, z, w, s, t, u), res,
-                   "(h∘g)∘f ≠ h∘(g∘f)")
+            if y in ids and any(MorphismSum(cat, x, y, t).add_compose(
+                    cat.identity(y), e).add(e, -1).num):
+                out.append(Violation("unit_left", (x, y, t, j),
+                                     "1∘f differs from f"))
+            if x in ids and any(MorphismSum(cat, x, y, t).add_compose(
+                    e, cat.identity(x)).add(e, -1).num):
+                out.append(Violation("unit_right", (x, y, t, j),
+                                     "f∘1 differs from f"))
+
+    def order(key: tuple) -> tuple:   # object index, degrees, basis reversed
+        ident, basis = key
+        n = len(ident) // 2 + 1
+        return tuple(pos[o] for o in ident[:n]), ident[n:], basis[::-1]
+    report("leibniz", 2, "d(g∘f) ≠ d(g)∘f + (−1)^{|g|} g∘d(f)", order)
+    report("associativity", 3, "(h∘g)∘f ≠ h∘(g∘f)", order)
     return out
 
 

@@ -485,16 +485,19 @@ def random_valid_simplex(cat: DgCategory, rng: random.Random, n: int, *,
     full = tuple(range(n + 1))
     first, last = objects[0], objects[-1]
     top = MorphismSum(cat, first, last, 1 - n).add(cells[full])
+
+    def shake(seq: Seq, xi: Morphism) -> None:   # cells[seq] += d(ξ)
+        cells[seq] = MorphismSum(cat, xi.source, xi.target, xi.degree + 1) \
+            .add(cells[seq]).add_differential(xi).result()
     for a in range(1, n):
         xi = cat.random_morphism(first, last, 1 - n, rng)
-        face_seq = full[:a] + full[a + 1:]
-        cells[face_seq] = cells[face_seq] + cat.differential(xi)
+        shake(full[:a] + full[a + 1:], xi)
         top.add(xi, signs.face_sign(a, n))
     xi1 = cat.random_morphism(objects[1], last, 1 - n, rng)
-    cells[full[1:]] = cells[full[1:]] + cat.differential(xi1)
+    shake(full[1:], xi1)
     top.add_compose(xi1, cells[(0, 1)])
     xi2 = cat.random_morphism(first, objects[-2], 1 - n, rng)
-    cells[full[:-1]] = cells[full[:-1]] + cat.differential(xi2)
+    shake(full[:-1], xi2)
     top.add_compose(cells[(n - 1, n)], xi2, (-1) ** n)
     zeta = cat.random_morphism(first, last, -n, rng)
     cells[full] = top.add_differential(zeta).result()

@@ -757,14 +757,35 @@ def _hostile_bases():
 HOSTILE_FIXED, HOSTILE_BASES = _hostile_bases()
 
 
+def _coordinate_vectors(node) -> list:
+    """The lists under ``node`` whose items are all nonempty lists of
+    scalars: over a ring with ideal layers, the coordinate vectors (units,
+    cells, MC elements), and records such as ``ranks``."""
+    children = list(node.values()) if isinstance(node, dict) else \
+        node if isinstance(node, list) else []
+    found = [node] if isinstance(node, list) and node and all(
+        isinstance(item, list) and item
+        and not any(isinstance(v, (dict, list)) for v in item)
+        for item in node) else []
+    return found + [v for child in children
+                    for v in _coordinate_vectors(child)]
+
+
 @st.composite
 def mutated(draw, doc):
     """``doc`` with one to three nodes dropped, replaced by a hostile value
     or by a value of another type, nested one list deeper, or (a list)
     given a second copy of one of its items, so a vector or a unit grows by
-    one coordinate."""
+    one coordinate; or with one coordinate vector one item shorter, which a
+    random walk down from the root, stopping at each level with
+    probability ½, would seldom reach."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
+        vectors = _coordinate_vectors(doc)
+        if vectors and draw(st.booleans()):
+            vector = draw(st.sampled_from(vectors))
+            del vector[draw(st.sampled_from(range(len(vector))))]
+            continue
         parent, key, node = None, None, doc
         while isinstance(node, (dict, list)) and node and (
                 parent is None or draw(st.booleans())):

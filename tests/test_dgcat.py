@@ -14,9 +14,11 @@ import dataclasses
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
+from dgnerve import jsonio
 from dgnerve.dgcat import (
     ChainComplex,
     DgCategory,
@@ -174,6 +176,29 @@ def double_one_unit(cat):
     return dataclasses.replace(cat, identities={**cat.identities, obj: units})
 
 
+def scale_first_entry(cat, key, index, factor):
+    """Copy of ``cat`` with the first entry of one ``diffs`` column or one
+    ``comps`` index pair multiplied by ``factor``."""
+    field = "comps" if len(key) == 5 else "diffs"
+    blocks = getattr(cat, field)
+    block = dict(blocks[key])
+    (r, a), *rest = block[index]
+    block[index] = ((r, a * factor), *rest)
+    return dataclasses.replace(cat, **{field: {**blocks, key: block}})
+
+
+# In three_term, g∘f of basis elements g ∈ hom_0, f ∈ hom_{-1} is the first
+# basis element of hom_{-1}, and h∘(that) for h ∈ hom_1 is an entry of the
+# second block: both entries meet in h∘(g∘f) at (C0⁴, -1, 0, 1, 0, 0, 0).
+INNER_COMP, OUTER_COMP = ("C0", "C0", "C0", -1, 0), ("C0", "C0", "C0", -1, 1)
+
+
+def thirds_and_fifths(cat):
+    return scale_first_entry(scale_first_entry(cat, INNER_COMP, (0, 0),
+                                               Fraction(1, 3)),
+                             OUTER_COMP, (0, 0), Fraction(2, 5))
+
+
 def mc_mutant(cat):
     """``cat`` twisted by an element off the Maurer-Cartan locus."""
     (obj,) = cat.objects
@@ -209,16 +234,42 @@ def sparse_category():
     lambda f: triple_one_comp_entry(sparse_category()),
     lambda f: double_comp_block(sparse_category(), ("K1", "K2", "K5", 0, 4)),
     lambda f: double_comp_block(interval_category(3), ("1", "2", "3", 0, 0)),
+    lambda f: thirds_and_fifths(f["three_term"]),
+    lambda f: scale_first_entry(f["three_term"], ("C0", "C0", -1), 1,
+                                Fraction(1, 7)),
+    lambda f: scale_first_entry(three_term_category(SquareZeroRing(2)),
+                                INNER_COMP, (0, 0),
+                                SquareZeroRing(2).element(1, ["1/2", "0"])),
 ], ids=["flipped_diff_sign", "flipped_diff_sign_3_objects",
         "tripled_comp_entry", "tripled_comp_entry_3_objects",
         "doubled_comp_block", "doubled_unit",
         "mc_mutant", "opposite_flipped_sign", "opposite_tripled_twisted",
         "opposite_exterior", "ring_rank_2", "ring_rank_2_flipped_sign",
         "sparse_flipped_sign", "sparse_tripled_comp_entry",
-        "sparse_doubled_comp_block", "interval_doubled_comp_block"])
+        "sparse_doubled_comp_block", "interval_doubled_comp_block",
+        "comp_thirds_and_fifths", "diff_sevenths",
+        "ring_rank_2_fractional_ideal_comp"])
 def test_check_axioms_matches_basis_oracle(all_fixtures, build):
     cat = build(dict(all_fixtures))
     assert check_axioms(cat) == _reference_check_axioms(cat)
+
+
+def test_fractional_comps_meet_in_one_associativity_identity(three_term):
+    report = check_axioms(thirds_and_fifths(three_term))
+    assert Violation("associativity",
+                     ("C0",) * 4 + (-1, 0, 1, 0, 0, 0),
+                     "(h∘g)∘f ≠ h∘(g∘f)") in report
+
+
+def test_comp_constant_of_another_ring_width_raises(three_term):
+    key = ("C0", "C0", "C0", 0, 0)
+    tensor = {**three_term.comps[key],
+              (0, 0): ((0, SquareZeroRing(1).one()),)}
+    cat = dataclasses.replace(three_term,
+                              comps={**three_term.comps, key: tensor})
+    with pytest.raises(ValueError,
+                       match=r"^ring elements of different ideal rank$"):
+        check_axioms(cat)
 
 
 def test_sparse_category_has_empty_blocks():
@@ -244,6 +295,29 @@ def test_unit_only_objects_are_checked_quickly():
     assert time.perf_counter() - start < 5
     cat = double_one_unit(unit_only_category(6))
     assert check_axioms(cat) == _reference_check_axioms(cat) != []
+
+
+def all_pairs_document(n):
+    """A category document of n objects with a rank-1 degree-0 hom between
+    every ordered pair, units and no composition: 8.9 KB at n = 20 and
+    35 KB at n = 40."""
+    names = [f"X{i}" for i in range(n)]
+    return {"kind": "category", "ring": 0, "objects": names,
+            "ranks": [[x, y, 0, 1] for x in names for y in names],
+            "identities": [[x, ["1"]] for x in names]}
+
+
+def test_check_cost_follows_the_document_length():
+    # every unit law fails (nothing composes) and nothing else is checked;
+    # a walk over all composable chains of blocks would take about 17 s
+    cat = jsonio.category_from_json(all_pairs_document(5))
+    assert check_axioms(cat) == _reference_check_axioms(cat) != []
+    cat = jsonio.category_from_json(all_pairs_document(40))
+    start = time.perf_counter()
+    report = check_axioms(cat)
+    assert time.perf_counter() - start < 2
+    assert len(report) == 2 * 40 * 40
+    assert {v.kind for v in report} == {"unit_left", "unit_right"}
 
 
 @pytest.mark.parametrize("column, row, bad", [
