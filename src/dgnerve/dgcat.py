@@ -21,12 +21,15 @@ raised, so corrupted inputs can be reported coordinate by coordinate.
 Morphisms are homogeneous: an element of a single ``hom(X, Y)_degree``.
 
 Differentials, composites and the signed sums made of them (the unit laws
-of :func:`check_axioms`, nerve boundaries and residuals, horn equations,
-cochain differentials and products, twisted differentials) are all
+of :func:`check_axioms`, nerve boundaries and residuals, horn equations and
+fillers, cochain differentials and products, twisted differentials) are all
 computed by one accumulator, :class:`MorphismSum`.  It reads the integer
 layers of each ``RingElement`` coordinate and structure constant (see
-:mod:`dgnerve.rings`) and multiplies and adds them as Python ints.  d² = 0,
-Leibniz and associativity are one sparse join of structure constants.
+:mod:`dgnerve.rings`) and multiplies and adds them as Python ints.  A sum
+that is only tested for zero is tested on the accumulator; a ``Morphism``
+is built only for sums that are kept.  d² = 0, Leibniz and associativity
+are one sparse join of structure constants, and the equivalence-witness
+system is read straight from the structure blocks.
 """
 
 from __future__ import annotations
@@ -263,6 +266,10 @@ class MorphismSum:
                                           o_den * i_den, sign)
         return self
 
+    def is_zero(self) -> bool:
+        """Whether the sum is exactly zero, without building its morphism."""
+        return not any(self.num)
+
     def result(self) -> Morphism:
         """The sum as a morphism."""
         w, den, zero = self.width, self.den, self.cat.ring.zero()
@@ -451,19 +458,19 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
     report("d_squared", 1, "d(d(basis element)) is nonzero")
     for obj in objects:
         if obj in ids and cat.rank(obj, obj, 0) == len(ids[obj]):
-            if any(MorphismSum(cat, obj, obj, 1).add_differential(
-                    cat.identity(obj)).num):
+            if not MorphismSum(cat, obj, obj, 1).add_differential(
+                    cat.identity(obj)).is_zero():
                 out.append(Violation("unit_not_closed", (obj,),
                                      "d(identity) is nonzero"))
     for (x, y, t), rank in sorted(cat.ranks.items()):   # 1∘f − f and f∘1 − f
         for j in range(rank):
             e = cat.basis_morphism(x, y, t, j)
-            if y in ids and any(MorphismSum(cat, x, y, t).add_compose(
-                    cat.identity(y), e).add(e, -1).num):
+            if y in ids and not MorphismSum(cat, x, y, t).add_compose(
+                    cat.identity(y), e).add(e, -1).is_zero():
                 out.append(Violation("unit_left", (x, y, t, j),
                                      "1∘f differs from f"))
-            if x in ids and any(MorphismSum(cat, x, y, t).add_compose(
-                    e, cat.identity(x)).add(e, -1).num):
+            if x in ids and not MorphismSum(cat, x, y, t).add_compose(
+                    e, cat.identity(x)).add(e, -1).is_zero():
                 out.append(Violation("unit_right", (x, y, t, j),
                                      "f∘1 differs from f"))
 
@@ -762,46 +769,46 @@ def reset_witness_calls() -> None:
 def find_equivalence_witness(cat: DgCategory, alpha: Morphism) -> Witness:
     """Solve d(a)=0, a∘α = 1 + d(g), α∘a = 1 + d(h) for (a, g, h).
 
-    The three conditions form one linear system over the ring, solved
-    exactly; raises :class:`NotEquivalence` when it is inconsistent.
+    The three conditions form one linear system over the ring, read from
+    the nonzero ``diffs`` entries and the ``comps`` entries against α's
+    nonzero coordinates, and solved exactly; raises
+    :class:`NotEquivalence` when it is inconsistent.
     """
     global _witness_calls
     _witness_calls += 1
 
     if alpha.degree != 0:
         raise ValueError("witness queries require a degree-0 morphism")
-    if not cat.differential(alpha).is_zero():
+    x, y = alpha.source, alpha.target
+    if not MorphismSum(cat, x, y, 1).add_differential(alpha).is_zero():
         raise ValueError("witness queries require a closed morphism")
 
-    x, y = alpha.source, alpha.target
-    n_a = cat.rank(y, x, 0)
-    n_g = cat.rank(x, x, -1)
-    n_h = cat.rank(y, y, -1)
-    r1 = cat.rank(y, x, 1)
-    r2 = cat.rank(x, x, 0)
-    r3 = cat.rank(y, y, 0)
-
+    n_a, n_g = cat.rank(y, x, 0), cat.rank(x, x, -1)
+    r1, r2 = cat.rank(y, x, 1), cat.rank(x, x, 0)
+    terms = defaultdict(list)       # (row, column) → [(layers, denominator)]
+    for block, row, col, sign in (((y, x, 0), 0, 0, 1),          # d(a)
+                                  ((x, x, -1), r1, n_a, -1),     # −d(g)
+                                  ((y, y, -1), r1 + r2, n_a + n_g, -1)):
+        for j, entries in cat.diffs.get(block, {}).items():
+            for r, c in entries:
+                terms[row + r, col + j].append((c.nums, sign * c.den))
+    nonzero = {k: c for k, c in enumerate(alpha.coords) if any(c.nums)}
+    for block, row, swap in (((x, y, x, 0, 0), r1, False),        # a∘α
+                             ((y, x, y, 0, 0), r1 + r2, True)):   # α∘a
+        for pair, entries in cat.comps.get(block, {}).items():
+            j, k = pair[::-1] if swap else pair
+            b = nonzero.get(k)
+            for r, c in entries if b is not None else ():
+                terms[row + r, j].append((_product(c.nums, b.nums),
+                                          c.den * b.den))
     zero = cat.ring.zero()
-    ncols = n_a + n_g + n_h
-    rows = [[zero] * ncols for _ in range(r1 + r2 + r3)]
-
-    def put(col: int, block_offset: int, coords: Sequence[RingElement],
-            negate: bool = False) -> None:
-        for i, c in enumerate(coords):
-            rows[block_offset + i][col] = -c if negate else c
-
-    for j in range(n_a):
-        e = cat.basis_morphism(y, x, 0, j)
-        put(j, 0, cat.differential(e).coords)
-        put(j, r1, cat.compose(e, alpha).coords)
-        put(j, r1 + r2, cat.compose(alpha, e).coords)
-    for j in range(n_g):
-        e = cat.basis_morphism(x, x, -1, j)
-        put(n_a + j, r1, cat.differential(e).coords, negate=True)
-    for j in range(n_h):
-        e = cat.basis_morphism(y, y, -1, j)
-        put(n_a + n_g + j, r1 + r2, cat.differential(e).coords, negate=True)
-
+    rows = [[zero] * (n_a + n_g + cat.rank(y, y, -1))
+            for _ in range(r1 + r2 + cat.rank(y, y, 0))]
+    for (r, j), layers in terms.items():
+        den = lcm(*(d for _, d in layers))
+        rows[r][j] = from_layers(
+            [sum(nums[k] * (den // d) for nums, d in layers)
+             for k in range(cat.ring.ideal_rank + 1)], den)
     rhs = [zero] * r1 + list(cat.identity(x).coords) + \
         list(cat.identity(y).coords)
 

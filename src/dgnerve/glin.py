@@ -181,11 +181,14 @@ def _expand(matrix: Matrix, rhs: Vector | None,
     return rows
 
 
-def _ring_vector(flat: Sequence[Fraction], ncols: int,
-                 m: int) -> list[RingElement]:
-    return [RingElement(flat[j], tuple(flat[layer * ncols + j]
-                                       for layer in range(1, m + 1)))
-            for j in range(ncols)]
+def _ring_vector(flat: Sequence[Fraction], ncols: int) -> list[RingElement]:
+    """Coordinate j from its layers ``flat[j], flat[ncols + j], …``."""
+    out = []
+    for layers in (flat[j::ncols] for j in range(ncols)):
+        den = lcm(*[q.denominator for q in layers])
+        out.append(from_layers([q.numerator * den // q.denominator
+                                for q in layers], den))
+    return out
 
 
 def solve_linear(matrix: Matrix, rhs: Vector,
@@ -199,7 +202,7 @@ def solve_linear(matrix: Matrix, rhs: Vector,
         return []
     m = ring.ideal_rank
     flat = _solve(_expand(matrix, rhs, ring), (m + 1) * ncols)
-    return _ring_vector(flat, ncols, m)
+    return _ring_vector(flat, ncols)
 
 
 def nullspace(matrix: Matrix, ring: SquareZeroRing) -> list[list[RingElement]]:
@@ -207,7 +210,7 @@ def nullspace(matrix: Matrix, ring: SquareZeroRing) -> list[list[RingElement]]:
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     m = ring.ideal_rank
-    return [_ring_vector(flat, ncols, m) for flat in
+    return [_ring_vector(flat, ncols) for flat in
             _kernel(_expand(matrix, None, ring), (m + 1) * ncols)]
 
 

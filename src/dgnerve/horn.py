@@ -197,10 +197,12 @@ def _top_equation(obs: Obstruction, top: Morphism, face: Morphism,
 def obstruction_violations(obs: Obstruction) -> list[Violation]:
     """Check the cocycle identities of an obstruction pair (empty = ok)."""
     out: list[Violation] = []
-    if not obs.category.differential(obs.U).is_zero():
+    U = obs.U
+    if not MorphismSum(obs.category, U.source, U.target, U.degree + 1) \
+            .add_differential(U).is_zero():
         out.append(Violation("obstruction_dU", (obs.n, obs.k),
                              "d(U) is nonzero"))
-    if not _top_equation(obs, obs.V, obs.U, 1).result().is_zero():
+    if not _top_equation(obs, obs.V, U, 1).is_zero():
         out.append(Violation("obstruction_dV", (obs.n, obs.k),
                              "sign·U + d(V) is nonzero" if obs.alpha is None
                              else "d(V) + U∘α is nonzero"))
@@ -267,10 +269,12 @@ def _solve_pair(obs: Obstruction, U: Morphism, V: Morphism) -> Filler:
             if obs.op_reduced else
             f"edge (0, 1) admits no equivalence witness: {exc}") from exc
     sgn = (-1) ** n
-    face = cat.compose(V, w.a).scale(-1) + cat.compose(U, w.h).scale(sgn)
-    top = (cat.compose(face, cat.compose(w.h, alpha))
-           - cat.compose(face, cat.compose(alpha, w.g))
-           - cat.compose(V, w.g)).scale(sgn)
+    face = MorphismSum(cat, w.a.source, V.target, V.degree) \
+        .add_compose(V, w.a, -1).add_compose(U, w.h, sgn).result()
+    top = MorphismSum(cat, alpha.source, V.target, V.degree - 1) \
+        .add_compose(face, cat.compose(w.h, alpha), sgn) \
+        .add_compose(face, cat.compose(alpha, w.g), -sgn) \
+        .add_compose(V, w.g, -sgn).result()
     return Filler(n, 0, top, face)
 
 
@@ -428,8 +432,10 @@ def lift_filler(cat: DgCategory, horn: HornData, filler_mod_ideal: Filler,
         raise InvalidReduction(
             "mod-ideal filler does not solve the reduced horn equations")
     eps = _solve_pair(obs, phi, psi)
-    return _transport(obs, Filler(eps.n, eps.k, top - eps.top,
-                                  face - eps.face))
+    top, face = (MorphismSum(obs.category, f.source, f.target, f.degree)
+                 .add(f).add(e, -1).result()
+                 for f, e in ((top, eps.top), (face, eps.face)))
+    return _transport(obs, Filler(eps.n, eps.k, top, face))
 
 
 # -- randomized generation ---------------------------------------------------------

@@ -149,9 +149,8 @@ def twist(cat: DgCategory, elements: Mapping[str, Morphism] | Iterable[MCElement
                 image.add_compose(eta_tgt, basis)
             if eta_src is not None:
                 image.add_compose(basis, eta_src, -sign)
-            entries = sparsify(image.result().coords)
-            if entries:
-                cols[j] = entries
+            if not image.is_zero():
+                cols[j] = sparsify(image.result().coords)
         if cols:
             diffs[(x, y, t)] = cols
 

@@ -172,14 +172,18 @@ def _add_boundary(total: MorphismSum, getter: CellGetter, seq: Seq,
     return total
 
 
+def _residual_sum(cat: DgCategory, getter: CellGetter, seq: Seq,
+                  signs: SignPattern) -> MorphismSum:
+    cell = getter(seq)
+    total = MorphismSum(cat, cell.source, cell.target, cell.degree + 1)
+    return _add_boundary(total.add_differential(cell), getter, seq, signs, -1)
+
+
 def cell_residual(cat: DgCategory, objects: Sequence[str], getter: CellGetter,
                   seq: Seq, signs: SignPattern = PINNED) -> Morphism:
     """R(seq) = d(cell(seq)) − required boundary, for simplex or horn data;
     zero exactly when the cell at ``seq`` satisfies its equation."""
-    cell = getter(seq)
-    total = MorphismSum(cat, cell.source, cell.target, cell.degree + 1)
-    return _add_boundary(total.add_differential(cell), getter, seq, signs,
-                         -1).result()
+    return _residual_sum(cat, getter, seq, signs).result()
 
 
 def simplex_residual(cat: DgCategory, simplex: NerveSimplex, seq: Seq,
@@ -220,7 +224,7 @@ def cell_violations(cat: DgCategory, objects: Sequence[str],
     if out:
         return out
     return [Violation("residual", seq, detail) for seq in seqs
-            if not cell_residual(cat, objects, cells.__getitem__, seq,
+            if not _residual_sum(cat, cells.__getitem__, seq,
                                  signs).is_zero()]
 
 
@@ -401,9 +405,9 @@ def cochain_compose(cat: DgCategory, outer: NerveCochain, inner: NerveCochain,
         total = MorphismSum(cat, inner.source.objects[seq[0]],
                             outer.target.objects[seq[-1]],
                             degree - (len(seq) - 1))
-        value = _add_convolution(total, outer, inner, seq, signs, 1).result()
-        if not value.is_zero():
-            components[seq] = value
+        _add_convolution(total, outer, inner, seq, signs, 1)
+        if not total.is_zero():
+            components[seq] = total.result()
     return NerveCochain(inner.source, outer.target, degree, components)
 
 
@@ -435,9 +439,8 @@ def cochain_differential(cat: DgCategory, cochain: NerveCochain,
                 total.add(part, koszul * signs.face_sign(p, k))
         _add_convolution(total, g_cells, cochain, seq, signs, -1)
         _add_convolution(total, cochain, f_cells, seq, signs, koszul)
-        value = total.result()
-        if not value.is_zero():
-            components[seq] = value
+        if not total.is_zero():
+            components[seq] = total.result()
     return NerveCochain(cochain.source, cochain.target, t + 1, components)
 
 

@@ -27,7 +27,10 @@ from dgnerve.glin import (
     solve_linear,
 )
 from dgnerve.horn import random_valid_simplex
+from dgnerve.mc import tensor_with_ring
 from dgnerve.rings import RingElement, SquareZeroRing, RATIONALS, random_element
+
+from test_morphism_sum import fractional_category
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -283,13 +286,24 @@ def test_rref_matches_reference(rows):
     assert all(isinstance(v, Fraction) for row in red for v in row)
 
 
-def _witness_systems(cat, seed, edges=3):
-    """The linear systems of equivalence-witness queries in ``cat``: on
-    sampled closed edges with witnesses, and on zero edges (no witness)."""
+def _witness_alphas(cat, seed, edges=3):
+    """Sampled closed edges, which have witnesses, then the zero edge of
+    each object, which has none unless the object is contractible."""
     rng = random.Random(seed)
     alphas = [random_valid_simplex(cat, rng, 1).cells[(0, 1)]
               for _ in range(edges)]
-    alphas += [cat.zero(x, x, 0) for x in cat.objects]
+    return alphas + [cat.zero(x, x, 0) for x in cat.objects]
+
+
+def _witness_systems(cat, seed, edges=3):
+    """The linear systems of the equivalence-witness queries on
+    ``_witness_alphas(cat, seed, edges)``, one per query, in order."""
+    return _posed_systems(cat, _witness_alphas(cat, seed, edges))
+
+
+def _posed_systems(cat, alphas):
+    """The linear system each witness query on ``alphas`` hands to
+    ``glin.solve_linear``."""
     systems = []
 
     def record(matrix, rhs, ring):
@@ -311,6 +325,127 @@ def _solve_outcome(matrix, rhs, ring):
         return solve_linear(matrix, rhs, ring)
     except NoSolution:
         return NoSolution
+
+
+def _reference_witness_system(cat, alpha):
+    """The witness system (rows, rhs) as ``find_equivalence_witness`` built
+    it before it read the structure blocks: one basis morphism, one
+    differential and two composites per column of a."""
+    x, y = alpha.source, alpha.target
+    n_a, n_g = cat.rank(y, x, 0), cat.rank(x, x, -1)
+    n_h = cat.rank(y, y, -1)
+    r1, r2, r3 = cat.rank(y, x, 1), cat.rank(x, x, 0), cat.rank(y, y, 0)
+    zero = cat.ring.zero()
+    rows = [[zero] * (n_a + n_g + n_h) for _ in range(r1 + r2 + r3)]
+
+    def put(col, block_offset, coords, negate=False):
+        for i, c in enumerate(coords):
+            rows[block_offset + i][col] = -c if negate else c
+
+    for j in range(n_a):
+        e = cat.basis_morphism(y, x, 0, j)
+        put(j, 0, cat.differential(e).coords)
+        put(j, r1, cat.compose(e, alpha).coords)
+        put(j, r1 + r2, cat.compose(alpha, e).coords)
+    for j in range(n_g):
+        e = cat.basis_morphism(x, x, -1, j)
+        put(n_a + j, r1, cat.differential(e).coords, negate=True)
+    for j in range(n_h):
+        e = cat.basis_morphism(y, y, -1, j)
+        put(n_a + n_g + j, r1 + r2, cat.differential(e).coords, negate=True)
+    rhs = [zero] * r1 + list(cat.identity(x).coords) + \
+        list(cat.identity(y).coords)
+    return rows, rhs
+
+
+def _witness_outcome(find, cat, alpha):
+    try:
+        return find(cat, alpha)
+    except dgcat.NotEquivalence:
+        return dgcat.NotEquivalence
+
+
+def _reference_witness(cat, alpha):
+    """``find_equivalence_witness`` on the reference system."""
+    rows, rhs = _reference_witness_system(cat, alpha)
+    try:
+        solution = solve_linear(rows, rhs, cat.ring)
+    except NoSolution:
+        raise dgcat.NotEquivalence from None
+    x, y = alpha.source, alpha.target
+    n_a, n_g = cat.rank(y, x, 0), cat.rank(x, x, -1)
+    return dgcat.Witness(
+        dgcat.Morphism(y, x, 0, tuple(solution[:n_a])),
+        dgcat.Morphism(x, x, -1, tuple(solution[n_a:n_a + n_g])),
+        dgcat.Morphism(y, y, -1, tuple(solution[n_a + n_g:])))
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["cat", "opposite"])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("build, contractible", [
+    (three_term_category, False),
+    (lambda ring: random_complex_category(3, ring), False),
+    (lambda ring: tensor_with_ring(fractional_category(), ring), True),
+], ids=["three_term", "random_complex", "fractional"])
+def test_witness_systems_match_basis_oracle(build, contractible, rank,
+                                            opposite):
+    """The system read from the structure blocks is ``==`` entry by entry
+    to the one built from basis morphisms, and both give the same witness
+    or both raise NotEquivalence; a zero edge has no witness unless all
+    objects are contractible."""
+    cat = build(SquareZeroRing(rank))
+    if opposite:
+        cat = dgcat.opposite(cat)
+    outcomes = _outcomes_match_basis_oracle(
+        cat, _witness_alphas(cat, seed=40 + rank))
+    assert (dgcat.NotEquivalence in outcomes) is not contractible
+    assert any(x is not dgcat.NotEquivalence for x in outcomes)
+
+
+def _outcomes_match_basis_oracle(cat, alphas):
+    """Assert that each query on ``alphas`` poses the reference system and
+    ends as the reference does; the outcomes."""
+    systems = _posed_systems(cat, alphas)
+    assert len(systems) == len(alphas)
+    outcomes = []
+    for alpha, (rows, rhs) in zip(alphas, systems):
+        want_rows, want_rhs = _reference_witness_system(cat, alpha)
+        assert len(rows) == len(want_rows)
+        for row, want_row in zip(rows, want_rows):
+            assert row == want_row
+        assert rhs == want_rhs
+        outcomes.append(_witness_outcome(dgcat.find_equivalence_witness,
+                                         cat, alpha))
+        assert outcomes[-1] == _witness_outcome(_reference_witness, cat,
+                                                alpha)
+    return outcomes
+
+
+def _dual_numbers_category(ring):
+    """Q[t]/(t²) on one object in the basis 1, s = 1 + t, so s∘s = 2s − 1:
+    products of different basis pairs meet in one coordinate."""
+    one = ring.one()
+    comps = {(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),),
+             (1, 1): ((0, -one), (1, one + one))}
+    return dgcat.DgCategory(ring, ("X",), {("X", "X", 0): 2}, {},
+                            {("X", "X", "X", 0, 0): comps},
+                            {"X": (one, ring.zero())})
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_witness_system_sums_products_that_meet(rank):
+    """α = 1/3 + s/2 + ε-noise is a unit and t = s − 1 is nilpotent; in
+    both, two coordinates of α reach one entry of a∘α and of α∘a."""
+    ring = SquareZeroRing(rank)
+    cat = _dual_numbers_category(ring)
+    assert dgcat.check_axioms(cat) == []
+    noise = ["1/5"] * rank
+    unit = cat.morphism("X", "X", 0, [ring.element("1/3", noise),
+                                      ring.element("1/2", noise)])
+    nilpotent = cat.morphism("X", "X", 0, [-1, 1])
+    outcomes = _outcomes_match_basis_oracle(cat, [unit, nilpotent])
+    assert isinstance(outcomes[0], dgcat.Witness)
+    assert outcomes[1] is dgcat.NotEquivalence
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2])

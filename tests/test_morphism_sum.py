@@ -22,8 +22,8 @@ from dgnerve.horn import random_valid_simplex
 from dgnerve.laws import COCHAIN_DEGREES, random_cochain
 from dgnerve.mc import tensor_with_ring, twist
 from dgnerve.nerve import (PINNED, NerveCochain, cells_cochain,
-                           cochain_differential, increasing_sequences,
-                           required_boundary)
+                           cochain_compose, cochain_differential,
+                           increasing_sequences, required_boundary)
 from dgnerve.rings import SquareZeroRing, random_element
 
 
@@ -211,7 +211,7 @@ def kernel_sum(cat, block, terms):
     for kind, args, sign in terms:
         {"add": total.add, "diff": total.add_differential,
          "compose": total.add_compose}[kind](*args, sign)
-    return total.result()
+    return total
 
 
 # -- oracle tests ----------------------------------------------------------------
@@ -239,7 +239,10 @@ def test_differential_and_compose_match_reference(name, rank, seed):
 def test_signed_sums_match_reference(name, rank, seed, count):
     cat, rng = category(name, rank), random.Random(seed)
     block, terms = random_terms(cat, rng, count)
-    assert kernel_sum(cat, block, terms) == reference_sum(cat, block, terms)
+    total = kernel_sum(cat, block, terms)
+    got = total.result()
+    assert got == reference_sum(cat, block, terms)
+    assert total.is_zero() == got.is_zero()
 
 
 @settings(max_examples=100, deadline=None)
@@ -250,8 +253,21 @@ def test_sums_that_cancel_are_exactly_zero(name, rank, seed, count):
     block, terms = random_terms(cat, rng, count)
     both = terms + [(kind, args, -sign) for kind, args, sign in terms[::-1]]
     rng.shuffle(both)
-    got = kernel_sum(cat, block, both)
-    assert got == cat.zero(*block)
+    total = kernel_sum(cat, block, both)
+    assert total.result() == cat.zero(*block)
+    assert total.is_zero()
+
+
+def test_sum_is_zero_after_its_denominator_grew():
+    cat = category("fractional", 1)
+    block = ("P", "Q", 0)
+    ring, rank = cat.ring, cat.rank(*block)
+    third = Morphism(*block, (ring.element("1/3", ["2/5"]),) * rank)
+    sevenths = Morphism(*block, (ring.element("2/7", ["-1/2"]),) * rank)
+    total = MorphismSum(cat, *block).add(third).add(sevenths)
+    assert total.den == 3 * 5 * 7 * 2 and not total.is_zero()
+    total.add(third, -1).add(sevenths, -1)
+    assert total.is_zero() and total.result() == cat.zero(*block)
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,6 +288,14 @@ def test_boundaries_and_cochain_differentials_match_reference(name, rank, seed,
     want = _reference_cochain_differential(cat, eta)
     got = cochain_differential(cat, eta)
     assert (got.degree, got.components) == (want.degree, want.components)
+    g_cells = cells_cochain(target)
+    product = cochain_compose(cat, g_cells, eta)
+    assert product.components == {
+        seq: value for seq in increasing_sequences(n)
+        if not (value := _reference_convolve_component(
+            cat, g_cells, eta, seq, PINNED)).is_zero()}
+    for cochain in (got, product):       # no zero component is stored
+        assert not any(m.is_zero() for m in cochain.components.values())
 
 
 # -- errors (the same type and text as the Fraction loops give) --------------------
