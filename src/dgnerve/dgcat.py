@@ -516,9 +516,16 @@ class ChainComplex:
                     any(len(row) != self.dim(i) for row in mat):
                 raise InvalidComplex(f"differential at degree {i} has wrong shape")
         for i in self.degrees():
-            square = glin.compose_maps(self.d_matrix(i + 1), self.d_matrix(i))
+            square = _matmul(self.d_matrix(i + 1), self.d_matrix(i),
+                             self.ring.zero())
             if any(not e.is_zero() for row in square for e in row):
                 raise InvalidComplex(f"d² ≠ 0 between degrees {i} and {i + 2}")
+
+
+def _matmul(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> list[list]:
+    """The product ``a·b`` of row lists, each entry a sum from ``zero``."""
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)]
+            for row in a]
 
 
 def complex_from_dense(ring: SquareZeroRing, dims: Mapping[int, int],
@@ -681,40 +688,34 @@ def random_complex(ring: SquareZeroRing, rng: random.Random, *,
                 taken_sources[i].add(s)
                 taken_targets[i + 1].add(t)
 
-    d = {}
-    for i, pairs in source_of.items():
-        mat = [[ring.zero() for _ in range(dims[i])]
-               for _ in range(dims[i + 1])]
-        for s, t in pairs:
-            mat[t][s] = ring.one()
-        d[i] = mat
-
     # random invertible change of basis per degree: L·U with ±1 diagonal
-    def random_invertible(n: int) -> list[list[RingElement]]:
-        lower = glin.identity_matrix(n, ring)
-        upper = glin.identity_matrix(n, ring)
+    def random_invertible(n: int) -> list[list[int]]:
+        lower = [[int(r == c) for c in range(n)] for r in range(n)]
+        upper = [[int(r == c) for c in range(n)] for r in range(n)]
         for r in range(n):
-            upper[r][r] = ring.from_rational(rng.choice([1, -1]))
+            upper[r][r] = rng.choice([1, -1])
             for c in range(r + 1, n):
-                upper[r][c] = ring.from_rational(rng.randint(-1, 1))
-                lower[c][r] = ring.from_rational(rng.randint(-1, 1))
-        return glin.compose_maps(lower, upper)
+                upper[r][c] = rng.randint(-1, 1)
+                lower[c][r] = rng.randint(-1, 1)
+        return _matmul(lower, upper, 0)
 
-    def invert_unitriangularish(mat: list[list[RingElement]]) -> list[list[RingElement]]:
-        # Solve M·X = I column by column (exact, small sizes).
+    def inverse(mat: list[list[int]]) -> list[list[Fraction]]:
+        # det = ±1, so [B | I] reduces to [I | B⁻¹]: exact and unique
         n = len(mat)
-        cols = []
-        for c in range(n):
-            rhs = [ring.one() if r == c else ring.zero() for r in range(n)]
-            cols.append(glin.solve_linear(mat, rhs, ring))
-        return [[cols[c][r] for c in range(n)] for r in range(n)]
+        reduced, _ = glin.rref([row + [int(r == c) for c in range(n)]
+                                for r, row in enumerate(mat)])
+        return [row[n:] for row in reduced]
 
     basis_change = {i: random_invertible(dims[i]) for i in dims}
-    inverse = {i: invert_unitriangularish(basis_change[i]) for i in dims}
     conjugated = {}
-    for i, mat in d.items():
-        conjugated[i] = glin.compose_maps(
-            basis_change[i + 1], glin.compose_maps(mat, inverse[i]))
+    for i, pairs in source_of.items():
+        split = [[0] * dims[i] for _ in range(dims[i + 1])]
+        for s, t in pairs:
+            split[t][s] = 1
+        product = _matmul(basis_change[i + 1],
+                          _matmul(split, inverse(basis_change[i]), 0), 0)
+        conjugated[i] = [[ring.from_rational(e) for e in row]
+                         for row in product]
     return ChainComplex(ring, dims, conjugated)
 
 

@@ -1,9 +1,11 @@
-"""Exact linear algebra over square-zero extensions.
+"""Exact linear algebra over square-zero extensions: elimination only.
 
-Matrices are lists of rows of :class:`~dgnerve.rings.RingElement`.  The one
-nontrivial operation is :func:`solve_linear`: solving ``A·x = b`` over
-``B = Q ⊕ I``.  Writing ``x = x⁰ + Σ_l ε_l·x^l`` and splitting every entry
-into layers turns the system into a single rational one,
+The horn fillers and square-zero lifts need two things, an exact solve
+for the equivalence witness (a, g, h) and kernels of a hom block's
+differential: :func:`solve_linear` and :func:`nullspace`, on lists of rows
+of :class:`~dgnerve.rings.RingElement`.  Writing ``x = x⁰ + Σ_l ε_l·x^l``
+and splitting every entry into layers turns ``A·x = b`` over
+``B = Q ⊕ I`` into a single rational system,
 
     A⁰·x⁰           = b⁰          (body layer)
     A⁰·x^l + A^l·x⁰ = b^l         (one block per ideal generator),
@@ -60,8 +62,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    echelon = _echelon([_integer_row(_nonzero(row)) for row in rows],
-                       ncols)
+    echelon = _echelon([_integer_row(row) for row in rows], ncols)
     zero = Fraction(0)
     mat = [[zero] * ncols for _ in range(nrows)]
     for r, (c, row) in enumerate(echelon):
@@ -92,16 +93,12 @@ def _echelon(rows: list[dict[int, int]],
     return echelon
 
 
-def _integer_row(entries: dict[int, Fraction]) -> dict[int, int]:
-    """Sparse nonzero entries ``{col: Fraction}`` times the lcm of their
+def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
+    """The nonzero entries ``{col: int}`` of ``row`` times the lcm of its
     denominators."""
-    scale = lcm(*[v.denominator for v in entries.values()])
+    scale = lcm(*[v.denominator for v in row])
     return {c: v.numerator * (scale // v.denominator)
-            for c, v in entries.items()}
-
-
-def _nonzero(row: Sequence[Fraction]) -> dict[int, Fraction]:
-    return {c: v for c, v in enumerate(row) if v}
+            for c, v in enumerate(row) if v}
 
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int],
@@ -148,12 +145,6 @@ def _kernel(rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def rational_nullspace(rows: Sequence[Sequence[Fraction]],
-                       ncols: int) -> list[list[Fraction]]:
-    """A basis of the rational kernel of the matrix."""
-    return _kernel([_integer_row(_nonzero(row)) for row in rows], ncols)
-
-
 # -- layered systems over B ---------------------------------------------------
 
 def _expand(matrix: Matrix, rhs: Vector | None,
@@ -161,7 +152,7 @@ def _expand(matrix: Matrix, rhs: Vector | None,
     """The integer rows of the layered rational system, block ``l`` of
     columns holding ``x^l``; ``rhs``, if given, is the last column.  Every
     layer of equation ``i`` is scaled by the lcm of its denominators."""
-    ncols = len(matrix[0]) if matrix else 0
+    ncols = len(matrix[0])
     m = ring.ideal_rank
     scales = [lcm(*[e.den for e in row], 1 if rhs is None else rhs[i].den)
               for i, row in enumerate(matrix)]
@@ -206,51 +197,14 @@ def solve_linear(matrix: Matrix, rhs: Vector,
 
 
 def nullspace(matrix: Matrix, ring: SquareZeroRing) -> list[list[RingElement]]:
-    """A rational basis of ``{x : A·x = 0}`` over ``ring`` (as a Q-space)."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
+    """A rational basis of ``{x : A·x = 0}`` over ``ring`` (as a Q-space).
+
+    It reads only the layers ``ring`` has: over RATIONALS, only bodies.
+    """
+    if not matrix:      # the kernel is all of Q^n, but n is unknown
+        raise ValueError("nullspace of a matrix with no rows")
+    ncols = len(matrix[0])
     m = ring.ideal_rank
     return [_ring_vector(flat, ncols) for flat in
             _kernel(_expand(matrix, None, ring), (m + 1) * ncols)]
 
-
-# -- matrix utilities ---------------------------------------------------------
-
-def compose_maps(outer: Matrix, inner: Matrix) -> list[list[RingElement]]:
-    """Matrix of ``outer ∘ inner`` (apply ``inner`` first)."""
-    if outer and inner and len(outer[0]) != len(inner):
-        raise ValueError("matrix shapes do not compose")
-    if not inner or not inner[0]:
-        return [[] for _ in outer]
-    inner_cols = len(inner[0])
-    out: list[list[RingElement]] = []
-    for row in outer:
-        new_row = []
-        for c in range(inner_cols):
-            acc = None
-            for k, coeff in enumerate(row):
-                if coeff.is_zero():
-                    continue
-                term = coeff * inner[k][c]
-                acc = term if acc is None else acc + term
-            if acc is None:               # zero, of the entries' rank
-                acc = from_layers([0] * len((row or inner[0])[0].nums), 1)
-            new_row.append(acc)
-        out.append(new_row)
-    return out
-
-
-def mat_vec(matrix: Matrix, vec: Vector, ring: SquareZeroRing) -> list[RingElement]:
-    out = []
-    for row in matrix:
-        acc = ring.zero()
-        for coeff, x in zip(row, vec):
-            if not coeff.is_zero() and not x.is_zero():
-                acc = acc + coeff * x
-        out.append(acc)
-    return out
-
-
-def identity_matrix(n: int, ring: SquareZeroRing) -> list[list[RingElement]]:
-    return [[ring.one() if i == j else ring.zero() for j in range(n)]
-            for i in range(n)]

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 from .dgcat import (BilTensor, DgCategory, Morphism, MorphismSum, SparseCols,
                     Violation, sparsify)
-from .rings import RingElement, SquareZeroRing
+from .rings import RATIONALS, RingElement, SquareZeroRing
 
 from . import glin
 
@@ -185,8 +185,8 @@ def random_mc_element(cat: DgCategory, obj: str,
         if not dense:
             return [[Fraction(1 if i == j else 0) for j in range(rank1)]
                     for i in range(rank1)]
-        rows = [[e.body for e in row] for row in dense]
-        return glin.rational_nullspace(rows, rank1)
+        return [[e.body for e in vec]
+                for vec in glin.nullspace(dense, RATIONALS)]
 
     basis = body_cycle_basis()
 

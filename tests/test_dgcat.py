@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from dgnerve import jsonio
+from dgnerve.glin import solve_linear
 from dgnerve.dgcat import (
     ChainComplex,
     DgCategory,
@@ -399,12 +400,26 @@ def test_empty_category():
     assert check_axioms(cat) == []
 
 
-def test_invalid_complex_rejected():
-    ring = RATIONALS
+@pytest.mark.parametrize("ring, dims, d, rejected", [
     # d² ≠ 0: two composable identity blocks.
-    with pytest.raises(InvalidComplex):
-        complex_from_dense(ring, {0: 1, 1: 1, 2: 1},
-                           {0: [[1]], 1: [[1]]}).validate()
+    (RATIONALS, {0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]}, True),
+    # d¹∘d⁰ = ε: zero in the body, not in the ε layer.
+    (SquareZeroRing(1), {0: 1, 1: 1, 2: 1},
+     {0: [[SquareZeroRing(1).generator(0)]], 1: [[1]]}, True),
+    # 2·(1/2) − 3·(1/3) = 0: fractions that cancel.
+    (RATIONALS, {0: 1, 1: 2, 2: 1},
+     {0: [["1/2"], ["1/3"]], 1: [[2, -3]]}, False),
+    # d⁰ must be 2×1 here.
+    (RATIONALS, {0: 1, 1: 2}, {0: [[1]]}, True),
+], ids=["d_squared_nonzero", "d_squared_in_ideal", "fractions_cancel",
+        "wrong_shape"])
+def test_invalid_complex_rejected(ring, dims, d, rejected):
+    cx = complex_from_dense(ring, dims, d)
+    if rejected:
+        with pytest.raises(InvalidComplex):
+            cx.validate()
+    else:
+        cx.validate()
 
 
 def test_random_complex_categories_pass_axioms():
@@ -416,6 +431,98 @@ def test_random_complex_categories_pass_axioms():
         cat = make_complex_category(complexes)
         assert sum(c.total_dim() for c in complexes) <= 8
         assert check_axioms(cat) == [], f"seed {seed}"
+
+
+def _dense_product(outer, inner, ring):
+    """``outer·inner`` of RingElement matrices, by the schoolbook loop."""
+    out = [[ring.zero()] * len(inner[0]) for _ in outer]
+    for r, row in enumerate(outer):
+        for k, a in enumerate(row):
+            for c, b in enumerate(inner[k]):
+                out[r][c] = out[r][c] + a * b
+    return out
+
+
+def _reference_random_complex(ring, rng, *, total_dim, min_degree=0,
+                              max_degree=2):
+    """``random_complex`` as it was over ring elements: the conjugation by
+    dense products, and each inverse solved one column at a time."""
+    degrees = list(range(min_degree, max_degree + 1))
+    dims = {i: 0 for i in degrees}
+    for _ in range(max(1, total_dim)):
+        dims[rng.choice(degrees)] += 1
+    dims = {i: n for i, n in dims.items() if n > 0}
+
+    source_of = {}
+    taken_targets = {i: set() for i in dims}
+    taken_sources = {i: set() for i in dims}
+    for i in sorted(dims):
+        if i + 1 not in dims:
+            continue
+        free_here = [s for s in range(dims[i])
+                     if s not in taken_targets[i] and s not in taken_sources[i]]
+        free_up = [s for s in range(dims[i + 1])
+                   if s not in taken_targets[i + 1]]
+        arrows = rng.randint(0, min(len(free_here), len(free_up)))
+        pairs = list(zip(free_here[:arrows], free_up[:arrows]))
+        if pairs:
+            source_of[i] = pairs
+            for s, t in pairs:
+                taken_sources[i].add(s)
+                taken_targets[i + 1].add(t)
+
+    d = {}
+    for i, pairs in source_of.items():
+        mat = [[ring.zero() for _ in range(dims[i])]
+               for _ in range(dims[i + 1])]
+        for s, t in pairs:
+            mat[t][s] = ring.one()
+        d[i] = mat
+
+    def identity(n):
+        return [[ring.one() if r == c else ring.zero() for c in range(n)]
+                for r in range(n)]
+
+    def random_invertible(n):
+        lower, upper = identity(n), identity(n)
+        for r in range(n):
+            upper[r][r] = ring.from_rational(rng.choice([1, -1]))
+            for c in range(r + 1, n):
+                upper[r][c] = ring.from_rational(rng.randint(-1, 1))
+                lower[c][r] = ring.from_rational(rng.randint(-1, 1))
+        return _dense_product(lower, upper, ring)
+
+    def invert(mat):
+        n = len(mat)
+        cols = [solve_linear(mat, column, ring) for column in identity(n)]
+        return [[cols[c][r] for c in range(n)] for r in range(n)]
+
+    basis_change = {i: random_invertible(dims[i]) for i in dims}
+    inverse = {i: invert(basis_change[i]) for i in dims}
+    conjugated = {}
+    for i, mat in d.items():
+        conjugated[i] = _dense_product(
+            basis_change[i + 1], _dense_product(mat, inverse[i], ring), ring)
+    return ChainComplex(ring, dims, conjugated)
+
+
+@pytest.mark.parametrize("degrees", [{}, {"min_degree": -1, "max_degree": 3}],
+                         ids=["default", "wide"])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_random_complex_matches_reference(rank, degrees):
+    """The same dims, key order of ``d`` and entries as the oracle, with the
+    ``rng`` left in the same state, for 200 seeds and sizes 1 to 6."""
+    ring = SquareZeroRing(rank)
+    for seed in range(200):
+        for size in range(1, 7):
+            rng, want_rng = random.Random(seed), random.Random(seed)
+            got = random_complex(ring, rng, total_dim=size, **degrees)
+            want = _reference_random_complex(ring, want_rng, total_dim=size,
+                                             **degrees)
+            assert got.dims == want.dims
+            assert list(got.d) == list(want.d)
+            assert got.d == want.d
+            assert rng.getstate() == want_rng.getstate()
 
 
 def test_full_size_random_category_passes_axioms():

@@ -16,23 +16,26 @@ from hypothesis import strategies as st
 
 from dgnerve import dgcat, glin
 from dgnerve.fixtures import random_complex_category, three_term_category
-from dgnerve.glin import (
-    NoSolution,
-    compose_maps,
-    identity_matrix,
-    mat_vec,
-    nullspace,
-    rational_nullspace,
-    rref,
-    solve_linear,
-)
+from dgnerve.glin import NoSolution, nullspace, rref, solve_linear
 from dgnerve.horn import random_valid_simplex
 from dgnerve.mc import tensor_with_ring
 from dgnerve.rings import RingElement, SquareZeroRing, RATIONALS, random_element
 
-from test_morphism_sum import fractional_category
+from test_morphism_sum import CATEGORY_NAMES, category, fractional_category
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def mat_vec(matrix, vec, ring):
+    """``A·x`` over ``ring``: the multiply-back check."""
+    out = []
+    for row in matrix:
+        acc = ring.zero()
+        for coeff, x in zip(row, vec):
+            if not coeff.is_zero() and not x.is_zero():
+                acc = acc + coeff * x
+        out.append(acc)
+    return out
 
 
 def matrix_of(ring, rows):
@@ -48,7 +51,8 @@ def matrix_of(ring, rows):
 def test_identity_system():
     ring = SquareZeroRing(1)
     b = [ring.element(2, [1]), ring.element("1/3")]
-    assert solve_linear(identity_matrix(2, ring), b, ring) == b
+    identity = [[ring.one(), ring.zero()], [ring.zero(), ring.one()]]
+    assert solve_linear(identity, b, ring) == b
 
 
 def test_inconsistent_zero_row():
@@ -160,43 +164,18 @@ def test_rational_nullspace_dimension():
     # rank-nullity on a rank-1 rational matrix.
     rows = [[Fraction(1), Fraction(2), Fraction(3)],
             [Fraction(2), Fraction(4), Fraction(6)]]
-    basis = rational_nullspace(rows, 3)
+    basis = nullspace(matrix_of(RATIONALS, rows), RATIONALS)
     assert len(basis) == 2
     for vec in basis:
-        assert sum(c * v for c, v in zip(rows[0], vec)) == 0
+        assert sum(c * v.body for c, v in zip(rows[0], vec)) == 0
 
 
 def test_rational_nullspace_of_zero_rows():
-    basis = rational_nullspace([], 3)
-    assert len(basis) == 3
-
-
-# ---------------------------------------------------------------------------
-# Matrix composition.
-# ---------------------------------------------------------------------------
-
-
-def test_compose_with_identity():
-    ring = SquareZeroRing(1)
-    rng = random.Random(3)
-    a = random_matrix(ring, rng, 3, 4)
-    assert compose_maps(a, identity_matrix(4, ring)) == a
-    assert compose_maps(identity_matrix(3, ring), a) == a
-
-
-def test_compose_associative():
-    ring = SquareZeroRing(2)
-    rng = random.Random(4)
-    a = random_matrix(ring, rng, 2, 3)
-    b = random_matrix(ring, rng, 3, 4)
-    c = random_matrix(ring, rng, 4, 2)
-    assert compose_maps(compose_maps(a, b), c) == compose_maps(a, compose_maps(b, c))
-
-
-def test_compose_shape_mismatch():
-    ring = RATIONALS
-    with pytest.raises(ValueError):
-        compose_maps([[ring.one()]], [[ring.one()], [ring.one()]])
+    # The kernel of a 0×n map is all of Q^n, but rows are what carry n: an
+    # empty answer would claim the kernel is {0}, so this is an error.
+    for ring in (RATIONALS, SquareZeroRing(1)):
+        with pytest.raises(ValueError):
+            nullspace([], ring)
 
 
 @settings(max_examples=60)
@@ -511,15 +490,22 @@ def _reference_layered(matrix, rhs, ring):
         for r, c in pivots:
             flat[c] = red[r][width]
         solution = ring_vector(flat)
+    return solution, [ring_vector(flat)
+                      for flat in _reference_kernel(rows, width)]
+
+
+def _reference_kernel(rows, ncols):
+    """A kernel basis of rational ``rows`` read off ``_reference_rref``, one
+    vector per non-pivot column."""
     red, pivots = _reference_rref(rows)
     kernel = []
-    for j in sorted(set(range(width)) - {c for _, c in pivots}):
-        flat = [Fraction(0)] * width
+    for j in sorted(set(range(ncols)) - {c for _, c in pivots}):
+        flat = [Fraction(0)] * ncols
         flat[j] = Fraction(1)
         for r, c in pivots:
             flat[c] = -red[r][j]
-        kernel.append(ring_vector(flat))
-    return solution, kernel
+        kernel.append(flat)
+    return kernel
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2])
@@ -535,3 +521,50 @@ def test_layered_rows_match_dense_reference(build, rank):
     for a, b in systems:
         assert (_solve_outcome(a, b, ring), nullspace(a, ring)) == \
             _reference_layered(a, b, ring)
+
+
+def _differential_blocks(cat):
+    """The dense differential of every hom block with a nonzero target."""
+    return [dense for x in cat.objects for y in cat.objects
+            for t in cat.degrees(x, y)
+            if (dense := cat.dense_differential(x, y, t))]
+
+
+def _assert_body_kernel(dense):
+    """``nullspace`` over RATIONALS of a matrix over any ring is the kernel
+    of its bodies, vector for vector."""
+    ncols = len(dense[0])
+    want = _reference_kernel([[e.body for e in row] for row in dense], ncols)
+    got = nullspace(dense, RATIONALS)
+    assert all(len(e.nums) == 1 for vec in got for e in vec)
+    assert [[e.body for e in vec] for vec in got] == want
+
+
+@pytest.mark.parametrize("name", CATEGORY_NAMES)
+def test_body_kernels_match_reference(name):
+    """Every hom block's differential, over the category, its opposite and
+    its scalar extensions to ranks 1 and 2 (``ideal_twisted`` has ideal
+    layers in its differentials)."""
+    for rank in (0, 1, 2):
+        cat = category(name, rank)
+        for c in (cat, dgcat.opposite(cat)):
+            blocks = _differential_blocks(c)
+            assert blocks
+            for dense in blocks:
+                _assert_body_kernel(dense)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_body_kernel_skips_ideal_layers(rank):
+    """Entries whose ideal layers carry a larger denominator than their
+    body (1 + ε/2 has ``den`` 2 and body 1), and a row that is zero in the
+    body but not in the ideal, leave the body kernel as it is."""
+    ring = SquareZeroRing(rank)
+    half = ["1/2"] * rank
+    dense = [[ring.element(1, half), ring.element("1/3"), ring.element(0)],
+             [ring.element(2, half), ring.element("2/3", half),
+              ring.element(0, half)],
+             [ring.element(0, half), ring.zero(), ring.element(0, ["1/5"])]]
+    assert dense[0][0].den == 2 and dense[0][0].body.denominator == 1
+    _assert_body_kernel(dense)
+    assert len(nullspace(dense, RATIONALS)) == 2
