@@ -35,9 +35,8 @@ from .nerve import (NerveCochain, NerveSimplex, PINNED, SignPattern,
 from .horn import (CannotFillOuterHorn, Filler, HornData, HornError,
                    IncompatibleHorn, InvalidReduction, Obstruction,
                    check_gp, check_horn, complete_horn, compute_obstruction,
-                   extract_horn, fill_horn, fill_inner, fill_outer_n,
-                   fill_outer_zero, lift_filler, obstruction_violations,
-                   opposite_filler, opposite_horn, opposite_simplex,
-                   random_horn, random_valid_simplex)
+                   extract_horn, fill_horn, lift_filler,
+                   obstruction_violations, opposite_filler, opposite_horn,
+                   opposite_simplex, random_horn, random_valid_simplex)
 
 __version__ = "0.1.0"

@@ -510,7 +510,7 @@ class ChainComplex:
         return sum(v for v in self.dims.values())
 
     def validate(self) -> None:
-        for i in self.degrees():
+        for i in sorted({*self.degrees(), *self.d}):
             mat = self.d_matrix(i)
             if len(mat) != self.dim(i + 1) or \
                     any(len(row) != self.dim(i) for row in mat):
@@ -539,24 +539,14 @@ def complex_from_dense(ring: SquareZeroRing, dims: Mapping[int, int],
     return ChainComplex(ring, dict(dims), dmats)
 
 
-def _hom_basis(a: ChainComplex, b: ChainComplex,
-               degree: int) -> list[tuple[int, int, int]]:
-    """Basis (level, target slot, source slot) of Hom(a, b) in one degree."""
-    basis = []
-    for i in a.degrees():
-        if b.dim(i + degree) > 0:
-            for row in range(b.dim(i + degree)):
-                for col in range(a.dim(i)):
-                    basis.append((i, row, col))
-    return basis
-
-
 def make_complex_category(complexes: Sequence[ChainComplex],
                           names: Sequence[str] | None = None) -> DgCategory:
     """The dg-category of the given complexes with full Hom complexes.
 
     ``hom(A, B)_t = ⊕_i Hom(A^i, B^{i+t})`` with differential
-    ``D(f) = d_B∘f − (−1)^{|f|} f∘d_A`` and ordinary composition.
+    ``D(f) = d_B∘f − (−1)^{|f|} f∘d_A`` and ordinary composition.  The basis
+    of a hom block is its units (level i, row of B^{i+t}, column of A^i) in
+    that order; ``index`` maps each unit to its position, block by block.
     """
     if not complexes:
         return DgCategory(ring=RATIONALS, objects=(), ranks={}, diffs={},
@@ -572,9 +562,8 @@ def make_complex_category(complexes: Sequence[ChainComplex],
         raise InvalidComplex("object names must be distinct, one per complex")
     by_name = dict(zip(names, complexes))
 
-    ranks: dict[tuple[str, str, int], int] = {}
-    bases: dict[tuple[str, str, int], list[tuple[int, int, int]]] = {}
     index: dict[tuple[str, str, int], dict[tuple[int, int, int], int]] = {}
+    block_degrees = defaultdict(list)     # (X, Y) → degrees of its blocks
     for xn, yn in itertools.product(names, repeat=2):
         a, b = by_name[xn], by_name[yn]
         degs_a = a.degrees()
@@ -584,22 +573,24 @@ def make_complex_category(complexes: Sequence[ChainComplex],
         tmin = min(degs_b) - max(degs_a)
         tmax = max(degs_b) - min(degs_a)
         for t in range(tmin, tmax + 1):
-            basis = _hom_basis(a, b, t)
-            if basis:
-                key = (xn, yn, t)
-                ranks[key] = len(basis)
-                bases[key] = basis
-                index[key] = {unit: pos for pos, unit in enumerate(basis)}
+            units: dict[tuple[int, int, int], int] = {}
+            for i in degs_a:
+                for row in range(b.dim(i + t)):
+                    for col in range(a.dim(i)):
+                        units[(i, row, col)] = len(units)
+            if units:
+                index[(xn, yn, t)] = units
+                block_degrees[(xn, yn)].append(t)
 
     diffs: dict[tuple[str, str, int], SparseCols] = {}
-    for (xn, yn, t), basis in bases.items():
+    for (xn, yn, t), units in index.items():
         a, b = by_name[xn], by_name[yn]
         target_index = index.get((xn, yn, t + 1))
         if not target_index:
             continue
         cols: SparseCols = {}
-        sign = ring.from_rational(1 if t % 2 else -1)
-        for pos, (i, row, col) in enumerate(basis):
+        sign = ring.element(1 if t % 2 else -1)
+        for (i, row, col), pos in units.items():
             entries: list[tuple[int, RingElement]] = []
             # d_B ∘ f : unit (i, row, col) pushes forward along d_B at i+t
             db = b.d_matrix(i + t)
@@ -620,37 +611,36 @@ def make_complex_category(complexes: Sequence[ChainComplex],
             diffs[(xn, yn, t)] = cols
 
     comps: dict[tuple[str, str, str, int, int], BilTensor] = {}
+    one = ring.one()
     for xn, yn, zn in itertools.product(names, repeat=3):
-        for s in [t for (p, q, t) in bases if (p, q) == (xn, yn)]:
-            inner_basis = bases[(xn, yn, s)]
-            for t in [t for (p, q, t) in bases if (p, q) == (yn, zn)]:
-                outer_basis = bases[(yn, zn, t)]
+        a = by_name[xn]
+        for s in block_degrees[(xn, yn)]:
+            inner_index = index[(xn, yn, s)]
+            for t in block_degrees[(yn, zn)]:
                 result_index = index.get((xn, zn, s + t))
                 if not result_index:
                     continue
                 tensor: BilTensor = {}
-                one = ring.one()
-                inner_pos = {unit: pos for pos, unit in enumerate(inner_basis)}
-                for opos, (i2, row2, col2) in enumerate(outer_basis):
-                    # outer unit acts on level i2 of the middle complex
-                    for ipos, (i1, row1, col1) in enumerate(inner_basis):
-                        if i2 == i1 + s and col2 == row1:
-                            target = result_index[(i1, row2, col1)]
-                            tensor[(opos, ipos)] = ((target, one),)
+                # outer unit (i, r, c) takes in the inner units (i − s, c, ·)
+                for (i, r, c), opos in index[(yn, zn, t)].items():
+                    for col in range(a.dim(i - s)):
+                        ipos = inner_index[(i - s, c, col)]
+                        target = result_index[(i - s, r, col)]
+                        tensor[(opos, ipos)] = ((target, one),)
                 if tensor:
                     comps[(xn, yn, zn, s, t)] = tensor
 
     identities = {}
     for xn in names:
         a = by_name[xn]
-        key = (xn, xn, 0)
-        coords = [ring.zero()] * ranks.get(key, 0)
-        idx = index.get(key, {})
+        idx = index.get((xn, xn, 0), {})
+        coords = [ring.zero()] * len(idx)
         for i in a.degrees():
             for r in range(a.dim(i)):
                 coords[idx[(i, r, r)]] = ring.one()
         identities[xn] = tuple(coords)
 
+    ranks = {key: len(units) for key, units in index.items()}
     return DgCategory(ring=ring, objects=tuple(names), ranks=ranks,
                       diffs=diffs, comps=comps, identities=identities)
 
@@ -714,7 +704,7 @@ def random_complex(ring: SquareZeroRing, rng: random.Random, *,
             split[t][s] = 1
         product = _matmul(basis_change[i + 1],
                           _matmul(split, inverse(basis_change[i]), 0), 0)
-        conjugated[i] = [[ring.from_rational(e) for e in row]
+        conjugated[i] = [[ring.element(e) for e in row]
                          for row in product]
     return ChainComplex(ring, dims, conjugated)
 

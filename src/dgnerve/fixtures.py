@@ -19,11 +19,6 @@ from .mc import check_mc, twist
 from .rings import RATIONALS, SquareZeroRing
 
 
-def dual_numbers(rank: int = 1) -> SquareZeroRing:
-    """The square-zero extension of the rationals with the given ideal rank."""
-    return SquareZeroRing(rank)
-
-
 def exterior_category(ring: SquareZeroRing = RATIONALS) -> DgCategory:
     """One object, endomorphisms spanned by 1 (degree 0) and e (degree −1),
     with e∘e = 0 and zero differential."""

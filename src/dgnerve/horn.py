@@ -284,37 +284,12 @@ def _transport(obs: Obstruction, filler: Filler) -> Filler:
     return opposite_filler(filler) if obs.op_reduced else filler
 
 
-def fill_horn(cat: DgCategory, horn: HornData,
-              signs: SignPattern = PINNED) -> Filler:
-    obs = compute_obstruction(cat, horn, signs)
+def fill_horn(cat: DgCategory, horn: HornData) -> Filler:
+    """The one fill entry: inner horns in closed form (face = −σ_k·V,
+    top = 0), k = 0 through an equivalence witness for the edge (0, 1), and
+    k = n as k = 0 in the opposite category."""
+    obs = compute_obstruction(cat, horn)
     return _transport(obs, _solve_pair(obs, obs.U, obs.V))
-
-
-def fill_inner(cat: DgCategory, horn: HornData,
-               signs: SignPattern = PINNED) -> Filler:
-    """α̂_face = −σ_k·V and α̂_top = 0 solve both missing equations.
-
-    Uses only the obstruction identities, never equivalence witnesses.
-    """
-    if not horn.is_inner:
-        raise ValueError("fill_inner requires 0 < k < n")
-    return fill_horn(cat, horn, signs)
-
-
-def fill_outer_zero(cat: DgCategory, horn: HornData,
-                    signs: SignPattern = PINNED) -> Filler:
-    """Fill a k = 0 horn using an equivalence witness for the edge (0,1)."""
-    if horn.k != 0:
-        raise ValueError("fill_outer_zero requires k = 0")
-    return fill_horn(cat, horn, signs)
-
-
-def fill_outer_n(cat: DgCategory, horn: HornData,
-                 signs: SignPattern = PINNED) -> Filler:
-    """Fill a k = n horn by passing to the opposite category."""
-    if horn.k != horn.n:
-        raise ValueError("fill_outer_n requires k = n")
-    return fill_horn(cat, horn, signs)
 
 
 # -- opposite-category transport ------------------------------------------------
@@ -387,8 +362,7 @@ def promote_filler(cat: DgCategory, filler: Filler) -> Filler:
 # -- square-zero lifting ----------------------------------------------------------
 
 def lift_filler(cat: DgCategory, horn: HornData, filler_mod_ideal: Filler,
-                *, lifts: Filler | None = None,
-                signs: SignPattern = PINNED) -> Filler:
+                *, lifts: Filler | None = None) -> Filler:
     """Lift a filler of the reduced horn through the square-zero ideal.
 
     ``horn`` lives over ``cat.ring = k ⊕ I`` and ``filler_mod_ideal``
@@ -408,7 +382,7 @@ def lift_filler(cat: DgCategory, horn: HornData, filler_mod_ideal: Filler,
     """
     if (filler_mod_ideal.n, filler_mod_ideal.k) != (horn.n, horn.k):
         raise ValueError("filler does not match horn dimensions")
-    obs = compute_obstruction(cat, horn, signs)
+    obs = compute_obstruction(cat, horn)
     if lifts is None:
         lifts = promote_filler(cat, filler_mod_ideal)
     elif (reduce_morphism(lifts.top).coords != filler_mod_ideal.top.coords
@@ -524,7 +498,7 @@ def _trial_seed(seed: int, trial: int, mode_index: int) -> int:
 
 
 def check_gp(cat: DgCategory, n: int, k: int, trials: int = 25,
-             seed: int = 0, signs: SignPattern = PINNED) -> dict:
+             seed: int = 0) -> dict:
     """Randomized sweep of the horn-extension conditions at (n, k).
 
     Per trial: sample a valid simplex over the rank-1 square-zero
@@ -560,11 +534,9 @@ def check_gp(cat: DgCategory, n: int, k: int, trials: int = 25,
             rng = random.Random(trial_seed)
             try:
                 horn = random_horn(cat_b, rng, n, k,
-                                   witnessed=(mode == "witnessed"),
-                                   signs=signs)
-                filler = fill_horn(cat_b, horn, signs)
-                bad = validate_simplex(cat_b, complete_horn(horn, filler),
-                                       signs)
+                                   witnessed=(mode == "witnessed"))
+                filler = fill_horn(cat_b, horn)
+                bad = validate_simplex(cat_b, complete_horn(horn, filler))
                 if bad:
                     fill_fail += 1
                     failures.append({"trial": trial, "seed": trial_seed,
@@ -579,10 +551,9 @@ def check_gp(cat: DgCategory, n: int, k: int, trials: int = 25,
                 continue
             try:
                 red_horn = reduce_horn(horn)
-                red_filler = fill_horn(red_cat, red_horn, signs)
-                lifted = lift_filler(cat_b, horn, red_filler, signs=signs)
-                bad = validate_simplex(cat_b, complete_horn(horn, lifted),
-                                       signs)
+                red_filler = fill_horn(red_cat, red_horn)
+                lifted = lift_filler(cat_b, horn, red_filler)
+                bad = validate_simplex(cat_b, complete_horn(horn, lifted))
                 reduces = (
                     reduce_morphism(lifted.top).coords
                     == red_filler.top.coords

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 from .dgcat import (BilTensor, DgCategory, Morphism, MorphismSum, SparseCols,
                     Violation, sparsify)
-from .rings import RATIONALS, RingElement, SquareZeroRing
+from .rings import RATIONALS, RingElement, SquareZeroRing, reduce_mod_ideal
 
 from . import glin
 
@@ -67,18 +67,17 @@ def tensor_with_ring(cat: DgCategory, ring: SquareZeroRing) -> DgCategory:
     """Extend scalars of a category over Q to a square-zero extension."""
     if cat.ring.ideal_rank != 0:
         raise ValueError("can only extend scalars from the rank-0 ring")
-    return _map_category(cat, ring, lambda c: ring.element(c.body))
+    return _map_category(cat, ring, ring.promote)
 
 
 def reduce_category(cat: DgCategory) -> DgCategory:
     """Quotient all structure constants by the square-zero ideal."""
-    base = cat.ring.base()
-    return _map_category(cat, base, lambda c: RingElement(c.body, ()))
+    return _map_category(cat, RATIONALS, reduce_mod_ideal)
 
 
 def reduce_morphism(f: Morphism) -> Morphism:
     return Morphism(f.source, f.target, f.degree,
-                    tuple(RingElement(c.body, ()) for c in f.coords))
+                    tuple(map(reduce_mod_ideal, f.coords)))
 
 
 def promote_morphism(cat: DgCategory, f: Morphism) -> Morphism:

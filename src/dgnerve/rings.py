@@ -204,9 +204,6 @@ class SquareZeroRing:
     def one(self) -> RingElement:
         return self._one
 
-    def from_rational(self, q: int | str | Fraction) -> RingElement:
-        return self.element(q)
-
     def generator(self, index: int) -> RingElement:
         """The ideal generator ε_{index+1}."""
         if not 0 <= index < self.ideal_rank:
@@ -216,22 +213,11 @@ class SquareZeroRing:
 
     # -- structure maps ----------------------------------------------------
 
-    def contains(self, x: RingElement) -> bool:
-        return len(x.nums) == self.ideal_rank + 1
-
     def promote(self, x: RingElement) -> RingElement:
         """Embed an element of the rank-0 ring along ``Q → B``."""
         if len(x.nums) != 1:
             raise ValueError("can only promote rank-0 elements")
         return self.element(x.body)
-
-    def reduce(self, x: RingElement) -> RingElement:
-        if not self.contains(x):
-            raise ValueError("element does not belong to this ring")
-        return reduce_mod_ideal(x)
-
-    def base(self) -> "SquareZeroRing":
-        return SquareZeroRing(0)
 
 
 RATIONALS = SquareZeroRing(0)
@@ -254,10 +240,6 @@ def random_element(ring: SquareZeroRing, rng: random.Random, *,
 
 # -- serialization ----------------------------------------------------------
 
-def rational_to_str(q: Fraction) -> str:
-    return str(q)
-
-
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -276,8 +258,8 @@ def rational_from_str(s: str) -> Fraction:
 def element_to_json(x: RingElement) -> str | list[str]:
     """Canonical JSON form: a bare string over Q, a list over larger rings."""
     if len(x.nums) == 1:
-        return rational_to_str(x.body)
-    return [rational_to_str(q) for q in (x.body, *x.ideal)]
+        return str(x.body)
+    return [str(q) for q in (x.body, *x.ideal)]
 
 
 def element_from_json(doc: str | Sequence[str], ring: SquareZeroRing) -> RingElement:

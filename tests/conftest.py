@@ -4,6 +4,7 @@ All fixture categories are immutable after construction, so session scope is
 safe: no test can perturb another through them.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -31,6 +32,14 @@ def two_term():
 @pytest.fixture(scope="session")
 def three_term():
     return three_term_category()
+
+
+@pytest.fixture(scope="session")
+def doubled_unit(three_term):
+    """``three_term`` with the unit of C0 doubled: it breaks the unit laws,
+    so every horn sweep over it fails."""
+    units = tuple(c * 2 for c in three_term.identities["C0"])
+    return dataclasses.replace(three_term, identities={"C0": units})
 
 
 @pytest.fixture(scope="session")

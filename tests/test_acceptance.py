@@ -39,8 +39,7 @@ import time
 from dgnerve import jsonio
 from dgnerve.cli import main
 from dgnerve.dgcat import check_axioms, witness_call_count
-from dgnerve.fixtures import (dual_numbers, standard_fixtures,
-                              three_term_category)
+from dgnerve.fixtures import standard_fixtures, three_term_category
 from dgnerve.horn import (complete_horn, compute_obstruction, fill_horn,
                           lift_filler, random_horn, reduce_filler,
                           reduce_horn)
@@ -48,6 +47,7 @@ from dgnerve.laws import law_cochain_d_squared, law_cochain_leibniz
 from dgnerve.mc import check_mc, random_mc_element, reduce_category, twist
 from dgnerve.nerve import (PINNED, NerveSimplex, SignPattern,
                            simplex_residual, validate_simplex, validate_star)
+from dgnerve.rings import SquareZeroRing
 
 GRID = ((2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2))
 FIXTURES = standard_fixtures()
@@ -212,7 +212,7 @@ def test_criterion_5_square_zero_lifting():
     failures = []
     cycles = 0
     for rank in (1, 2):
-        big = three_term_category(dual_numbers(rank))
+        big = three_term_category(SquareZeroRing(rank))
         red = reduce_category(big)
         for n, k in GRID:
             for trial in range(50):

@@ -21,14 +21,16 @@ from hypothesis import strategies as st
 from dgnerve import jsonio, laws
 from dgnerve.cli import build_parser, main
 from dgnerve.dgcat import Morphism
-from dgnerve.fixtures import (dual_numbers, random_complex_category,
-                              standard_fixtures, three_term_category)
+from dgnerve.fixtures import (random_complex_category, standard_fixtures,
+                              three_term_category)
 from dgnerve.horn import (HornData, IncompatibleHorn, check_horn,
                           complete_horn, extract_horn, fill_horn, lift_filler,
-                          random_horn, reduce_filler, reduce_horn)
+                          random_horn, reduce_filler, reduce_horn,
+                          _trial_seed)
 from dgnerve.mc import reduce_category, tensor_with_ring
 from dgnerve.nerve import (NerveSimplex, SignPattern, identity_simplex,
                            increasing_sequences)
+from dgnerve.rings import SquareZeroRing
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -401,7 +403,7 @@ def dual_setup(tmp_path_factory):
     """A three-term category over the dual numbers, a noisy horn over it,
     and the mod-ideal filler, all written to disk."""
     tmp = tmp_path_factory.mktemp("dual")
-    cat = three_term_category(dual_numbers(1))
+    cat = three_term_category(SquareZeroRing(1))
     horn = random_horn(cat, random.Random(7), 3, 1, witnessed=False)
     red_filler = fill_horn(reduce_category(cat), reduce_horn(horn))
     paths = {
@@ -472,7 +474,7 @@ def test_lift_malformed_filler_exit_2(dual_setup, capsys):
 def test_lift_filler_of_another_horn_exit_2(tmp_path, capsys):
     # the filler document parses against its own objects, so its cells are
     # checked against the horn's shape only inside lift_filler
-    cat = tensor_with_ring(random_complex_category(11), dual_numbers(1))
+    cat = tensor_with_ring(random_complex_category(11), SquareZeroRing(1))
 
     def zero_horn(objects):
         cells = {seq: cat.zero(objects[seq[0]], objects[seq[-1]],
@@ -573,6 +575,20 @@ def test_gp_outer_sweep_passes(capsys):
     assert "all trials pass" in out
 
 
+def test_gp_failing_trials_exit_1(tmp_path, capsys, doubled_unit):
+    # Every outer fill fails validation; each failing trial gets a line
+    # naming its stage and reproducing seed.
+    path = write_doc(tmp_path, "bad.json",
+                     jsonio.category_to_json(doubled_unit))
+    code, out, _ = run_cli(capsys, "gp", "--category", path, "--n", "2",
+                           "--k", "0", "--trials", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1:] == [
+        f"  FAIL trial {t} stage=fill_validate seed={_trial_seed(0, t, 0)}: "
+        "residual" for t in range(2)] + ["2 failing trials"]
+
+
 def test_gp_dimension_one_exit_2(capsys):
     code, _, err = run_cli(capsys, "gp", "--n", "1", "--k", "0")
     assert code == 2
@@ -657,7 +673,7 @@ def test_category_round_trip(name):
 
 
 def test_category_round_trip_square_zero_ring():
-    cat = three_term_category(dual_numbers(2))
+    cat = three_term_category(SquareZeroRing(2))
     doc = jsonio.category_to_json(cat)
     recovered = jsonio.category_from_json(
         json.loads(jsonio.canonical_dumps(doc)))
@@ -666,7 +682,7 @@ def test_category_round_trip_square_zero_ring():
 
 
 def test_simplex_horn_filler_mc_round_trips(three_term):
-    cat = three_term_category(dual_numbers(1))
+    cat = three_term_category(SquareZeroRing(1))
     rng = random.Random(31)
     horn = random_horn(cat, rng, 3, 2, witnessed=False)
     simplex = complete_horn(horn, fill_horn(cat, horn))
@@ -724,7 +740,7 @@ def _hostile_bases():
     """Valid documents over a rank-1 three_term, and the CLI call that reads
     each one: as the checked, filled or lifted input, as the mod-ideal
     filler of ``lift``, or as ``--category``."""
-    cat = three_term_category(dual_numbers(1))
+    cat = three_term_category(SquareZeroRing(1))
     rng = random.Random(23)
     horns = {(n, k): random_horn(cat, rng, n, k)
              for n, k in [(3, 1), (2, 0), (2, 2)]}

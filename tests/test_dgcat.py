@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgnerve import jsonio
+from dgnerve import fixtures, jsonio
 from dgnerve.glin import solve_linear
 from dgnerve.dgcat import (
     ChainComplex,
@@ -177,6 +177,25 @@ def double_one_unit(cat):
     return dataclasses.replace(cat, identities={**cat.identities, obj: units})
 
 
+def short_unit(cat):
+    """Copy of ``cat`` with the last unit coordinate of its first object
+    dropped, so the unit no longer matches the degree-0 rank."""
+    obj = cat.objects[0]
+    units = cat.identities[obj][:-1]
+    return dataclasses.replace(cat, identities={**cat.identities, obj: units})
+
+
+def unclosed_unit(cat):
+    """Copy of ``cat`` whose first object's unit is the first degree-0 basis
+    element with a nonzero differential."""
+    obj = cat.objects[0]
+    unit = next(e for e in (cat.basis_morphism(obj, obj, 0, j)
+                            for j in range(cat.rank(obj, obj, 0)))
+                if not cat.differential(e).is_zero())
+    return dataclasses.replace(cat,
+                               identities={**cat.identities, obj: unit.coords})
+
+
 def scale_first_entry(cat, key, index, factor):
     """Copy of ``cat`` with the first entry of one ``diffs`` column or one
     ``comps`` index pair multiplied by ``factor``."""
@@ -241,6 +260,8 @@ def sparse_category():
     lambda f: scale_first_entry(three_term_category(SquareZeroRing(2)),
                                 INNER_COMP, (0, 0),
                                 SquareZeroRing(2).element(1, ["1/2", "0"])),
+    lambda f: short_unit(f["complexes_a"]),
+    lambda f: unclosed_unit(f["three_term"]),
 ], ids=["flipped_diff_sign", "flipped_diff_sign_3_objects",
         "tripled_comp_entry", "tripled_comp_entry_3_objects",
         "doubled_comp_block", "doubled_unit",
@@ -249,7 +270,7 @@ def sparse_category():
         "sparse_flipped_sign", "sparse_tripled_comp_entry",
         "sparse_doubled_comp_block", "interval_doubled_comp_block",
         "comp_thirds_and_fifths", "diff_sevenths",
-        "ring_rank_2_fractional_ideal_comp"])
+        "ring_rank_2_fractional_ideal_comp", "short_unit", "unclosed_unit"])
 def test_check_axioms_matches_basis_oracle(all_fixtures, build):
     cat = build(dict(all_fixtures))
     assert check_axioms(cat) == _reference_check_axioms(cat)
@@ -363,6 +384,20 @@ def test_missing_unit_is_reported_not_raised(three_term, complexes):
         Violation("missing_identity", ("B",), missing)]
 
 
+def test_short_unit_is_reported(three_term):
+    report = check_axioms(short_unit(three_term))
+    assert report[0] == Violation("identity_rank", ("C0",),
+                                  "unit coordinates do not match hom rank")
+    assert "unit_not_closed" not in {v.kind for v in report}
+
+
+def test_unclosed_unit_is_reported(three_term):
+    report = check_axioms(unclosed_unit(three_term))
+    assert Violation("unit_not_closed", ("C0",),
+                     "d(identity) is nonzero") in report
+    assert "identity_rank" not in {v.kind for v in report}
+
+
 def test_violations_serialize():
     ring = RATIONALS
     cat = make_complex_category(
@@ -411,13 +446,17 @@ def test_empty_category():
      {0: [["1/2"], ["1/3"]], 1: [[2, -3]]}, False),
     # d⁰ must be 2×1 here.
     (RATIONALS, {0: 1, 1: 2}, {0: [[1]]}, True),
+    # d¹ leaves a degree of dimension 0, so it must be 0×0.
+    (RATIONALS, {0: 1}, {1: [[1, 2]]}, True),
 ], ids=["d_squared_nonzero", "d_squared_in_ideal", "fractions_cancel",
-        "wrong_shape"])
+        "wrong_shape", "wrong_shape_at_zero_dimension"])
 def test_invalid_complex_rejected(ring, dims, d, rejected):
     cx = complex_from_dense(ring, dims, d)
     if rejected:
         with pytest.raises(InvalidComplex):
             cx.validate()
+        with pytest.raises(InvalidComplex):
+            make_complex_category([cx])
     else:
         cx.validate()
 
@@ -486,10 +525,10 @@ def _reference_random_complex(ring, rng, *, total_dim, min_degree=0,
     def random_invertible(n):
         lower, upper = identity(n), identity(n)
         for r in range(n):
-            upper[r][r] = ring.from_rational(rng.choice([1, -1]))
+            upper[r][r] = ring.element(rng.choice([1, -1]))
             for c in range(r + 1, n):
-                upper[r][c] = ring.from_rational(rng.randint(-1, 1))
-                lower[c][r] = ring.from_rational(rng.randint(-1, 1))
+                upper[r][c] = ring.element(rng.randint(-1, 1))
+                lower[c][r] = ring.element(rng.randint(-1, 1))
         return _dense_product(lower, upper, ring)
 
     def invert(mat):
@@ -523,6 +562,155 @@ def test_random_complex_matches_reference(rank, degrees):
             assert list(got.d) == list(want.d)
             assert got.d == want.d
             assert rng.getstate() == want_rng.getstate()
+
+
+def _reference_make_complex_category(complexes, names=None):
+    """Oracle: each hom basis as a list, and each composition entry found by
+    scanning every pair of outer and inner basis units."""
+    if not complexes:
+        return DgCategory(ring=RATIONALS, objects=(), ranks={}, diffs={},
+                          comps={}, identities={})
+    ring = complexes[0].ring
+    for cx in complexes:
+        if cx.ring != ring:
+            raise InvalidComplex("complexes live over different rings")
+        cx.validate()
+    if names is None:
+        names = tuple(f"C{i}" for i in range(len(complexes)))
+    if len(set(names)) != len(names) or len(names) != len(complexes):
+        raise InvalidComplex("object names must be distinct, one per complex")
+    by_name = dict(zip(names, complexes))
+
+    def hom_basis(a, b, degree):
+        basis = []
+        for i in a.degrees():
+            if b.dim(i + degree) > 0:
+                for row in range(b.dim(i + degree)):
+                    for col in range(a.dim(i)):
+                        basis.append((i, row, col))
+        return basis
+
+    ranks, bases, index = {}, {}, {}
+    for xn, yn in itertools.product(names, repeat=2):
+        a, b = by_name[xn], by_name[yn]
+        degs_a, degs_b = a.degrees(), b.degrees()
+        if not degs_a or not degs_b:
+            continue
+        for t in range(min(degs_b) - max(degs_a),
+                       max(degs_b) - min(degs_a) + 1):
+            basis = hom_basis(a, b, t)
+            if basis:
+                key = (xn, yn, t)
+                ranks[key] = len(basis)
+                bases[key] = basis
+                index[key] = {unit: pos for pos, unit in enumerate(basis)}
+
+    diffs = {}
+    for (xn, yn, t), basis in bases.items():
+        a, b = by_name[xn], by_name[yn]
+        target_index = index.get((xn, yn, t + 1))
+        if not target_index:
+            continue
+        cols = {}
+        sign = ring.element(1 if t % 2 else -1)
+        for pos, (i, row, col) in enumerate(basis):
+            entries = []
+            db = b.d_matrix(i + t)
+            for row2 in range(b.dim(i + t + 1)):
+                coeff = db[row2][row]
+                if not coeff.is_zero():
+                    entries.append((target_index[(i, row2, col)], coeff))
+            da = a.d_matrix(i - 1)
+            for col2 in range(a.dim(i - 1)):
+                coeff = da[col][col2]
+                if not coeff.is_zero():
+                    entries.append((target_index[(i - 1, row, col2)],
+                                    coeff * sign))
+            if entries:
+                cols[pos] = tuple(sorted(entries, key=lambda e: e[0]))
+        if cols:
+            diffs[(xn, yn, t)] = cols
+
+    comps = {}
+    for xn, yn, zn in itertools.product(names, repeat=3):
+        for s in [t for (p, q, t) in bases if (p, q) == (xn, yn)]:
+            inner_basis = bases[(xn, yn, s)]
+            for t in [t for (p, q, t) in bases if (p, q) == (yn, zn)]:
+                outer_basis = bases[(yn, zn, t)]
+                result_index = index.get((xn, zn, s + t))
+                if not result_index:
+                    continue
+                tensor = {}
+                for opos, (i2, row2, col2) in enumerate(outer_basis):
+                    for ipos, (i1, row1, col1) in enumerate(inner_basis):
+                        if i2 == i1 + s and col2 == row1:
+                            target = result_index[(i1, row2, col1)]
+                            tensor[(opos, ipos)] = ((target, ring.one()),)
+                if tensor:
+                    comps[(xn, yn, zn, s, t)] = tensor
+
+    identities = {}
+    for xn in names:
+        a = by_name[xn]
+        key = (xn, xn, 0)
+        coords = [ring.zero()] * ranks.get(key, 0)
+        idx = index.get(key, {})
+        for i in a.degrees():
+            for r in range(a.dim(i)):
+                coords[idx[(i, r, r)]] = ring.one()
+        identities[xn] = tuple(coords)
+
+    return DgCategory(ring=ring, objects=tuple(names), ranks=ranks,
+                      diffs=diffs, comps=comps, identities=identities)
+
+
+def _key_orders(cat):
+    """The key order of every structure dict, blocks and their entries."""
+    return ([list(cat.ranks), list(cat.identities), list(cat.diffs),
+             list(cat.comps)]
+            + [list(cols) for cols in cat.diffs.values()]
+            + [list(tensor) for tensor in cat.comps.values()])
+
+
+def _assert_matches_reference(complexes, names=None):
+    got = make_complex_category(complexes, names)
+    want = _reference_make_complex_category(complexes, names)
+    assert got == want
+    assert _key_orders(got) == _key_orders(want)
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_fixture_complex_categories_match_reference(monkeypatch, rank):
+    """Every ``make_complex_category`` call the fixture builders make, over
+    Q and over Q[ε], gives the oracle's category with its key order."""
+    calls = []
+
+    def recording(complexes, names=None):
+        calls.append((complexes, names))
+        return make_complex_category(complexes, names)
+    monkeypatch.setattr(fixtures, "make_complex_category", recording)
+    for build in fixtures.FIXTURES.values():
+        build(ring=SquareZeroRing(rank))
+    assert len(calls) == 5       # all fixtures but the exterior algebra
+    for complexes, names in calls:
+        _assert_matches_reference(complexes, names)
+
+
+@pytest.mark.parametrize("degrees", [{}, {"min_degree": -1, "max_degree": 3}],
+                         ids=["default", "wide"])
+@pytest.mark.parametrize("rank", [0, 1])
+def test_random_complex_categories_match_reference(rank, degrees):
+    """1 to 3 random complexes of total dimension 1 to 6 each, 5 seeds:
+    360 categories in all over the four parameter sets.  The names are not
+    in sorted order, so the key order follows the names, not a sort."""
+    ring = SquareZeroRing(rank)
+    for seed in range(5):
+        rng = random.Random(seed)
+        for count in (1, 2, 3):
+            for size in range(1, 7):
+                complexes = [random_complex(ring, rng, total_dim=size,
+                                            **degrees) for _ in range(count)]
+                _assert_matches_reference(complexes, ("Z", "Y", "X")[:count])
 
 
 def test_full_size_random_category_passes_axioms():

@@ -30,9 +30,6 @@ from dgnerve.horn import (
     compute_obstruction,
     extract_horn,
     fill_horn,
-    fill_inner,
-    fill_outer_n,
-    fill_outer_zero,
     lift_filler,
     obstruction_violations,
     opposite_filler,
@@ -42,6 +39,7 @@ from dgnerve.horn import (
     random_valid_simplex,
     reduce_filler,
     reduce_horn,
+    _trial_seed,
 )
 from dgnerve.mc import (promote_morphism, reduce_category, reduce_morphism,
                         tensor_with_ring)
@@ -109,6 +107,37 @@ def test_check_horn_flags_incompatible_data(three_term):
         compute_obstruction(three_term, bad)
 
 
+def _horn_shape(three_term, n, k, objects):
+    return [(v.kind, v.location, v.detail)
+            for v in check_horn(three_term, HornData(n, k, objects, {}))]
+
+
+def test_check_horn_reports_bad_shapes(three_term):
+    (obj,) = three_term.objects
+    assert _horn_shape(three_term, 1, 0, (obj, obj)) == \
+        [("horn_shape", (1, 0), "need n >= 2")]
+    assert _horn_shape(three_term, 2, 3, (obj,) * 3) == \
+        [("horn_shape", (2, 3), "k out of range")]
+    assert _horn_shape(three_term, 2, 0, (obj,) * 2) == \
+        [("horn_shape", (2, 0), "object list has wrong length")]
+    assert _horn_shape(three_term, 2, 0, (obj, "nowhere", obj)) == \
+        [("horn_shape", ("nowhere",), "unknown object")]
+
+
+def test_check_horn_reports_cells_at_missing_sequences(three_term):
+    rng = random.Random(4)
+    simplex = random_valid_simplex(three_term, rng, 2, witnessed=True)
+    horn = extract_horn(simplex, 1)
+    cells = dict(horn.cells)
+    cells[horn.missing_face] = simplex.cell(horn.missing_face)
+    report = check_horn(three_term,
+                        HornData(horn.n, horn.k, horn.objects, cells))
+    assert [(v.kind, v.location) for v in report] == \
+        [("unexpected_cell", (0, 2))]
+    with pytest.raises(IncompatibleHorn):
+        fill_horn(three_term, HornData(horn.n, horn.k, horn.objects, cells))
+
+
 # ---------------------------------------------------------------------------
 # Obstruction identities.
 # ---------------------------------------------------------------------------
@@ -161,7 +190,7 @@ def test_identity_inner_horn_fill(three_term):
     simplex = identity_simplex(three_term, obj, 3)
     horn = extract_horn(simplex, 1)
     obs = compute_obstruction(three_term, horn)
-    filler = fill_inner(three_term, horn)
+    filler = fill_horn(three_term, horn)
     assert filler.face == obs.V.scale(-obs.sign)
     assert filler.top.is_zero()
     assert validate_simplex(three_term, complete_horn(horn, filler)) == []
@@ -174,7 +203,7 @@ def test_inner_fills_validate_and_solve_system(three_term, complexes, n, k):
             rng = random.Random(7000 + 100 * n + 10 * k + seed)
             horn = random_horn(cat, rng, n, k, witnessed=(seed % 2 == 0))
             obs = compute_obstruction(cat, horn)
-            filler = fill_inner(cat, horn)
+            filler = fill_horn(cat, horn)
             assert filler.top.is_zero()
             assert cat.differential(filler.face) == obs.U
             assert cat.differential(filler.top) == \
@@ -186,16 +215,9 @@ def test_inner_fill_never_consults_witnesses(three_term):
     rng = random.Random(8)
     horn = random_horn(three_term, rng, 3, 1, witnessed=False)
     reset_witness_calls()
-    filler = fill_inner(three_term, horn)
+    filler = fill_horn(three_term, horn)
     assert witness_call_count() == 0
     assert validate_simplex(three_term, complete_horn(horn, filler)) == []
-
-
-def test_fill_inner_rejects_outer(three_term):
-    rng = random.Random(9)
-    horn = random_horn(three_term, rng, 2, 0, witnessed=True)
-    with pytest.raises(ValueError):
-        fill_inner(three_term, horn)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +232,7 @@ def test_identity_outer_horn_fill(three_term):
     simplex = identity_simplex(three_term, obj, 3)
     horn = extract_horn(simplex, 0)
     obs = compute_obstruction(three_term, horn)
-    filler = fill_outer_zero(three_term, horn)
+    filler = fill_horn(three_term, horn)
     assert filler.face == -obs.V
     assert filler.top.is_zero()
     assert validate_simplex(three_term, complete_horn(horn, filler)) == []
@@ -222,7 +244,7 @@ def test_outer_zero_fills_solve_their_system(complexes, n):
         rng = random.Random(300 * n + seed)
         horn = random_horn(complexes, rng, n, 0, witnessed=True)
         obs = compute_obstruction(complexes, horn)
-        filler = fill_outer_zero(complexes, horn)
+        filler = fill_horn(complexes, horn)
         assert complexes.differential(filler.face) == obs.U
         assert complexes.differential(filler.top) == \
             complexes.compose(filler.face, obs.alpha) + obs.V
@@ -235,7 +257,7 @@ def test_outer_two_horn_star_fills(complexes):
     for seed in range(5):
         rng = random.Random(900 + seed)
         horn = random_horn(complexes, rng, 2, 0, witnessed=True)
-        filler = fill_outer_zero(complexes, horn)
+        filler = fill_horn(complexes, horn)
         completed = complete_horn(horn, filler)
         assert validate_simplex(complexes, completed) == []
         assert validate_star(complexes, completed) == []
@@ -251,7 +273,7 @@ def test_outer_fill_requires_witnessed_edge(three_term):
     assert validate_simplex(three_term, bad) == []
     horn = extract_horn(bad, 0)
     with pytest.raises(CannotFillOuterHorn) as exc:
-        fill_outer_zero(three_term, horn)
+        fill_horn(three_term, horn)
     assert "(0, 1)" in str(exc.value)
 
 
@@ -264,7 +286,7 @@ def test_identity_outer_n_horn_fill(three_term):
     (obj,) = three_term.objects
     simplex = identity_simplex(three_term, obj, 3)
     horn = extract_horn(simplex, 3)
-    filler = fill_outer_n(three_term, horn)
+    filler = fill_horn(three_term, horn)
     assert validate_simplex(three_term, complete_horn(horn, filler)) == []
 
 
@@ -280,9 +302,9 @@ def test_outer_n_fills_validate(complexes, n):
 def test_outer_n_is_opposite_of_outer_zero(complexes):
     rng = random.Random(77)
     horn = random_horn(complexes, rng, 3, 3, witnessed=True)
-    direct = fill_outer_n(complexes, horn)
+    direct = fill_horn(complexes, horn)
     via_op = opposite_filler(
-        fill_outer_zero(opposite(complexes), opposite_horn(horn)))
+        fill_horn(opposite(complexes), opposite_horn(horn)))
     assert direct == via_op
 
 
@@ -295,7 +317,7 @@ def test_outer_n_names_last_edge(three_term):
     bad = NerveSimplex(simplex.objects, cells)
     assert validate_simplex(three_term, bad) == []
     with pytest.raises(CannotFillOuterHorn) as exc:
-        fill_outer_n(three_term, extract_horn(bad, 2))
+        fill_horn(three_term, extract_horn(bad, 2))
     assert "(1, 2)" in str(exc.value)
 
 
@@ -477,6 +499,34 @@ def test_check_gp_inner_without_witnesses(three_term, k):
     for mode in modes.values():
         assert mode["fill_fail"] == 0 and mode["lift_fail"] == 0
         assert mode["witness_calls"] == 0
+
+
+def test_check_gp_records_failing_fills(doubled_unit):
+    # Every sampled outer horn fills to a simplex whose residuals fail; the
+    # trials are kept as data with their seeds.
+    report = check_gp(doubled_unit, 2, 0, trials=3, seed=1)
+    (mode,) = report["modes"]
+    assert (mode["fill_pass"], mode["fill_fail"]) == (0, 3)
+    assert (mode["lift_pass"], mode["lift_fail"]) == (0, 0)
+    assert [(f["trial"], f["stage"], f["seed"], f["detail"])
+            for f in mode["failures"]] == \
+        [(t, "fill_validate", _trial_seed(1, t, 0), "residual")
+         for t in range(3)]
+
+
+def test_check_gp_records_incompatible_horns(doubled_unit):
+    # On inner (3, 1) horns the present cells already break a residual, so
+    # filling raises and each trial fails at the fill stage.
+    report = check_gp(doubled_unit, 3, 1, trials=3, seed=1)
+    assert [m["mode"] for m in report["modes"]] == ["witnessed", "plain"]
+    for mode_index, mode in enumerate(report["modes"]):
+        assert (mode["fill_pass"], mode["fill_fail"]) == (0, 3)
+        assert (mode["lift_pass"], mode["lift_fail"]) == (0, 0)
+        assert [(f["trial"], f["stage"], f["seed"])
+                for f in mode["failures"]] == \
+            [(t, "fill", _trial_seed(1, t, mode_index)) for t in range(3)]
+        assert all(f["detail"].startswith("incompatible horn: residual@")
+                   for f in mode["failures"])
 
 
 def test_check_gp_rejects_one_dimensional_horns(three_term):

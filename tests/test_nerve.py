@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from dgnerve.dgcat import check_axioms
+from dgnerve.dgcat import Morphism, Violation, check_axioms
 from dgnerve.fixtures import fixture_by_name
 from dgnerve.horn import random_valid_simplex
 from dgnerve.laws import COCHAIN_DEGREES, random_cochain
@@ -235,6 +235,19 @@ def test_validate_flags_shape_problems(three_term):
     cells[(0, 2)] = three_term.zero(obj, obj, 3)
     report = validate_simplex(three_term, NerveSimplex(simplex.objects, cells))
     assert any(v.kind == "cell_degree" for v in report)
+
+
+def test_validate_flags_bad_vertices_and_ranks(three_term):
+    (obj,) = three_term.objects
+    assert validate_simplex(three_term, NerveSimplex((), {})) == \
+        [Violation("shape", ("objects",), "no vertices")]
+    assert validate_simplex(three_term, NerveSimplex((obj, "nowhere"), {})) \
+        == [Violation("shape", ("nowhere",), "unknown object")]
+    simplex = identity_simplex(three_term, obj, 2)
+    cells = dict(simplex.cells)
+    cells[(0, 2)] = Morphism(obj, obj, 0, cells[(0, 2)].coords[:-1])
+    report = validate_simplex(three_term, NerveSimplex(simplex.objects, cells))
+    assert report == [Violation("cell_rank", (0, 2), "wrong coordinate count")]
 
 
 def test_star_rejects_non_equivalence_edge(three_term):
