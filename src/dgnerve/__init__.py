@@ -23,14 +23,13 @@ from .dgcat import (ChainComplex, DgCategory, InvalidComplex, Morphism,
                     complex_from_dense, find_equivalence_witness,
                     make_complex_category, opposite, random_complex,
                     reset_witness_calls, witness_call_count)
-from .mc import (InvalidMCObject, MCElement, check_mc, mc_defect,
-                 promote_morphism, random_mc_element, reduce_category,
-                 reduce_morphism, tensor_with_ring, twist)
+from .mc import (InvalidMCObject, check_mc, mc_defect, promote_morphism,
+                 random_mc_element, reduce_category, reduce_morphism,
+                 tensor_with_ring, twist)
 from .nerve import (NerveCochain, NerveSimplex, PINNED, SignPattern,
                     all_sign_patterns, cells_cochain, cochain_compose,
                     cochain_differential, degeneracy, face,
-                    identity_simplex, interval_category, make_cochain,
-                    make_simplex, required_boundary, simplex_residual,
+                    identity_simplex, interval_category, required_boundary,
                     validate_simplex, validate_star)
 from .horn import (CannotFillOuterHorn, Filler, HornData, HornError,
                    IncompatibleHorn, InvalidReduction, Obstruction,

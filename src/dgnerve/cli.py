@@ -15,7 +15,7 @@ import os
 import pathlib
 import sys
 import tempfile
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import jsonio, laws
 from .dgcat import DgCategory, Violation, check_axioms

@@ -88,39 +88,6 @@ class Morphism:
     def in_ideal(self) -> bool:
         return all(c.in_ideal() for c in self.coords)
 
-    def _check_shape(self, other: "Morphism") -> None:
-        if (self.source, self.target, self.degree) != \
-                (other.source, other.target, other.degree):
-            raise ValueError(
-                f"morphism shape mismatch: "
-                f"{self.source}->{self.target} deg {self.degree} vs "
-                f"{other.source}->{other.target} deg {other.degree}")
-        if len(self.coords) != len(other.coords):
-            raise ValueError("morphism rank mismatch")
-
-    def __add__(self, other: "Morphism") -> "Morphism":
-        self._check_shape(other)
-        return Morphism(self.source, self.target, self.degree,
-                        tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Morphism") -> "Morphism":
-        self._check_shape(other)
-        return Morphism(self.source, self.target, self.degree,
-                        tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Morphism":
-        return Morphism(self.source, self.target, self.degree,
-                        tuple(-a for a in self.coords))
-
-    def scale(self, scalar: int | Fraction | RingElement) -> "Morphism":
-        if isinstance(scalar, int):
-            if scalar == 1:
-                return self
-            if scalar == -1:
-                return -self
-        return Morphism(self.source, self.target, self.degree,
-                        tuple(c * scalar for c in self.coords))
-
 
 @dataclass
 class DgCategory:
@@ -456,20 +423,22 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
         out.extend(Violation(kind, ident + basis, detail)
                    for ident, basis in sorted(found[n], key=order))
     report("d_squared", 1, "d(d(basis element)) is nonzero")
+    # the unit laws are checked only with units of the hom rank
+    units = {obj for obj, unit in ids.items()
+             if len(unit) == cat.rank(obj, obj, 0)}
     for obj in objects:
-        if obj in ids and cat.rank(obj, obj, 0) == len(ids[obj]):
-            if not MorphismSum(cat, obj, obj, 1).add_differential(
-                    cat.identity(obj)).is_zero():
-                out.append(Violation("unit_not_closed", (obj,),
-                                     "d(identity) is nonzero"))
+        if obj in units and not MorphismSum(cat, obj, obj, 1) \
+                .add_differential(cat.identity(obj)).is_zero():
+            out.append(Violation("unit_not_closed", (obj,),
+                                 "d(identity) is nonzero"))
     for (x, y, t), rank in sorted(cat.ranks.items()):   # 1∘f − f and f∘1 − f
         for j in range(rank):
             e = cat.basis_morphism(x, y, t, j)
-            if y in ids and not MorphismSum(cat, x, y, t).add_compose(
+            if y in units and not MorphismSum(cat, x, y, t).add_compose(
                     cat.identity(y), e).add(e, -1).is_zero():
                 out.append(Violation("unit_left", (x, y, t, j),
                                      "1∘f differs from f"))
-            if x in ids and not MorphismSum(cat, x, y, t).add_compose(
+            if x in units and not MorphismSum(cat, x, y, t).add_compose(
                     e, cat.identity(x)).add(e, -1).is_zero():
                 out.append(Violation("unit_right", (x, y, t, j),
                                      "f∘1 differs from f"))

@@ -90,10 +90,6 @@ class HornData:
     def missing(self) -> tuple[Seq, Seq]:
         return (self.missing_face, self.full_seq)
 
-    @property
-    def is_inner(self) -> bool:
-        return 0 < self.k < self.n
-
     def present_sequences(self) -> list[Seq]:
         skip = {self.missing_face, self.full_seq}
         return [s for s in increasing_sequences(self.n) if s not in skip]
@@ -260,7 +256,8 @@ def _solve_pair(obs: Obstruction, U: Morphism, V: Morphism) -> Filler:
     cat, n, alpha = obs.category, obs.n, obs.alpha
     if alpha is None:
         return Filler(n, obs.k, cat.zero(V.source, V.target, V.degree - 1),
-                      V.scale(-obs.sign))
+                      MorphismSum(cat, V.source, V.target, V.degree)
+                      .add(V, -obs.sign).result())
     try:
         w = find_equivalence_witness(cat, alpha)
     except NotEquivalence as exc:
@@ -304,8 +301,8 @@ def _mu(k: int) -> int:
 
 
 def _op_cell(cell: Morphism, k: int) -> Morphism:
-    flipped = Morphism(cell.target, cell.source, cell.degree, cell.coords)
-    return flipped if _mu(k) == 1 else flipped.scale(-1)
+    coords = cell.coords if _mu(k) == 1 else tuple(-c for c in cell.coords)
+    return Morphism(cell.target, cell.source, cell.degree, coords)
 
 
 def _op_cells(n: int, cells: Mapping[Seq, Morphism]) -> dict[Seq, Morphism]:
@@ -337,11 +334,6 @@ def opposite_filler(filler: Filler) -> Filler:
 
 
 # -- reduction helpers -----------------------------------------------------------
-
-def reduce_simplex(simplex: NerveSimplex) -> NerveSimplex:
-    return NerveSimplex(simplex.objects,
-                        {s: reduce_morphism(c) for s, c in simplex.cells.items()})
-
 
 def reduce_horn(horn: HornData) -> HornData:
     return HornData(horn.n, horn.k, horn.objects,

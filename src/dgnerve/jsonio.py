@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 from .dgcat import DgCategory, Morphism
 from .horn import Filler, HornData
-from .nerve import NerveSimplex, Seq, increasing_sequences
+from .nerve import NerveSimplex, Seq
 from .rings import (RingElement, SquareZeroRing, element_from_json,
                     element_to_json)
 

@@ -22,11 +22,10 @@ the ideal; twisting commutes with reduction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .dgcat import (BilTensor, DgCategory, Morphism, MorphismSum, SparseCols,
-                    Violation, sparsify)
+from .dgcat import (DgCategory, Morphism, MorphismSum, SparseCols, Violation,
+                    sparsify)
 from .rings import RATIONALS, RingElement, SquareZeroRing, reduce_mod_ideal
 
 from . import glin
@@ -34,14 +33,6 @@ from . import glin
 
 class InvalidMCObject(ValueError):
     """Raised when twisting by an element that fails the MC equation."""
-
-
-@dataclass(frozen=True)
-class MCElement:
-    """A degree-1 endomorphism attached to one object."""
-
-    obj: str
-    eta: Morphism
 
 
 # -- base change ---------------------------------------------------------------
@@ -111,19 +102,15 @@ def check_mc(cat: DgCategory, eta: Morphism) -> list[Violation]:
     return out
 
 
-def twist(cat: DgCategory, elements: Mapping[str, Morphism] | Iterable[MCElement],
-          *, validate: bool = True) -> DgCategory:
+def twist(cat: DgCategory, elements: Mapping[str, Morphism], *,
+          validate: bool = True) -> DgCategory:
     """The category with differentials twisted by the given MC family.
 
     Composition and units are untouched.  With ``validate`` (the default)
     each element must pass :func:`check_mc`; ``validate=False`` exists so
     the test suite can observe how invalid data breaks d² = 0.
     """
-    if isinstance(elements, Mapping):
-        family = dict(elements)
-    else:
-        family = {el.obj: el.eta for el in elements}
-    for obj, eta in family.items():
+    for obj, eta in elements.items():
         if obj not in cat.identities:
             raise InvalidMCObject(f"unknown object {obj!r}")
         if eta.source != obj or eta.target != obj or eta.degree != 1:
@@ -137,8 +124,8 @@ def twist(cat: DgCategory, elements: Mapping[str, Morphism] | Iterable[MCElement
         n = cat.rank(x, y, t)
         if n == 0 or cat.rank(x, y, t + 1) == 0:
             continue
-        eta_src = family.get(x)
-        eta_tgt = family.get(y)
+        eta_src = elements.get(x)
+        eta_tgt = elements.get(y)
         cols: SparseCols = {}
         sign = -1 if t % 2 else 1
         for j in range(n):

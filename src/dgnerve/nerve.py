@@ -100,12 +100,6 @@ class NerveSimplex:
             raise ValueError(f"simplex has no cell for {seq}") from None
 
 
-def make_simplex(objects: Sequence[str],
-                 cells: Mapping[Seq, Morphism]) -> NerveSimplex:
-    return NerveSimplex(tuple(objects),
-                        {tuple(k): v for k, v in cells.items()})
-
-
 def identity_simplex(cat: DgCategory, obj: str, n: int) -> NerveSimplex:
     """All vertices at ``obj``, identity edges, zero higher cells."""
     cells: dict[Seq, Morphism] = {}
@@ -184,12 +178,6 @@ def cell_residual(cat: DgCategory, objects: Sequence[str], getter: CellGetter,
     """R(seq) = d(cell(seq)) − required boundary, for simplex or horn data;
     zero exactly when the cell at ``seq`` satisfies its equation."""
     return _residual_sum(cat, getter, seq, signs).result()
-
-
-def simplex_residual(cat: DgCategory, simplex: NerveSimplex, seq: Seq,
-                     signs: SignPattern = PINNED) -> Morphism:
-    """R(seq) = d(α(seq)) − required boundary; zero on valid simplices."""
-    return cell_residual(cat, simplex.objects, simplex.cell, tuple(seq), signs)
 
 
 def cell_shape_violation(cat: DgCategory, objects: Sequence[str], seq: Seq,
@@ -327,31 +315,6 @@ class NerveCochain:
                         self.degree - (len(seq) - 1))
 
 
-def make_cochain(cat: DgCategory, source: NerveSimplex, target: NerveSimplex,
-                 degree: int, components: Mapping[Seq, Morphism]) -> NerveCochain:
-    """Normalize (drop zero components, check shapes) and build a cochain."""
-    if source.n != target.n:
-        raise ValueError("cochains require same-dimension simplices")
-    cleaned: dict[Seq, Morphism] = {}
-    for raw_seq, morphism in components.items():
-        seq = tuple(raw_seq)
-        k = len(seq) - 1
-        if k < 1:
-            raise ValueError("cochains have no vertex components")
-        want = (source.objects[seq[0]], target.objects[seq[-1]], degree - k)
-        got = (morphism.source, morphism.target, morphism.degree)
-        if want != got:
-            raise ValueError(f"component {seq} has shape {got}, wants {want}")
-        if not morphism.is_zero():
-            cleaned[seq] = morphism
-    return NerveCochain(source, target, degree, cleaned)
-
-
-def zero_cochain(source: NerveSimplex, target: NerveSimplex,
-                 degree: int) -> NerveCochain:
-    return NerveCochain(source, target, degree, {})
-
-
 def cells_cochain(simplex: NerveSimplex) -> NerveCochain:
     """A simplex's own cells, seen as a degree-1 cochain simplex → simplex."""
     return NerveCochain(simplex, simplex, 1, dict(simplex.cells))
@@ -451,7 +414,9 @@ def cochain_add(left: NerveCochain, right: NerveCochain) -> NerveCochain:
     components = dict(left.components)
     for seq, morphism in right.components.items():
         if seq in components:
-            total = components[seq] + morphism
+            coords = zip(components[seq].coords, morphism.coords, strict=True)
+            total = Morphism(morphism.source, morphism.target, morphism.degree,
+                             tuple(a + b for a, b in coords))
             if total.is_zero():
                 del components[seq]
             else:
@@ -462,6 +427,14 @@ def cochain_add(left: NerveCochain, right: NerveCochain) -> NerveCochain:
 
 
 def cochain_scale(cochain: NerveCochain, scalar) -> NerveCochain:
-    components = {seq: m.scale(scalar) for seq, m in cochain.components.items()}
+    """``scalar·cochain``; an int ±1 keeps or negates each coordinate and
+    any other scalar (a float too, read exactly) multiplies it."""
+    def scale(m: Morphism) -> Morphism:
+        if isinstance(scalar, int) and scalar in (1, -1):
+            coords = m.coords if scalar == 1 else tuple(-c for c in m.coords)
+        else:
+            coords = tuple(c * scalar for c in m.coords)
+        return Morphism(m.source, m.target, m.degree, coords)
+    components = {seq: scale(m) for seq, m in cochain.components.items()}
     return NerveCochain(cochain.source, cochain.target, cochain.degree,
                         {s: m for s, m in components.items() if not m.is_zero()})

@@ -45,9 +45,10 @@ from dgnerve.horn import (complete_horn, compute_obstruction, fill_horn,
                           reduce_horn)
 from dgnerve.laws import law_cochain_d_squared, law_cochain_leibniz
 from dgnerve.mc import check_mc, random_mc_element, reduce_category, twist
-from dgnerve.nerve import (PINNED, NerveSimplex, SignPattern,
-                           simplex_residual, validate_simplex, validate_star)
+from dgnerve.nerve import (PINNED, SignPattern, cell_residual,
+                           validate_simplex, validate_star)
 from dgnerve.rings import SquareZeroRing
+from lincomb import lin
 
 GRID = ((2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2))
 FIXTURES = standard_fixtures()
@@ -102,12 +103,12 @@ def anchor_reproduced(cat, signs: SignPattern, draws: int = 5) -> bool:
             degree = 1 - (len(seq) - 1)
             cells[seq] = cat.random_morphism(objects[seq[0]],
                                              objects[seq[-1]], degree, rng)
-        simplex = NerveSimplex(objects, cells)
-        residual = simplex_residual(cat, simplex, (0, 1, 2), signs)
-        hand = (cat.differential(cells[(0, 1, 2)])
-                - (cat.compose(cells[(1, 2)], cells[(0, 1)])
-                   - cells[(0, 2)]))
-        if not (residual - hand).is_zero():
+        residual = cell_residual(cat, objects, cells.__getitem__, (0, 1, 2),
+                                 signs)
+        hand = lin((1, cat.differential(cells[(0, 1, 2)])),
+                   (-1, cat.compose(cells[(1, 2)], cells[(0, 1)])),
+                   (1, cells[(0, 2)]))
+        if residual != hand:
             return False
     return True
 
@@ -159,10 +160,11 @@ def test_criterion_3_obstruction_identities(three_term, twisted):
             if not ambient.differential(obs.U).is_zero():
                 failures.append((n, k, trial, "dU"))
             if k in (0, n):
-                residual = (ambient.differential(obs.V)
-                            + ambient.compose(obs.U, obs.alpha))
+                residual = lin((1, ambient.differential(obs.V)),
+                               (1, ambient.compose(obs.U, obs.alpha)))
             else:
-                residual = ambient.differential(obs.V) + obs.U.scale(obs.sign)
+                residual = lin((1, ambient.differential(obs.V)),
+                               (obs.sign, obs.U))
             if not residual.is_zero():
                 failures.append((n, k, trial, "dV"))
     assert failures == []
@@ -272,7 +274,7 @@ def test_criterion_6_mc_twisting():
             for coord in range(rank1):
                 delta = [0] * rank1
                 delta[coord] = 1
-                mutant = eta + cat.morphism(obj, obj, 1, delta)
+                mutant = lin((1, eta), (1, cat.morphism(obj, obj, 1, delta)))
                 if not check_mc(cat, mutant):
                     equivalent += 1  # still on the MC locus: excluded
                     continue

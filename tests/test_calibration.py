@@ -20,9 +20,9 @@ from dgnerve.nerve import (
     PINNED,
     SignPattern,
     all_sign_patterns,
-    make_simplex,
-    simplex_residual,
+    cell_residual,
 )
+from lincomb import lin
 
 ANCHOR_TRIALS = 5
 LAW_TRIALS = 6
@@ -39,11 +39,11 @@ def anchor_holds(cat, signs):
             (0, 2): cat.random_morphism(obj, obj, 0, rng),
             (0, 1, 2): cat.random_morphism(obj, obj, -1, rng),
         }
-        simplex = make_simplex([obj] * 3, cells)
-        want = cat.differential(cells[(0, 1, 2)]) \
-            - cat.compose(cells[(1, 2)], cells[(0, 1)]) \
-            + cells[(0, 2)]
-        if simplex_residual(cat, simplex, (0, 1, 2), signs=signs) != want:
+        want = lin((1, cat.differential(cells[(0, 1, 2)])),
+                   (-1, cat.compose(cells[(1, 2)], cells[(0, 1)])),
+                   (1, cells[(0, 2)]))
+        if cell_residual(cat, [obj] * 3, cells.__getitem__, (0, 1, 2),
+                         signs) != want:
             return False
     return True
 

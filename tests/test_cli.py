@@ -23,10 +23,9 @@ from dgnerve.cli import build_parser, main
 from dgnerve.dgcat import Morphism
 from dgnerve.fixtures import (random_complex_category, standard_fixtures,
                               three_term_category)
-from dgnerve.horn import (HornData, IncompatibleHorn, check_horn,
-                          complete_horn, extract_horn, fill_horn, lift_filler,
-                          random_horn, reduce_filler, reduce_horn,
-                          _trial_seed)
+from dgnerve.horn import (IncompatibleHorn, check_horn, complete_horn,
+                          extract_horn, fill_horn, lift_filler, random_horn,
+                          reduce_filler, reduce_horn, _trial_seed)
 from dgnerve.mc import reduce_category, tensor_with_ring
 from dgnerve.nerve import (NerveSimplex, SignPattern, identity_simplex,
                            increasing_sequences)

@@ -45,6 +45,7 @@ from dgnerve.mc import (promote_morphism, reduce_category, reduce_morphism,
                         tensor_with_ring)
 from dgnerve.nerve import NerveSimplex, identity_simplex, validate_simplex, validate_star
 from dgnerve.rings import SquareZeroRing
+from lincomb import lin
 
 GRID = [(2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2)]
 
@@ -61,7 +62,7 @@ def test_extract_horn_combinatorics(three_term):
     assert horn.missing_face == (0, 2)
     assert horn.full_seq == (0, 1, 2)
     assert sorted(horn.cells) == [(0, 1), (1, 2)]
-    assert horn.is_inner
+    assert 0 < horn.k < horn.n
     assert check_horn(three_term, horn) == []
 
 
@@ -99,7 +100,7 @@ def test_check_horn_flags_incompatible_data(three_term):
                     for j in range(three_term.rank(obj, obj, -1)))
         if not three_term.differential(b).is_zero())
     cells = dict(horn.cells)
-    cells[(0, 1, 2)] = cells[(0, 1, 2)] + delta
+    cells[(0, 1, 2)] = lin((1, cells[(0, 1, 2)]), (1, delta))
     bad = HornData(horn.n, horn.k, horn.objects, cells)
     report = check_horn(three_term, bad)
     assert any(v.kind == "residual" for v in report)
@@ -163,12 +164,12 @@ def test_obstruction_identities_on_random_horns(three_term, complexes, n, k):
             assert ambient.differential(obs.U).is_zero()
             if k in (0, n):
                 assert obs.alpha is not None
-                assert (ambient.differential(obs.V)
-                        + ambient.compose(obs.U, obs.alpha)).is_zero()
+                assert lin((1, ambient.differential(obs.V)),
+                           (1, ambient.compose(obs.U, obs.alpha))).is_zero()
             else:
                 assert obs.sign == (-1) ** k
-                assert (ambient.differential(obs.V)
-                        + obs.U.scale(obs.sign)).is_zero()
+                assert lin((1, ambient.differential(obs.V)),
+                           (obs.sign, obs.U)).is_zero()
 
 
 def test_obstruction_degrees(three_term):
@@ -191,7 +192,7 @@ def test_identity_inner_horn_fill(three_term):
     horn = extract_horn(simplex, 1)
     obs = compute_obstruction(three_term, horn)
     filler = fill_horn(three_term, horn)
-    assert filler.face == obs.V.scale(-obs.sign)
+    assert filler.face == lin((-obs.sign, obs.V))
     assert filler.top.is_zero()
     assert validate_simplex(three_term, complete_horn(horn, filler)) == []
 
@@ -207,7 +208,7 @@ def test_inner_fills_validate_and_solve_system(three_term, complexes, n, k):
             assert filler.top.is_zero()
             assert cat.differential(filler.face) == obs.U
             assert cat.differential(filler.top) == \
-                filler.face.scale(obs.sign) + obs.V
+                lin((obs.sign, filler.face), (1, obs.V))
             assert validate_simplex(cat, complete_horn(horn, filler)) == []
 
 
@@ -233,7 +234,7 @@ def test_identity_outer_horn_fill(three_term):
     horn = extract_horn(simplex, 0)
     obs = compute_obstruction(three_term, horn)
     filler = fill_horn(three_term, horn)
-    assert filler.face == -obs.V
+    assert filler.face == lin((-1, obs.V))
     assert filler.top.is_zero()
     assert validate_simplex(three_term, complete_horn(horn, filler)) == []
 
@@ -247,7 +248,7 @@ def test_outer_zero_fills_solve_their_system(complexes, n):
         filler = fill_horn(complexes, horn)
         assert complexes.differential(filler.face) == obs.U
         assert complexes.differential(filler.top) == \
-            complexes.compose(filler.face, obs.alpha) + obs.V
+            lin((1, complexes.compose(filler.face, obs.alpha)), (1, obs.V))
         completed = complete_horn(horn, filler)
         assert validate_simplex(complexes, completed) == []
 
@@ -349,19 +350,19 @@ def _reference_fill_outer_zero(cat, horn):
         raise CannotFillOuterHorn(
             f"edge (0, 1) admits no equivalence witness: {exc}") from exc
     sgn = (-1) ** horn.n
-    face = cat.compose(obs.V, w.a).scale(-1) + cat.compose(obs.U, w.h).scale(sgn)
-    top = (cat.compose(face, cat.compose(w.h, alpha))
-           - cat.compose(face, cat.compose(alpha, w.g))
-           - cat.compose(obs.V, w.g)).scale(sgn)
+    face = lin((-1, cat.compose(obs.V, w.a)), (sgn, cat.compose(obs.U, w.h)))
+    top = lin((sgn, cat.compose(face, cat.compose(w.h, alpha))),
+              (-sgn, cat.compose(face, cat.compose(alpha, w.g))),
+              (-sgn, cat.compose(obs.V, w.g)))
     return Filler(horn.n, 0, top, face)
 
 
 def _reference_fill_horn(cat, horn):
     n = horn.n
-    if horn.is_inner:
+    if 0 < horn.k < n:
         obs = compute_obstruction(cat, horn)
         top = cat.zero(horn.objects[0], horn.objects[-1], 1 - n)
-        return Filler(n, horn.k, top, obs.V.scale(-obs.sign))
+        return Filler(n, horn.k, top, lin((-obs.sign, obs.V)))
     if horn.k == 0:
         return _reference_fill_outer_zero(cat, horn)
     try:
@@ -398,11 +399,13 @@ def _reference_lift_filler(cat, horn, filler_mod_ideal, lifts=None):
     else:
         top_l = promote_morphism(cat, filler_mod_ideal.top)
         face_l = promote_morphism(cat, filler_mod_ideal.face)
-    phi = cat.differential(face_l) - obs.U
+    phi = lin((1, cat.differential(face_l)), (-1, obs.U))
     if k == 0:
-        psi = cat.differential(top_l) - cat.compose(face_l, obs.alpha) - obs.V
+        psi = lin((1, cat.differential(top_l)),
+                  (-1, cat.compose(face_l, obs.alpha)), (-1, obs.V))
     else:
-        psi = cat.differential(top_l) - face_l.scale(obs.sign) - obs.V
+        psi = lin((1, cat.differential(top_l)), (-obs.sign, face_l),
+                  (-1, obs.V))
     if not (phi.in_ideal() and psi.in_ideal()):
         raise InvalidReduction(
             "mod-ideal filler does not solve the reduced horn equations")
@@ -413,15 +416,17 @@ def _reference_lift_filler(cat, horn, filler_mod_ideal, lifts=None):
             raise CannotFillOuterHorn(
                 f"edge (0, 1) admits no equivalence witness: {exc}") from exc
         sgn = (-1) ** n
-        eps_face = (cat.compose(psi, w.a).scale(-1)
-                    + cat.compose(phi, w.h).scale(sgn))
-        eps_top = (cat.compose(eps_face, cat.compose(w.h, obs.alpha))
-                   - cat.compose(eps_face, cat.compose(obs.alpha, w.g))
-                   - cat.compose(psi, w.g)).scale(sgn)
+        eps_face = lin((-1, cat.compose(psi, w.a)),
+                       (sgn, cat.compose(phi, w.h)))
+        eps_top = lin(
+            (sgn, cat.compose(eps_face, cat.compose(w.h, obs.alpha))),
+            (-sgn, cat.compose(eps_face, cat.compose(obs.alpha, w.g))),
+            (-sgn, cat.compose(psi, w.g)))
     else:
-        eps_face = psi.scale(-obs.sign)
+        eps_face = lin((-obs.sign, psi))
         eps_top = cat.zero(top_l.source, top_l.target, top_l.degree)
-    return Filler(n, k, top_l - eps_top, face_l - eps_face)
+    return Filler(n, k, lin((1, top_l), (-1, eps_top)),
+                  lin((1, face_l), (-1, eps_face)))
 
 
 def _outcome(solve, *args, **kwargs):
@@ -450,9 +455,10 @@ def test_fill_and_lift_match_reference(three_term, complexes, rank, n, k):
                         _outcome(_reference_fill_horn, cat, h)
                 own = Filler(n, k, simplex.cell(horn.full_seq),
                              simplex.cell(horn.missing_face))
-                noisy = Filler(n, k, *(cell + big.random_morphism(
-                    cell.source, cell.target, cell.degree, rng,
-                    ideal_only=True) for cell in (own.top, own.face)))
+                noisy = Filler(n, k, *(
+                    lin((1, cell), (1, big.random_morphism(
+                        cell.source, cell.target, cell.degree, rng,
+                        ideal_only=True))) for cell in (own.top, own.face)))
                 starts = [(reduce_filler(noisy), noisy)]
                 red_filler = _outcome(fill_horn, red, reduce_horn(horn))
                 if isinstance(red_filler, Filler):

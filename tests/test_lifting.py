@@ -29,12 +29,12 @@ from dgnerve.horn import (
     random_valid_simplex,
     reduce_filler,
     reduce_horn,
-    reduce_simplex,
     promote_filler,
 )
 from dgnerve.mc import reduce_category, reduce_morphism, tensor_with_ring
 from dgnerve.nerve import NerveSimplex, identity_simplex, validate_simplex
 from dgnerve.rings import SquareZeroRing
+from lincomb import lin
 
 GRID = [(2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2)]
 
@@ -56,8 +56,8 @@ def ideal_noise_filler(cat, filler, rng):
                                 filler.top.degree, rng, ideal_only=True)
     d_face = cat.random_morphism(filler.face.source, filler.face.target,
                                  filler.face.degree, rng, ideal_only=True)
-    return Filler(filler.n, filler.k, filler.top + d_top,
-                  filler.face + d_face)
+    return Filler(filler.n, filler.k, lin((1, filler.top), (1, d_top)),
+                  lin((1, filler.face), (1, d_face)))
 
 
 def assert_reduces_to(lifted, red_filler):
@@ -119,23 +119,23 @@ def test_correction_equations_by_substitution(towers, n, k):
         if obs.op_reduced:  # k = n: the equations live in the opposite
             assert k == n and obs.alpha is not None
             lifts, lifted = opposite_filler(lifts), opposite_filler(lifted)
-        eps_face = lifts.face - lifted.face
-        eps_top = lifts.top - lifted.top
-        phi = cat.differential(lifts.face) - obs.U
+        eps_face = lin((1, lifts.face), (-1, lifted.face))
+        eps_top = lin((1, lifts.top), (-1, lifted.top))
+        phi = lin((1, cat.differential(lifts.face)), (-1, obs.U))
         assert phi.in_ideal()
         assert cat.differential(eps_face) == phi
         if k in (0, n):
-            psi = cat.differential(lifts.top) \
-                - cat.compose(lifts.face, obs.alpha) - obs.V
+            psi = lin((1, cat.differential(lifts.top)),
+                      (-1, cat.compose(lifts.face, obs.alpha)), (-1, obs.V))
             assert psi.in_ideal()
             assert cat.differential(eps_top) == \
-                cat.compose(eps_face, obs.alpha) + psi
+                lin((1, cat.compose(eps_face, obs.alpha)), (1, psi))
         else:
-            psi = cat.differential(lifts.top) \
-                - lifts.face.scale(obs.sign) - obs.V
+            psi = lin((1, cat.differential(lifts.top)),
+                      (-obs.sign, lifts.face), (-1, obs.V))
             assert psi.in_ideal()
             assert cat.differential(eps_top) == \
-                eps_face.scale(obs.sign) + psi
+                lin((obs.sign, eps_face), (1, psi))
 
 
 def test_inner_lift_corrections_touch_only_the_face(towers):
@@ -167,7 +167,7 @@ def test_garbage_mod_ideal_filler_is_rejected(towers):
                     for j in range(red.rank(obj, obj, red_filler.face.degree)))
         if not red.differential(b).is_zero())
     bad = Filler(red_filler.n, red_filler.k,
-                 red_filler.top, red_filler.face + delta)
+                 red_filler.top, lin((1, red_filler.face), (1, delta)))
     with pytest.raises(InvalidReduction):
         lift_filler(big, horn, bad)
 
@@ -182,7 +182,8 @@ def test_mismatched_lifts_are_rejected(towers):
         lifts.face.source, lifts.face.target, lifts.face.degree,
         [1] * big.rank(lifts.face.source, lifts.face.target,
                        lifts.face.degree))
-    shifted = Filler(lifts.n, lifts.k, lifts.top, lifts.face + body_shift)
+    shifted = Filler(lifts.n, lifts.k, lifts.top,
+                     lin((1, lifts.face), (1, body_shift)))
     with pytest.raises(InvalidReduction):
         lift_filler(big, horn, red_filler, lifts=shifted)
 
@@ -241,7 +242,8 @@ def test_reduce_simplex_validates(towers):
     big, red = towers[2]
     rng = random.Random(60)
     simplex = random_valid_simplex(big, rng, 3, witnessed=True)
-    assert validate_simplex(red, reduce_simplex(simplex)) == []
+    cells = {s: reduce_morphism(c) for s, c in simplex.cells.items()}
+    assert validate_simplex(red, NerveSimplex(simplex.objects, cells)) == []
 
 
 def test_promote_then_reduce_filler(towers):

@@ -25,6 +25,7 @@ from dgnerve.nerve import (PINNED, NerveCochain, cells_cochain,
                            cochain_compose, cochain_differential,
                            increasing_sequences, required_boundary)
 from dgnerve.rings import SquareZeroRing, random_element
+from lincomb import lin
 
 
 # -- the Fraction-loop oracles -------------------------------------------------
@@ -69,21 +70,21 @@ def _reference_compose(cat, outer, inner):
 
 def _reference_required_boundary(cat, objects, getter, seq, signs=PINNED):
     k = len(seq) - 1
-    total = cat.zero(objects[seq[0]], objects[seq[-1]], 2 - k)
+    terms = [(1, cat.zero(objects[seq[0]], objects[seq[-1]], 2 - k))]
     for p in range(1, k):
         face = seq[:p] + seq[p + 1:]
-        total = total + getter(face).scale(signs.face_sign(p, k))
+        terms.append((signs.face_sign(p, k), getter(face)))
         top, bot = seq[p:], seq[:p + 1]
         cut = _reference_compose(cat, getter(top), getter(bot))
-        total = total + cut.scale(signs.cut_sign(p, k) * (-1) ** (k - p))
-    return total
+        terms.append((signs.cut_sign(p, k) * (-1) ** (k - p), cut))
+    return lin(*terms)
 
 
 def _reference_convolve_component(cat, outer, inner, seq, signs):
     k = len(seq) - 1
     degree = outer.degree + inner.degree - k
-    acc = cat.zero(inner.source.objects[seq[0]],
-                   outer.target.objects[seq[-1]], degree)
+    terms = [(1, cat.zero(inner.source.objects[seq[0]],
+                          outer.target.objects[seq[-1]], degree))]
     for p in range(1, k):
         top, bot = seq[p:], seq[:p + 1]
         outer_part = outer.component(cat, top)
@@ -93,8 +94,8 @@ def _reference_convolve_component(cat, outer, inner, seq, signs):
         if inner_part.is_zero():
             continue
         sign = signs.cut_sign(p, k) * (-1) ** (inner.degree * (k - p))
-        acc = acc + _reference_compose(cat, outer_part, inner_part).scale(sign)
-    return acc
+        terms.append((sign, _reference_compose(cat, outer_part, inner_part)))
+    return lin(*terms)
 
 
 def _reference_cochain_differential(cat, cochain, signs=PINNED):
@@ -104,20 +105,22 @@ def _reference_cochain_differential(cat, cochain, signs=PINNED):
     components = {}
     for seq in increasing_sequences(cochain.n):
         k = len(seq) - 1
-        value = _reference_differential(cat, cochain.component(cat, seq))
+        terms = [(1, _reference_differential(cat,
+                                             cochain.component(cat, seq)))]
         for p in range(1, k):
             face_seq = seq[:p] + seq[p + 1:]
             part = cochain.component(cat, face_seq)
             if not part.is_zero():
-                value = value + part.scale((-1) ** t * signs.face_sign(p, k))
+                terms.append(((-1) ** t * signs.face_sign(p, k), part))
         g_eta = _reference_convolve_component(cat, g_cells, cochain, seq,
                                               signs)
         if not g_eta.is_zero():
-            value = value - g_eta
+            terms.append((-1, g_eta))
         eta_f = _reference_convolve_component(cat, cochain, f_cells, seq,
                                               signs)
         if not eta_f.is_zero():
-            value = value + eta_f.scale((-1) ** t)
+            terms.append(((-1) ** t, eta_f))
+        value = lin(*terms)
         if not value.is_zero():
             components[seq] = value
     return NerveCochain(cochain.source, cochain.target, t + 1, components)
@@ -197,13 +200,13 @@ def random_terms(cat, rng, count):
 
 
 def reference_sum(cat, block, terms):
-    total = cat.zero(*block)
+    parts = [(1, cat.zero(*block))]
     for kind, args, sign in terms:
         term = {"add": lambda f: f,
                 "diff": lambda f: _reference_differential(cat, f),
                 "compose": lambda g, f: _reference_compose(cat, g, f)}[kind]
-        total = total + term(*args).scale(sign)
-    return total
+        parts.append((sign, term(*args)))
+    return lin(*parts)
 
 
 def kernel_sum(cat, block, terms):

@@ -20,6 +20,7 @@ from dgnerve.horn import random_valid_simplex
 from dgnerve.laws import COCHAIN_DEGREES, random_cochain
 from dgnerve.mc import tensor_with_ring
 from dgnerve.nerve import (
+    NerveCochain,
     NerveSimplex,
     cell_residual,
     cells_cochain,
@@ -33,14 +34,11 @@ from dgnerve.nerve import (
     identity_simplex,
     increasing_sequences,
     interval_category,
-    make_cochain,
-    make_simplex,
-    simplex_residual,
     validate_simplex,
     validate_star,
-    zero_cochain,
 )
 from dgnerve.rings import SquareZeroRing
+from lincomb import lin
 
 
 def is_zero_cochain(cochain):
@@ -94,20 +92,18 @@ def test_residual_anchor_formula(three_term, rng):
         (0, 2): three_term.random_morphism(obj, obj, 0, rng),
         (0, 1, 2): three_term.random_morphism(obj, obj, -1, rng),
     }
-    simplex = make_simplex([obj] * 3, cells)
-    got = simplex_residual(three_term, simplex, (0, 1, 2))
-    want = three_term.differential(cells[(0, 1, 2)]) \
-        - three_term.compose(cells[(1, 2)], cells[(0, 1)]) \
-        + cells[(0, 2)]
+    got = cell_residual(three_term, [obj] * 3, cells.__getitem__, (0, 1, 2))
+    want = lin((1, three_term.differential(cells[(0, 1, 2)])),
+               (-1, three_term.compose(cells[(1, 2)], cells[(0, 1)])),
+               (1, cells[(0, 2)]))
     assert got == want
 
 
 def test_edge_residual_is_differential(three_term, rng):
     (obj,) = three_term.objects
     edge = three_term.random_morphism(obj, obj, 0, rng)
-    simplex = make_simplex([obj] * 2, {(0, 1): edge})
-    assert simplex_residual(three_term, simplex, (0, 1)) == \
-        three_term.differential(edge)
+    assert cell_residual(three_term, [obj] * 2, {(0, 1): edge}.__getitem__,
+                         (0, 1)) == three_term.differential(edge)
 
 
 # R(s) written out term by term for k ≤ 4, without SignPattern: the dg-nerve
@@ -130,12 +126,11 @@ def hand_residual(cat, cells, seq):
     def cell(positions):
         return cells[tuple(seq[i] for i in positions)]
 
-    total = cat.differential(cells[seq])
+    terms = [(1, cat.differential(cells[seq]))]
     for sign, *parts in HAND_RESIDUAL_TERMS[len(seq) - 1]:
-        term = cell(parts[0]) if len(parts) == 1 else \
-            cat.compose(cell(parts[0]), cell(parts[1]))
-        total = total + term if sign > 0 else total - term
-    return total
+        terms.append((sign, cell(parts[0]) if len(parts) == 1 else
+                      cat.compose(cell(parts[0]), cell(parts[1]))))
+    return lin(*terms)
 
 
 @pytest.mark.parametrize("rank", [0, 1])
@@ -156,8 +151,8 @@ def test_residual_matches_hand_expansion(name, rank):
         for _ in range(2):                    # corrupt two random cells
             seq = rng.choice(increasing_sequences(n))
             cell = cells[seq]
-            cells[seq] = cell + cat.random_morphism(
-                cell.source, cell.target, cell.degree, rng)
+            cells[seq] = lin((1, cell), (1, cat.random_morphism(
+                cell.source, cell.target, cell.degree, rng)))
         for seq in increasing_sequences(n):
             got = cell_residual(cat, simplex.objects, cells.__getitem__, seq)
             assert got == hand_residual(cat, cells, seq)
@@ -197,7 +192,7 @@ def test_corrupted_top_cell_reports_only_itself(three_term):
                     for j in range(three_term.rank(obj, obj, -2)))
         if not three_term.differential(b).is_zero())
     cells = dict(simplex.cells)
-    cells[(0, 1, 2, 3)] = cells[(0, 1, 2, 3)] + delta
+    cells[(0, 1, 2, 3)] = lin((1, cells[(0, 1, 2, 3)]), (1, delta))
     bad = NerveSimplex(simplex.objects, cells)
     report = validate_simplex(three_term, bad)
     assert [(v.kind, v.location) for v in report] == \
@@ -216,7 +211,7 @@ def test_corrupted_interior_cell_reports_containing_sequences(three_term):
         if not three_term.differential(b).is_zero()
         and not three_term.compose(simplex.cell((2, 3)), b).is_zero())
     cells = dict(simplex.cells)
-    cells[(0, 1, 2)] = cells[(0, 1, 2)] + delta
+    cells[(0, 1, 2)] = lin((1, cells[(0, 1, 2)]), (1, delta))
     bad = NerveSimplex(simplex.objects, cells)
     report = validate_simplex(three_term, bad)
     assert sorted(v.location for v in report if v.kind == "residual") == \
@@ -328,13 +323,12 @@ def test_cochain_differential_hand_values(three_term):
     for degree in (-1, 0, 1):
         for j in range(three_term.rank(obj, obj, degree)):
             v = three_term.basis_morphism(obj, obj, degree, j)
-            eta = make_cochain(three_term, simplex, simplex, degree + 1,
-                               {(0, 1): v})
+            eta = NerveCochain(simplex, simplex, degree + 1, {(0, 1): v})
             d_eta = cochain_differential(three_term, eta)
             assert d_eta.component(three_term, (0, 1)) == \
                 three_term.differential(v)
             assert d_eta.component(three_term, (0, 1, 2)) == \
-                v.scale((-1) ** (degree + 1))
+                lin(((-1) ** (degree + 1), v))
             assert d_eta.component(three_term, (1, 2)).is_zero()
             assert d_eta.component(three_term, (0, 2)).is_zero()
 
@@ -343,7 +337,7 @@ def test_differential_of_zero_cochain(three_term):
     (obj,) = three_term.objects
     simplex = identity_simplex(three_term, obj, 3)
     d_zero = cochain_differential(
-        three_term, zero_cochain(simplex, simplex, 0))
+        three_term, NerveCochain(simplex, simplex, 0))
     assert is_zero_cochain(d_zero)
 
 
@@ -381,13 +375,25 @@ def test_leibniz_on_random_pairs(three_term, n):
         assert cochain_equal(lhs, rhs)
 
 
+def test_cochain_scale_reads_float_signs_exactly(three_term):
+    # (−1) ** degree is the float −1.0 at degree −1, and callers pass it.
+    rng = random.Random(73)
+    f = random_valid_simplex(three_term, rng, 2, witnessed=False)
+    g = random_valid_simplex(three_term, rng, 2, witnessed=False)
+    c = random_cochain(three_term, rng, f, g, -1)
+    assert c.components and (-1) ** c.degree == -1.0
+    assert cochain_scale(c, -1.0) == cochain_scale(c, -1)
+    assert cochain_scale(c, 1) == c
+    assert cochain_add(c, cochain_scale(c, -1)).components == {}
+
+
 def test_compose_with_zero(three_term):
     rng = random.Random(70)
     f = random_valid_simplex(three_term, rng, 2, witnessed=False)
     g = random_valid_simplex(three_term, rng, 2, witnessed=False)
     h = random_valid_simplex(three_term, rng, 2, witnessed=False)
     eta = random_cochain(three_term, rng, g, h, 1)
-    z = zero_cochain(f, g, 0)
+    z = NerveCochain(f, g, 0)
     assert is_zero_cochain(cochain_compose(three_term, eta, z))
 
 
@@ -416,14 +422,3 @@ def test_compose_requires_matching_middle(three_term):
         pytest.skip("samples coincide; cannot exercise the mismatch guard")
     with pytest.raises(ValueError):
         cochain_compose(three_term, eta, phi)
-
-
-def test_make_cochain_guards(three_term):
-    (obj,) = three_term.objects
-    simplex = identity_simplex(three_term, obj, 2)
-    with pytest.raises(ValueError):
-        make_cochain(three_term, simplex, simplex, 0,
-                     {(0,): three_term.zero(obj, obj, 0)})
-    with pytest.raises(ValueError):
-        make_cochain(three_term, simplex, simplex, 0,
-                     {(0, 1): three_term.zero(obj, obj, 5)})
