@@ -28,14 +28,16 @@ layers of each ``RingElement`` coordinate and structure constant (see
 :mod:`dgnerve.rings`) and multiplies and adds them as Python ints.  A sum
 that is only tested for zero is tested on the accumulator; a ``Morphism``
 is built only for sums that are kept.  d² = 0, Leibniz and associativity
-are one sparse join of structure constants, and the equivalence-witness
-system is read straight from the structure blocks.
+are one sparse join of structure constants over one denominator, each
+identity coordinate keyed by one int; the equivalence-witness system is
+read straight from the structure blocks.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -321,80 +323,82 @@ def _index_range(cat: DgCategory) -> Iterable[Violation]:
                                     "comp index outside the hom rank")
 
 
-def _read(cat: DgCategory) -> tuple[dict, dict, list]:
-    """Every structure entry as integer layers over its block's denominator:
-    the blocks of each source object, and each entry under the hom block and
-    index of its result; hom blocks are numbered, so table keys hash fast."""
-    width, by_source, by_result, ids = cat.ring.ideal_rank + 1, {}, {}, {}
-
-    def hom(*block: object) -> int:
-        return ids.setdefault(block, len(ids))
-    for key, block in itertools.chain(cat.diffs.items(), cat.comps.items()):
-        consts = [a for entries in block.values() for _, a in entries]
-        if any(len(a.nums) != width for a in consts):
-            raise ValueError("ring elements of different ideal rank")
-        den = lcm(*(a.den for a in consts))
-        entries = [(b if isinstance(b, tuple) else (b,), r,
-                    [v * (den // a.den) for v in a.nums])
-                   for b, block_entries in block.items()
-                   for r, a in block_entries if any(a.nums)]
+def _read(cat: DgCategory) -> tuple[dict, dict, tuple]:
+    """Every nonzero structure entry, numbered, as integer layers over one
+    denominator: the entries of each source object's blocks, and each entry
+    under the number of its result, with its code times ``rows`` and the
+    factor ``mult`` that puts one more digit in front of that code."""
+    width, homs = cat.ring.ideal_rank + 1, list(cat.ranks)
+    starts = [0, *itertools.accumulate(max(r, 0) for r in cat.ranks.values())]
+    start, radix = dict(zip(homs, starts)), starts.pop() + 1
+    rows = width * max(cat.ranks.values(), default=0)
+    structure = [*cat.diffs.items(), *cat.comps.items()]
+    consts = [a for _, block in structure
+              for entries in block.values() for _, a in entries]
+    if any(len(a.nums) != width for a in consts):
+        raise ValueError("ring elements of different ideal rank")
+    den, by_source, by_result = lcm(*(a.den for a in consts)), {}, {}
+    for key, block in structure:      # (digit g + 1, or 0 for d; f; row; a)
         if len(key) == 3:                     # d(f) is one degree above f
             x, y, t = key
-            homs, result = (hom(x, y, t),), hom(x, y, t + 1)
+            f, result = start.get((x, y, t), 0), start.get((x, y, t + 1), 0)
+            numbered = [(0, f + j, r, a) for j, entries in block.items()
+                        for r, a in entries]
+            sign, mult = 1, radix * rows
         else:                                 # g∘f is in degree |g| + |f|
             x, y, z, s, t = key
-            homs, result = (hom(x, y, s), hom(y, z, t)), hom(x, z, s + t)
-        by_source.setdefault(x, []).append((homs, t, den, entries))
-        for b, r, layers in entries:
-            by_result.setdefault((result, r), []).append(
-                (homs, b, layers, den))
-    return by_source, by_result, list(ids)
+            f, g, result = start.get((x, y, s), 0), start.get((y, z, t), 0), \
+                start.get((x, z, s + t), 0)
+            numbered = [(g + i + 1, f + j, r, a)
+                        for (i, j), entries in block.items() for r, a in entries]
+            sign, mult = 1 if t % 2 else -1, radix * radix * rows
+        scaled = [(head, n, r, a.nums if a.den == den
+                   else [v * (den // a.den) for v in a.nums])
+                  for head, n, r, a in numbered if any(a.nums)]
+        by_source.setdefault(x, []).append(
+            (sign, [(head, n, r * width, c) for head, n, r, c in scaled]))
+        for head, n, r, c in scaled:
+            by_result.setdefault(result + r, []).append(
+                ((head * radix + n + 1) * rows, mult, len(key) == 3, c))
+    return by_source, by_result, (radix, rows, starts, homs)
 
 
-def _join(blocks: list, by_result: Mapping) -> dict:
+def _join(blocks: list, by_result: Mapping, radix: int, rows: int) -> dict:
     """Every product of an entry of ``blocks`` (applied last) with one whose
-    result it takes in, added under (the identity's hom block numbers, basis
-    tuple, coordinate, layer, product of the two blocks' denominators)."""
+    result it takes in, added under the identity's key; the body layer of a
+    product is a₀c₀ and each ideal layer a₀c_k + a_kc₀ (ε·ε terms vanish)."""
     table: dict = defaultdict(int)
-    for last, t, den, entries in blocks:
-        if len(last) == 1:                    # d(d(f)) and d(g∘f)
-            for (j,), q, c in entries:
-                for homs, b, a, a_den in by_result.get((last[0], j), ()):
-                    for k, v in enumerate(_product(a, c)):
-                        table[homs, b, q, k, a_den * den] += v
-            continue
-        (inner, outer), sign = last, 1 if t % 2 else -1
-        for (i, j), q, c in entries:
-            # −(h∘g)∘f and −d(g)∘f: i is the result of h∘g or d(g)
-            for homs, b, a, a_den in by_result.get((outer, i), ()):
-                for k, v in enumerate(_product(a, c)):
-                    table[(inner,) + homs, b + (j,), q, k, a_den * den] -= v
-            # h∘(g∘f) and −(−1)^{|g|} g∘d(f): j is the result of g∘f or d(f)
-            for homs, b, a, a_den in by_result.get((inner, j), ()):
-                for k, v in enumerate(_product(a, c)):
-                    table[homs + (outer,), (i,) + b, q, k, a_den * den] += \
-                        v if len(homs) == 2 else sign * v
+    for sign, entries in blocks:
+        for head, f, rw, c in entries:
+            c0, width, tail = c[0], len(c), (f + 1) * rows + rw
+            # −(h∘g)∘f and −d(g)∘f: g = head − 1 is the result of h∘g or d(g)
+            # (head is 0 when d is applied last, and no entry has result −1)
+            for pre, _, _, a in by_result.get(head - 1, ()):
+                key, a0 = pre * radix + tail, a[0]
+                table[key] -= a0 * c0
+                for k in range(1, width):
+                    table[key + k] -= a0 * c[k] + a[k] * c0
+            # d(d(f)), d(g∘f), h∘(g∘f) and −(−1)^{|g|} g∘d(f): f is the
+            # result of d(f) or g∘f
+            for pre, mult, d, a in by_result.get(f, ()):
+                key, a0, s = head * mult + pre + rw, a[0], sign if d else 1
+                table[key] += s * a0 * c0
+                for k in range(1, width):
+                    table[key + k] += s * (a0 * c[k] + a[k] * c0)
     return table
-
-
-def _failing(table: Mapping) -> set:
-    """(hom block numbers, basis tuple) of the identities with a nonzero
-    entry; a coordinate held under several denominators is summed first."""
-    by_den: dict = defaultdict(dict)
-    for key, v in table.items():
-        if v:
-            by_den[key[:4]][key[4]] = v
-    return {key[:2] for key, nums in by_den.items()
-            if sum(v * (lcm(*nums) // den) for den, v in nums.items())}
 
 
 def check_axioms(cat: DgCategory) -> list[Violation]:
     """Every broken dg-category identity, as data.  d² = 0, Leibniz and
     associativity join the nonzero structure entries on their shared index,
     one table per source object, so the cost is the count of nonzero
-    structure products.  Unit laws are one :class:`MorphismSum` per basis
-    element.  An entry with an index outside its hom block is reported as
-    ``index_range`` and no identity is checked."""
+    structure products.  The constants are put over their lcm and a table
+    key is one int: the digits g + 1 of the identity's basis elements
+    (numbered in ``cat.ranks`` order) in radix N + 1, then coordinate and
+    layer; only the nonzero keys are decoded.  Unit laws are one
+    :class:`MorphismSum` per basis element.  An entry with an index outside
+    its hom block is reported as ``index_range`` and no identity is
+    checked."""
     out: list[Violation] = []
     objects, ids = cat.objects, cat.identities
     for obj in objects:
@@ -408,11 +412,17 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
     if bad_indices:
         return out + bad_indices
     pos = {x: n for n, x in enumerate(objects)}
-    by_source, by_result, hom_blocks = _read(cat)
+    by_source, by_result, (radix, rows, starts, hom_blocks) = _read(cat)
     found = defaultdict(list)       # hom-block count → (identity, basis)
     for blocks in by_source.values():     # one table per source object
-        for numbers, basis in _failing(_join(blocks, by_result)):
-            homs = [hom_blocks[h] for h in numbers]
+        table = _join(blocks, by_result, radix, rows)
+        for code in {key // rows for key, v in table.items() if v}:
+            homs, basis = [], ()
+            while code:                       # the digit of f comes first
+                code, g = divmod(code, radix)
+                n = bisect_right(starts, g - 1) - 1
+                homs.append(hom_blocks[n])
+                basis = (g - 1 - starts[n],) + basis
             objs = (homs[0][0], *(hom[1] for hom in homs))
             # d² holds on every block; the other laws on chains of objects
             if len(homs) == 1 or all(o in pos for o in objs):
