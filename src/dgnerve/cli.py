@@ -98,7 +98,7 @@ def _load_doc(path: str) -> Mapping:
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=jsonio.unique_keys)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}: invalid JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}") from exc

@@ -639,23 +639,19 @@ def random_complex(ring: SquareZeroRing, rng: random.Random, *,
         dims[rng.choice(degrees)] += 1
     dims = {i: n for i, n in dims.items() if n > 0}
 
-    # split structure: at each degree mark slots as free / source / target
+    # split structure: degrees are visited in increasing order, so the
+    # targets at degree i are its first ``used`` slots and its sources the
+    # ``arrows`` slots after them, each sent to the same-numbered slot of i + 1
     source_of: dict[int, list[tuple[int, int]]] = {}
-    taken_targets: dict[int, set[int]] = {i: set() for i in dims}
-    taken_sources: dict[int, set[int]] = {i: set() for i in dims}
+    used = 0
     for i in sorted(dims):
         if i + 1 not in dims:
+            used = 0
             continue
-        free_here = [s for s in range(dims[i])
-                     if s not in taken_targets[i] and s not in taken_sources[i]]
-        free_up = [s for s in range(dims[i + 1]) if s not in taken_targets[i + 1]]
-        arrows = rng.randint(0, min(len(free_here), len(free_up)))
-        pairs = list(zip(free_here[:arrows], free_up[:arrows]))
-        if pairs:
-            source_of[i] = pairs
-            for s, t in pairs:
-                taken_sources[i].add(s)
-                taken_targets[i + 1].add(t)
+        arrows = rng.randint(0, min(dims[i] - used, dims[i + 1]))
+        if arrows:
+            source_of[i] = [(used + t, t) for t in range(arrows)]
+        used = arrows
 
     # random invertible change of basis per degree: L·U with ±1 diagonal
     def random_invertible(n: int) -> list[list[int]]:

@@ -418,16 +418,14 @@ def _random_edge_simplex(cat: DgCategory, rng: random.Random,
     Y = rng.choice(cat.objects)
     ncols = cat.rank(X, Y, 0)
     edge = MorphismSum(cat, X, Y, 0)
-    if ncols:
-        matrix = cat.dense_differential(X, Y, 0)
-        if matrix:
-            basis = nullspace(matrix, cat.ring)
-        else:
-            basis = [cat.basis_morphism(X, Y, 0, j).coords
-                     for j in range(ncols)]
-        for _ in range(2 if basis else 0):
-            vec = Morphism(X, Y, 0, tuple(rng.choice(basis)))
-            edge.add(vec, rng.choice((0, 1, 1, -1, 2)))
+    matrix = cat.dense_differential(X, Y, 0)
+    if matrix:
+        basis = nullspace(matrix, cat.ring)
+    else:   # hom(X, Y)₁ = 0: body unit vectors only, not their ε-multiples
+        basis = [cat.basis_morphism(X, Y, 0, j).coords for j in range(ncols)]
+    for _ in range(2 if basis else 0):
+        vec = Morphism(X, Y, 0, tuple(rng.choice(basis)))
+        edge.add(vec, rng.choice((0, 1, 1, -1, 2)))
     return NerveSimplex((X, Y), {(0, 1): edge.result()})
 
 
@@ -456,7 +454,8 @@ def random_valid_simplex(cat: DgCategory, rng: random.Random, n: int, *,
     cells = dict(simplex.cells)
     full = tuple(range(n + 1))
     first, last = objects[0], objects[-1]
-    top = MorphismSum(cat, first, last, 1 - n).add(cells[full])
+    # the degenerate top cell spans both copies of a vertex, so it is zero
+    top = MorphismSum(cat, first, last, 1 - n)
 
     def shake(seq: Seq, xi: Morphism) -> None:   # cells[seq] += d(ξ)
         cells[seq] = MorphismSum(cat, xi.source, xi.target, xi.degree + 1) \
@@ -489,6 +488,31 @@ def _trial_seed(seed: int, trial: int, mode_index: int) -> int:
     return seed * 1_000_003 + trial * 7919 + mode_index * 97
 
 
+def _gp_trial(cat_b: DgCategory, red_cat: DgCategory, rng: random.Random,
+              n: int, k: int, witnessed: bool) -> tuple[str, str] | None:
+    """One check_gp trial: the failing ``(stage, detail)``, or None."""
+    try:
+        horn = random_horn(cat_b, rng, n, k, witnessed=witnessed)
+        filler = fill_horn(cat_b, horn)
+        bad = validate_simplex(cat_b, complete_horn(horn, filler))
+    except HornError as exc:
+        return "fill", str(exc)
+    if bad:
+        return "fill_validate", bad[0].kind
+    try:
+        red_filler = fill_horn(red_cat, reduce_horn(horn))
+        lifted = lift_filler(cat_b, horn, red_filler)
+        bad = validate_simplex(cat_b, complete_horn(horn, lifted))
+        reduces = (reduce_morphism(lifted.top).coords == red_filler.top.coords
+                   and reduce_morphism(lifted.face).coords
+                   == red_filler.face.coords)
+    except HornError as exc:
+        return "lift", str(exc)
+    if bad or not reduces:
+        return "lift_validate", bad[0].kind if bad else "reduction mismatch"
+    return None
+
+
 def check_gp(cat: DgCategory, n: int, k: int, trials: int = 25,
              seed: int = 0) -> dict:
     """Randomized sweep of the horn-extension conditions at (n, k).
@@ -518,54 +542,21 @@ def check_gp(cat: DgCategory, n: int, k: int, trials: int = 25,
     modes = ("witnessed", "plain") if inner else ("witnessed",)
     mode_reports = []
     for mode_index, mode in enumerate(modes):
-        fill_pass = fill_fail = lift_pass = lift_fail = 0
         failures: list[dict] = []
         calls_before = witness_call_count()
         for trial in range(trials):
             trial_seed = _trial_seed(seed, trial, mode_index)
-            rng = random.Random(trial_seed)
-            try:
-                horn = random_horn(cat_b, rng, n, k,
-                                   witnessed=(mode == "witnessed"))
-                filler = fill_horn(cat_b, horn)
-                bad = validate_simplex(cat_b, complete_horn(horn, filler))
-                if bad:
-                    fill_fail += 1
-                    failures.append({"trial": trial, "seed": trial_seed,
-                                     "stage": "fill_validate",
-                                     "detail": bad[0].kind})
-                    continue
-                fill_pass += 1
-            except HornError as exc:
-                fill_fail += 1
+            failed = _gp_trial(cat_b, red_cat, random.Random(trial_seed), n, k,
+                               mode == "witnessed")
+            if failed:
                 failures.append({"trial": trial, "seed": trial_seed,
-                                 "stage": "fill", "detail": str(exc)})
-                continue
-            try:
-                red_horn = reduce_horn(horn)
-                red_filler = fill_horn(red_cat, red_horn)
-                lifted = lift_filler(cat_b, horn, red_filler)
-                bad = validate_simplex(cat_b, complete_horn(horn, lifted))
-                reduces = (
-                    reduce_morphism(lifted.top).coords
-                    == red_filler.top.coords
-                    and reduce_morphism(lifted.face).coords
-                    == red_filler.face.coords)
-                if bad or not reduces:
-                    lift_fail += 1
-                    failures.append({"trial": trial, "seed": trial_seed,
-                                     "stage": "lift_validate",
-                                     "detail": (bad[0].kind if bad
-                                                else "reduction mismatch")})
-                else:
-                    lift_pass += 1
-            except HornError as exc:
-                lift_fail += 1
-                failures.append({"trial": trial, "seed": trial_seed,
-                                 "stage": "lift", "detail": str(exc)})
+                                 "stage": failed[0], "detail": failed[1]})
+        lift_fail = sum(f["stage"].startswith("lift") for f in failures)
+        fill_pass = trials - len(failures) + lift_fail
+        lift_pass = fill_pass - lift_fail
         mode_reports.append({
             "mode": mode,
-            "fill_pass": fill_pass, "fill_fail": fill_fail,
+            "fill_pass": fill_pass, "fill_fail": trials - fill_pass,
             "lift_pass": lift_pass, "lift_fail": lift_fail,
             "witness_calls": witness_call_count() - calls_before,
             "failures": failures,

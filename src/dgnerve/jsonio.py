@@ -44,7 +44,24 @@ def key_to_seq(key: str) -> Seq:
     if len(seq) < 2 or any(a >= b for a, b in zip(seq, seq[1:])):
         raise ValueError(f"sequence key {key!r} is not strictly increasing "
                          "with at least two vertices")
+    if seq[0] < 0:
+        raise ValueError(f"sequence key {key!r} has a negative vertex")
     return seq
+
+
+def _put(table: dict, key: Any, value: Any, what: str) -> None:
+    """``table[key] = value``, refusing a key the document already gave."""
+    if key in table:
+        raise ValueError(f"{what} states {key!r} twice")
+    table[key] = value
+
+
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A ``json.loads`` object hook that refuses a repeated key."""
+    doc: dict = {}
+    for key, value in pairs:
+        _put(doc, key, value, "a JSON object")
+    return doc
 
 
 def _elem_doc(value: Any, nested: bool = False) -> Any:
@@ -138,7 +155,7 @@ def category_from_json(doc: Mapping) -> DgCategory:
         if not 0 <= integer(r) <= MAX_HOM_RANK:
             raise ValueError("ranks must be nonnegative, up to "
                              f"{MAX_HOM_RANK}")
-        ranks[(obj(x), obj(y), integer(t))] = r
+        _put(ranks, (obj(x), obj(y), integer(t)), r, "\"ranks\"")
     diffs = {}
     for x, y, t, entries in records(doc.get("diffs", []), 4, "\"diffs\""):
         source, target = (obj(x), obj(y), integer(t)), (x, y, t + 1)
@@ -147,7 +164,8 @@ def category_from_json(doc: Mapping) -> DgCategory:
             cols.setdefault(index(j, source, "diff column"), []).append(
                 (index(i, target, "diff row"),
                  element_from_json(_elem_doc(a), ring)))
-        diffs[source] = {j: tuple(v) for j, v in cols.items()}
+        _put(diffs, source, {j: tuple(v) for j, v in cols.items()},
+             "\"diffs\"")
     comps = {}
     for x, y, z, s, t, entries in records(doc.get("comps", []), 6,
                                           "\"comps\""):
@@ -159,10 +177,12 @@ def category_from_json(doc: Mapping) -> DgCategory:
             tensor.setdefault(pair, []).append(
                 (index(r, (x, z, s + t), "comp result index"),
                  element_from_json(_elem_doc(a), ring)))
-        comps[key] = {pair: tuple(v) for pair, v in tensor.items()}
+        _put(comps, key, {pair: tuple(v) for pair, v in tensor.items()},
+             "\"comps\"")
     identities = {}
     for x, coords in records(doc.get("identities", []), 2, "\"identities\""):
-        units = identities[obj(x)] = _coords_from(coords, ring)
+        units = _coords_from(coords, ring)
+        _put(identities, obj(x), units, "\"identities\"")
         if len(units) != ranks.get((x, x, 0), 0):
             raise ValueError(f"unit of {x} has {len(units)} coordinates: "
                              f"hom({x}, {x}) has rank "
@@ -199,7 +219,8 @@ def _cells_from_json(doc: Any, cat: DgCategory,
                 f"cell {key!r} has {len(coords)} coordinates; hom("
                 f"{source}, {target}) has rank "
                 f"{cat.rank(source, target, degree)} in degree {degree}")
-        cells[seq] = Morphism(source, target, degree, coords)
+        _put(cells, seq, Morphism(source, target, degree, coords),
+             "\"cells\"")
     return cells
 
 

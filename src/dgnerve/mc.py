@@ -22,6 +22,7 @@ the ideal; twisting commutes with reduction.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Mapping
 
 from .dgcat import (DgCategory, Morphism, MorphismSum, SparseCols, Violation,
@@ -157,8 +158,6 @@ def random_mc_element(cat: DgCategory, obj: str,
     quadratic, so cycles are rejection-sampled for a vanishing square.
     Falls back to 0 (always MC) when sampling finds nothing.
     """
-    from fractions import Fraction
-
     rank1 = cat.rank(obj, obj, 1)
     zero = cat.zero(obj, obj, 1)
     if rank1 == 0:
@@ -166,15 +165,10 @@ def random_mc_element(cat: DgCategory, obj: str,
 
     dense = cat.dense_differential(obj, obj, 1)
     m = cat.ring.ideal_rank
-
-    def body_cycle_basis() -> list[list[Fraction]]:
-        if not dense:
-            return [[Fraction(1 if i == j else 0) for j in range(rank1)]
-                    for i in range(rank1)]
-        return [[e.body for e in vec]
-                for vec in glin.nullspace(dense, RATIONALS)]
-
-    basis = body_cycle_basis()
+    basis = ([[e.body for e in vec]
+              for vec in glin.nullspace(dense, RATIONALS)] if dense else
+             [[Fraction(int(i == j)) for j in range(rank1)]
+              for i in range(rank1)])
 
     def random_combo() -> list[Fraction]:
         coords = [Fraction(0)] * rank1
@@ -185,20 +179,14 @@ def random_mc_element(cat: DgCategory, obj: str,
                     coords[i] += c * weight
         return coords
 
-    if m > 0:
-        for _ in range(8):
-            layers = [random_combo() for _ in range(m)]
-            coords = tuple(RingElement(Fraction(0),
-                                       tuple(layers[l][i] for l in range(m)))
-                           for i in range(rank1))
-            candidate = Morphism(obj, obj, 1, coords)
-            if not check_mc(cat, candidate):
-                return candidate
-        return zero
-
-    for _ in range(12):
-        coords = tuple(RingElement(c, ()) for c in random_combo())
-        candidate = Morphism(obj, obj, 1, coords)
+    # over Q ⊕ I the m combos are the ideal layers over a zero body; over Q
+    # the one combo is the body
+    for _ in range(8 if m else 12):
+        combos = [random_combo() for _ in range(max(m, 1))]
+        candidate = Morphism(obj, obj, 1, tuple(
+            RingElement(0 if m else combos[0][i],
+                        tuple(layer[i] for layer in combos[:m]))
+            for i in range(rank1)))
         if not check_mc(cat, candidate):
             return candidate
     return zero

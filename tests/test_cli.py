@@ -123,14 +123,27 @@ def test_check_non_object_document_exit_2(tmp_path, capsys):
 
 
 def _check_edited_category(tmp_path, capsys, cat, path, value):
-    """Run ``check`` on the category document with one entry replaced."""
+    """Run ``check`` on the category document with one entry replaced, by
+    ``value`` or, when it is callable, by ``value(entry)``."""
     doc = jsonio.category_to_json(cat)
     *parents, last = path
     target = doc
     for step in parents:
         target = target[step]
-    target[last] = value
+    target[last] = value(target[last]) if callable(value) else value
     return run_cli(capsys, "check", write_doc(tmp_path, "bad.json", doc))
+
+
+def _first_record_again(last):
+    """A copy of a table's first record, its last field mapped by ``last``,
+    placed before the original: a parser that kept the last record it read
+    for a key would check only the original."""
+    return lambda records: [records[0][:-1] + [last(records[0][-1])],
+                            *records]
+
+
+def _fives(entries):
+    return [entry[:-1] + ["5"] for entry in entries]
 
 
 @pytest.mark.parametrize("path, message", [
@@ -160,9 +173,18 @@ def test_check_out_of_range_tensor_index_exit_2(tmp_path, capsys, three_term,
     (("identities", 0, 1), ["1", "1"], "unit of C0 has 2 coordinates: "
                                        "hom(C0, C0) has rank 3 in degree 0"),
     (("identities", 0, 1), ["1"] * 5, "unit of C0 has 5 coordinates"),
+    (("ranks",), _first_record_again(lambda rank: 5),
+     "\"ranks\" states ('C0', 'C0', -2) twice"),
+    (("diffs",), _first_record_again(_fives),
+     "\"diffs\" states ('C0', 'C0', -2) twice"),
+    (("comps",), _first_record_again(_fives),
+     "\"comps\" states ('C0', 'C0', 'C0', -2, 0) twice"),
+    (("identities",), _first_record_again(lambda units: ["5"] * len(units)),
+     "\"identities\" states 'C0' twice"),
 ], ids=["ranks_not_a_list", "null_comp_entry", "zero_denominator",
         "exponent", "decimal_point", "huge_ring", "huge_rank", "short_unit",
-        "long_unit"])
+        "long_unit", "repeated_rank", "repeated_diff", "repeated_comp",
+        "repeated_unit"])
 def test_check_malformed_category_exit_2(tmp_path, capsys, three_term,
                                          path, value, message):
     code, out, err = _check_edited_category(tmp_path, capsys, three_term,
@@ -171,6 +193,50 @@ def test_check_malformed_category_exit_2(tmp_path, capsys, three_term,
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("kind", ["simplex", "horn"])
+@pytest.mark.parametrize("key, message", [
+    ("-1,0", "sequence key '-1,0' has a negative vertex"),
+    ("0,02", "\"cells\" states (0, 2) twice"),
+    ("1,0", "sequence key '1,0' is not strictly increasing"),
+    ("0", "sequence key '0' is not strictly increasing"),
+    ("a,1", "bad sequence key 'a,1'"),
+    ("0,9", "cell key '0,9' exceeds dimension 2"),
+], ids=["negative", "repeated", "decreasing", "one_vertex", "not_an_int",
+        "past_dimension"])
+def test_check_bad_cell_key_exit_2(tmp_path, capsys, three_term, kind, key,
+                                   message):
+    """A valid 2-simplex, or its (2, 0) horn, with one more cell holding the
+    (0, 1) cell's coordinates.  ``objects[-1]`` is the last object, so
+    "-1,0" read as a cell once passed on the simplex (exit 0: validation
+    ignores a cell it does not ask for) and failed on the horn (exit 1);
+    "0,02" names the cell (0, 2) a second time."""
+    simplex = identity_simplex(three_term, "C0", 2)
+    doc = (jsonio.simplex_to_json(simplex) if kind == "simplex"
+           else jsonio.horn_to_json(extract_horn(simplex, 0)))
+    doc["cells"][key] = doc["cells"]["0,1"]
+    code, out, err = run_cli(capsys, "check",
+                             write_doc(tmp_path, "doc.json", doc),
+                             "--category", "three_term")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+
+
+def test_check_repeated_json_key_exit_2(tmp_path, capsys, three_term):
+    """A non-MC ``eta`` followed by a second, zero ``eta``: ``json.loads``
+    alone keeps the last value, which is MC."""
+    path = tmp_path / "mc.json"
+    path.write_text('{"kind": "mc", "object": "C0", "eta": ["1", "0"], '
+                    '"eta": ["0", "0"]}')
+    code, out, err = run_cli(capsys, "check", str(path),
+                             "--category", "three_term")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "a JSON object states 'eta' twice" in err
 
 
 @pytest.mark.parametrize("command", ["check_star", "fill"])

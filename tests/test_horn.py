@@ -11,12 +11,18 @@ degree 2−n, the top cell α̂(0,…,n) degree 1−n, the obstruction U degree
 exactly; these are asserted by substitution, not just via the validator.
 """
 
+import itertools
 import random
 
 import pytest
 
-from dgnerve.dgcat import (NotEquivalence, find_equivalence_witness, opposite,
+from dgnerve import horn as hornmod
+from dgnerve.dgcat import (Morphism, MorphismSum, NotEquivalence,
+                           complex_from_dense, find_equivalence_witness,
+                           make_complex_category, opposite,
                            reset_witness_calls, witness_call_count)
+from dgnerve.fixtures import FIXTURES
+from dgnerve.glin import nullspace
 from dgnerve.horn import (
     CannotFillOuterHorn,
     Filler,
@@ -43,8 +49,9 @@ from dgnerve.horn import (
 )
 from dgnerve.mc import (promote_morphism, reduce_category, reduce_morphism,
                         tensor_with_ring)
-from dgnerve.nerve import NerveSimplex, identity_simplex, validate_simplex, validate_star
-from dgnerve.rings import SquareZeroRing
+from dgnerve.nerve import (PINNED, NerveSimplex, degeneracy, identity_simplex,
+                           validate_simplex, validate_star)
+from dgnerve.rings import RATIONALS, SquareZeroRing
 from lincomb import lin
 
 GRID = [(2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2)]
@@ -533,6 +540,207 @@ def test_check_gp_records_incompatible_horns(doubled_unit):
             [(t, "fill", _trial_seed(1, t, mode_index)) for t in range(3)]
         assert all(f["detail"].startswith("incompatible horn: residual@")
                    for f in mode["failures"])
+
+
+def _reference_random_edge_simplex(cat, rng, witnessed):
+    """Oracle: the edge sampler with its guard on an empty hom(X, Y)₀."""
+    X = rng.choice(cat.objects)
+    if witnessed:
+        scalar = rng.choice((1, 1, 1, -1, 2))
+        xi = cat.random_morphism(X, X, -1, rng)
+        edge = MorphismSum(cat, X, X, 0).add(cat.identity(X), scalar)
+        return NerveSimplex((X, X), {(0, 1): edge.add_differential(xi)
+                                     .result()})
+    Y = rng.choice(cat.objects)
+    ncols = cat.rank(X, Y, 0)
+    edge = MorphismSum(cat, X, Y, 0)
+    if ncols:
+        matrix = cat.dense_differential(X, Y, 0)
+        if matrix:
+            basis = nullspace(matrix, cat.ring)
+        else:
+            basis = [cat.basis_morphism(X, Y, 0, j).coords
+                     for j in range(ncols)]
+        for _ in range(2 if basis else 0):
+            vec = Morphism(X, Y, 0, tuple(rng.choice(basis)))
+            edge.add(vec, rng.choice((0, 1, 1, -1, 2)))
+    return NerveSimplex((X, Y), {(0, 1): edge.result()})
+
+
+def _reference_random_valid_simplex(cat, rng, n, witnessed):
+    """Oracle: the bottom-up sampler with the degenerate top cell added."""
+    if n == 0:
+        return NerveSimplex((rng.choice(cat.objects),), {})
+    if n == 1:
+        return _reference_random_edge_simplex(cat, rng, witnessed)
+    base = _reference_random_valid_simplex(cat, rng, n - 1, witnessed)
+    simplex = degeneracy(cat, base, rng.randrange(n))
+    objects = simplex.objects
+    cells = dict(simplex.cells)
+    full = tuple(range(n + 1))
+    first, last = objects[0], objects[-1]
+    top = MorphismSum(cat, first, last, 1 - n).add(cells[full])
+
+    def shake(seq, xi):
+        cells[seq] = MorphismSum(cat, xi.source, xi.target, xi.degree + 1) \
+            .add(cells[seq]).add_differential(xi).result()
+    for a in range(1, n):
+        xi = cat.random_morphism(first, last, 1 - n, rng)
+        shake(full[:a] + full[a + 1:], xi)
+        top.add(xi, PINNED.face_sign(a, n))
+    xi1 = cat.random_morphism(objects[1], last, 1 - n, rng)
+    shake(full[1:], xi1)
+    top.add_compose(xi1, cells[(0, 1)])
+    xi2 = cat.random_morphism(first, objects[-2], 1 - n, rng)
+    shake(full[:-1], xi2)
+    top.add_compose(cells[(n - 1, n)], xi2, (-1) ** n)
+    zeta = cat.random_morphism(first, last, -n, rng)
+    cells[full] = top.add_differential(zeta).result()
+    return NerveSimplex(objects, cells)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", [*FIXTURES, "gapped"])
+def test_random_valid_simplex_matches_reference(name, rank):
+    """The same cells as the oracle, with the ``rng`` left in the same state.
+    In ``gapped`` hom(X, Y) is zero in degree 0 but not in degree 1."""
+    if name == "gapped":
+        base = make_complex_category(
+            [complex_from_dense(RATIONALS, {0: 1}, {}),
+             complex_from_dense(RATIONALS, {1: 1}, {})], names=("X", "Y"))
+    else:
+        base = FIXTURES[name]()
+    cat = tensor_with_ring(base, SquareZeroRing(rank))
+    for n in range(5):
+        for witnessed in (True, False):
+            for seed in range(4):
+                rng, want_rng = random.Random(seed), random.Random(seed)
+                got = random_valid_simplex(cat, rng, n, witnessed=witnessed)
+                want = _reference_random_valid_simplex(cat, want_rng, n,
+                                                       witnessed)
+                assert got == want
+                assert rng.getstate() == want_rng.getstate()
+
+
+def _reference_check_gp(cat, n, k, trials, seed):
+    """Oracle: the sweep with four counters kept across the trial's stages.
+    It calls the package through ``hornmod.`` so that a test's patches reach
+    it as they reach ``check_gp``."""
+    inner = 0 < k < n
+    cat_b = tensor_with_ring(cat, SquareZeroRing(1))
+    red_cat = reduce_category(cat_b)
+    modes = ("witnessed", "plain") if inner else ("witnessed",)
+    mode_reports = []
+    for mode_index, mode in enumerate(modes):
+        fill_pass = fill_fail = lift_pass = lift_fail = 0
+        failures = []
+        calls_before = witness_call_count()
+        for trial in range(trials):
+            trial_seed = _trial_seed(seed, trial, mode_index)
+            rng = random.Random(trial_seed)
+            try:
+                h = hornmod.random_horn(cat_b, rng, n, k,
+                                     witnessed=(mode == "witnessed"))
+                filler = hornmod.fill_horn(cat_b, h)
+                bad = validate_simplex(cat_b, hornmod.complete_horn(h, filler))
+                if bad:
+                    fill_fail += 1
+                    failures.append({"trial": trial, "seed": trial_seed,
+                                     "stage": "fill_validate",
+                                     "detail": bad[0].kind})
+                    continue
+                fill_pass += 1
+            except HornError as exc:
+                fill_fail += 1
+                failures.append({"trial": trial, "seed": trial_seed,
+                                 "stage": "fill", "detail": str(exc)})
+                continue
+            try:
+                red_filler = hornmod.fill_horn(red_cat, hornmod.reduce_horn(h))
+                lifted = hornmod.lift_filler(cat_b, h, red_filler)
+                bad = validate_simplex(cat_b, hornmod.complete_horn(h, lifted))
+                reduces = (
+                    hornmod.reduce_morphism(lifted.top).coords
+                    == red_filler.top.coords
+                    and hornmod.reduce_morphism(lifted.face).coords
+                    == red_filler.face.coords)
+                if bad or not reduces:
+                    lift_fail += 1
+                    failures.append({"trial": trial, "seed": trial_seed,
+                                     "stage": "lift_validate",
+                                     "detail": (bad[0].kind if bad
+                                                else "reduction mismatch")})
+                else:
+                    lift_pass += 1
+            except HornError as exc:
+                lift_fail += 1
+                failures.append({"trial": trial, "seed": trial_seed,
+                                 "stage": "lift", "detail": str(exc)})
+        mode_reports.append({
+            "mode": mode,
+            "fill_pass": fill_pass, "fill_fail": fill_fail,
+            "lift_pass": lift_pass, "lift_fail": lift_fail,
+            "witness_calls": witness_call_count() - calls_before,
+            "failures": failures,
+        })
+    return {"n": n, "k": k, "kind": "inner" if inner else "outer",
+            "trials": trials, "seed": seed, "modes": mode_reports}
+
+
+def _spoiled_lifts():
+    """A ``lift_filler`` whose calls cycle through four outcomes: a
+    ``HornError``, a top cell moved off its residual, a top cell moved by
+    d(ξ) for a body ξ (valid, but reducing to another filler), and the
+    true lift."""
+    calls = itertools.count()
+
+    def nonclosed(cat, source, target, degree):
+        """The first basis morphism of the hom with a nonzero differential."""
+        basis = (cat.basis_morphism(source, target, degree, j)
+                 for j in range(cat.rank(source, target, degree)))
+        return next(b for b in basis if not cat.differential(b).is_zero())
+
+    def lift(cat, h, filler):
+        lifted = lift_filler(cat, h, filler)
+        top, outcome = lifted.top, next(calls) % 4
+        if outcome == 0:
+            raise InvalidReduction("spoiled lift")
+        if outcome == 1:
+            top = lin((1, top), (1, nonclosed(cat, top.source, top.target,
+                                              top.degree)))
+        elif outcome == 2:
+            xi = nonclosed(cat, top.source, top.target, top.degree - 1)
+            top = lin((1, top), (1, cat.differential(xi)))
+        return Filler(lifted.n, lifted.k, top, lifted.face)
+
+    return lift
+
+
+@pytest.mark.parametrize("spoiled, n, k", [
+    (False, 2, 0), (False, 3, 1), (True, 2, 0), (True, 2, 1), (True, 2, 2)])
+def test_check_gp_matches_reference(monkeypatch, three_term, doubled_unit,
+                                    spoiled, n, k):
+    """The counts and failure records of the oracle, on ``doubled_unit``
+    (fill failures) and on ``three_term`` with a lift that fails at each
+    lifting stage in turn."""
+    cat = doubled_unit
+    if spoiled:
+        cat = three_term
+        monkeypatch.setattr(hornmod, "lift_filler", _spoiled_lifts())
+    got = check_gp(cat, n, k, trials=9, seed=4)
+    if spoiled:
+        monkeypatch.setattr(hornmod, "lift_filler", _spoiled_lifts())
+    assert got == _reference_check_gp(cat, n, k, trials=9, seed=4)
+    stages = {(f["stage"], f["detail"]) for mode in got["modes"]
+              for f in mode["failures"]}
+    if spoiled:
+        assert stages == {("lift", "spoiled lift"),
+                          ("lift_validate", "residual"),
+                          ("lift_validate", "reduction mismatch")}
+        assert all(mode["lift_pass"] for mode in got["modes"])
+    else:
+        assert stages and {stage for stage, _ in stages} <= {"fill",
+                                                              "fill_validate"}
 
 
 def test_check_gp_rejects_one_dimensional_horns(three_term):

@@ -1,0 +1,64 @@
+"""No module of the package or of the suite imports a name it never uses.
+
+A name counts as used when it is read anywhere in the module, in an
+annotation too (a quoted annotation is parsed for the names in it).  The
+package ``__init__`` is skipped: its imports are the public re-exports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "dgnerve").glob("*.py")
+     if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py")))
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation) if annotation else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(node.value))
+                         if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os\n", ["line 1: os"]),
+    ("import os.path\nos.path.join\n", []),
+    ("from typing import Mapping\ndef f(x: 'Mapping[str, int]'): pass\n", []),
+    ("from typing import Mapping\nx: Mapping = {}\n", []),
+    ("from a import b as c\nb\n", ["line 1: c"]),
+    ("from __future__ import annotations\n", []),
+])
+def test_unused_imports_scan(source, unused):
+    assert unused_imports(source) == unused

@@ -9,9 +9,15 @@ End² has basis w (level 0→2), and
 so η = s·u + t·v has MC defect (s + s·t)·w: the MC locus is s(1+t) = 0.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from dgnerve.dgcat import check_axioms, complex_from_dense, make_complex_category
+from dgnerve import glin
+from dgnerve.dgcat import (Morphism, check_axioms, complex_from_dense,
+                           make_complex_category)
+from dgnerve.fixtures import FIXTURES
 from dgnerve.mc import (
     InvalidMCObject,
     check_mc,
@@ -23,7 +29,7 @@ from dgnerve.mc import (
     tensor_with_ring,
     twist,
 )
-from dgnerve.rings import RATIONALS, SquareZeroRing
+from dgnerve.rings import RATIONALS, RingElement, SquareZeroRing
 
 
 def endo(cat, degree, coords):
@@ -191,6 +197,70 @@ def test_random_mc_elements_are_sometimes_nonzero(two_term, rng):
     (obj,) = cat.objects
     draws = [random_mc_element(cat, obj, rng) for _ in range(20)]
     assert any(not eta.is_zero() for eta in draws)
+
+
+def _reference_random_mc_element(cat, obj, rng):
+    """Oracle: one rejection loop over Q ⊕ I (ideal layers, 8 tries) and
+    another over Q (the body, 12 tries)."""
+    rank1 = cat.rank(obj, obj, 1)
+    zero = cat.zero(obj, obj, 1)
+    if rank1 == 0:
+        return zero
+
+    dense = cat.dense_differential(obj, obj, 1)
+    m = cat.ring.ideal_rank
+
+    def body_cycle_basis():
+        if not dense:
+            return [[Fraction(1 if i == j else 0) for j in range(rank1)]
+                    for i in range(rank1)]
+        return [[e.body for e in vec]
+                for vec in glin.nullspace(dense, RATIONALS)]
+
+    basis = body_cycle_basis()
+
+    def random_combo():
+        coords = [Fraction(0)] * rank1
+        for vec in basis:
+            weight = rng.randint(-2, 2)
+            if weight:
+                for i, c in enumerate(vec):
+                    coords[i] += c * weight
+        return coords
+
+    if m > 0:
+        for _ in range(8):
+            layers = [random_combo() for _ in range(m)]
+            coords = tuple(RingElement(Fraction(0),
+                                       tuple(layers[l][i] for l in range(m)))
+                           for i in range(rank1))
+            candidate = Morphism(obj, obj, 1, coords)
+            if not check_mc(cat, candidate):
+                return candidate
+        return zero
+
+    for _ in range(12):
+        coords = tuple(RingElement(c, ()) for c in random_combo())
+        candidate = Morphism(obj, obj, 1, coords)
+        if not check_mc(cat, candidate):
+            return candidate
+    return zero
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_random_mc_element_matches_reference(name, rank):
+    """The same coordinates as the oracle, with the ``rng`` left in the same
+    state, at every object of every fixture (``two_term`` has no degree-2
+    endomorphisms, so its cycle basis is the identity)."""
+    cat = tensor_with_ring(FIXTURES[name](), SquareZeroRing(rank))
+    for obj in cat.objects:
+        for seed in range(150):
+            rng, want_rng = random.Random(seed), random.Random(seed)
+            got = random_mc_element(cat, obj, rng)
+            want = _reference_random_mc_element(cat, obj, want_rng)
+            assert got.coords == want.coords
+            assert rng.getstate() == want_rng.getstate()
 
 
 # ---------------------------------------------------------------------------
