@@ -279,6 +279,8 @@ def cmd_laws(args: argparse.Namespace) -> int:
 
 
 def cmd_gp(args: argparse.Namespace) -> int:
+    if args.n > jsonio.MAX_DIMENSION:
+        raise CliInputError(f"--n must be at most {jsonio.MAX_DIMENSION}")
     cat = _load_category(args.category)
     try:
         report = check_gp(cat, args.n, args.k, trials=args.trials,

@@ -39,10 +39,9 @@ from .dgcat import (DgCategory, Morphism, MorphismSum, NotEquivalence,
 from .glin import nullspace
 from .mc import (promote_morphism, reduce_category, reduce_morphism,
                  tensor_with_ring)
-from .nerve import (NerveSimplex, PINNED, Seq, SignPattern,
-                    cell_shape_violation, cell_violations, degeneracy,
-                    increasing_sequences, required_boundary,
-                    validate_simplex)
+from .nerve import (NerveSimplex, PINNED, Seq, cell_shape_violation,
+                    cell_violations, degeneracy, increasing_sequences,
+                    required_boundary, validate_simplex)
 from .rings import SquareZeroRing
 
 
@@ -125,8 +124,7 @@ def complete_horn(horn: HornData, filler: "Filler") -> NerveSimplex:
     return NerveSimplex(horn.objects, cells)
 
 
-def check_horn(cat: DgCategory, horn: HornData,
-               signs: SignPattern = PINNED) -> list[Violation]:
+def check_horn(cat: DgCategory, horn: HornData) -> list[Violation]:
     """Shape and compatibility violations (empty = fillable input data).
 
     Every residual equation involving only present cells is checked; the
@@ -148,7 +146,7 @@ def check_horn(cat: DgCategory, horn: HornData,
                   for seq in set(horn.cells) - set(present)]
     return cell_violations(cat, horn.objects, horn.cells, present,
                            "present cells violate a residual equation",
-                           signs, unexpected)
+                           unexpected)
 
 
 # -- obstructions --------------------------------------------------------------
@@ -205,9 +203,8 @@ def obstruction_violations(obs: Obstruction) -> list[Violation]:
     return out
 
 
-def compute_obstruction(cat: DgCategory, horn: HornData,
-                        signs: SignPattern = PINNED) -> Obstruction:
-    problems = check_horn(cat, horn, signs)
+def compute_obstruction(cat: DgCategory, horn: HornData) -> Obstruction:
+    problems = check_horn(cat, horn)
     if problems:
         raise IncompatibleHorn(problems)
     n, k = horn.n, horn.k
@@ -215,18 +212,18 @@ def compute_obstruction(cat: DgCategory, horn: HornData,
     if op_reduced:
         cat, horn = opposite(cat), opposite_horn(horn)
     miss = horn.missing_face
-    U = required_boundary(cat, horn.objects, horn.cell, miss, signs)
+    U = required_boundary(cat, horn.objects, horn.cell, miss)
 
     def patched(seq: Seq) -> Morphism:
         if seq == miss:
             return cat.zero(horn.objects[seq[0]], horn.objects[seq[-1]], 2 - n)
         return horn.cell(seq)
 
-    V = required_boundary(cat, horn.objects, patched, horn.full_seq, signs)
+    V = required_boundary(cat, horn.objects, patched, horn.full_seq)
     if horn.k == 0:                        # k = 0, or k = n reversed
         obs = Obstruction(n, k, U, V, None, horn.cell((0, 1)), cat, op_reduced)
     else:
-        obs = Obstruction(n, k, U, V, signs.face_sign(k, n), None, cat)
+        obs = Obstruction(n, k, U, V, PINNED.face_sign(k, n), None, cat)
     bad = obstruction_violations(obs)
     if bad:
         raise IncompatibleHorn(bad)
@@ -430,8 +427,7 @@ def _random_edge_simplex(cat: DgCategory, rng: random.Random,
 
 
 def random_valid_simplex(cat: DgCategory, rng: random.Random, n: int, *,
-                         witnessed: bool = True,
-                         signs: SignPattern = PINNED) -> NerveSimplex:
+                         witnessed: bool = True) -> NerveSimplex:
     """A random simplex passing validate_simplex (and, when ``witnessed``,
     validate_star), built bottom-up.
 
@@ -447,8 +443,7 @@ def random_valid_simplex(cat: DgCategory, rng: random.Random, n: int, *,
         return NerveSimplex((rng.choice(cat.objects),), {})
     if n == 1:
         return _random_edge_simplex(cat, rng, witnessed)
-    base = random_valid_simplex(cat, rng, n - 1, witnessed=witnessed,
-                                signs=signs)
+    base = random_valid_simplex(cat, rng, n - 1, witnessed=witnessed)
     simplex = degeneracy(cat, base, rng.randrange(n))
     objects = simplex.objects
     cells = dict(simplex.cells)
@@ -463,7 +458,7 @@ def random_valid_simplex(cat: DgCategory, rng: random.Random, n: int, *,
     for a in range(1, n):
         xi = cat.random_morphism(first, last, 1 - n, rng)
         shake(full[:a] + full[a + 1:], xi)
-        top.add(xi, signs.face_sign(a, n))
+        top.add(xi, PINNED.face_sign(a, n))
     xi1 = cat.random_morphism(objects[1], last, 1 - n, rng)
     shake(full[1:], xi1)
     top.add_compose(xi1, cells[(0, 1)])
@@ -476,10 +471,9 @@ def random_valid_simplex(cat: DgCategory, rng: random.Random, n: int, *,
 
 
 def random_horn(cat: DgCategory, rng: random.Random, n: int, k: int, *,
-                witnessed: bool = True,
-                signs: SignPattern = PINNED) -> HornData:
+                witnessed: bool = True) -> HornData:
     return extract_horn(
-        random_valid_simplex(cat, rng, n, witnessed=witnessed, signs=signs), k)
+        random_valid_simplex(cat, rng, n, witnessed=witnessed), k)
 
 
 # -- the randomized horn-condition sweep ---------------------------------------------

@@ -159,25 +159,31 @@ def category_from_json(doc: Mapping) -> DgCategory:
     diffs = {}
     for x, y, t, entries in records(doc.get("diffs", []), 4, "\"diffs\""):
         source, target = (obj(x), obj(y), integer(t)), (x, y, t + 1)
-        cols: dict[int, list] = {}
+        cols: dict[int, dict] = {}
         for j, i, a in records(entries, 3, "diff entries"):
-            cols.setdefault(index(j, source, "diff column"), []).append(
-                (index(i, target, "diff row"),
-                 element_from_json(_elem_doc(a), ring)))
-        _put(diffs, source, {j: tuple(v) for j, v in cols.items()},
+            j = index(j, source, "diff column")
+            i = index(i, target, "diff row")
+            cols.setdefault(j, {})[i] = element_from_json(_elem_doc(a), ring)
+        if sum(map(len, cols.values())) != len(entries):
+            raise ValueError(f"\"diffs\" record {source!r} states a "
+                             "(column, row) pair twice")
+        _put(diffs, source, {j: tuple(v.items()) for j, v in cols.items()},
              "\"diffs\"")
     comps = {}
     for x, y, z, s, t, entries in records(doc.get("comps", []), 6,
                                           "\"comps\""):
         key = (obj(x), obj(y), obj(z), integer(s), integer(t))
-        tensor: dict[tuple[int, int], list] = {}
+        tensor: dict[tuple[int, int], dict] = {}
         for i, j, r, a in records(entries, 4, "comp entries"):
             pair = (index(i, (y, z, t), "comp outer index"),
                     index(j, (x, y, s), "comp inner index"))
-            tensor.setdefault(pair, []).append(
-                (index(r, (x, z, s + t), "comp result index"),
-                 element_from_json(_elem_doc(a), ring)))
-        _put(comps, key, {pair: tuple(v) for pair, v in tensor.items()},
+            r = index(r, (x, z, s + t), "comp result index")
+            tensor.setdefault(pair, {})[r] = element_from_json(_elem_doc(a),
+                                                               ring)
+        if sum(map(len, tensor.values())) != len(entries):
+            raise ValueError(f"\"comps\" record {key!r} states an "
+                             "(outer, inner, result) triple twice")
+        _put(comps, key, {p: tuple(v.items()) for p, v in tensor.items()},
              "\"comps\"")
     identities = {}
     for x, coords in records(doc.get("identities", []), 2, "\"identities\""):

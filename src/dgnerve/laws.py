@@ -10,9 +10,9 @@ random simplices/cochains (or horns) and checks one exact identity:
 * ``obstruction_*`` — the horn obstruction pair satisfies d(U) = 0 and
   its V-identity (outer, inner, and reversed-outer branches).
 
-All sampling is deterministic in (seed, law index, trial).  The ``signs``
-parameter exists so tests can demonstrate that mutated sign conventions
-break the laws; production callers always use the pinned pattern.
+All sampling is deterministic in (seed, law index, trial) and draws
+simplices valid under the pinned signs.  Only the cochain laws read
+``signs``, so tests can show that mutated conventions break them.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ def random_cochain(cat: DgCategory, rng: random.Random, source: NerveSimplex,
 
 def law_cochain_d_squared(cat: DgCategory, rng: random.Random, n: int,
                           signs: SignPattern) -> str | None:
-    source = random_valid_simplex(cat, rng, n, witnessed=False, signs=signs)
-    target = random_valid_simplex(cat, rng, n, witnessed=False, signs=signs)
+    source = random_valid_simplex(cat, rng, n, witnessed=False)
+    target = random_valid_simplex(cat, rng, n, witnessed=False)
     eta = random_cochain(cat, rng, source, target, rng.choice(COCHAIN_DEGREES))
     once = cochain_differential(cat, eta, signs)
     twice = cochain_differential(cat, once, signs)
@@ -58,9 +58,9 @@ def law_cochain_d_squared(cat: DgCategory, rng: random.Random, n: int,
 
 def law_cochain_leibniz(cat: DgCategory, rng: random.Random, n: int,
                         signs: SignPattern) -> str | None:
-    f = random_valid_simplex(cat, rng, n, witnessed=False, signs=signs)
-    g = random_valid_simplex(cat, rng, n, witnessed=False, signs=signs)
-    h = random_valid_simplex(cat, rng, n, witnessed=False, signs=signs)
+    f = random_valid_simplex(cat, rng, n, witnessed=False)
+    g = random_valid_simplex(cat, rng, n, witnessed=False)
+    h = random_valid_simplex(cat, rng, n, witnessed=False)
     phi = random_cochain(cat, rng, f, g, rng.choice(COCHAIN_DEGREES))
     eta = random_cochain(cat, rng, g, h, rng.choice(COCHAIN_DEGREES))
     lhs = cochain_differential(cat, cochain_compose(cat, eta, phi, signs),
@@ -79,10 +79,10 @@ def law_cochain_leibniz(cat: DgCategory, rng: random.Random, n: int,
 
 def law_cochain_assoc(cat: DgCategory, rng: random.Random, n: int,
                       signs: SignPattern) -> str | None:
-    f = random_valid_simplex(cat, rng, n, witnessed=False, signs=signs)
-    g = random_valid_simplex(cat, rng, n, witnessed=False, signs=signs)
-    h = random_valid_simplex(cat, rng, n, witnessed=False, signs=signs)
-    k = random_valid_simplex(cat, rng, n, witnessed=False, signs=signs)
+    f = random_valid_simplex(cat, rng, n, witnessed=False)
+    g = random_valid_simplex(cat, rng, n, witnessed=False)
+    h = random_valid_simplex(cat, rng, n, witnessed=False)
+    k = random_valid_simplex(cat, rng, n, witnessed=False)
     phi = random_cochain(cat, rng, f, g, rng.choice(COCHAIN_DEGREES))
     eta = random_cochain(cat, rng, g, h, rng.choice(COCHAIN_DEGREES))
     zeta = random_cochain(cat, rng, h, k, rng.choice(COCHAIN_DEGREES))
@@ -97,11 +97,10 @@ def law_cochain_assoc(cat: DgCategory, rng: random.Random, n: int,
 
 def _law_obstruction(n: int, k: int, witnessed: bool) -> Callable:
     def law(cat: DgCategory, rng: random.Random, _n: int,
-            signs: SignPattern) -> str | None:
+            _signs: SignPattern) -> str | None:
         try:
-            horn = random_horn(cat, rng, n, k, witnessed=witnessed,
-                               signs=signs)
-            obstruction = compute_obstruction(cat, horn, signs)
+            horn = random_horn(cat, rng, n, k, witnessed=witnessed)
+            obstruction = compute_obstruction(cat, horn)
         except HornError as exc:
             return str(exc)
         bad = obstruction_violations(obstruction)
@@ -112,15 +111,13 @@ def _law_obstruction(n: int, k: int, witnessed: bool) -> Callable:
     return law
 
 
-def law_rows(ns: tuple[int, ...] = (1, 2, 3)) -> list[tuple[str, Callable, int]]:
+def law_rows() -> list[tuple[str, Callable, int]]:
     """(name, law function, dimension) rows in deterministic order."""
-    rows: list[tuple[str, Callable, int]] = []
-    for n in ns:
-        rows.append((f"cochain_d_squared_n{n}", law_cochain_d_squared, n))
-    for n in ns:
-        rows.append((f"cochain_leibniz_n{n}", law_cochain_leibniz, n))
-    for n in ns:
-        rows.append((f"cochain_assoc_n{n}", law_cochain_assoc, n))
+    rows = [(f"cochain_{name}_n{n}", law, n)
+            for name, law in (("d_squared", law_cochain_d_squared),
+                              ("leibniz", law_cochain_leibniz),
+                              ("assoc", law_cochain_assoc))
+            for n in (1, 2, 3)]
     rows.append(("obstruction_outer", _law_obstruction(2, 0, True), 2))
     rows.append(("obstruction_inner", _law_obstruction(3, 1, False), 3))
     rows.append(("obstruction_outer_reversed", _law_obstruction(2, 2, True), 2))
@@ -128,11 +125,10 @@ def law_rows(ns: tuple[int, ...] = (1, 2, 3)) -> list[tuple[str, Callable, int]]
 
 
 def run_laws(cat: DgCategory, seed: int = 0, trials: int = 100,
-             ns: tuple[int, ...] = (1, 2, 3),
              signs: SignPattern = PINNED) -> dict:
     """Run the whole battery; failures are reported with reproducing seeds."""
     report_rows = []
-    for law_index, (name, law, n) in enumerate(law_rows(ns)):
+    for law_index, (name, law, n) in enumerate(law_rows()):
         passed = failed = 0
         failing: list[dict] = []
         for trial in range(trials):

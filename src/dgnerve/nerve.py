@@ -23,7 +23,8 @@ and an associative convolution product for which that differential is a
 derivation.  All signs route through a :class:`SignPattern`; the shipped
 :data:`PINNED` pattern is the unique one of the sixteen candidates that
 reproduces the n = 2 anchor *and* satisfies d² = 0 and the Leibniz rule
-(the calibration test re-runs the search).
+(the calibration test re-runs the search; only ``cell_residual`` and the
+cochain operations take a pattern, everything else uses :data:`PINNED`).
 """
 
 from __future__ import annotations
@@ -140,8 +141,7 @@ CellGetter = Callable[[Seq], Morphism]
 
 
 def required_boundary(cat: DgCategory, objects: Sequence[str],
-                      getter: CellGetter, seq: Seq,
-                      signs: SignPattern = PINNED) -> Morphism:
+                      getter: CellGetter, seq: Seq) -> Morphism:
     """What d(cell(seq)) must equal for the simplex data to be valid:
 
         Σ_p face_sign(p,k)·cell(s∖i_p)
@@ -152,7 +152,7 @@ def required_boundary(cat: DgCategory, objects: Sequence[str],
     which the cell at ``seq`` is the one being solved for.
     """
     total = MorphismSum(cat, objects[seq[0]], objects[seq[-1]], 3 - len(seq))
-    return _add_boundary(total, getter, seq, signs, 1).result()
+    return _add_boundary(total, getter, seq, PINNED, 1).result()
 
 
 def _add_boundary(total: MorphismSum, getter: CellGetter, seq: Seq,
@@ -201,7 +201,7 @@ def cell_shape_violation(cat: DgCategory, objects: Sequence[str], seq: Seq,
 
 def cell_violations(cat: DgCategory, objects: Sequence[str],
                     cells: Mapping[Seq, Morphism], seqs: Sequence[Seq],
-                    detail: str, signs: SignPattern,
+                    detail: str,
                     found: Sequence[Violation] = ()) -> list[Violation]:
     """``found`` plus the shape violations of the cells at ``seqs``; when
     there are none, one ``residual`` (with ``detail``) per cell at ``seqs``
@@ -213,11 +213,11 @@ def cell_violations(cat: DgCategory, objects: Sequence[str],
         return out
     return [Violation("residual", seq, detail) for seq in seqs
             if not _residual_sum(cat, cells.__getitem__, seq,
-                                 signs).is_zero()]
+                                 PINNED).is_zero()]
 
 
-def validate_simplex(cat: DgCategory, simplex: NerveSimplex,
-                     signs: SignPattern = PINNED) -> list[Violation]:
+def validate_simplex(cat: DgCategory,
+                     simplex: NerveSimplex) -> list[Violation]:
     """Shape and residual violations of one simplex (empty = valid)."""
     n = simplex.n
     if n < 0:
@@ -227,14 +227,12 @@ def validate_simplex(cat: DgCategory, simplex: NerveSimplex,
             return [Violation("shape", (obj,), "unknown object")]
     return cell_violations(cat, simplex.objects, simplex.cells,
                            increasing_sequences(n),
-                           "cell differential does not match faces/cuts",
-                           signs)
+                           "cell differential does not match faces/cuts")
 
 
-def validate_star(cat: DgCategory, simplex: NerveSimplex,
-                  signs: SignPattern = PINNED) -> list[Violation]:
+def validate_star(cat: DgCategory, simplex: NerveSimplex) -> list[Violation]:
     """validate_simplex plus: every edge has a homotopy-inverse witness."""
-    out = validate_simplex(cat, simplex, signs)
+    out = validate_simplex(cat, simplex)
     if out:
         return out
     for i, j in itertools.combinations(range(simplex.n + 1), 2):

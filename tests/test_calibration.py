@@ -5,6 +5,10 @@ The residual convention has a four-bit family of sign candidates
 anchor formula plus the d∘d = 0 and Leibniz laws are evaluated against all
 sixteen candidates, and exactly the pinned pattern survives.  The anchor
 alone fixes the two flip bits; d∘d = 0 and Leibniz kill the two twist bits.
+The laws draw their simplices valid under the pinned pattern and apply the
+candidate to the cochain differential and convolution only, so a candidate
+fails exactly when its cochain operations break the laws on pinned-valid
+simplices.
 """
 
 import random

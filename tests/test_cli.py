@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,14 @@ def _fives(entries):
     return [entry[:-1] + ["5"] for entry in entries]
 
 
+def _first_entry_halved(entries):
+    """The first entry of one record written as two entries that each
+    hold half of its constant: a parser that added them would read the
+    category unchanged, one that kept the last would read half."""
+    first = entries[0][:-1] + [str(Fraction(entries[0][-1]) / 2)]
+    return [first, first, *entries[1:]]
+
+
 @pytest.mark.parametrize("path, message", [
     (("diffs", 0, 3, 0, 1), "diff row 99 is out of range"),
     (("diffs", 0, 3, 0, 0), "diff column 99 is out of range"),
@@ -181,10 +190,16 @@ def test_check_out_of_range_tensor_index_exit_2(tmp_path, capsys, three_term,
      "\"comps\" states ('C0', 'C0', 'C0', -2, 0) twice"),
     (("identities",), _first_record_again(lambda units: ["5"] * len(units)),
      "\"identities\" states 'C0' twice"),
+    (("diffs", 0, 3), _first_entry_halved,
+     "\"diffs\" record ('C0', 'C0', -2) states a (column, row) pair "
+     "twice"),
+    (("comps", 0, 5), _first_entry_halved,
+     "\"comps\" record ('C0', 'C0', 'C0', -2, 0) states an (outer, "
+     "inner, result) triple twice"),
 ], ids=["ranks_not_a_list", "null_comp_entry", "zero_denominator",
         "exponent", "decimal_point", "huge_ring", "huge_rank", "short_unit",
         "long_unit", "repeated_rank", "repeated_diff", "repeated_comp",
-        "repeated_unit"])
+        "repeated_unit", "repeated_diff_entry", "repeated_comp_entry"])
 def test_check_malformed_category_exit_2(tmp_path, capsys, three_term,
                                          path, value, message):
     code, out, err = _check_edited_category(tmp_path, capsys, three_term,
@@ -658,6 +673,19 @@ def test_gp_dimension_one_exit_2(capsys):
     code, _, err = run_cli(capsys, "gp", "--n", "1", "--k", "0")
     assert code == 2
     assert "out of scope" in err
+
+
+def test_gp_dimension_past_cap_exit_2(capsys):
+    # A simplex has 2^(n+1) − n − 2 cells, so the sweep stops at the cap
+    # that documents have; n = 9 is refused before any trial runs.
+    code, out, err = run_cli(capsys, "gp", "--n", "9", "--k", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n must be at most 8\n"
+    code, out, _ = run_cli(capsys, "gp", "--n", "8", "--k", "4",
+                           "--trials", "1")
+    assert code == 0
+    assert "all trials pass" in out
 
 
 # -- determinism and formats --------------------------------------------------------
