@@ -42,13 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "for finite dg-categories and their coherent nerves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, category: bool = True) -> None:
-        if category:
-            p.add_argument("--category", default="three_term",
-                           help="category JSON path, or a fixture name "
-                                "(default: three_term; known fixtures: "
-                                + ", ".join(FIXTURES)
-                                + ")")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--category", default="three_term",
+                       help="category JSON path, or a fixture name "
+                            "(default: three_term; known fixtures: "
+                            + ", ".join(FIXTURES) + ")")
         p.add_argument("--out", help="write the JSON report/document here")
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="stdout format (default: text)")
@@ -94,15 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_doc(path: str) -> Mapping:
     try:
-        text = pathlib.Path(path).read_text()
+        data = pathlib.Path(path).read_bytes()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text, object_pairs_hook=jsonio.unique_keys)
+        doc = json.loads(data.decode("utf-8"),
+                         object_pairs_hook=jsonio.unique_keys)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}: invalid JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:        # an integer literal past the digit cap
+    except (ValueError, RecursionError) as exc:  # not UTF-8, digit cap, depth
         raise CliInputError(f"{path}: {exc}") from exc
     if not isinstance(doc, Mapping):
         raise CliInputError(f"{path}: top-level JSON value must be an object")
@@ -126,16 +125,19 @@ def _load_category(source: str) -> DgCategory:
 
 def _write_out(path: str, payload: str) -> None:
     target = pathlib.Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent or "."),
-                               prefix=target.name, suffix=".tmp")
+    tmp = None
     try:
-        with os.fdopen(fd, "w") as handle:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name,
+                                   suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(payload)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise CliInputError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:

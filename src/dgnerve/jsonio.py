@@ -1,8 +1,11 @@
-"""JSON document formats for categories, simplices, horns, and fillers.
+"""JSON document formats for categories, simplices, horns, and fillers,
+and the one reader and writer of the ring elements in them.
 
-All numeric payloads are exact rationals encoded as strings ("2/3"); ring
-elements over a square-zero extension are lists ``[body, ideal₁, …]``.
-Structured keys (vertex sequences) are comma-joined strings ("0,1,2").
+A scalar is an exact rational: an int or a ``"p"``/``"p/q"`` string (the
+writer emits strings).  A ring element is a list ``[body, ideal₁, …]`` of
+ideal rank + 1 scalars, or one scalar: the body, with zero ideal part (how
+elements over Q are written).  Documents are UTF-8 text.  Structured keys
+(vertex sequences) are comma-joined strings ("0,1,2").
 ``canonical_dumps`` fixes key order and whitespace so that equal documents
 serialize to identical bytes — the CLI's determinism contract.
 """
@@ -10,13 +13,14 @@ serialize to identical bytes — the CLI's determinism contract.
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 from typing import Any, Mapping
 
 from .dgcat import DgCategory, Morphism
 from .horn import Filler, HornData
 from .nerve import NerveSimplex, Seq
-from .rings import (RingElement, SquareZeroRing, element_from_json,
-                    element_to_json)
+from .rings import RingElement, SquareZeroRing
 
 # Caps on the sizes a document states as single integers.  The memory and
 # time spent on a document grow with these numbers, not with its length: a
@@ -64,23 +68,50 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return doc
 
 
-def _elem_doc(value: Any, nested: bool = False) -> Any:
-    """Normalize a ring-element document: allow bare ints, forbid floats."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError("ring elements must be exact: use \"p/q\" strings")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, list) and not nested:
-        return [_elem_doc(item, nested=True) for item in value]
-    if isinstance(value, str):
-        return value
-    raise ValueError(f"cannot read a ring element from {value!r}")
+# -- ring elements ----------------------------------------------------------------
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def rational_from_str(s: Any) -> int | Fraction:
+    """Read one scalar: an int (not a bool), or ``"p"`` or ``"p/q"`` in
+    plain decimal digits.  Any other value (a float, a bool, ``None``) or
+    text (``"1.5"``, ``"1e999999"``, ``" 1"``), ``"1/0"``, and digit strings
+    past Python's int-parsing cap are a ValueError."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise ValueError(f"not a rational \"p\" or \"p/q\": {s!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
+def element_to_json(x: RingElement) -> str | list[str]:
+    """Canonical JSON form: a bare string over Q, a list over larger rings."""
+    if len(x.nums) == 1:
+        return str(x.body)
+    return [str(q) for q in (x.body, *x.ideal)]
+
+
+def element_from_json(doc: Any, ring: SquareZeroRing) -> RingElement:
+    """A ring element from one scalar (its body; the ideal part is zero) or
+    from a list of ``ideal_rank + 1`` scalars, body first."""
+    if not isinstance(doc, list):
+        return ring.element(rational_from_str(doc))
+    if len(doc) != ring.ideal_rank + 1:
+        raise ValueError(f"ring element has {len(doc)} layers, expected "
+                         f"{ring.ideal_rank + 1}")
+    body, *ideal = doc
+    return ring.element(rational_from_str(body),
+                        [rational_from_str(c) for c in ideal])
 
 
 def _coords_from(doc: Any, ring: SquareZeroRing) -> tuple[RingElement, ...]:
     if not isinstance(doc, list):
         raise ValueError("coordinate vectors must be JSON lists")
-    return tuple(element_from_json(_elem_doc(item), ring) for item in doc)
+    return tuple(element_from_json(item, ring) for item in doc)
 
 
 def _coords_to(coords: tuple[RingElement, ...]) -> list:
@@ -163,7 +194,7 @@ def category_from_json(doc: Mapping) -> DgCategory:
         for j, i, a in records(entries, 3, "diff entries"):
             j = index(j, source, "diff column")
             i = index(i, target, "diff row")
-            cols.setdefault(j, {})[i] = element_from_json(_elem_doc(a), ring)
+            cols.setdefault(j, {})[i] = element_from_json(a, ring)
         if sum(map(len, cols.values())) != len(entries):
             raise ValueError(f"\"diffs\" record {source!r} states a "
                              "(column, row) pair twice")
@@ -178,8 +209,7 @@ def category_from_json(doc: Mapping) -> DgCategory:
             pair = (index(i, (y, z, t), "comp outer index"),
                     index(j, (x, y, s), "comp inner index"))
             r = index(r, (x, z, s + t), "comp result index")
-            tensor.setdefault(pair, {})[r] = element_from_json(_elem_doc(a),
-                                                               ring)
+            tensor.setdefault(pair, {})[r] = element_from_json(a, ring)
         if sum(map(len, tensor.values())) != len(entries):
             raise ValueError(f"\"comps\" record {key!r} states an "
                              "(outer, inner, result) triple twice")
@@ -269,20 +299,24 @@ def horn_to_json(horn: HornData) -> dict:
             "cells": _cells_to_json(horn.cells)}
 
 
-def horn_from_json(doc: Mapping, cat: DgCategory) -> HornData:
+def _horn_data(doc: Mapping, cat: DgCategory) -> HornData:
+    """The n, k, objects and cells that horn and filler documents share."""
     n = _dimension_from(doc)
     k = doc.get("k")
     if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= n:
         raise ValueError("\"k\" must be an integer with 0 <= k <= n")
     objects = _objects_from(doc, cat, n)
-    horn = HornData(n, k, objects,
+    return HornData(n, k, objects,
                     _cells_from_json(doc.get("cells", {}), cat, objects))
+
+
+def horn_from_json(doc: Mapping, cat: DgCategory) -> HornData:
+    horn = _horn_data(doc, cat)
     declared = doc.get("missing")
-    if declared is not None:
-        expected = [seq_to_key(s) for s in horn.missing]
-        if declared != expected:
-            raise ValueError(f"\"missing\" is {declared}, but an (n={n}, "
-                             f"k={k}) horn omits {expected}")
+    expected = [seq_to_key(s) for s in horn.missing]
+    if declared not in (None, expected):
+        raise ValueError(f"\"missing\" is {declared}, but an (n={horn.n}, "
+                         f"k={horn.k}) horn omits {expected}")
     return horn
 
 
@@ -294,19 +328,12 @@ def filler_to_json(filler: Filler, objects: tuple[str, ...]) -> dict:
 
 
 def filler_from_json(doc: Mapping, cat: DgCategory) -> Filler:
-    n = _dimension_from(doc)
-    k = doc.get("k")
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= n:
-        raise ValueError("\"k\" must be an integer with 0 <= k <= n")
-    objects = _objects_from(doc, cat, n)
-    cells = _cells_from_json(doc.get("cells", {}), cat, objects)
-    shape = HornData(n, k, objects, {})
-    want = {shape.missing_face, shape.full_seq}
-    if set(cells) != want:
-        raise ValueError("filler must provide exactly the cells "
-                         + " and ".join(sorted(seq_to_key(s) for s in want)))
-    return Filler(n, k, top=cells[shape.full_seq],
-                  face=cells[shape.missing_face])
+    shape = _horn_data(doc, cat)
+    if set(shape.cells) != set(shape.missing):
+        want = " and ".join(sorted(map(seq_to_key, shape.missing)))
+        raise ValueError(f"filler must provide exactly the cells {want}")
+    return Filler(shape.n, shape.k, top=shape.cells[shape.full_seq],
+                  face=shape.cells[shape.missing_face])
 
 
 def mc_to_json(eta: Morphism) -> dict:

@@ -173,8 +173,8 @@ def _residual_sum(cat: DgCategory, getter: CellGetter, seq: Seq,
     return _add_boundary(total.add_differential(cell), getter, seq, signs, -1)
 
 
-def cell_residual(cat: DgCategory, objects: Sequence[str], getter: CellGetter,
-                  seq: Seq, signs: SignPattern = PINNED) -> Morphism:
+def cell_residual(cat: DgCategory, getter: CellGetter, seq: Seq,
+                  signs: SignPattern = PINNED) -> Morphism:
     """R(seq) = d(cell(seq)) − required boundary, for simplex or horn data;
     zero exactly when the cell at ``seq`` satisfies its equation."""
     return _residual_sum(cat, getter, seq, signs).result()

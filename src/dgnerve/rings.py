@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -237,40 +236,3 @@ def random_element(ring: SquareZeroRing, rng: random.Random, *,
     den = lcm(*[q for _, q in pairs])
     return from_layers([p * (den // q) for p, q in pairs], den)
 
-
-# -- serialization ----------------------------------------------------------
-
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def rational_from_str(s: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` in plain decimal digits; any other text
-    (``"1.5"``, ``"1e999999"``, ``" 1"``, a non-string), ``"1/0"``, and
-    digit strings past Python's int-parsing cap are a ValueError."""
-    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
-        raise ValueError(f"not a rational \"p\" or \"p/q\": {s!r}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
-
-
-def element_to_json(x: RingElement) -> str | list[str]:
-    """Canonical JSON form: a bare string over Q, a list over larger rings."""
-    if len(x.nums) == 1:
-        return str(x.body)
-    return [str(q) for q in (x.body, *x.ideal)]
-
-
-def element_from_json(doc: str | Sequence[str], ring: SquareZeroRing) -> RingElement:
-    if isinstance(doc, str):
-        return ring.element(rational_from_str(doc))
-    if not doc:
-        raise ValueError("empty ring-element document")
-    body, *ideal = doc
-    if len(ideal) != ring.ideal_rank:
-        raise ValueError(
-            f"ring element has {len(ideal)} ideal coordinates, "
-            f"expected {ring.ideal_rank}")
-    return ring.element(rational_from_str(body),
-                        [rational_from_str(c) for c in ideal])

@@ -12,7 +12,11 @@ import copy
 import functools
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,7 +45,7 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
 
 def write_doc(tmp_path, name: str, doc) -> str:
     path = tmp_path / name
-    path.write_text(jsonio.canonical_dumps(doc))
+    path.write_text(jsonio.canonical_dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -121,6 +125,18 @@ def test_check_non_object_document_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2
     assert "must be an object" in err
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff{}", '{"objects": ["\xe9"]}'.encode("latin-1"), b"[" * 100000,
+], ids=["not_utf8", "latin1_name", "nested_past_recursion_limit"])
+def test_check_unreadable_bytes_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 def _check_edited_category(tmp_path, capsys, cat, path, value):
@@ -719,6 +735,44 @@ def test_json_format_matches_out_file(tmp_path, capsys):
     assert code == 0
     assert out == out_path.read_text()
     assert json.loads(out)["kind"] == "laws_report"
+
+
+@pytest.mark.parametrize("target", ["missing_dir/report.json", "a_dir"])
+def test_unwritable_out_exit_2(tmp_path, capsys, target):
+    (tmp_path / "a_dir").mkdir()
+    out_path = tmp_path / target
+    code, out, err = run_cli(capsys, "laws", "--category", "exterior",
+                             "--trials", "1", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_fill_out_is_utf8_under_the_posix_locale(tmp_path, capsys,
+                                                 three_term):
+    """Documents are read, and ``--out`` written, as UTF-8 whatever the
+    locale: ``fill`` in a process of its own under the POSIX locale, on a
+    horn over an object named α, writes the bytes of the in-process run."""
+    doc = json.loads(json.dumps(jsonio.category_to_json(three_term))
+                     .replace('"C0"', '"α"'))
+    cat_path = write_doc(tmp_path, "cat.json", doc)
+    horn = extract_horn(
+        identity_simplex(jsonio.category_from_json(doc), "α", 2), 1)
+    horn_path = write_doc(tmp_path, "horn.json", jsonio.horn_to_json(horn))
+    here, there = tmp_path / "here.json", tmp_path / "there.json"
+    argv = ["fill", horn_path, "--category", cat_path, "--out"]
+    assert run_cli(capsys, *argv, str(here))[0] == 0
+    src = pathlib.Path(jsonio.__file__).resolve().parents[1]
+    env = dict(os.environ, LC_ALL="POSIX", PYTHONUTF8="0",
+               PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-m",
+                           "dgnerve.cli", *argv, str(there)],
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert there.read_bytes() == here.read_bytes()
+    assert "α".encode() in here.read_bytes()
 
 
 def test_usage_error_exit_code(capsys):

@@ -11,6 +11,7 @@ degree 2−n, the top cell α̂(0,…,n) degree 1−n, the obstruction U degree
 exactly; these are asserted by substitution, not just via the validator.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -157,6 +158,30 @@ def test_identity_horn_obstruction_is_trivial(three_term):
     obs = compute_obstruction(three_term, extract_horn(simplex, 0))
     assert obs.U.is_zero()
     assert obstruction_violations(obs) == []
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["outer", "inner"])
+def test_obstruction_violations_name_each_broken_identity(three_term, k):
+    """A morphism x with d(x) ≠ 0 added to U breaks d(U) = 0 and, through
+    U, the V-identity; added to V it breaks the V-identity alone."""
+    rng = random.Random(7)
+    obs = compute_obstruction(three_term,
+                              random_horn(three_term, rng, 3, k,
+                                          witnessed=True))
+    assert (obs.alpha is None) == (k == 1)
+
+    def off(m):
+        x = three_term.random_morphism(m.source, m.target, m.degree, rng)
+        assert not three_term.differential(x).is_zero()
+        return lin((1, m), (1, x))
+
+    def kinds(broken):
+        return [(v.kind, v.location) for v in obstruction_violations(broken)]
+
+    assert kinds(dataclasses.replace(obs, U=off(obs.U))) == \
+        [("obstruction_dU", (3, k)), ("obstruction_dV", (3, k))]
+    assert kinds(dataclasses.replace(obs, V=off(obs.V))) == \
+        [("obstruction_dV", (3, k))]
 
 
 @pytest.mark.parametrize("n,k", GRID)

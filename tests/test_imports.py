@@ -1,8 +1,7 @@
 """No module of the package or of the suite imports a name it never uses.
 
 A name counts as used when it is read anywhere in the module, in an
-annotation too (a quoted annotation is parsed for the names in it).  The
-package ``__init__`` is skipped: its imports are the public re-exports.
+annotation too (a quoted annotation is parsed for the names in it).
 """
 
 import ast
@@ -11,10 +10,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "dgnerve").glob("*.py")
-     if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")))
+MODULES = sorted([*(ROOT / "src" / "dgnerve").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def _annotations(tree):

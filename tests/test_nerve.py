@@ -92,7 +92,7 @@ def test_residual_anchor_formula(three_term, rng):
         (0, 2): three_term.random_morphism(obj, obj, 0, rng),
         (0, 1, 2): three_term.random_morphism(obj, obj, -1, rng),
     }
-    got = cell_residual(three_term, [obj] * 3, cells.__getitem__, (0, 1, 2))
+    got = cell_residual(three_term, cells.__getitem__, (0, 1, 2))
     want = lin((1, three_term.differential(cells[(0, 1, 2)])),
                (-1, three_term.compose(cells[(1, 2)], cells[(0, 1)])),
                (1, cells[(0, 2)]))
@@ -102,7 +102,7 @@ def test_residual_anchor_formula(three_term, rng):
 def test_edge_residual_is_differential(three_term, rng):
     (obj,) = three_term.objects
     edge = three_term.random_morphism(obj, obj, 0, rng)
-    assert cell_residual(three_term, [obj] * 2, {(0, 1): edge}.__getitem__,
+    assert cell_residual(three_term, {(0, 1): edge}.__getitem__,
                          (0, 1)) == three_term.differential(edge)
 
 
@@ -144,7 +144,7 @@ def test_residual_matches_hand_expansion(name, rank):
     for n in (1, 2, 3, 4):
         simplex = random_valid_simplex(cat, rng, n, witnessed=False)
         for seq in increasing_sequences(n):
-            got = cell_residual(cat, simplex.objects, simplex.cell, seq)
+            got = cell_residual(cat, simplex.cell, seq)
             assert got == hand_residual(cat, simplex.cells, seq)
             assert got.is_zero()
         cells = dict(simplex.cells)
@@ -154,7 +154,7 @@ def test_residual_matches_hand_expansion(name, rank):
             cells[seq] = lin((1, cell), (1, cat.random_morphism(
                 cell.source, cell.target, cell.degree, rng)))
         for seq in increasing_sequences(n):
-            got = cell_residual(cat, simplex.objects, cells.__getitem__, seq)
+            got = cell_residual(cat, cells.__getitem__, seq)
             assert got == hand_residual(cat, cells, seq)
             broken += not got.is_zero()
     assert broken
@@ -422,3 +422,17 @@ def test_compose_requires_matching_middle(three_term):
         pytest.skip("samples coincide; cannot exercise the mismatch guard")
     with pytest.raises(ValueError):
         cochain_compose(three_term, eta, phi)
+
+
+def test_cochain_equal_reads_a_stored_zero_as_absent(three_term):
+    rng = random.Random(74)
+    f = random_valid_simplex(three_term, rng, 2, witnessed=False)
+    c = random_cochain(three_term, rng, f, f, 0)
+    seq, cell = next((seq, cell) for seq, cell in c.components.items()
+                     if not cell.is_zero())
+    rest = {s: m for s, m in c.components.items() if s != seq}
+    zero = three_term.zero(cell.source, cell.target, cell.degree)
+    omitted = NerveCochain(f, f, 0, rest)
+    stored = NerveCochain(f, f, 0, {**rest, seq: zero})
+    assert cochain_equal(omitted, stored) and cochain_equal(stored, omitted)
+    assert not cochain_equal(omitted, c) and not cochain_equal(c, omitted)

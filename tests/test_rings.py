@@ -20,17 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgnerve.rings
+from dgnerve.jsonio import element_from_json, element_to_json, rational_from_str
 from dgnerve.rings import (
     NotAUnit,
     RATIONALS,
     RingElement,
     SquareZeroRing,
-    element_from_json,
-    element_to_json,
     from_layers,
     invert,
     random_element,
-    rational_from_str,
     reduce_mod_ideal,
 )
 
@@ -388,14 +386,15 @@ def test_element_json_round_trip(x):
 
 
 @pytest.mark.parametrize("text, value", [
-    ("7", Fraction(7)), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2))])
+    ("7", Fraction(7)), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2)),
+    (5, Fraction(5))])
 def test_rational_from_str_reads_p_and_p_over_q(text, value):
     assert rational_from_str(text) == value
 
 
 @pytest.mark.parametrize("text", [
     "1e999999", "1.5", " 1", "1 ", "1_0", "+1", "1/-2", "", "/2", "\u0663",
-    "1" * 5000, "1/0", 5])
+    "1" * 5000, "1/0", 0.5, True, None])
 def test_rational_from_str_rejects_other_text(text):
     with pytest.raises(ValueError):
         rational_from_str(text)
