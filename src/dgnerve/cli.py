@@ -14,7 +14,6 @@ import json
 import os
 import pathlib
 import sys
-import tempfile
 from typing import Mapping, Sequence
 
 from . import jsonio, laws
@@ -124,19 +123,18 @@ def _load_category(source: str) -> DgCategory:
 
 
 def _write_out(path: str, payload: str) -> None:
-    target = pathlib.Path(path)
-    tmp = None
+    """Write a new file beside ``path`` (mode from the umask) and move it."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name,
-                                   suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(payload)
-        os.replace(tmp, target)
+        os.replace(tmp, path)
     except OSError as exc:
         raise CliInputError(
             f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if os.path.exists(tmp):
             os.unlink(tmp)
 
 
@@ -144,10 +142,14 @@ def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
     payload = jsonio.canonical_dumps(doc)
     if args.out:
         _write_out(args.out, payload)
-    if args.format == "json":
-        sys.stdout.write(payload)
-    else:
-        sys.stdout.write("".join(line + "\n" for line in text_lines))
+    text = payload if args.format == "json" else \
+        "".join(line + "\n" for line in text_lines)
+    if hasattr(sys.stdout, "buffer"):      # UTF-8, whatever the locale
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.flush()
+    else:                                  # a text stream such as StringIO
+        sys.stdout.write(text)
 
 
 def _violations_doc(violations: Sequence[Violation]) -> list[dict]:
@@ -221,7 +223,10 @@ def cmd_fill(args: argparse.Namespace) -> int:
                   "error": "cannot_fill_outer_horn", "detail": str(exc)}
         _emit(args, report, [f"FAIL {exc}"])
         return FAIL
-    out_doc = jsonio.filler_to_json(filler, horn.objects)
+    try:
+        out_doc = jsonio.filler_to_json(filler, horn.objects)
+    except ValueError as exc:               # a scalar past jsonio.MAX_DIGITS
+        raise CliInputError(str(exc)) from exc
     residues = validate_simplex(cat, complete_horn(horn, filler))
     if residues:  # defensive: should be unreachable
         _emit(args, {"kind": "fill_report", "ok": False,
@@ -246,6 +251,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
         raise CliInputError(str(exc)) from exc
     try:
         lifted = lift_filler(cat, horn, filler_mod)
+        out_doc = jsonio.filler_to_json(lifted, horn.objects)
     except HornError as exc:
         _emit(args, {"kind": "lift_report", "ok": False,
                      "error": type(exc).__name__, "detail": str(exc)},
@@ -253,7 +259,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
         return FAIL
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    _emit(args, jsonio.filler_to_json(lifted, horn.objects),
+    _emit(args, out_doc,
           [f"lifted ({horn.n}, {horn.k}) filler through the rank-"
            f"{cat.ring.ideal_rank} square-zero ideal"])
     return PASS

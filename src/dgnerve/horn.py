@@ -93,12 +93,6 @@ class HornData:
         skip = {self.missing_face, self.full_seq}
         return [s for s in increasing_sequences(self.n) if s not in skip]
 
-    def cell(self, seq: Seq) -> Morphism:
-        try:
-            return self.cells[tuple(seq)]
-        except KeyError:
-            raise ValueError(f"horn has no cell for {seq}") from None
-
 
 def extract_horn(simplex: NerveSimplex, k: int) -> HornData:
     """Forget the k-face and top cell of a simplex (test-data generator)."""
@@ -211,17 +205,11 @@ def compute_obstruction(cat: DgCategory, horn: HornData) -> Obstruction:
     op_reduced = k == n
     if op_reduced:
         cat, horn = opposite(cat), opposite_horn(horn)
-    miss = horn.missing_face
-    U = required_boundary(cat, horn.objects, horn.cell, miss)
-
-    def patched(seq: Seq) -> Morphism:
-        if seq == miss:
-            return cat.zero(horn.objects[seq[0]], horn.objects[seq[-1]], 2 - n)
-        return horn.cell(seq)
-
-    V = required_boundary(cat, horn.objects, patched, horn.full_seq)
+    # Every other cell is present; the absent missing face reads as zero in V.
+    U = required_boundary(cat, horn.objects, horn.cells, horn.missing_face)
+    V = required_boundary(cat, horn.objects, horn.cells, horn.full_seq)
     if horn.k == 0:                        # k = 0, or k = n reversed
-        obs = Obstruction(n, k, U, V, None, horn.cell((0, 1)), cat, op_reduced)
+        obs = Obstruction(n, k, U, V, None, horn.cells[0, 1], cat, op_reduced)
     else:
         obs = Obstruction(n, k, U, V, PINNED.face_sign(k, n), None, cat)
     bad = obstruction_violations(obs)

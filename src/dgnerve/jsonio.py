@@ -29,6 +29,8 @@ from .rings import RingElement, SquareZeroRing
 MAX_IDEAL_RANK = 8
 MAX_HOM_RANK = 256
 MAX_DIMENSION = 8
+MAX_DIGITS = 4300        # per numerator or denominator: Python's int/str cap
+_DIGIT_BOUND = 10 ** MAX_DIGITS
 
 
 def canonical_dumps(doc: Any) -> str:
@@ -71,17 +73,21 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 # -- ring elements ----------------------------------------------------------------
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def rational_from_str(s: Any) -> int | Fraction:
     """Read one scalar: an int (not a bool), or ``"p"`` or ``"p/q"`` in
     plain decimal digits.  Any other value (a float, a bool, ``None``) or
-    text (``"1.5"``, ``"1e999999"``, ``" 1"``), ``"1/0"``, and digit strings
-    past Python's int-parsing cap are a ValueError."""
+    text (``"1.5"``, ``"1e999999"``, ``" 1"``), ``"1/0"``, and a numerator
+    or denominator past ``MAX_DIGITS`` digits are a ValueError (``json``
+    itself refuses longer int literals)."""
     if isinstance(s, int) and not isinstance(s, bool):
         return s
     if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
         raise ValueError(f"not a rational \"p\" or \"p/q\": {s!r}")
+    if any(len(part) > MAX_DIGITS for part in s.lstrip("-").split("/")):
+        raise ValueError(f"a scalar has more than {MAX_DIGITS} digits")
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -89,10 +95,13 @@ def rational_from_str(s: Any) -> int | Fraction:
 
 
 def element_to_json(x: RingElement) -> str | list[str]:
-    """Canonical JSON form: a bare string over Q, a list over larger rings."""
-    if len(x.nums) == 1:
-        return str(x.body)
-    return [str(q) for q in (x.body, *x.ideal)]
+    """Canonical JSON form: a bare string over Q, a list over larger rings;
+    a ValueError past ``MAX_DIGITS``, which the reader would refuse."""
+    scalars = [x.body, *x.ideal]
+    if any(max(abs(q.numerator), q.denominator) >= _DIGIT_BOUND
+           for q in scalars):
+        raise ValueError(f"cannot write a scalar of over {MAX_DIGITS} digits")
+    return str(scalars[0]) if len(scalars) == 1 else [str(q) for q in scalars]
 
 
 def element_from_json(doc: Any, ring: SquareZeroRing) -> RingElement:
@@ -154,6 +163,8 @@ def category_from_json(doc: Mapping) -> DgCategory:
             or any(not isinstance(x, str) for x in objects)
             or len(set(objects)) != len(objects)):
         raise ValueError("\"objects\" must be a list of distinct names")
+    if any(map(_SURROGATE.search, objects)):
+        raise ValueError("object names must not hold lone surrogates")
     known = set(objects)
 
     def obj(name: Any) -> str:

@@ -44,11 +44,19 @@ def random_cochain(cat: DgCategory, rng: random.Random, source: NerveSimplex,
     return NerveCochain(source, target, degree, components)
 
 
+def _random_chain(cat: DgCategory, rng: random.Random, n: int,
+                  m: int) -> list[NerveCochain]:
+    """m random cochains along m + 1 random valid n-simplices, drawn first."""
+    simplices = [random_valid_simplex(cat, rng, n, witnessed=False)
+                 for _ in range(m + 1)]
+    return [random_cochain(cat, rng, source, target,
+                           rng.choice(COCHAIN_DEGREES))
+            for source, target in zip(simplices, simplices[1:])]
+
+
 def law_cochain_d_squared(cat: DgCategory, rng: random.Random, n: int,
                           signs: SignPattern) -> str | None:
-    source = random_valid_simplex(cat, rng, n, witnessed=False)
-    target = random_valid_simplex(cat, rng, n, witnessed=False)
-    eta = random_cochain(cat, rng, source, target, rng.choice(COCHAIN_DEGREES))
+    (eta,) = _random_chain(cat, rng, n, 1)
     once = cochain_differential(cat, eta, signs)
     twice = cochain_differential(cat, once, signs)
     if twice.components:                  # zero components are not stored
@@ -58,11 +66,7 @@ def law_cochain_d_squared(cat: DgCategory, rng: random.Random, n: int,
 
 def law_cochain_leibniz(cat: DgCategory, rng: random.Random, n: int,
                         signs: SignPattern) -> str | None:
-    f = random_valid_simplex(cat, rng, n, witnessed=False)
-    g = random_valid_simplex(cat, rng, n, witnessed=False)
-    h = random_valid_simplex(cat, rng, n, witnessed=False)
-    phi = random_cochain(cat, rng, f, g, rng.choice(COCHAIN_DEGREES))
-    eta = random_cochain(cat, rng, g, h, rng.choice(COCHAIN_DEGREES))
+    phi, eta = _random_chain(cat, rng, n, 2)
     lhs = cochain_differential(cat, cochain_compose(cat, eta, phi, signs),
                                signs)
     rhs = cochain_add(
@@ -79,13 +83,7 @@ def law_cochain_leibniz(cat: DgCategory, rng: random.Random, n: int,
 
 def law_cochain_assoc(cat: DgCategory, rng: random.Random, n: int,
                       signs: SignPattern) -> str | None:
-    f = random_valid_simplex(cat, rng, n, witnessed=False)
-    g = random_valid_simplex(cat, rng, n, witnessed=False)
-    h = random_valid_simplex(cat, rng, n, witnessed=False)
-    k = random_valid_simplex(cat, rng, n, witnessed=False)
-    phi = random_cochain(cat, rng, f, g, rng.choice(COCHAIN_DEGREES))
-    eta = random_cochain(cat, rng, g, h, rng.choice(COCHAIN_DEGREES))
-    zeta = random_cochain(cat, rng, h, k, rng.choice(COCHAIN_DEGREES))
+    phi, eta, zeta = _random_chain(cat, rng, n, 3)
     lhs = cochain_compose(cat, zeta, cochain_compose(cat, eta, phi, signs),
                           signs)
     rhs = cochain_compose(cat, cochain_compose(cat, zeta, eta, signs), phi,

@@ -20,9 +20,11 @@ by the cells of F and G,
     d(η) = d_M(η) − g∘η + (−1)^{|η|} η∘f,
 
 and an associative convolution product for which that differential is a
-derivation.  All signs route through a :class:`SignPattern`; the shipped
-:data:`PINNED` pattern is the unique one of the sixteen candidates that
-reproduces the n = 2 anchor *and* satisfies d² = 0 and the Leibniz rule
+derivation.  Residuals and cochains share one face sum and one cut sum (for
+residuals, the cells convolved with themselves), read from mappings where an
+absent sequence is zero.  All signs route through a :class:`SignPattern`; the
+shipped :data:`PINNED` pattern is the unique one of the sixteen candidates
+that reproduces the n = 2 anchor *and* satisfies d² = 0 and the Leibniz rule
 (the calibration test re-runs the search; only ``cell_residual`` and the
 cochain operations take a pattern, everything else uses :data:`PINNED`).
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .dgcat import (DgCategory, Morphism, MorphismSum, NotEquivalence,
                     Violation, find_equivalence_witness)
@@ -137,47 +139,35 @@ def interval_category(n: int, ring: SquareZeroRing | None = None) -> DgCategory:
 
 # -- residuals ----------------------------------------------------------------
 
-CellGetter = Callable[[Seq], Morphism]
-
-
 def required_boundary(cat: DgCategory, objects: Sequence[str],
-                      getter: CellGetter, seq: Seq) -> Morphism:
+                      cells: Mapping[Seq, Morphism], seq: Seq) -> Morphism:
     """What d(cell(seq)) must equal for the simplex data to be valid:
 
         Σ_p face_sign(p,k)·cell(s∖i_p)
       + Σ_p cut_sign(p,k)·(−1)^{k−p}·cell(top_p)∘cell(bot_p)
 
-    over interior positions ``0 < p < k``.  Only faces and cuts of ``seq``
-    are fetched, never ``seq`` itself, so this also serves horn data in
-    which the cell at ``seq`` is the one being solved for.
+    over ``0 < p < k``: the face sum, and the cut sum of the cells convolved
+    with themselves as a degree-1 cochain.  Only faces and cuts of ``seq``
+    are read, and an absent cell counts as zero, so horn data serves too.
     """
     total = MorphismSum(cat, objects[seq[0]], objects[seq[-1]], 3 - len(seq))
-    return _add_boundary(total, getter, seq, PINNED, 1).result()
+    _add_faces(total, cells, seq, PINNED, 1)
+    return _add_convolution(total, cells, cells, 1, seq, PINNED, 1).result()
 
 
-def _add_boundary(total: MorphismSum, getter: CellGetter, seq: Seq,
-                  signs: SignPattern, sign: int) -> MorphismSum:
-    """``total += sign·(required boundary of seq)``."""
-    k = len(seq) - 1
-    for p in range(1, k):
-        total.add(getter(seq[:p] + seq[p + 1:]), sign * signs.face_sign(p, k))
-        total.add_compose(getter(seq[p:]), getter(seq[:p + 1]),
-                          sign * signs.cut_sign(p, k) * (-1) ** (k - p))
-    return total
-
-
-def _residual_sum(cat: DgCategory, getter: CellGetter, seq: Seq,
+def _residual_sum(cat: DgCategory, cells: Mapping[Seq, Morphism], seq: Seq,
                   signs: SignPattern) -> MorphismSum:
-    cell = getter(seq)
+    cell = cells[seq]
     total = MorphismSum(cat, cell.source, cell.target, cell.degree + 1)
-    return _add_boundary(total.add_differential(cell), getter, seq, signs, -1)
+    _add_faces(total.add_differential(cell), cells, seq, signs, -1)
+    return _add_convolution(total, cells, cells, 1, seq, signs, -1)
 
 
-def cell_residual(cat: DgCategory, getter: CellGetter, seq: Seq,
+def cell_residual(cat: DgCategory, cells: Mapping[Seq, Morphism], seq: Seq,
                   signs: SignPattern = PINNED) -> Morphism:
     """R(seq) = d(cell(seq)) − required boundary, for simplex or horn data;
     zero exactly when the cell at ``seq`` satisfies its equation."""
-    return _residual_sum(cat, getter, seq, signs).result()
+    return _residual_sum(cat, cells, seq, signs).result()
 
 
 def cell_shape_violation(cat: DgCategory, objects: Sequence[str], seq: Seq,
@@ -212,8 +202,7 @@ def cell_violations(cat: DgCategory, objects: Sequence[str],
     if out:
         return out
     return [Violation("residual", seq, detail) for seq in seqs
-            if not _residual_sum(cat, cells.__getitem__, seq,
-                                 PINNED).is_zero()]
+            if not _residual_sum(cat, cells, seq, PINNED).is_zero()]
 
 
 def validate_simplex(cat: DgCategory,
@@ -313,11 +302,6 @@ class NerveCochain:
                         self.degree - (len(seq) - 1))
 
 
-def cells_cochain(simplex: NerveSimplex) -> NerveCochain:
-    """A simplex's own cells, seen as a degree-1 cochain simplex → simplex."""
-    return NerveCochain(simplex, simplex, 1, dict(simplex.cells))
-
-
 def cochain_equal(left: NerveCochain, right: NerveCochain) -> bool:
     if (left.degree, left.source.objects, left.target.objects) != \
             (right.degree, right.source.objects, right.target.objects):
@@ -337,17 +321,30 @@ def cochain_equal(left: NerveCochain, right: NerveCochain) -> bool:
     return True
 
 
-def _add_convolution(total: MorphismSum, outer: NerveCochain,
-                     inner: NerveCochain, seq: Seq, signs: SignPattern,
-                     sign: int) -> MorphismSum:
-    """``total += sign·(outer ∘ inner)(seq)``, summed over the two-sided cuts
-    of ``seq``; components that are not stored are zero."""
+def _add_faces(total: MorphismSum, parts: Mapping[Seq, Morphism], seq: Seq,
+               signs: SignPattern, sign: int) -> MorphismSum:
+    """``total += sign·Σ_p face_sign(p, k)·parts(seq∖i_p)`` over the interior
+    positions of ``seq``; parts that are not stored are zero."""
     k = len(seq) - 1
     for p in range(1, k):
-        outer_part = outer.components.get(seq[p:])
-        inner_part = inner.components.get(seq[:p + 1])
+        part = parts.get(seq[:p] + seq[p + 1:])
+        if part is not None:
+            total.add(part, sign * signs.face_sign(p, k))
+    return total
+
+
+def _add_convolution(total: MorphismSum, outer: Mapping[Seq, Morphism],
+                     inner: Mapping[Seq, Morphism], inner_degree: int,
+                     seq: Seq, signs: SignPattern, sign: int) -> MorphismSum:
+    """``total += sign·(outer ∘ inner)(seq)``, summed over the two-sided cuts
+    of ``seq`` with the Koszul sign of an inner cochain of degree
+    ``inner_degree``; parts that are not stored are zero."""
+    k = len(seq) - 1
+    for p in range(1, k):
+        outer_part = outer.get(seq[p:])
+        inner_part = inner.get(seq[:p + 1])
         if outer_part is not None and inner_part is not None:
-            koszul = -1 if inner.degree * (k - p) % 2 else 1
+            koszul = -1 if inner_degree * (k - p) % 2 else 1
             total.add_compose(outer_part, inner_part,
                               sign * signs.cut_sign(p, k) * koszul)
     return total
@@ -366,7 +363,8 @@ def cochain_compose(cat: DgCategory, outer: NerveCochain, inner: NerveCochain,
         total = MorphismSum(cat, inner.source.objects[seq[0]],
                             outer.target.objects[seq[-1]],
                             degree - (len(seq) - 1))
-        _add_convolution(total, outer, inner, seq, signs, 1)
+        _add_convolution(total, outer.components, inner.components,
+                         inner.degree, seq, signs, 1)
         if not total.is_zero():
             components[seq] = total.result()
     return NerveCochain(inner.source, outer.target, degree, components)
@@ -384,22 +382,19 @@ def cochain_differential(cat: DgCategory, cochain: NerveCochain,
     """
     t = cochain.degree
     koszul = -1 if t % 2 else 1
-    f_cells = cells_cochain(cochain.source)
-    g_cells = cells_cochain(cochain.target)
+    f_cells, g_cells = cochain.source.cells, cochain.target.cells
+    parts = cochain.components
     components: dict[Seq, Morphism] = {}
     for seq in increasing_sequences(cochain.n):
         k = len(seq) - 1
         total = MorphismSum(cat, cochain.source.objects[seq[0]],
                             cochain.target.objects[seq[-1]], t + 1 - k)
-        own = cochain.components.get(seq)
+        own = parts.get(seq)
         if own is not None:
             total.add_differential(own)
-        for p in range(1, k):
-            part = cochain.components.get(seq[:p] + seq[p + 1:])
-            if part is not None:
-                total.add(part, koszul * signs.face_sign(p, k))
-        _add_convolution(total, g_cells, cochain, seq, signs, -1)
-        _add_convolution(total, cochain, f_cells, seq, signs, koszul)
+        _add_faces(total, parts, seq, signs, koszul)
+        _add_convolution(total, g_cells, parts, t, seq, signs, -1)
+        _add_convolution(total, parts, f_cells, 1, seq, signs, koszul)
         if not total.is_zero():
             components[seq] = total.result()
     return NerveCochain(cochain.source, cochain.target, t + 1, components)

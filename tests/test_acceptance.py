@@ -103,7 +103,7 @@ def anchor_reproduced(cat, signs: SignPattern, draws: int = 5) -> bool:
             degree = 1 - (len(seq) - 1)
             cells[seq] = cat.random_morphism(objects[seq[0]],
                                              objects[seq[-1]], degree, rng)
-        residual = cell_residual(cat, cells.__getitem__, (0, 1, 2), signs)
+        residual = cell_residual(cat, cells, (0, 1, 2), signs)
         hand = lin((1, cat.differential(cells[(0, 1, 2)])),
                    (-1, cat.compose(cells[(1, 2)], cells[(0, 1)])),
                    (1, cells[(0, 2)]))

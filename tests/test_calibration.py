@@ -46,7 +46,7 @@ def anchor_holds(cat, signs):
         want = lin((1, cat.differential(cells[(0, 1, 2)])),
                    (-1, cat.compose(cells[(1, 2)], cells[(0, 1)])),
                    (1, cells[(0, 2)]))
-        if cell_residual(cat, cells.__getitem__, (0, 1, 2), signs) != want:
+        if cell_residual(cat, cells, (0, 1, 2), signs) != want:
             return False
     return True
 

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
 import os
 import pathlib
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -750,6 +752,17 @@ def test_unwritable_out_exit_2(tmp_path, capsys, target):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+def run_posix(*argv: str) -> subprocess.CompletedProcess:
+    """``dgnerve`` in a process of its own under the POSIX locale, whose
+    stdout encoding is ASCII."""
+    src = pathlib.Path(jsonio.__file__).resolve().parents[1]
+    env = dict(os.environ, LC_ALL="POSIX", PYTHONUTF8="0",
+               PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-X", "utf8=0", "-m",
+                           "dgnerve.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+
+
 def test_fill_out_is_utf8_under_the_posix_locale(tmp_path, capsys,
                                                  three_term):
     """Documents are read, and ``--out`` written, as UTF-8 whatever the
@@ -764,15 +777,133 @@ def test_fill_out_is_utf8_under_the_posix_locale(tmp_path, capsys,
     here, there = tmp_path / "here.json", tmp_path / "there.json"
     argv = ["fill", horn_path, "--category", cat_path, "--out"]
     assert run_cli(capsys, *argv, str(here))[0] == 0
-    src = pathlib.Path(jsonio.__file__).resolve().parents[1]
-    env = dict(os.environ, LC_ALL="POSIX", PYTHONUTF8="0",
-               PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-X", "utf8=0", "-m",
-                           "dgnerve.cli", *argv, str(there)],
-                          env=env, capture_output=True, timeout=120)
+    done = run_posix(*argv, str(there))
     assert done.returncode == 0, done.stderr
     assert there.read_bytes() == here.read_bytes()
     assert "α".encode() in here.read_bytes()
+
+
+def test_failing_text_report_is_utf8_under_the_posix_locale(tmp_path, capsys,
+                                                            doubled_unit):
+    """Reports reach stdout as UTF-8 whatever the locale: a failing
+    ``check`` whose lines hold ``∘``, in a process under the POSIX locale,
+    prints the bytes of the in-process run and keeps its exit code 1."""
+    path = write_doc(tmp_path, "cat.json",
+                     jsonio.category_to_json(doubled_unit))
+    code, here, _ = run_cli(capsys, "check", path)
+    assert code == 1 and "∘" in here
+    done = run_posix("check", path)
+    assert (done.returncode, done.stderr) == (1, b"")
+    assert done.stdout == here.encode()
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600),
+                                        (0o002, 0o664)],
+                         ids=["022", "077", "002"])
+def test_out_file_mode_follows_the_umask(tmp_path, capsys, umask, mode):
+    out_path = tmp_path / "report.json"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run_cli(capsys, "gp", "--n", "2", "--k", "1",
+                             "--trials", "1", "--out", str(out_path))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out_path.stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_out_name_at_the_length_limit_is_written(tmp_path, capsys):
+    """The temporary file has a short name of its own, so any name that a
+    plain ``open`` takes (255 bytes here) takes the report."""
+    out_path = tmp_path / ("r" * 250 + ".json")
+    code, _, err = run_cli(capsys, "gp", "--n", "2", "--k", "1",
+                           "--trials", "1", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out_path.read_text())["n"] == 2
+    assert [p.name for p in tmp_path.iterdir()] == [out_path.name]
+
+
+@pytest.mark.parametrize("sink", ["--out", "--format"])
+def test_lone_surrogate_object_name_exit_2(tmp_path, capsys, three_term,
+                                           sink):
+    """``fill`` on a horn over ``three_term`` with C0 renamed "\\ud800": no
+    report can hold such a name, so the category is refused, and nothing
+    is written."""
+    horn = random_horn(three_term, random.Random(5), 2, 1)
+    for name, doc in [("cat", jsonio.category_to_json(three_term)),
+                      ("horn", jsonio.horn_to_json(horn))]:
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps(doc).replace('"C0"', '"\\ud800"'))
+    extra = [sink, str(tmp_path / "filler.json") if sink == "--out"
+             else "json"]
+    code, out, err = run_cli(capsys, "fill", str(tmp_path / "horn.json"),
+                             "--category", str(tmp_path / "cat.json"), *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "lone surrogates" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cat.json",
+                                                          "horn.json"]
+
+
+def test_fill_result_past_the_digit_cap_exit_2(tmp_path, capsys, three_term):
+    """Edges scaled by a 3000-digit int still make a valid Λ²₁ horn, but
+    its filler face α₁₂∘α₀₁ has about 6000 digits, which no document may
+    hold: ``fill`` refuses to write it."""
+    horn = random_horn(three_term, random.Random(0), 2, 1, witnessed=False)
+    big, cells = int("7" * 3000), dict(horn.cells)
+    for seq in ((0, 1), (1, 2)):
+        cell = cells[seq]
+        cells[seq] = Morphism(cell.source, cell.target, cell.degree,
+                              tuple(c * big for c in cell.coords))
+    horn = dataclasses.replace(horn, cells=cells)
+    assert check_horn(three_term, horn) == []
+    horn_path = write_doc(tmp_path, "horn.json", jsonio.horn_to_json(horn))
+    out_path = tmp_path / "filler.json"
+    for sink in (["--out", str(out_path)], ["--format", "json"]):
+        code, out, err = run_cli(capsys, "fill", horn_path, *sink)
+        assert code == 2 and out == ""
+        assert err == "error: cannot write a scalar of over 4300 digits\n"
+    assert not out_path.exists()
+
+
+def test_lift_result_past_the_digit_cap_exit_2(tmp_path, capsys, three_term):
+    """Over Q ⊕ εQ, edges with a 2200-digit body on (0, 1) and a 2200-digit
+    ε-part on (1, 2): the reduced filler is writable, but the lifted face's
+    ε-part has about 4400 digits, so ``lift`` refuses to write it."""
+    cat = tensor_with_ring(three_term, SquareZeroRing(1))
+    horn = random_horn(cat, random.Random(0), 2, 1, witnessed=False)
+    big, ring, cells = int("7" * 2200), cat.ring, dict(horn.cells)
+    for seq, body, eps in (((0, 1), big, 0), ((1, 2), 1, big)):
+        cell = cells[seq]
+        cells[seq] = Morphism(cell.source, cell.target, cell.degree, tuple(
+            ring.element(c.body * body, [c.body * eps]) for c in cell.coords))
+    horn = dataclasses.replace(horn, cells=cells)
+    red_filler = fill_horn(reduce_category(cat), reduce_horn(horn))
+    paths = [write_doc(tmp_path, name, doc) for name, doc in [
+        ("horn.json", jsonio.horn_to_json(horn)),
+        ("filler.json", jsonio.filler_to_json(red_filler, horn.objects)),
+        ("cat.json", jsonio.category_to_json(cat))]]
+    code, out, err = run_cli(capsys, "lift", *paths[:2],
+                             "--category", paths[2])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write a scalar of over 4300 digits\n"
+
+
+@pytest.mark.parametrize("scalar,code", [
+    ("1" * 4301, 2), ("-" + "1" * 4301, 2), ("1/" + "3" * 4301, 2),
+    ("1" * 4300, 1), ("-1/" + "3" * 4300, 1)],
+    ids=["4301", "minus_4301", "over_4301", "4300", "minus_over_4300"])
+def test_scalar_string_digit_cap(tmp_path, capsys, three_term, scalar, code):
+    """A numerator or denominator of more than 4300 digits is refused as
+    input; one of 4300 digits reads, and the scaled unit then fails."""
+    doc = jsonio.category_to_json(three_term)
+    doc["identities"][0][1][0] = scalar
+    got, out, err = run_cli(capsys, "check",
+                            write_doc(tmp_path, "cat.json", doc))
+    assert got == code and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.endswith("more than 4300 digits\n")
 
 
 def test_usage_error_exit_code(capsys):
@@ -880,7 +1011,8 @@ def test_detect_kind_inference(three_term):
 # -- hostile documents ---------------------------------------------------------------
 
 HOSTILE = [None, "1/0", "", 1.5, float("nan"), float("inf"), True, -1, 0,
-           10 ** 9, 10 ** 400, -(10 ** 400), [], {}, [[["1"]]], {"0,1": []}]
+           10 ** 9, 10 ** 400, -(10 ** 400), [], {}, [[["1"]]], {"0,1": []},
+           "\ud800"]
 
 
 def _hostile_bases():

@@ -9,13 +9,14 @@ order of violations shows up here as a diff against a stored file.
 from __future__ import annotations
 
 import dataclasses
+import json
 import pathlib
 import random
 
 import pytest
 
 from dgnerve import jsonio
-from dgnerve.cli import main
+from dgnerve.cli import _load_category, main
 from dgnerve.fixtures import random_complex_category, three_term_category
 from dgnerve.horn import (fill_horn, random_horn, random_valid_simplex,
                           reduce_horn)
@@ -87,3 +88,15 @@ def test_cli_report_matches_golden(tmp_path, capsys, case, fmt):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / f"{case}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("case", ["fill_2_0", "fill_2_2", "fill_3_1", "lift"])
+def test_written_filler_reads_back(tmp_path, capsys, case):
+    """Every filler the CLI writes is a document its own reader takes, and
+    writing what was read gives the same document."""
+    argv = golden_cases(tmp_path)[case]
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    cat = _load_category(argv[argv.index("--category") + 1])
+    filler = jsonio.filler_from_json(doc, cat)
+    assert jsonio.filler_to_json(filler, tuple(doc["objects"])) == doc

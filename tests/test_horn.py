@@ -84,7 +84,7 @@ def test_extract_horn_of_identities(three_term):
         present = set(horn.cells)
         assert missing.isdisjoint(present)
         for seq in present:
-            assert horn.cell(seq) == simplex.cell(seq)
+            assert horn.cells[seq] == simplex.cell(seq)
 
 
 def test_extract_horn_guards(three_term):

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from dgnerve.dgcat import (Morphism, MorphismSum, check_axioms,
                            complex_from_dense, make_complex_category)
 from dgnerve.fixtures import FIXTURES
-from dgnerve.horn import random_valid_simplex
+from dgnerve.horn import (compute_obstruction, opposite_horn, random_horn,
+                         random_valid_simplex)
 from dgnerve.laws import COCHAIN_DEGREES, random_cochain
 from dgnerve.mc import tensor_with_ring, twist
-from dgnerve.nerve import (PINNED, NerveCochain, cells_cochain,
-                           cochain_compose, cochain_differential,
-                           increasing_sequences, required_boundary)
+from dgnerve.nerve import (PINNED, NerveCochain, cochain_compose,
+                           cochain_differential, increasing_sequences,
+                           required_boundary)
 from dgnerve.rings import SquareZeroRing, random_element
 from lincomb import lin
 
@@ -80,6 +81,13 @@ def _reference_required_boundary(cat, objects, getter, seq, signs=PINNED):
     return lin(*terms)
 
 
+def _zero_face_getter(cat, horn):
+    """The horn's cells, read with a zero cell at the missing face."""
+    miss = horn.missing_face
+    zero = cat.zero(horn.objects[miss[0]], horn.objects[miss[-1]], 2 - horn.n)
+    return lambda seq: zero if seq == miss else horn.cells[seq]
+
+
 def _reference_convolve_component(cat, outer, inner, seq, signs):
     k = len(seq) - 1
     degree = outer.degree + inner.degree - k
@@ -100,8 +108,9 @@ def _reference_convolve_component(cat, outer, inner, seq, signs):
 
 def _reference_cochain_differential(cat, cochain, signs=PINNED):
     t = cochain.degree
-    f_cells = cells_cochain(cochain.source)
-    g_cells = cells_cochain(cochain.target)
+    f, g = cochain.source, cochain.target
+    f_cells = NerveCochain(f, f, 1, f.cells)
+    g_cells = NerveCochain(g, g, 1, g.cells)
     components = {}
     for seq in increasing_sequences(cochain.n):
         k = len(seq) - 1
@@ -284,14 +293,14 @@ def test_boundaries_and_cochain_differentials_match_reference(name, rank, seed,
     cells = {seq: noisy(cat, cell.source, cell.target, cell.degree, rng)
              for seq, cell in source.cells.items()}
     for seq in increasing_sequences(n, min_length=3):
-        assert required_boundary(cat, source.objects, cells.get, seq) == \
+        assert required_boundary(cat, source.objects, cells, seq) == \
             _reference_required_boundary(cat, source.objects, cells.get, seq)
     eta = random_cochain(cat, rng, source, target,
                          rng.choice(COCHAIN_DEGREES))
     want = _reference_cochain_differential(cat, eta)
     got = cochain_differential(cat, eta)
     assert (got.degree, got.components) == (want.degree, want.components)
-    g_cells = cells_cochain(target)
+    g_cells = NerveCochain(target, target, 1, target.cells)
     product = cochain_compose(cat, g_cells, eta)
     assert product.components == {
         seq: value for seq in increasing_sequences(n)
@@ -299,6 +308,18 @@ def test_boundaries_and_cochain_differentials_match_reference(name, rank, seed,
             cat, g_cells, eta, seq, PINNED)).is_zero()}
     for cochain in (got, product):       # no zero component is stored
         assert not any(m.is_zero() for m in cochain.components.values())
+    for k in (0, rng.randrange(1, n), n):  # outer, inner, reversed outer
+        horn = random_horn(cat, rng, n, k, witnessed=False)
+        getter = _zero_face_getter(cat, horn)
+        for seq in horn.missing:         # an absent cell counts as zero
+            assert required_boundary(cat, horn.objects, horn.cells, seq) == \
+                _reference_required_boundary(cat, horn.objects, getter, seq)
+        obs = compute_obstruction(cat, horn)
+        seen = opposite_horn(horn) if obs.op_reduced else horn
+        getter = _zero_face_getter(obs.category, seen)
+        assert (obs.U, obs.V) == tuple(
+            _reference_required_boundary(obs.category, seen.objects, getter,
+                                         seq) for seq in seen.missing)
 
 
 # -- errors (the same type and text as the Fraction loops give) --------------------
@@ -310,7 +331,7 @@ def test_term_from_another_block_is_a_shape_mismatch():
              for s in increasing_sequences(2)}
     cells[(0, 2)] = cat.zero("C0", "C0", 1)
     with pytest.raises(ValueError) as info:
-        required_boundary(cat, ("C0",) * 3, cells.get, seq)
+        required_boundary(cat, ("C0",) * 3, cells, seq)
     assert str(info.value) == \
         "morphism shape mismatch: C0->C0 deg 0 vs C0->C0 deg 1"
 
@@ -323,7 +344,7 @@ def test_term_with_wrong_coordinate_count_is_a_rank_mismatch():
     cells[(0, 2)] = Morphism(short.source, short.target, short.degree,
                              short.coords[1:])
     with pytest.raises(ValueError, match=r"^morphism rank mismatch$"):
-        required_boundary(cat, ("C0",) * 3, cells.get, (0, 1, 2))
+        required_boundary(cat, ("C0",) * 3, cells, (0, 1, 2))
 
 
 def test_morphisms_that_do_not_compose():
@@ -350,4 +371,4 @@ def test_coordinate_from_another_ring_rank(op):
             cat.compose(f, stray)
         else:
             cells = {(0, 1): f, (1, 2): f, (0, 2): stray}
-            required_boundary(cat, ("C0",) * 3, cells.get, (0, 1, 2))
+            required_boundary(cat, ("C0",) * 3, cells, (0, 1, 2))

@@ -11,7 +11,7 @@ import inspect
 from dgnerve import horn, laws, nerve
 
 CALIBRATED = {
-    "nerve._add_boundary", "nerve._add_convolution", "nerve._residual_sum",
+    "nerve._add_convolution", "nerve._add_faces", "nerve._residual_sum",
     "nerve.cell_residual", "nerve.cochain_compose",
     "nerve.cochain_differential",
     "laws.law_cochain_assoc", "laws.law_cochain_d_squared",
