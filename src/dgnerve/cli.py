@@ -113,8 +113,8 @@ def _load_category(source: str) -> DgCategory:
             return fixture_by_name(source)
         except KeyError as exc:
             raise CliInputError(
-                f"--category {source!r} is neither a readable file nor a "
-                f"fixture name ({exc.args[0]})") from exc
+                f"--category {jsonio._shown(source)} is neither a readable "
+                f"file nor a fixture name ({exc.args[0]})") from exc
     doc = _load_doc(source)
     try:
         return jsonio.category_from_json(doc)
@@ -183,8 +183,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             cat = _load_category(args.category)
             violations = check_mc(cat, jsonio.mc_from_json(doc, cat))
         else:
-            raise CliInputError(f"cannot check a {kind!r} document on its "
-                                "own; check the completed simplex instead")
+            raise CliInputError(f"cannot check a {jsonio._shown(kind)} "
+                                "document on its own; check the completed "
+                                "simplex instead")
     except ValueError as exc:
         raise CliInputError(f"{args.input}: {exc}") from exc
     vio = _violations_doc(violations)

@@ -15,6 +15,7 @@ from typing import Callable
 
 from .dgcat import (DgCategory, make_complex_category, complex_from_dense,
                     random_complex)
+from .jsonio import _shown
 from .mc import check_mc, twist
 from .rings import RATIONALS, SquareZeroRing
 
@@ -90,6 +91,6 @@ def standard_fixtures() -> list[tuple[str, DgCategory]]:
 
 def fixture_by_name(name: str) -> DgCategory:
     if name not in FIXTURES:
-        raise KeyError(f"unknown fixture {name!r}; known: "
+        raise KeyError(f"unknown fixture {_shown(name)}; known: "
                        + ", ".join(FIXTURES))
     return FIXTURES[name]()

@@ -1,28 +1,33 @@
 """Exact linear algebra over square-zero extensions: elimination only.
 
-The horn fillers and square-zero lifts need two things, an exact solve
-for the equivalence witness (a, g, h) and kernels of a hom block's
-differential: :func:`solve_linear` and :func:`nullspace`, on lists of rows
-of :class:`~dgnerve.rings.RingElement`.  Writing ``x = x⁰ + Σ_l ε_l·x^l``
-and splitting every entry into layers turns ``A·x = b`` over
-``B = Q ⊕ I`` into a single rational system,
+The horn fillers and square-zero lifts need an exact solve for the
+equivalence witness (a, g, h) and kernels of a hom block's differential:
+:func:`solve_linear` and :func:`nullspace`, on lists of rows of
+:class:`~dgnerve.rings.RingElement`.  Writing ``x = x⁰ + Σ_l ε_l·x^l`` and
+splitting every entry into layers turns ``A·x = b`` over ``B = Q ⊕ I`` into
+a single rational system,
 
     A⁰·x⁰           = b⁰          (body layer)
     A⁰·x^l + A^l·x⁰ = b^l         (one block per ideal generator),
 
-which is solved *jointly* by one row reduction (:func:`rref`).  Solving the
-body first and then patching the ideal layers is not equivalent: when the
-body matrix is singular the body solution must be chosen compatibly with the
-ideal blocks (``A=[[ε]], b=[ε]`` has the solution ``x=1`` even though the
-body system is ``0·x = 0``).  Consequently solvability over ``B`` implies
-solvability of the body system over Q, but not conversely.
+which is solved *jointly*: when the body matrix is singular, the body
+solution must be chosen compatibly with the ideal blocks.  ``A=[[ε]],
+b=[ε]`` has the solution ``x=1`` although the body system is ``0·x = 0``;
+over Q, the kernel of ``[[1, 2]]`` is spanned by ``(−2, 1)``:
 
-:func:`rref` eliminates on sparse integer rows and forms ``Fraction``s only
-at the end; its result is the unique reduced row echelon form, the same as
-any exact Gauss-Jordan elimination gives.  :func:`solve_linear` and
-:func:`nullspace` copy the integer layers of each ``RingElement`` into such
-rows and hand them to the same elimination loop.  Free variables are set
-to 0, so results are deterministic.
+>>> from dgnerve.rings import RATIONALS as Q, SquareZeroRing
+>>> B = SquareZeroRing(1)
+>>> solve_linear([[B.generator(0)]], [B.generator(0)], B) == [B.one()]
+True
+>>> nullspace([[Q.element(1), Q.element(2)]], Q) == [[Q.element(-2), Q.one()]]
+True
+
+So solvability over ``B`` implies solvability of the body system over Q,
+but not conversely.  The integer layers of the entries become sparse rows
+``{col: int}``; one forward elimination (:func:`_echelon`) and one
+back-substitution over a common denominator (:func:`_back_substitute`) give
+the solution or each kernel vector, free variables 0, so results are
+deterministic.  :func:`rref` runs the same elimination, then one upward pass.
 """
 
 from __future__ import annotations
@@ -46,25 +51,20 @@ class NoSolution(ValueError):
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[tuple[int, int]]]:
     """Reduced row echelon form; returns (matrix, pivot (row, col) list).
 
-    Fraction-free Gauss-Jordan elimination on sparse integer rows.  Each
-    input row is multiplied by the lcm of its denominators into a row
-    ``{col: int}`` that holds only its nonzero entries.  Column by column,
-    the first remaining row with a nonzero entry there becomes the pivot
-    row, and every other row ``row`` with a nonzero ``f`` in that column is
-    replaced by ``a·row − b·pivot`` (``p`` the pivot, ``g = gcd(p, f)``,
-    ``a = p/g``, ``b = f/g``), then divided by the gcd of its entries.  Only
-    at the end is each pivot row divided by its pivot into ``Fraction``s.
-
-    Every step multiplies a row by a nonzero scalar or adds a multiple of
-    another row to it, so the row space never changes; the RREF of a matrix
-    is unique, so the result is the one any exact elimination gives: the
-    pivot rows in column order, then the zero rows.
+    :func:`_echelon` on the rows times the lcm of their denominators, then
+    one upward pass that clears each pivot column, last first, from the rows
+    above it; only then is each pivot row divided by its pivot.  Each step
+    keeps the row space and the RREF is unique, so the result is the one any
+    exact elimination gives: the pivot rows in column order, then zero rows.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     echelon = _echelon([_integer_row(row) for row in rows], ncols)
-    zero = Fraction(0)
-    mat = [[zero] * ncols for _ in range(nrows)]
+    for k in range(len(echelon) - 1, 0, -1):
+        c, pivot = echelon[k]
+        echelon[:k] = [(d, _eliminate(row, pivot, c)) if c in row else (d, row)
+                       for d, row in echelon[:k]]
+    mat = [[Fraction(0)] * ncols for _ in range(nrows)]
     for r, (c, row) in enumerate(echelon):
         for j, v in row.items():
             mat[r][j] = Fraction(v, row[c])
@@ -73,8 +73,11 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
 
 def _echelon(rows: list[dict[int, int]],
              ncols: int) -> list[tuple[int, dict[int, int]]]:
-    """The one elimination loop (see :func:`rref`) on integer rows: the
-    (pivot column, reduced row) pairs in column order, still undivided."""
+    """The one elimination loop, forward only: the (pivot column, row) pairs
+    in column order, each row zero left of its pivot.  Column by column, the
+    first pending row that is nonzero there becomes the pivot row and is
+    eliminated from the pending rows only, so the pivot columns are the
+    greedy column profile of the matrix."""
     pending = [row for row in rows if row]
     echelon: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
@@ -84,11 +87,8 @@ def _echelon(rows: list[dict[int, int]],
         if i is None:
             continue
         pivot = pending.pop(i)
-        echelon = [(d, _eliminate(row, pivot, c)) if c in row else (d, row)
-                   for d, row in echelon]
-        pending = [_eliminate(row, pivot, c) if c in row else row
-                   for row in pending]
-        pending = [row for row in pending if row]
+        pending = [r for r in (_eliminate(row, pivot, c) if c in row else row
+                               for row in pending) if r]
         echelon.append((c, pivot))
     return echelon
 
@@ -103,10 +103,11 @@ def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int],
                c: int) -> dict[int, int]:
-    """``a·row − b·pivot``, which is 0 in column ``c``, over its content."""
+    """``a·row − b·pivot`` over its content, ``a/b = p/f`` in lowest terms
+    for the entries ``p``, ``f`` of ``pivot``, ``row`` in column ``c``."""
     g = gcd(pivot[c], row[c])
     a, b = pivot[c] // g, row[c] // g
-    out = {j: a * v for j, v in row.items()}
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
     for j, v in pivot.items():
         w = out.get(j, 0) - b * v
         if w:
@@ -117,32 +118,23 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int],
     return {j: v // content for j, v in out.items()} if content > 1 else out
 
 
-def _solve(rows: list[dict[int, int]], ncols: int) -> list[Fraction]:
-    """One solution (free variables 0) of integer rows ``[A | b]``, with
-    ``b`` in column ``ncols``, or NoSolution."""
-    solution = [Fraction(0)] * ncols
-    for c, row in _echelon(rows, ncols + 1):
-        if c == ncols:
-            raise NoSolution("inconsistent linear system")
-        solution[c] = Fraction(row.get(ncols, 0), row[c])
-    return solution
-
-
-def _kernel(rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:
-    """A basis of the rational kernel of integer rows, one vector per
-    non-pivot column."""
-    echelon = _echelon(rows, ncols)
-    pivot_cols = {c for c, _ in echelon}
-    basis = []
-    for j in range(ncols):
-        if j in pivot_cols:
+def _back_substitute(echelon: list[tuple[int, dict[int, int]]],
+                     x: dict[int, int]) -> tuple[dict[int, int], int]:
+    """Extend ``x``, integers at non-pivot columns (0 at the others), to the
+    vector ``({col: int}, den)`` on which every echelon row vanishes, solving
+    pivot columns last to first over one common (nonzero) ``den``."""
+    den = 1
+    for c, row in reversed(echelon):
+        num = -sum(v * x[j] for j, v in row.items() if j in x)
+        if not num:
             continue
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for c, row in echelon:
-            v[c] = -Fraction(row.get(j, 0), row[c])
-        basis.append(v)
-    return basis
+        g = gcd(num, row[c])
+        f = row[c] // g
+        if f != 1:
+            den *= f
+            x = {j: v * f for j, v in x.items()}
+        x[c] = num // g
+    return x, den
 
 
 # -- layered systems over B ---------------------------------------------------
@@ -172,32 +164,33 @@ def _expand(matrix: Matrix, rhs: Vector | None,
     return rows
 
 
-def _ring_vector(flat: Sequence[Fraction], ncols: int) -> list[RingElement]:
-    """Coordinate j from its layers ``flat[j], flat[ncols + j], …``."""
-    out = []
-    for layers in (flat[j::ncols] for j in range(ncols)):
-        den = lcm(*[q.denominator for q in layers])
-        out.append(from_layers([q.numerator * den // q.denominator
-                                for q in layers], den))
-    return out
+def _ring_vector(x: dict[int, int], den: int, ncols: int,
+                 m: int) -> list[RingElement]:
+    """Coordinate j from its layers ``x[j], x[ncols + j], …`` over ``den``."""
+    return [from_layers([x.get(layer * ncols + j, 0)
+                         for layer in range(m + 1)], den)
+            for j in range(ncols)]
 
 
 def solve_linear(matrix: Matrix, rhs: Vector,
                  ring: SquareZeroRing) -> list[RingElement]:
     """Some exact solution of ``A·x = b`` over ``ring``, or NoSolution."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
+    ncols = len(matrix[0]) if matrix else 0
     if ncols == 0:
         if any(not b.is_zero() for b in rhs):
             raise NoSolution("inconsistent linear system (no unknowns)")
         return []
     m = ring.ideal_rank
-    flat = _solve(_expand(matrix, rhs, ring), (m + 1) * ncols)
-    return _ring_vector(flat, ncols)
+    width = (m + 1) * ncols          # the column of b, where x holds −1
+    echelon = _echelon(_expand(matrix, rhs, ring), width + 1)
+    if echelon and echelon[-1][0] == width:
+        raise NoSolution("inconsistent linear system")
+    return _ring_vector(*_back_substitute(echelon, {width: -1}), ncols, m)
 
 
 def nullspace(matrix: Matrix, ring: SquareZeroRing) -> list[list[RingElement]]:
-    """A rational basis of ``{x : A·x = 0}`` over ``ring`` (as a Q-space).
+    """A rational basis of ``{x : A·x = 0}`` over ``ring`` (as a Q-space),
+    one vector per free column, 1 there and 0 at the other free columns.
 
     It reads only the layers ``ring`` has: over RATIONALS, only bodies.
     """
@@ -205,6 +198,8 @@ def nullspace(matrix: Matrix, ring: SquareZeroRing) -> list[list[RingElement]]:
         raise ValueError("nullspace of a matrix with no rows")
     ncols = len(matrix[0])
     m = ring.ideal_rank
-    return [_ring_vector(flat, ncols) for flat in
-            _kernel(_expand(matrix, None, ring), (m + 1) * ncols)]
+    echelon = _echelon(_expand(matrix, None, ring), (m + 1) * ncols)
+    pivots = {c for c, _ in echelon}
+    return [_ring_vector(*_back_substitute(echelon, {j: 1}), ncols, m)
+            for j in range((m + 1) * ncols) if j not in pivots]
 

@@ -33,6 +33,13 @@ MAX_DIGITS = 4300        # per numerator or denominator: Python's int/str cap
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
 
+def _shown(value: Any) -> str:
+    """``repr(value)`` cut to 60 characters: a rejected scalar or name can
+    be of any length, and an error message should stay one short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def canonical_dumps(doc: Any) -> str:
     """Deterministic, diff-friendly JSON text (sorted keys, newline at end)."""
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
@@ -46,19 +53,20 @@ def key_to_seq(key: str) -> Seq:
     try:
         seq = tuple(int(part) for part in key.split(","))
     except ValueError:
-        raise ValueError(f"bad sequence key {key!r}") from None
+        raise ValueError(f"bad sequence key {_shown(key)}") from None
     if len(seq) < 2 or any(a >= b for a, b in zip(seq, seq[1:])):
-        raise ValueError(f"sequence key {key!r} is not strictly increasing "
-                         "with at least two vertices")
+        raise ValueError(f"sequence key {_shown(key)} is not strictly "
+                         "increasing with at least two vertices")
     if seq[0] < 0:
-        raise ValueError(f"sequence key {key!r} has a negative vertex")
+        raise ValueError(f"sequence key {_shown(key)} has a negative "
+                         "vertex")
     return seq
 
 
 def _put(table: dict, key: Any, value: Any, what: str) -> None:
     """``table[key] = value``, refusing a key the document already gave."""
     if key in table:
-        raise ValueError(f"{what} states {key!r} twice")
+        raise ValueError(f"{what} states {_shown(key)} twice")
     table[key] = value
 
 
@@ -85,13 +93,13 @@ def rational_from_str(s: Any) -> int | Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return s
     if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
-        raise ValueError(f"not a rational \"p\" or \"p/q\": {s!r}")
+        raise ValueError(f"not a rational \"p\" or \"p/q\": {_shown(s)}")
     if any(len(part) > MAX_DIGITS for part in s.lstrip("-").split("/")):
         raise ValueError(f"a scalar has more than {MAX_DIGITS} digits")
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+        raise ValueError(f"zero denominator in {_shown(s)}") from None
 
 
 def element_to_json(x: RingElement) -> str | list[str]:
@@ -169,12 +177,12 @@ def category_from_json(doc: Mapping) -> DgCategory:
 
     def obj(name: Any) -> str:
         if not isinstance(name, str) or name not in known:
-            raise ValueError(f"unknown object {name!r}")
+            raise ValueError(f"unknown object {_shown(name)}")
         return name
 
     def integer(value: Any) -> int:
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"expected an integer, got {value!r}")
+            raise ValueError(f"expected an integer, got {_shown(value)}")
         return value
 
     def records(value: Any, width: int, what: str) -> list:
@@ -207,7 +215,7 @@ def category_from_json(doc: Mapping) -> DgCategory:
             i = index(i, target, "diff row")
             cols.setdefault(j, {})[i] = element_from_json(a, ring)
         if sum(map(len, cols.values())) != len(entries):
-            raise ValueError(f"\"diffs\" record {source!r} states a "
+            raise ValueError(f"\"diffs\" record {_shown(source)} states a "
                              "(column, row) pair twice")
         _put(diffs, source, {j: tuple(v.items()) for j, v in cols.items()},
              "\"diffs\"")
@@ -222,7 +230,7 @@ def category_from_json(doc: Mapping) -> DgCategory:
             r = index(r, (x, z, s + t), "comp result index")
             tensor.setdefault(pair, {})[r] = element_from_json(a, ring)
         if sum(map(len, tensor.values())) != len(entries):
-            raise ValueError(f"\"comps\" record {key!r} states an "
+            raise ValueError(f"\"comps\" record {_shown(key)} states an "
                              "(outer, inner, result) triple twice")
         _put(comps, key, {p: tuple(v.items()) for p, v in tensor.items()},
              "\"comps\"")
@@ -257,13 +265,13 @@ def _cells_from_json(doc: Any, cat: DgCategory,
     for key, coords_doc in doc.items():
         seq = key_to_seq(key)
         if seq[-1] > n:
-            raise ValueError(f"cell key {key!r} exceeds dimension {n}")
+            raise ValueError(f"cell key {_shown(key)} exceeds dimension {n}")
         degree = 1 - (len(seq) - 1)
         source, target = objects[seq[0]], objects[seq[-1]]
         coords = _coords_from(coords_doc, cat.ring)
         if len(coords) != cat.rank(source, target, degree):
             raise ValueError(
-                f"cell {key!r} has {len(coords)} coordinates; hom("
+                f"cell {_shown(key)} has {len(coords)} coordinates; hom("
                 f"{source}, {target}) has rank "
                 f"{cat.rank(source, target, degree)} in degree {degree}")
         _put(cells, seq, Morphism(source, target, degree, coords),
@@ -354,7 +362,7 @@ def mc_to_json(eta: Morphism) -> dict:
 def mc_from_json(doc: Mapping, cat: DgCategory) -> Morphism:
     obj = doc.get("object")
     if not isinstance(obj, str) or obj not in cat.identities:
-        raise ValueError(f"unknown object {obj!r}")
+        raise ValueError(f"unknown object {_shown(obj)}")
     coords = _coords_from(doc.get("eta", []), cat.ring)
     if len(coords) != cat.rank(obj, obj, 1):
         raise ValueError("\"eta\" has the wrong number of coordinates")
@@ -369,7 +377,7 @@ def detect_kind(doc: Mapping) -> str:
     kind = doc.get("kind")
     if kind is not None:
         if kind not in DOCUMENT_KINDS:
-            raise ValueError(f"unknown document kind {kind!r}")
+            raise ValueError(f"unknown document kind {_shown(kind)}")
         return kind
     if "ranks" in doc or "comps" in doc:
         return "category"

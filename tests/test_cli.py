@@ -906,6 +906,40 @@ def test_scalar_string_digit_cap(tmp_path, capsys, three_term, scalar, code):
         assert out == "" and err.endswith("more than 4300 digits\n")
 
 
+LONG = 10 ** 6
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("identities", 0, 1, 0), "1." + "1" * LONG,
+     "not a rational \"p\" or \"p/q\": '1.11111"),
+    (("ranks", 0, 0), "C" * LONG, "unknown object 'CCCCC"),
+], ids=["scalar", "object_name"])
+def test_long_bad_value_gives_a_short_error_line(tmp_path, capsys,
+                                                 monkeypatch, three_term,
+                                                 path, value, message):
+    """A rejected value of a million characters is echoed cut to its first
+    60: the error line stays short (it once held the whole value)."""
+    doc = jsonio.category_to_json(three_term)
+    *parents, last = path
+    functools.reduce(lambda node, step: node[step], parents, doc)[last] = value
+    monkeypatch.chdir(tmp_path)
+    write_doc(tmp_path, "cat.json", doc)
+    code, out, err = run_cli(capsys, "check", "cat.json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cat.json: ") and message in err
+    assert len(err.encode("utf-8")) < 200
+
+
+def test_long_fixture_name_gives_a_short_error_line(tmp_path, capsys,
+                                                    three_term):
+    simplex = identity_simplex(three_term, "C0", 1)
+    path = write_doc(tmp_path, "simplex.json", jsonio.simplex_to_json(simplex))
+    code, out, err = run_cli(capsys, "check", path, "--category", "x" * LONG)
+    assert code == 2 and out == ""
+    assert "--category 'xxxxx" in err and "(unknown fixture 'xxxxx" in err
+    assert len(err.encode("utf-8")) < 300     # with the known fixture names
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no_such_command"]) == 2
     capsys.readouterr()

@@ -210,11 +210,12 @@ def _reference_rref(rows):
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
+        mat[r] = [v * inv if v else v for v in mat[r]]
         for i in range(nrows):
             if i != r and mat[i][c] != 0:
                 factor = mat[i][c]
-                mat[i] = [v - factor * w for v, w in zip(mat[i], mat[r])]
+                mat[i] = [v - factor * w if w else v
+                          for v, w in zip(mat[i], mat[r])]
         pivots.append((r, c))
         r += 1
         if r == nrows:
@@ -491,13 +492,14 @@ def _reference_layered(matrix, rhs, ring):
             flat[c] = red[r][width]
         solution = ring_vector(flat)
     return solution, [ring_vector(flat)
-                      for flat in _reference_kernel(rows, width)]
+                      for flat in _reference_kernel(red, pivots, width)]
 
 
-def _reference_kernel(rows, ncols):
-    """A kernel basis of rational ``rows`` read off ``_reference_rref``, one
-    vector per non-pivot column."""
-    red, pivots = _reference_rref(rows)
+def _reference_kernel(red, pivots, ncols):
+    """A kernel basis of the first ``ncols`` columns of a ``_reference_rref``
+    result, one vector per non-pivot column; a pivot past ``ncols`` (that of
+    a right-hand side) is in a row that is zero on them."""
+    pivots = [(r, c) for r, c in pivots if c < ncols]
     kernel = []
     for j in sorted(set(range(ncols)) - {c for _, c in pivots}):
         flat = [Fraction(0)] * ncols
@@ -508,19 +510,76 @@ def _reference_kernel(rows, ncols):
     return kernel
 
 
-@pytest.mark.parametrize("rank", [0, 1, 2])
+def _assert_layered_match(systems, ring):
+    """Each system's solution (or NoSolution) and nullspace are ``==`` to
+    the dense reference's; the solve outcomes."""
+    outcomes = []
+    for a, b in systems:
+        outcomes.append(_solve_outcome(a, b, ring))
+        assert (outcomes[-1], nullspace(a, ring)) == \
+            _reference_layered(a, b, ring)
+    return outcomes
+
+
+@pytest.mark.parametrize("rank", range(9))
 @pytest.mark.parametrize("build", [
     three_term_category,
     lambda ring: random_complex_category(3, ring),
 ], ids=["three_term", "random_complex"])
 def test_layered_rows_match_dense_reference(build, rank):
+    """Every ideal rank the document reader allows, up to 8; past rank 2,
+    where the dense reference is slow, one sampled edge per category."""
     ring = SquareZeroRing(rank)
-    systems = _witness_systems(build(ring), seed=40 + rank)
+    systems = _witness_systems(build(ring), seed=40 + rank,
+                               edges=3 if rank <= 2 else 1)
     systems.append(([[ring.generator(0)]], [ring.generator(0)]) if rank
                    else ([[ring.zero(), ring.one()]], [ring.one()]))
-    for a, b in systems:
-        assert (_solve_outcome(a, b, ring), nullspace(a, ring)) == \
-            _reference_layered(a, b, ring)
+    _assert_layered_match(systems, ring)
+
+
+def _low_rank_matrix(ring, rng, nrows, ncols):
+    """U·V over ``ring`` with U of shape nrows × k, k < min(nrows, ncols):
+    its body, and so the diagonal blocks of its layered system, is
+    rank-deficient."""
+    k = rng.randrange(1, min(nrows, ncols))
+    u = random_matrix(ring, rng, nrows, k)
+    v = random_matrix(ring, rng, k, ncols)
+    columns = [mat_vec(u, [row[j] for row in v], ring) for j in range(ncols)]
+    return [list(row) for row in zip(*columns)]
+
+
+@pytest.mark.parametrize("rank", range(9))
+def test_block_systems_match_dense_reference(rank):
+    """Rank-deficient systems over B, whose layered rows are block
+    lower-triangular, with b = A·x₀ (solvable), b = A·x₀ plus ε-noise
+    (solvable in the body layer, mostly not in the ideal layers) and a
+    random b: solutions and kernels are ``==`` to the dense reference's, and
+    an inconsistent system raises NoSolution on both sides."""
+    ring = SquareZeroRing(rank)
+    rng = random.Random(300 + rank)
+    systems = []
+    for trial in range(4):
+        nrows, ncols = rng.randrange(2, 5), rng.randrange(2, 5)
+        a = _low_rank_matrix(ring, rng, nrows, ncols)
+        b = mat_vec(a, [random_element(ring, rng) for _ in range(ncols)], ring)
+        noise = [random_element(ring, rng, ideal_only=True) for _ in b]
+        systems += [(a, b), (a, [x + y for x, y in zip(b, noise)]),
+                    (a, [random_element(ring, rng) for _ in b])]
+    outcomes = _assert_layered_match(systems, ring)
+    assert all(x is not NoSolution for x in outcomes[::3])
+    assert NoSolution in outcomes
+
+
+@pytest.mark.parametrize("d, rank", [(6, 0), (6, 1), (10, 0)])
+def test_hom_rank_ladder_witness_systems_match_dense_reference(d, rank):
+    """The witness systems of one complex of total dimension d (largest hom
+    blocks 18 and 42), where fill-in and entry growth set the cost."""
+    cx = dgcat.random_complex(RATIONALS, random.Random(17), total_dim=d)
+    cat = tensor_with_ring(dgcat.make_complex_category([cx]),
+                           SquareZeroRing(rank))
+    outcomes = _assert_layered_match(_witness_systems(cat, seed=40), cat.ring)
+    assert NoSolution in outcomes
+    assert any(x is not NoSolution for x in outcomes)
 
 
 def _differential_blocks(cat):
@@ -534,7 +593,8 @@ def _assert_body_kernel(dense):
     """``nullspace`` over RATIONALS of a matrix over any ring is the kernel
     of its bodies, vector for vector."""
     ncols = len(dense[0])
-    want = _reference_kernel([[e.body for e in row] for row in dense], ncols)
+    want = _reference_kernel(*_reference_rref([[e.body for e in row]
+                                               for row in dense]), ncols)
     got = nullspace(dense, RATIONALS)
     assert all(len(e.nums) == 1 for vec in got for e in vec)
     assert [[e.body for e in vec] for vec in got] == want
