@@ -20,17 +20,17 @@ raised, so corrupted inputs can be reported coordinate by coordinate.
 
 Morphisms are homogeneous: an element of a single ``hom(X, Y)_degree``.
 
-Differentials, composites and the signed sums made of them (the unit laws
-of :func:`check_axioms`, nerve boundaries and residuals, horn equations and
-fillers, cochain differentials and products, twisted differentials) are all
-computed by one accumulator, :class:`MorphismSum`.  It reads the integer
-layers of each ``RingElement`` coordinate and structure constant (see
-:mod:`dgnerve.rings`) and multiplies and adds them as Python ints.  A sum
-that is only tested for zero is tested on the accumulator; a ``Morphism``
-is built only for sums that are kept.  d² = 0, Leibniz and associativity
-are one sparse join of structure constants over one denominator, each
-identity coordinate keyed by one int; the equivalence-witness system is
-read straight from the structure blocks.
+Differentials, composites and the signed sums made of them (nerve
+boundaries and residuals, horn equations and fillers, cochain differentials
+and products, twisted differentials) are all computed by one accumulator,
+:class:`MorphismSum`.  It reads the integer layers of each ``RingElement``
+coordinate and structure constant (see :mod:`dgnerve.rings`) and multiplies
+and adds them as Python ints.  A sum that is only tested for zero is tested
+on the accumulator; a ``Morphism`` is built only for sums that are kept.
+:func:`check_axioms` reads the structure blocks as ints itself: d² = 0,
+Leibniz and associativity are one sparse join over one denominator, and the
+unit laws one pass over each unit's composition blocks.  The
+equivalence-witness system is read straight from the structure blocks.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ class DgCategory:
 
     def rank(self, source: str, target: str, degree: int) -> int:
         return self.ranks.get((source, target, degree), 0)
-
-    def degrees(self, source: str, target: str) -> list[int]:
-        return sorted(t for (x, y, t), r in self.ranks.items()
-                      if x == source and y == target and r > 0)
 
     def zero(self, source: str, target: str, degree: int) -> Morphism:
         n = self.rank(source, target, degree)
@@ -303,55 +299,43 @@ def sparsify(coords: Sequence[RingElement]) -> Entries:
 
 # -- axiom checking -----------------------------------------------------------
 
-def _index_range(cat: DgCategory) -> Iterable[Violation]:
-    """Structure entries with an index outside the rank of its hom block."""
-    for (x, y, t), cols in sorted(cat.diffs.items()):
-        cols_n, rows_n = cat.rank(x, y, t), cat.rank(x, y, t + 1)
-        for j in sorted(cols):
-            for r, _ in cols[j]:
-                if not (0 <= j < cols_n and 0 <= r < rows_n):
-                    yield Violation("index_range", (x, y, t, j, r),
-                                    "diff index outside the hom rank")
-    for (x, y, z, s, t), tensor in sorted(cat.comps.items()):
-        outer_n, inner_n = cat.rank(y, z, t), cat.rank(x, y, s)
-        result_n = cat.rank(x, z, s + t)
-        for i, j in sorted(tensor):
-            for r, _ in tensor[i, j]:
-                if not (0 <= i < outer_n and 0 <= j < inner_n
-                        and 0 <= r < result_n):
-                    yield Violation("index_range", (x, y, z, s, t, i, j, r),
-                                    "comp index outside the hom rank")
-
-
-def _read(cat: DgCategory) -> tuple[dict, dict, tuple]:
+def _read(cat: DgCategory) -> tuple[list, dict, dict, tuple]:
     """Every nonzero structure entry, numbered, as integer layers over one
     denominator: the entries of each source object's blocks, and each entry
     under the number of its result, with its code times ``rows`` and the
-    factor ``mult`` that puts one more digit in front of that code."""
+    factor ``mult`` that puts one more digit in front of that code.  The
+    same walk bounds each index by the rank of its hom block; if one lies
+    outside, only the ``index_range`` violations are returned."""
     width, homs = cat.ring.ideal_rank + 1, list(cat.ranks)
     starts = [0, *itertools.accumulate(max(r, 0) for r in cat.ranks.values())]
-    start, radix = dict(zip(homs, starts)), starts.pop() + 1
-    rows = width * max(cat.ranks.values(), default=0)
+    place = defaultdict(lambda: (0, 0),       # hom → first number, rank
+                        zip(homs, zip(starts, cat.ranks.values())))
+    radix, rows = starts.pop() + 1, width * max(cat.ranks.values(), default=0)
     structure = [*cat.diffs.items(), *cat.comps.items()]
     consts = [a for _, block in structure
               for entries in block.values() for _, a in entries]
-    if any(len(a.nums) != width for a in consts):
-        raise ValueError("ring elements of different ideal rank")
-    den, by_source, by_result = lcm(*(a.den for a in consts)), {}, {}
+    den, by_source, by_result, bad = lcm(*(a.den for a in consts)), {}, {}, []
     for key, block in structure:      # (digit g + 1, or 0 for d; f; row; a)
+        # an entry with an index outside its hom block puts its place in bad
         if len(key) == 3:                     # d(f) is one degree above f
             x, y, t = key
-            f, result = start.get((x, y, t), 0), start.get((x, y, t + 1), 0)
-            numbered = [(0, f + j, r, a) for j, entries in block.items()
-                        for r, a in entries]
+            (f, n_f), (result, n_r) = place[x, y, t], place[x, y, t + 1]
+            numbered = [(0, f + j, r, a) if 0 <= j < n_f and 0 <= r < n_r
+                        else bad.append(key + (j, r))
+                        for j, entries in block.items() for r, a in entries]
             sign, mult = 1, radix * rows
         else:                                 # g∘f is in degree |g| + |f|
             x, y, z, s, t = key
-            f, g, result = start.get((x, y, s), 0), start.get((y, z, t), 0), \
-                start.get((x, z, s + t), 0)
+            (g, n_g), (f, n_f), (result, n_r) = \
+                place[y, z, t], place[x, y, s], place[x, z, s + t]
             numbered = [(g + i + 1, f + j, r, a)
-                        for (i, j), entries in block.items() for r, a in entries]
+                        if 0 <= i < n_g and 0 <= j < n_f and 0 <= r < n_r
+                        else bad.append(key + (i, j, r))
+                        for (i, j), entries in block.items()
+                        for r, a in entries]
             sign, mult = 1 if t % 2 else -1, radix * radix * rows
+        if bad:
+            continue
         scaled = [(head, n, r, a.nums if a.den == den
                    else [v * (den // a.den) for v in a.nums])
                   for head, n, r, a in numbered if any(a.nums)]
@@ -360,7 +344,14 @@ def _read(cat: DgCategory) -> tuple[dict, dict, tuple]:
         for head, n, r, c in scaled:
             by_result.setdefault(result + r, []).append(
                 ((head * radix + n + 1) * rows, mult, len(key) == 3, c))
-    return by_source, by_result, (radix, rows, starts, homs)
+    if bad:                 # by block, then index; an index's rows as stored
+        what = {5: "diff index outside the hom rank",
+                8: "comp index outside the hom rank"}
+        return [Violation("index_range", at, what[len(at)]) for at in
+                sorted(bad, key=lambda at: (len(at), at[:-1]))], {}, {}, ()
+    if any(len(a.nums) != width for a in consts):
+        raise ValueError("ring elements of different ideal rank")
+    return [], by_source, by_result, (radix, rows, starts, homs)
 
 
 def _join(blocks: list, by_result: Mapping, radix: int, rows: int) -> dict:
@@ -376,29 +367,58 @@ def _join(blocks: list, by_result: Mapping, radix: int, rows: int) -> dict:
             for pre, _, _, a in by_result.get(head - 1, ()):
                 key, a0 = pre * radix + tail, a[0]
                 table[key] -= a0 * c0
-                for k in range(1, width):
-                    table[key + k] -= a0 * c[k] + a[k] * c0
+                if width > 1:
+                    for k in range(1, width):
+                        table[key + k] -= a0 * c[k] + a[k] * c0
             # d(d(f)), d(g∘f), h∘(g∘f) and −(−1)^{|g|} g∘d(f): f is the
             # result of d(f) or g∘f
             for pre, mult, d, a in by_result.get(f, ()):
                 key, a0, s = head * mult + pre + rw, a[0], sign if d else 1
                 table[key] += s * a0 * c0
-                for k in range(1, width):
-                    table[key + k] += s * (a0 * c[k] + a[k] * c0)
+                if width > 1:
+                    for k in range(1, width):
+                        table[key + k] += s * (a0 * c[k] + a[k] * c0)
     return table
 
 
+def _unit_defects(tensor: BilTensor, unit: Mapping, n: int, slot: int,
+                  width: int) -> set[int]:
+    """The indices j of the basis elements e_j of a rank-n hom block at
+    which the unit composed with e_j is not e_j.  The unit is index ``slot``
+    of the (outer, inner) pairs of their composition block ``tensor``, and
+    ``unit`` holds its nonzero coordinates; one pass over ``tensor`` adds
+    each product onto −e_j."""
+    if tensor and any(len(c.nums) != width for c in unit.values()):
+        raise ValueError("ring elements of different ideal rank")
+    den = lcm(*(c.den for c in unit.values())) * \
+        lcm(*(a.den for entries in tensor.values() for _, a in entries))
+    sums = defaultdict(int, {j * (n + 1) * width: -den for j in range(n)})
+    for pair, entries in tensor.items():      # (j·n + row)·width + layer
+        u = unit.get(pair[slot])
+        for r, a in entries if u else ():
+            for key, v in enumerate(_product(a.nums, u.nums),
+                                    (pair[1 - slot] * n + r) * width):
+                sums[key] += den // (a.den * u.den) * v
+    return {key // (n * width) for key, v in sums.items() if v}
+
+
 def check_axioms(cat: DgCategory) -> list[Violation]:
-    """Every broken dg-category identity, as data.  d² = 0, Leibniz and
-    associativity join the nonzero structure entries on their shared index,
-    one table per source object, so the cost is the count of nonzero
-    structure products.  The constants are put over their lcm and a table
-    key is one int: the digits g + 1 of the identity's basis elements
-    (numbered in ``cat.ranks`` order) in radix N + 1, then coordinate and
-    layer; only the nonzero keys are decoded.  Unit laws are one
-    :class:`MorphismSum` per basis element.  An entry with an index outside
-    its hom block is reported as ``index_range`` and no identity is
-    checked."""
+    """Every broken dg-category identity, as data, at the cost of its
+    structure products.  d² = 0, Leibniz and associativity join the nonzero
+    structure entries on their shared index, one table per source object.
+    The constants are put over their lcm and a table key is one int: the
+    digits g + 1 of the identity's basis elements (numbered in ``cat.ranks``
+    order) in radix N + 1, then coordinate and layer; only the nonzero keys
+    are decoded.  An entry with an index outside its hom block is reported
+    as ``index_range`` and no identity is checked.  The unit laws of a hom
+    block take one pass over the unit's composition block:
+
+    >>> one = RATIONALS.one()
+    >>> doubled_unit = DgCategory(RATIONALS, ("X",), {("X", "X", 0): 1}, {},
+    ...     {("X", "X", "X", 0, 0): {(0, 0): ((0, one),)}}, {"X": (2 * one,)})
+    >>> [(v.kind, v.location) for v in check_axioms(doubled_unit)]
+    [('unit_left', ('X', 'X', 0, 0)), ('unit_right', ('X', 'X', 0, 0))]
+    """
     out: list[Violation] = []
     objects, ids = cat.objects, cat.identities
     for obj in objects:
@@ -408,11 +428,11 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
         elif len(ids[obj]) != cat.rank(obj, obj, 0):
             out.append(Violation("identity_rank", (obj,),
                                  "unit coordinates do not match hom rank"))
-    bad_indices = list(_index_range(cat))
+    bad_indices, by_source, by_result, layout = _read(cat)
     if bad_indices:
         return out + bad_indices
+    (radix, rows, starts, hom_blocks), width = layout, cat.ring.ideal_rank + 1
     pos = {x: n for n, x in enumerate(objects)}
-    by_source, by_result, (radix, rows, starts, hom_blocks) = _read(cat)
     found = defaultdict(list)       # hom-block count → (identity, basis)
     for blocks in by_source.values():     # one table per source object
         table = _join(blocks, by_result, radix, rows)
@@ -434,24 +454,24 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
                    for ident, basis in sorted(found[n], key=order))
     report("d_squared", 1, "d(d(basis element)) is nonzero")
     # the unit laws are checked only with units of the hom rank
-    units = {obj for obj, unit in ids.items()
-             if len(unit) == cat.rank(obj, obj, 0)}
+    units = {obj: {i: c for i, c in enumerate(unit) if any(c.nums)}
+             for obj, unit in ids.items() if len(unit) == cat.rank(obj, obj, 0)}
     for obj in objects:
         if obj in units and not MorphismSum(cat, obj, obj, 1) \
                 .add_differential(cat.identity(obj)).is_zero():
             out.append(Violation("unit_not_closed", (obj,),
                                  "d(identity) is nonzero"))
     for (x, y, t), rank in sorted(cat.ranks.items()):   # 1∘f − f and f∘1 − f
-        for j in range(rank):
-            e = cat.basis_morphism(x, y, t, j)
-            if y in units and not MorphismSum(cat, x, y, t).add_compose(
-                    cat.identity(y), e).add(e, -1).is_zero():
-                out.append(Violation("unit_left", (x, y, t, j),
-                                     "1∘f differs from f"))
-            if x in units and not MorphismSum(cat, x, y, t).add_compose(
-                    e, cat.identity(x)).add(e, -1).is_zero():
-                out.append(Violation("unit_right", (x, y, t, j),
-                                     "f∘1 differs from f"))
+        left = _unit_defects(cat.comps.get((x, y, y, t, 0), {}), units[y],
+                             rank, 0, width) if y in units else ()
+        right = _unit_defects(cat.comps.get((x, x, y, 0, t), {}), units[x],
+                              rank, 1, width) if x in units else ()
+        out.extend(Violation(kind, (x, y, t, j), detail)
+                   for j in sorted({*left, *right})
+                   for kind, detail, defects in (
+                       ("unit_left", "1∘f differs from f", left),
+                       ("unit_right", "f∘1 differs from f", right))
+                   if j in defects)
 
     def order(key: tuple) -> tuple:   # object index, degrees, basis reversed
         ident, basis = key
@@ -484,9 +504,6 @@ class ChainComplex:
             return [[self.ring.zero()] * self.dim(degree)
                     for _ in range(self.dim(degree + 1))]
         return mat
-
-    def total_dim(self) -> int:
-        return sum(v for v in self.dims.values())
 
     def validate(self) -> None:
         for i in sorted({*self.degrees(), *self.d}):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .dgcat import DgCategory, Morphism
 from .horn import Filler, HornData
@@ -33,10 +33,10 @@ MAX_DIGITS = 4300        # per numerator or denominator: Python's int/str cap
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
 
-def _shown(value: Any) -> str:
-    """``repr(value)`` cut to 60 characters: a rejected scalar or name can
-    be of any length, and an error message should stay one short line."""
-    text = repr(value)
+def _shown(value: Any, show: Callable[[Any], str] = repr) -> str:
+    """``show(value)`` cut to 60 characters: an input name or value can be
+    of any length, and an error message should stay one short line."""
+    text = show(value)
     return text if len(text) <= 60 else text[:60] + "..."
 
 
@@ -195,9 +195,9 @@ def category_from_json(doc: Mapping) -> DgCategory:
     def index(value: Any, hom: tuple[str, str, int], what: str) -> int:
         size = ranks.get(hom, 0)
         if not 0 <= integer(value) < size:
-            x, y, t = hom
-            raise ValueError(f"{what} {value} is out of range: hom({x}, {y}) "
-                             f"has rank {size} in degree {t}")
+            x, y, t = (_shown(part, str) for part in hom)
+            raise ValueError(f"{what} {_shown(value, str)} is out of range: "
+                             f"hom({x}, {y}) has rank {size} in degree {t}")
         return value
 
     ranks = {}
@@ -239,12 +239,13 @@ def category_from_json(doc: Mapping) -> DgCategory:
         units = _coords_from(coords, ring)
         _put(identities, obj(x), units, "\"identities\"")
         if len(units) != ranks.get((x, x, 0), 0):
-            raise ValueError(f"unit of {x} has {len(units)} coordinates: "
-                             f"hom({x}, {x}) has rank "
+            name = _shown(x, str)
+            raise ValueError(f"unit of {name} has {len(units)} coordinates: "
+                             f"hom({name}, {name}) has rank "
                              f"{ranks.get((x, x, 0), 0)} in degree 0")
-    missing = known - set(identities)
+    missing = sorted(known - set(identities))
     if missing:
-        raise ValueError(f"objects without identities: {sorted(missing)}")
+        raise ValueError(f"objects without identities: {_shown(missing)}")
     return DgCategory(ring=ring, objects=tuple(objects), ranks=ranks,
                       diffs=diffs, comps=comps, identities=identities)
 
@@ -272,7 +273,7 @@ def _cells_from_json(doc: Any, cat: DgCategory,
         if len(coords) != cat.rank(source, target, degree):
             raise ValueError(
                 f"cell {_shown(key)} has {len(coords)} coordinates; hom("
-                f"{source}, {target}) has rank "
+                f"{_shown(source, str)}, {_shown(target, str)}) has rank "
                 f"{cat.rank(source, target, degree)} in degree {degree}")
         _put(cells, seq, Morphism(source, target, degree, coords),
              "\"cells\"")
@@ -334,8 +335,8 @@ def horn_from_json(doc: Mapping, cat: DgCategory) -> HornData:
     declared = doc.get("missing")
     expected = [seq_to_key(s) for s in horn.missing]
     if declared not in (None, expected):
-        raise ValueError(f"\"missing\" is {declared}, but an (n={horn.n}, "
-                         f"k={horn.k}) horn omits {expected}")
+        raise ValueError(f"\"missing\" is {_shown(declared, str)}, but an "
+                         f"(n={horn.n}, k={horn.k}) horn omits {expected}")
     return horn
 
 

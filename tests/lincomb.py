@@ -1,4 +1,5 @@
-"""Linear combinations of morphisms for the tests.
+"""Linear combinations of morphisms, and the degrees of hom blocks, for
+the tests.
 
 ``Morphism`` is a plain value: the package adds, negates and scales
 morphisms only in ``dgcat.MorphismSum``.  Several tests check that code
@@ -25,3 +26,9 @@ def lin(*terms):
     return Morphism(source, target, degree,
                     tuple(functools.reduce(operator.add, column)
                           for column in zip(*rows)))
+
+
+def degrees(cat, source, target):
+    """The degrees of the nonzero hom blocks from ``source`` to ``target``."""
+    return sorted(t for (x, y, t), r in cat.ranks.items()
+                  if x == source and y == target and r > 0)

@@ -930,6 +930,67 @@ def test_long_bad_value_gives_a_short_error_line(tmp_path, capsys,
     assert len(err.encode("utf-8")) < 200
 
 
+def _renamed(doc, name):
+    """``doc`` with the object C0 renamed to ``name``."""
+    return json.loads(json.dumps(doc).replace('"C0"', json.dumps(name)))
+
+
+def _unitless_object(three_term):
+    doc = jsonio.category_to_json(three_term)
+    doc["objects"].append("N" * LONG)
+    return doc, None
+
+
+def _short_unit_of_long_name(three_term):
+    doc = _renamed(jsonio.category_to_json(three_term), "C" * LONG)
+    doc["identities"][0][1].pop()
+    return doc, None
+
+
+def _huge_diff_column(three_term):
+    doc = jsonio.category_to_json(three_term)
+    doc["diffs"][0][3][0][0] = int("9" * 4000)
+    return doc, None
+
+
+def _long_missing(three_term):
+    horn = random_horn(three_term, random.Random(5), 3, 1, witnessed=False)
+    return dict(jsonio.horn_to_json(horn), missing="m" * LONG), "three_term"
+
+
+def _short_cell_of_long_names(three_term):
+    simplex = jsonio.simplex_to_json(identity_simplex(three_term, "C0", 1))
+    simplex["cells"]["0,1"].pop()
+    return (_renamed(simplex, "C" * LONG),
+            _renamed(jsonio.category_to_json(three_term), "C" * LONG))
+
+
+@pytest.mark.parametrize("build, message", [
+    (_unitless_object, "objects without identities: ['NNNNN"),
+    (_short_unit_of_long_name, "unit of CCCCC"),
+    (_huge_diff_column, "diff column 99999"),
+    (_long_missing, "\"missing\" is mmmmm"),
+    (_short_cell_of_long_names, "coordinates; hom(CCCCC"),
+], ids=["unitless_object", "unit_name", "diff_column", "missing",
+        "cell_names"])
+def test_long_echoed_input_gives_a_short_error_line(tmp_path, capsys,
+                                                    monkeypatch, three_term,
+                                                    build, message):
+    """Names and values that an error message echoes are cut to their first
+    60 characters: each of these messages once held the whole input."""
+    doc, category = build(three_term)
+    monkeypatch.chdir(tmp_path)
+    write_doc(tmp_path, "doc.json", doc)
+    if isinstance(category, dict):
+        write_doc(tmp_path, "cat.json", category)
+        category = "cat.json"
+    code, out, err = run_cli(capsys, "check", "doc.json",
+                             *(["--category", category] if category else []))
+    assert code == 2 and out == "" and err.startswith("error: doc.json: ")
+    assert message in err and "..." in err
+    assert len(err.encode("utf-8")) < 300
+
+
 def test_long_fixture_name_gives_a_short_error_line(tmp_path, capsys,
                                                     three_term):
     simplex = identity_simplex(three_term, "C0", 1)

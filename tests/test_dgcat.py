@@ -39,7 +39,7 @@ from dgnerve.dgcat import (
 from dgnerve.fixtures import three_term_category
 from dgnerve.mc import tensor_with_ring, twist
 from dgnerve.nerve import interval_category
-from lincomb import lin
+from lincomb import degrees, lin
 from dgnerve.rings import RATIONALS, SquareZeroRing
 
 
@@ -122,8 +122,8 @@ def _reference_check_axioms(cat):
                                      "f∘1 differs from f"))
 
     for x, y, z in itertools.product(objects, repeat=3):
-        for s in cat.degrees(x, y):
-            for t in cat.degrees(y, z):
+        for s in degrees(cat, x, y):
+            for t in degrees(cat, y, z):
                 for j in range(cat.rank(x, y, s)):
                     f = cat.basis_morphism(x, y, s, j)
                     df = cat.differential(f)
@@ -138,9 +138,9 @@ def _reference_check_axioms(cat):
                                 "d(g∘f) ≠ d(g)∘f + (−1)^{|g|} g∘d(f)"))
 
     for x, y, z, w in itertools.product(objects, repeat=4):
-        for s in cat.degrees(x, y):
-            for t in cat.degrees(y, z):
-                for u in cat.degrees(z, w):
+        for s in degrees(cat, x, y):
+            for t in degrees(cat, y, z):
+                for u in degrees(cat, z, w):
                     for j in range(cat.rank(x, y, s)):
                         f = cat.basis_morphism(x, y, s, j)
                         for i in range(cat.rank(y, z, t)):
@@ -180,6 +180,18 @@ def double_one_unit(cat):
     obj = cat.objects[0]
     units = tuple(c * 2 for c in cat.identities[obj])
     return dataclasses.replace(cat, identities={**cat.identities, obj: units})
+
+
+def unit_with_ideal_layer(cat):
+    """Copy of ``cat`` whose first object's first nonzero unit coordinate
+    is multiplied by 1 + ε₁/2."""
+    obj = cat.objects[0]
+    units = list(cat.identities[obj])
+    k = next(k for k, c in enumerate(units) if not c.is_zero())
+    units[k] = units[k] * cat.ring.element(
+        1, ["1/2"] + ["0"] * (cat.ring.ideal_rank - 1))
+    return dataclasses.replace(cat,
+                               identities={**cat.identities, obj: tuple(units)})
 
 
 def short_unit(cat):
@@ -237,6 +249,15 @@ def mc_mutant(cat):
     (obj,) = cat.objects
     return twist(cat, {obj: cat.morphism(obj, obj, 1, [1, 0])},
                  validate=False)
+
+
+def halves_unit_category():
+    """One object whose degree-0 basis element e has e∘e = 2e, so its unit
+    is e/2: the unit laws hold only over the unit's denominator."""
+    two, half = RATIONALS.element(2), RATIONALS.element(Fraction(1, 2))
+    return DgCategory(RATIONALS, ("X",), {("X", "X", 0): 1}, {},
+                      {("X", "X", "X", 0, 0): {(0, 0): ((0, two),)}},
+                      {"X": (half,)})
 
 
 def sparse_category():
@@ -306,6 +327,14 @@ FIRST_AS_G, LAST_AS_G = ("C0", "C0", "C0", 0, -2), ("C0", "C0", "C0", -1, 2)
                                 Fraction(1, 3)),
     lambda f: double_comp_block(uneven_category(), ("Y", "X", "Y", 0, 0)),
     lambda f: interleave_empty_blocks(thirds_and_fifths(f["three_term"])),
+    lambda f: double_one_unit(tensor_with_ring(f["three_term"],
+                                               SquareZeroRing(2))),
+    lambda f: unit_with_ideal_layer(tensor_with_ring(f["three_term"],
+                                                     SquareZeroRing(2))),
+    lambda f: double_one_unit(sparse_category()),
+    lambda f: halves_unit_category(),
+    lambda f: thirds_and_fifths(tensor_with_ring(f["three_term"],
+                                                 SquareZeroRing(1))),
 ], ids=["flipped_diff_sign", "flipped_diff_sign_3_objects",
         "tripled_comp_entry", "tripled_comp_entry_3_objects",
         "doubled_comp_block", "doubled_unit",
@@ -316,7 +345,9 @@ FIRST_AS_G, LAST_AS_G = ("C0", "C0", "C0", 0, -2), ("C0", "C0", "C0", -1, 2)
         "comp_thirds_and_fifths", "diff_sevenths",
         "ring_rank_2_fractional_ideal_comp", "short_unit", "long_unit",
         "unclosed_unit", "first_basis_number", "last_basis_number",
-        "uneven_ranks_doubled_comp_block", "empty_blocks_interleaved"])
+        "uneven_ranks_doubled_comp_block", "empty_blocks_interleaved",
+        "ring_rank_2_doubled_unit", "ring_rank_2_unit_ideal_layer",
+        "sparse_doubled_unit", "halves_unit", "ring_rank_1_thirds_and_fifths"])
 def test_check_axioms_matches_basis_oracle(all_fixtures, build):
     cat = build(dict(all_fixtures))
     assert check_axioms(cat) == _reference_check_axioms(cat)
@@ -386,10 +417,24 @@ def test_comp_constant_of_another_ring_width_raises(three_term):
         check_axioms(cat)
 
 
+@pytest.mark.parametrize("build", [
+    lambda f: f["three_term"],      # d(unit) reads the unit first
+    lambda f: unit_only_category(1),    # no differential: the unit laws do
+], ids=["three_term", "unit_only"])
+def test_unit_coordinate_of_another_ring_width_raises(all_fixtures, build):
+    cat = build(dict(all_fixtures))
+    (obj, unit), = cat.identities.items()
+    units = (SquareZeroRing(1).one(), *unit[1:])
+    cat = dataclasses.replace(cat, identities={obj: units})
+    with pytest.raises(ValueError,
+                       match=r"^ring elements of different ideal rank$"):
+        check_axioms(cat)
+
+
 def test_sparse_category_has_empty_blocks():
     cat = sparse_category()
     assert check_axioms(cat) == []
-    assert cat.degrees("K1", "Z1") == cat.degrees("Z2", "K5") == []
+    assert degrees(cat, "K1", "Z1") == degrees(cat, "Z2", "K5") == []
     assert ("K1", "K2", "K5", 0, 4) in cat.comps
 
 
@@ -463,6 +508,78 @@ def test_out_of_range_comp_index_is_reported_not_raised(three_term):
                               comps={**three_term.comps, key: tensor})
     assert check_axioms(cat) == [Violation(
         "index_range", key + (-1, 0, 0), "comp index outside the hom rank")]
+
+
+def _reference_index_range(cat):
+    """Oracle: the structure entries with an index outside the rank of its
+    hom block, in sorted block order, then sorted index order, then the
+    order the entries are stored in."""
+    for (x, y, t), cols in sorted(cat.diffs.items()):
+        cols_n, rows_n = cat.rank(x, y, t), cat.rank(x, y, t + 1)
+        for j in sorted(cols):
+            for r, _ in cols[j]:
+                if not (0 <= j < cols_n and 0 <= r < rows_n):
+                    yield Violation("index_range", (x, y, t, j, r),
+                                    "diff index outside the hom rank")
+    for (x, y, z, s, t), tensor in sorted(cat.comps.items()):
+        outer_n, inner_n = cat.rank(y, z, t), cat.rank(x, y, s)
+        result_n = cat.rank(x, z, s + t)
+        for i, j in sorted(tensor):
+            for r, _ in tensor[i, j]:
+                if not (0 <= i < outer_n and 0 <= j < inner_n
+                        and 0 <= r < result_n):
+                    yield Violation("index_range", (x, y, z, s, t, i, j, r),
+                                    "comp index outside the hom rank")
+
+
+def scatter_bad_indices(cat):
+    """Copy of ``cat`` with indices outside their hom blocks in two
+    ``diffs`` and four ``comps`` blocks, some of them in entries stored
+    out of row order, and every block listed in reverse sorted order."""
+    diffs = {key: dict(cols) for key, cols in cat.diffs.items()}
+    comps = {key: dict(tensor) for key, tensor in cat.comps.items()}
+    first, last = sorted(diffs)[0], sorted(diffs)[-1]
+    (j, entries), = list(diffs[last].items())[:1]
+    a = entries[0][1]
+    rows_n = cat.rank(last[0], last[1], last[2] + 1)
+    diffs[last][j] = ((rows_n + 2, a), entries[0], (-1, a), (rows_n, a))
+    diffs[first][cat.rank(*first)] = ((0, a), (1, a))
+    keys = sorted(comps)
+    (i, j), entries = sorted(comps[keys[0]].items())[0]
+    comps[keys[0]][-1, j] = entries
+    (i, j), entries = sorted(comps[keys[1]].items())[0]
+    _, y, z, _, t = keys[1]
+    comps[keys[1]][cat.rank(y, z, t), j] = entries
+    (i, j), entries = sorted(comps[keys[-1]].items())[-1]
+    x, y, _, s, _ = keys[-1]
+    comps[keys[-1]][i, cat.rank(x, y, s)] = entries
+    key = keys[len(keys) // 2]
+    x, _, z, s, t = key
+    result_n = cat.rank(x, z, s + t)
+    (pair, entries), *_ = comps[key].items()
+    comps[key][pair] = ((result_n, a), *entries, (-2, a), (result_n + 1, a))
+    return dataclasses.replace(
+        cat, diffs=dict(sorted(diffs.items(), reverse=True)),
+        comps=dict(sorted(comps.items(), reverse=True)))
+
+
+def test_scattered_bad_indices_match_the_oracle(all_fixtures):
+    cat = scatter_bad_indices(dict(all_fixtures)["complexes_a"])
+    expected = list(_reference_index_range(cat))
+    assert len(expected) == 11
+    assert len({v.location[:5 if len(v.location) == 8 else 3]
+                for v in expected}) == 6
+    assert check_axioms(cat) == expected
+    # a missing unit still comes first, and a constant of another ring
+    # width does not raise while an index is out of range
+    key = sorted(cat.comps)[1]
+    tensor = {**cat.comps[key], (0, 0): ((0, SquareZeroRing(1).one()),)}
+    worse = dataclasses.replace(
+        cat, identities={x: u for x, u in cat.identities.items() if x != "B"},
+        comps={**cat.comps, key: tensor})
+    assert check_axioms(worse) == [Violation(
+        "missing_identity", ("B",), "object has no unit element"),
+        *_reference_index_range(worse)]
 
 
 def test_missing_unit_is_reported_not_raised(three_term, complexes):
@@ -561,7 +678,7 @@ def test_random_complex_categories_pass_axioms():
                      random_complex(RATIONALS, rng, total_dim=2),
                      random_complex(RATIONALS, rng, total_dim=2)]
         cat = make_complex_category(complexes)
-        assert sum(c.total_dim() for c in complexes) <= 8
+        assert sum(sum(c.dims.values()) for c in complexes) <= 8
         assert check_axioms(cat) == [], f"seed {seed}"
 
 
@@ -811,7 +928,7 @@ def test_full_size_random_category_passes_axioms():
     complexes = [random_complex(RATIONALS, rng, total_dim=3),
                  random_complex(RATIONALS, rng, total_dim=3),
                  random_complex(RATIONALS, rng, total_dim=2)]
-    assert sum(c.total_dim() for c in complexes) == 8
+    assert sum(sum(c.dims.values()) for c in complexes) == 8
     assert check_axioms(make_complex_category(complexes)) == []
 
 

@@ -21,6 +21,7 @@ from dgnerve.horn import random_valid_simplex
 from dgnerve.mc import tensor_with_ring
 from dgnerve.rings import RingElement, SquareZeroRing, RATIONALS, random_element
 
+from lincomb import degrees
 from test_morphism_sum import CATEGORY_NAMES, category, fractional_category
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -585,7 +586,7 @@ def test_hom_rank_ladder_witness_systems_match_dense_reference(d, rank):
 def _differential_blocks(cat):
     """The dense differential of every hom block with a nonzero target."""
     return [dense for x in cat.objects for y in cat.objects
-            for t in cat.degrees(x, y)
+            for t in degrees(cat, x, y)
             if (dense := cat.dense_differential(x, y, t))]
 
 
