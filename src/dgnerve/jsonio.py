@@ -4,23 +4,37 @@ and the one reader and writer of the ring elements in them.
 A scalar is an exact rational: an int or a ``"p"``/``"p/q"`` string (the
 writer emits strings).  A ring element is a list ``[body, ideal₁, …]`` of
 ideal rank + 1 scalars, or one scalar: the body, with zero ideal part (how
-elements over Q are written).  Documents are UTF-8 text.  Structured keys
-(vertex sequences) are comma-joined strings ("0,1,2").
+elements over Q are written).  Scalars are read and written as ints, with
+no ``Fraction``: a layer's ``p`` and ``q`` go straight to the element's
+integer layers over their lcm, and each written layer is its numerator
+over the element's denominator, cut by their gcd.  A document's reader
+reads each scalar text that recurs in it once.
+
+>>> from dgnerve.rings import SquareZeroRing
+>>> x = element_from_json(["6/4", "-1/3"], SquareZeroRing(1))
+>>> x.nums, x.den
+((9, -2), 6)
+>>> element_to_json(x)
+['3/2', '-1/3']
+
+Documents are UTF-8 text.  Structured keys (vertex sequences) are
+comma-joined strings ("0,1,2").
 ``canonical_dumps`` fixes key order and whitespace so that equal documents
 serialize to identical bytes — the CLI's determinism contract.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Callable, Mapping
 
 from .dgcat import DgCategory, Morphism
 from .horn import Filler, HornData
 from .nerve import NerveSimplex, Seq
-from .rings import RingElement, SquareZeroRing
+from .rings import RingElement, SquareZeroRing, from_layers
 
 # Caps on the sizes a document states as single integers.  The memory and
 # time spent on a document grow with these numbers, not with its length: a
@@ -31,6 +45,14 @@ MAX_HOM_RANK = 256
 MAX_DIMENSION = 8
 MAX_DIGITS = 4300        # per numerator or denominator: Python's int/str cap
 _DIGIT_BOUND = 10 ** MAX_DIGITS
+
+# A scalar's numerator and denominator and a sequence key's vertices are
+# ASCII digits.  A scalar past MAX_DIGITS has a message of its own, so its
+# cap is checked in code; a key's cap is in its pattern.
+_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+_VERTEX = rf"-?[0-9]{{1,{MAX_DIGITS}}}"
+_SEQ_KEY = re.compile(rf"{_VERTEX}(?:,{_VERTEX})*")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _shown(value: Any, show: Callable[[Any], str] = repr) -> str:
@@ -50,10 +72,12 @@ def seq_to_key(seq: Seq) -> str:
 
 
 def key_to_seq(key: str) -> Seq:
-    try:
-        seq = tuple(int(part) for part in key.split(","))
-    except ValueError:
-        raise ValueError(f"bad sequence key {_shown(key)}") from None
+    """The vertices of a ``"0,1,2"`` key, each in a scalar's digits: an
+    optional ``-`` and 1 to ``MAX_DIGITS`` ASCII digits, with no ``+``,
+    space, underscore or other digit that ``int`` would take."""
+    if not _SEQ_KEY.fullmatch(key):
+        raise ValueError(f"bad sequence key {_shown(key)}")
+    seq = tuple(map(int, key.split(",")))
     if len(seq) < 2 or any(a >= b for a, b in zip(seq, seq[1:])):
         raise ValueError(f"sequence key {_shown(key)} is not strictly "
                          "increasing with at least two vertices")
@@ -71,64 +95,81 @@ def _put(table: dict, key: Any, value: Any, what: str) -> None:
 
 
 def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """A ``json.loads`` object hook that refuses a repeated key."""
-    doc: dict = {}
-    for key, value in pairs:
-        _put(doc, key, value, "a JSON object")
+    """A ``json.loads`` object hook that refuses a repeated key; only an
+    object with one walks its pairs, to name the first."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        doc = {}
+        for key, value in pairs:
+            _put(doc, key, value, "a JSON object")
     return doc
 
 
 # -- ring elements ----------------------------------------------------------------
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def rational_from_str(s: Any) -> int | Fraction:
-    """Read one scalar: an int (not a bool), or ``"p"`` or ``"p/q"`` in
-    plain decimal digits.  Any other value (a float, a bool, ``None``) or
-    text (``"1.5"``, ``"1e999999"``, ``" 1"``), ``"1/0"``, and a numerator
-    or denominator past ``MAX_DIGITS`` digits are a ValueError (``json``
-    itself refuses longer int literals)."""
+def _scalar(s: Any) -> tuple[int, int]:
+    """One scalar as ints ``(p, q)`` with ``q > 0``, not reduced: an int
+    (not a bool), or ``"p"`` or ``"p/q"`` in plain decimal digits.  Any
+    other value (a float, a bool, ``None``) or text (``"1.5"``,
+    ``"1e999999"``, ``" 1"``), ``"1/0"``, and a numerator or denominator
+    past ``MAX_DIGITS`` digits are a ValueError (``json`` itself refuses
+    longer int literals)."""
     if isinstance(s, int) and not isinstance(s, bool):
-        return s
-    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        return s, 1
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
         raise ValueError(f"not a rational \"p\" or \"p/q\": {_shown(s)}")
-    if any(len(part) > MAX_DIGITS for part in s.lstrip("-").split("/")):
+    sign, p, q = match.groups()
+    if len(p) > MAX_DIGITS or q is not None and len(q) > MAX_DIGITS:
         raise ValueError(f"a scalar has more than {MAX_DIGITS} digits")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {_shown(s)}") from None
+    q = 1 if q is None else int(q)
+    if not q:
+        raise ValueError(f"zero denominator in {_shown(s)}")
+    return -int(p) if sign else int(p), q
 
 
 def element_to_json(x: RingElement) -> str | list[str]:
-    """Canonical JSON form: a bare string over Q, a list over larger rings;
-    a ValueError past ``MAX_DIGITS``, which the reader would refuse."""
-    scalars = [x.body, *x.ideal]
-    if any(max(abs(q.numerator), q.denominator) >= _DIGIT_BOUND
-           for q in scalars):
-        raise ValueError(f"cannot write a scalar of over {MAX_DIGITS} digits")
-    return str(scalars[0]) if len(scalars) == 1 else [str(q) for q in scalars]
+    """Canonical JSON form, each layer ``"p"`` or ``"p/q"`` in lowest
+    terms: a bare string over Q, a list over larger rings; a ValueError
+    past ``MAX_DIGITS``, which the reader would refuse."""
+    den, texts = x.den, []
+    for v in x.nums:
+        g = gcd(v, den)
+        p, q = v // g, den // g
+        if max(abs(p), q) >= _DIGIT_BOUND:
+            raise ValueError(f"cannot write a scalar of over {MAX_DIGITS} "
+                             "digits")
+        texts.append(f"{p}/{q}" if q != 1 else str(p))
+    return texts[0] if len(texts) == 1 else texts
 
 
 def element_from_json(doc: Any, ring: SquareZeroRing) -> RingElement:
     """A ring element from one scalar (its body; the ideal part is zero) or
     from a list of ``ideal_rank + 1`` scalars, body first."""
     if not isinstance(doc, list):
-        return ring.element(rational_from_str(doc))
+        p, q = _scalar(doc)
+        return from_layers((p,) + (0,) * ring.ideal_rank, q)
     if len(doc) != ring.ideal_rank + 1:
         raise ValueError(f"ring element has {len(doc)} layers, expected "
                          f"{ring.ideal_rank + 1}")
-    body, *ideal = doc
-    return ring.element(rational_from_str(body),
-                        [rational_from_str(c) for c in ideal])
+    pairs = [_scalar(c) for c in doc]
+    den = lcm(*[q for _, q in pairs])
+    return from_layers([p * (den // q) for p, q in pairs], den)
 
 
-def _coords_from(doc: Any, ring: SquareZeroRing) -> tuple[RingElement, ...]:
+def _reader(ring: SquareZeroRing) -> Callable[[Any], RingElement]:
+    """``element_from_json`` over ``ring`` for one document, reading each
+    scalar text once: the memo goes with the reader, so an element's width
+    is always its own document's."""
+    cached = functools.cache(lambda text: element_from_json(text, ring))
+    return lambda doc: (cached(doc) if type(doc) is str
+                        else element_from_json(doc, ring))
+
+
+def _coords_from(doc: Any, read: Callable) -> tuple[RingElement, ...]:
     if not isinstance(doc, list):
         raise ValueError("coordinate vectors must be JSON lists")
-    return tuple(element_from_json(item, ring) for item in doc)
+    return tuple(map(read, doc))
 
 
 def _coords_to(coords: tuple[RingElement, ...]) -> list:
@@ -192,13 +233,12 @@ def category_from_json(doc: Mapping) -> DgCategory:
             raise ValueError(f"{what} must be a list of {width}-item lists")
         return value
 
-    def index(value: Any, hom: tuple[str, str, int], what: str) -> int:
+    def index(value: Any, hom: tuple[str, str, int], what: str) -> None:
         size = ranks.get(hom, 0)
         if not 0 <= integer(value) < size:
             x, y, t = (_shown(part, str) for part in hom)
             raise ValueError(f"{what} {_shown(value, str)} is out of range: "
                              f"hom({x}, {y}) has rank {size} in degree {t}")
-        return value
 
     ranks = {}
     for x, y, t, r in records(doc.get("ranks", []), 4, "\"ranks\""):
@@ -206,14 +246,20 @@ def category_from_json(doc: Mapping) -> DgCategory:
             raise ValueError("ranks must be nonnegative, up to "
                              f"{MAX_HOM_RANK}")
         _put(ranks, (obj(x), obj(y), integer(t)), r, "\"ranks\"")
+    # An index passes on one test against its record's hom ranks; any other
+    # goes through index(), which names the first bad one.
+    read = _reader(ring)
     diffs = {}
     for x, y, t, entries in records(doc.get("diffs", []), 4, "\"diffs\""):
         source, target = (obj(x), obj(y), integer(t)), (x, y, t + 1)
+        cols_rank, rows_rank = ranks.get(source, 0), ranks.get(target, 0)
         cols: dict[int, dict] = {}
         for j, i, a in records(entries, 3, "diff entries"):
-            j = index(j, source, "diff column")
-            i = index(i, target, "diff row")
-            cols.setdefault(j, {})[i] = element_from_json(a, ring)
+            if not (type(j) is type(i) is int and 0 <= j < cols_rank
+                    and 0 <= i < rows_rank):
+                index(j, source, "diff column")
+                index(i, target, "diff row")
+            cols.setdefault(j, {})[i] = read(a)
         if sum(map(len, cols.values())) != len(entries):
             raise ValueError(f"\"diffs\" record {_shown(source)} states a "
                              "(column, row) pair twice")
@@ -223,12 +269,17 @@ def category_from_json(doc: Mapping) -> DgCategory:
     for x, y, z, s, t, entries in records(doc.get("comps", []), 6,
                                           "\"comps\""):
         key = (obj(x), obj(y), obj(z), integer(s), integer(t))
+        outer, inner, result = (y, z, t), (x, y, s), (x, z, s + t)
+        n_outer, n_inner, n_result = (ranks.get(hom, 0)
+                                      for hom in (outer, inner, result))
         tensor: dict[tuple[int, int], dict] = {}
         for i, j, r, a in records(entries, 4, "comp entries"):
-            pair = (index(i, (y, z, t), "comp outer index"),
-                    index(j, (x, y, s), "comp inner index"))
-            r = index(r, (x, z, s + t), "comp result index")
-            tensor.setdefault(pair, {})[r] = element_from_json(a, ring)
+            if not (type(i) is type(j) is type(r) is int and 0 <= i < n_outer
+                    and 0 <= j < n_inner and 0 <= r < n_result):
+                index(i, outer, "comp outer index")
+                index(j, inner, "comp inner index")
+                index(r, result, "comp result index")
+            tensor.setdefault((i, j), {})[r] = read(a)
         if sum(map(len, tensor.values())) != len(entries):
             raise ValueError(f"\"comps\" record {_shown(key)} states an "
                              "(outer, inner, result) triple twice")
@@ -236,7 +287,7 @@ def category_from_json(doc: Mapping) -> DgCategory:
              "\"comps\"")
     identities = {}
     for x, coords in records(doc.get("identities", []), 2, "\"identities\""):
-        units = _coords_from(coords, ring)
+        units = _coords_from(coords, read)
         _put(identities, obj(x), units, "\"identities\"")
         if len(units) != ranks.get((x, x, 0), 0):
             name = _shown(x, str)
@@ -262,6 +313,7 @@ def _cells_from_json(doc: Any, cat: DgCategory,
     if not isinstance(doc, Mapping):
         raise ValueError("\"cells\" must be a JSON object")
     n = len(objects) - 1
+    read = _reader(cat.ring)
     cells = {}
     for key, coords_doc in doc.items():
         seq = key_to_seq(key)
@@ -269,7 +321,7 @@ def _cells_from_json(doc: Any, cat: DgCategory,
             raise ValueError(f"cell key {_shown(key)} exceeds dimension {n}")
         degree = 1 - (len(seq) - 1)
         source, target = objects[seq[0]], objects[seq[-1]]
-        coords = _coords_from(coords_doc, cat.ring)
+        coords = _coords_from(coords_doc, read)
         if len(coords) != cat.rank(source, target, degree):
             raise ValueError(
                 f"cell {_shown(key)} has {len(coords)} coordinates; hom("
@@ -364,7 +416,7 @@ def mc_from_json(doc: Mapping, cat: DgCategory) -> Morphism:
     obj = doc.get("object")
     if not isinstance(obj, str) or obj not in cat.identities:
         raise ValueError(f"unknown object {_shown(obj)}")
-    coords = _coords_from(doc.get("eta", []), cat.ring)
+    coords = _coords_from(doc.get("eta", []), _reader(cat.ring))
     if len(coords) != cat.rank(obj, obj, 1):
         raise ValueError("\"eta\" has the wrong number of coordinates")
     return Morphism(obj, obj, 1, coords)

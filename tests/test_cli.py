@@ -236,15 +236,24 @@ def test_check_malformed_category_exit_2(tmp_path, capsys, three_term,
     ("0", "sequence key '0' is not strictly increasing"),
     ("a,1", "bad sequence key 'a,1'"),
     ("0,9", "cell key '0,9' exceeds dimension 2"),
+    ("0,1_0", "bad sequence key '0,1_0'"),
+    ("0, 1", "bad sequence key '0, 1'"),
+    ("+0,1", "bad sequence key '+0,1'"),
+    (" 0,1 ", "bad sequence key ' 0,1 '"),
+    ("0,\u0661", "bad sequence key '0,\u0661'"),
+    ("0," + "1" * 4301, "bad sequence key '0,111"),
 ], ids=["negative", "repeated", "decreasing", "one_vertex", "not_an_int",
-        "past_dimension"])
+        "past_dimension", "underscore", "space", "plus", "padded",
+        "arabic_indic_digit", "past_digit_cap"])
 def test_check_bad_cell_key_exit_2(tmp_path, capsys, three_term, kind, key,
                                    message):
     """A valid 2-simplex, or its (2, 0) horn, with one more cell holding the
     (0, 1) cell's coordinates.  ``objects[-1]`` is the last object, so
     "-1,0" read as a cell once passed on the simplex (exit 0: validation
     ignores a cell it does not ask for) and failed on the horn (exit 1);
-    "0,02" names the cell (0, 2) a second time."""
+    "0,02" names the cell (0, 2) a second time.  A vertex is written in a
+    scalar's digits: ``int`` would read "0,1_0" as (0, 10) and "0, 1",
+    "+0,1", " 0,1 " and "0,\u0661" as (0, 1), a second (0, 1) cell."""
     simplex = identity_simplex(three_term, "C0", 2)
     doc = (jsonio.simplex_to_json(simplex) if kind == "simplex"
            else jsonio.horn_to_json(extract_horn(simplex, 0)))
@@ -256,6 +265,21 @@ def test_check_bad_cell_key_exit_2(tmp_path, capsys, three_term, kind, key,
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("key", ["0,0_1", "0, 1", "+0,1", " 0,1 ",
+                                 "0,\u0661"])
+def test_check_renamed_cell_key_exit_2(tmp_path, capsys, three_term, key):
+    """A valid 2-simplex whose (0, 1) cell is keyed by a form that ``int``
+    reads as 0 and 1: it passed before keys were read in a scalar's
+    digits."""
+    doc = jsonio.simplex_to_json(identity_simplex(three_term, "C0", 2))
+    doc["cells"][key] = doc["cells"].pop("0,1")
+    code, out, err = run_cli(capsys, "check",
+                             write_doc(tmp_path, "doc.json", doc),
+                             "--category", "three_term")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"bad sequence key {key!r}\n")
 
 
 def test_check_repeated_json_key_exit_2(tmp_path, capsys, three_term):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgnerve.rings
-from dgnerve.jsonio import element_from_json, element_to_json, rational_from_str
+from dgnerve.jsonio import element_from_json, element_to_json
 from dgnerve.rings import (
     NotAUnit,
     RATIONALS,
@@ -389,7 +389,8 @@ def test_element_json_round_trip(x):
     ("7", Fraction(7)), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2)),
     (5, Fraction(5))])
 def test_rational_from_str_reads_p_and_p_over_q(text, value):
-    assert rational_from_str(text) == value
+    """One scalar, read as a ring element over Q."""
+    assert element_from_json(text, RATIONALS) == RATIONALS.element(value)
 
 
 @pytest.mark.parametrize("text", [
@@ -397,7 +398,7 @@ def test_rational_from_str_reads_p_and_p_over_q(text, value):
     "1" * 5000, "1/0", 0.5, True, None])
 def test_rational_from_str_rejects_other_text(text):
     with pytest.raises(ValueError):
-        rational_from_str(text)
+        element_from_json(text, RATIONALS)
 
 
 def test_random_element_lands_in_ring():
