@@ -247,9 +247,12 @@ def cmd_lift(args: argparse.Namespace) -> int:
     reduced = reduce_category(cat)
     try:
         horn = jsonio.horn_from_json(horn_doc, cat)
+    except ValueError as exc:
+        raise CliInputError(f"{args.input}: {exc}") from exc
+    try:
         filler_mod = jsonio.filler_from_json(filler_doc, reduced)
     except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+        raise CliInputError(f"{args.filler}: {exc}") from exc
     try:
         lifted = lift_filler(cat, horn, filler_mod)
         out_doc = jsonio.filler_to_json(lifted, horn.objects)

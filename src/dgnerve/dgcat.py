@@ -45,8 +45,8 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import glin
-from .rings import (RATIONALS, RingElement, SquareZeroRing, from_layers,
-                    random_element)
+from .rings import (RATIONALS, RingElement, SquareZeroRing, _product,
+                    from_layers, random_element)
 
 Entries = tuple[tuple[int, RingElement], ...]   # sparse coordinate vector
 SparseCols = dict[int, Entries]                 # column index → image entries
@@ -155,6 +155,18 @@ class DgCategory:
             for i, a in entries:
                 mat[i][j] = a
         return mat
+
+    def cycle_basis(self, source: str, target: str, degree: int,
+                    ring: SquareZeroRing) -> list[list[RingElement]]:
+        """The closed elements of ``hom(source, target)_degree`` over ``ring``:
+        ``glin.nullspace`` of the differential if the block above is nonzero,
+        else the unit vectors.  Over ``Q ⊕ I`` the kernel includes
+        ε-multiples, but the unit vectors are bodies only."""
+        if matrix := self.dense_differential(source, target, degree):
+            return glin.nullspace(matrix, ring)
+        n = self.rank(source, target, degree)
+        return [[ring.one() if i == j else ring.zero() for j in range(n)]
+                for i in range(n)]
 
     def random_morphism(self, source: str, target: str, degree: int,
                         rng: random.Random, *,
@@ -281,16 +293,6 @@ class MorphismSum:
             self.num = [v * grow for v in self.num]
             self.den *= grow
         return self.den // den
-
-
-def _product(a: Sequence[int], c: Sequence[int]) -> list[int]:
-    """Layers of a product in Q ⊕ I, where ε·ε terms vanish."""
-    a0, c0 = a[0], c[0]
-    out = [a0 * c0]
-    if len(a) > 1:                            # Q alone has one layer
-        for al, cl in zip(a[1:], c[1:]):
-            out.append(a0 * cl + al * c0)
-    return out
 
 
 def sparsify(coords: Sequence[RingElement]) -> Entries:

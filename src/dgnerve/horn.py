@@ -36,7 +36,6 @@ from typing import Mapping
 from .dgcat import (DgCategory, Morphism, MorphismSum, NotEquivalence,
                     Violation, find_equivalence_witness, opposite,
                     witness_call_count)
-from .glin import nullspace
 from .mc import (promote_morphism, reduce_category, reduce_morphism,
                  tensor_with_ring)
 from .nerve import (NerveSimplex, PINNED, Seq, cell_shape_violation,
@@ -295,17 +294,6 @@ def _op_cells(n: int, cells: Mapping[Seq, Morphism]) -> dict[Seq, Morphism]:
             for seq, cell in cells.items()}
 
 
-def opposite_simplex(simplex: NerveSimplex) -> NerveSimplex:
-    """The same simplex read backwards in the opposite category.
-
-    Vertices map by i ↦ n−i; a bar-length-k cell picks up the sign
-    (−1)^{k(k+1)/2+1}, which makes all residuals transport on the nose.
-    Involutive.
-    """
-    return NerveSimplex(tuple(reversed(simplex.objects)),
-                        _op_cells(simplex.n, simplex.cells))
-
-
 def opposite_horn(horn: HornData) -> HornData:
     return HornData(horn.n, horn.n - horn.k, tuple(reversed(horn.objects)),
                     _op_cells(horn.n, horn.cells))
@@ -323,11 +311,6 @@ def opposite_filler(filler: Filler) -> Filler:
 def reduce_horn(horn: HornData) -> HornData:
     return HornData(horn.n, horn.k, horn.objects,
                     {s: reduce_morphism(c) for s, c in horn.cells.items()})
-
-
-def reduce_filler(filler: Filler) -> Filler:
-    return Filler(filler.n, filler.k,
-                  reduce_morphism(filler.top), reduce_morphism(filler.face))
 
 
 def promote_filler(cat: DgCategory, filler: Filler) -> Filler:
@@ -401,13 +384,8 @@ def _random_edge_simplex(cat: DgCategory, rng: random.Random,
         return NerveSimplex((X, X), {(0, 1): edge.add_differential(xi)
                                      .result()})
     Y = rng.choice(cat.objects)
-    ncols = cat.rank(X, Y, 0)
     edge = MorphismSum(cat, X, Y, 0)
-    matrix = cat.dense_differential(X, Y, 0)
-    if matrix:
-        basis = nullspace(matrix, cat.ring)
-    else:   # hom(X, Y)₁ = 0: body unit vectors only, not their ε-multiples
-        basis = [cat.basis_morphism(X, Y, 0, j).coords for j in range(ncols)]
+    basis = cat.cycle_basis(X, Y, 0, cat.ring)
     for _ in range(2 if basis else 0):
         vec = Morphism(X, Y, 0, tuple(rng.choice(basis)))
         edge.add(vec, rng.choice((0, 1, 1, -1, 2)))

@@ -29,8 +29,6 @@ from .dgcat import (DgCategory, Morphism, MorphismSum, SparseCols, Violation,
                     sparsify)
 from .rings import RATIONALS, RingElement, SquareZeroRing, reduce_mod_ideal
 
-from . import glin
-
 
 class InvalidMCObject(ValueError):
     """Raised when twisting by an element that fails the MC equation."""
@@ -163,12 +161,9 @@ def random_mc_element(cat: DgCategory, obj: str,
     if rank1 == 0:
         return zero
 
-    dense = cat.dense_differential(obj, obj, 1)
     m = cat.ring.ideal_rank
-    basis = ([[e.body for e in vec]
-              for vec in glin.nullspace(dense, RATIONALS)] if dense else
-             [[Fraction(int(i == j)) for j in range(rank1)]
-              for i in range(rank1)])
+    basis = [[e.body for e in vec]
+             for vec in cat.cycle_basis(obj, obj, 1, RATIONALS)]
 
     def random_combo() -> list[Fraction]:
         coords = [Fraction(0)] * rank1

@@ -37,7 +37,6 @@ from typing import Mapping, Sequence
 
 from .dgcat import (DgCategory, Morphism, MorphismSum, NotEquivalence,
                     Violation, find_equivalence_witness)
-from .rings import SquareZeroRing
 
 Seq = tuple[int, ...]
 
@@ -71,10 +70,6 @@ class SignPattern:
 PINNED = SignPattern()
 
 
-def all_sign_patterns() -> list[SignPattern]:
-    return [SignPattern(*bits) for bits in itertools.product((0, 1), repeat=4)]
-
-
 # -- simplices ----------------------------------------------------------------
 
 def increasing_sequences(n: int, min_length: int = 2) -> list[Seq]:
@@ -101,40 +96,6 @@ class NerveSimplex:
             return self.cells[tuple(seq)]
         except KeyError:
             raise ValueError(f"simplex has no cell for {seq}") from None
-
-
-def identity_simplex(cat: DgCategory, obj: str, n: int) -> NerveSimplex:
-    """All vertices at ``obj``, identity edges, zero higher cells."""
-    cells: dict[Seq, Morphism] = {}
-    for seq in increasing_sequences(n):
-        k = len(seq) - 1
-        cells[seq] = cat.identity(obj) if k == 1 else cat.zero(obj, obj, 1 - k)
-    return NerveSimplex((obj,) * (n + 1), cells)
-
-
-def interval_category(n: int, ring: SquareZeroRing | None = None) -> DgCategory:
-    """The directed-interval dg-category on objects 0 … n.
-
-    One degree-0 generator e_ij for each i ≤ j, zero differential, and
-    e_jk ∘ e_ij = e_ik.  Simplices of the nerve of a dg-category are
-    exactly strictly-unital weak functors out of this category.
-    """
-    ring = ring or SquareZeroRing(0)
-    names = tuple(str(i) for i in range(n + 1))
-    ranks = {}
-    comps = {}
-    identities = {}
-    one = ring.one()
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            ranks[(names[i], names[j], 0)] = 1
-        identities[names[i]] = (one,)
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                comps[(names[i], names[j], names[k], 0, 0)] = {(0, 0): ((0, one),)}
-    return DgCategory(ring=ring, objects=names, ranks=ranks, diffs={},
-                      comps=comps, identities=identities)
 
 
 # -- residuals ----------------------------------------------------------------
@@ -292,15 +253,6 @@ class NerveCochain:
     def n(self) -> int:
         return self.source.n
 
-    def component(self, cat: DgCategory, seq: Seq) -> Morphism:
-        seq = tuple(seq)
-        stored = self.components.get(seq)
-        if stored is not None:
-            return stored
-        return cat.zero(self.source.objects[seq[0]],
-                        self.target.objects[seq[-1]],
-                        self.degree - (len(seq) - 1))
-
 
 def cochain_equal(left: NerveCochain, right: NerveCochain) -> bool:
     if (left.degree, left.source.objects, left.target.objects) != \
@@ -419,15 +371,12 @@ def cochain_add(left: NerveCochain, right: NerveCochain) -> NerveCochain:
     return NerveCochain(left.source, left.target, left.degree, components)
 
 
-def cochain_scale(cochain: NerveCochain, scalar) -> NerveCochain:
-    """``scalar·cochain``; an int ±1 keeps or negates each coordinate and
-    any other scalar (a float too, read exactly) multiplies it."""
-    def scale(m: Morphism) -> Morphism:
-        if isinstance(scalar, int) and scalar in (1, -1):
-            coords = m.coords if scalar == 1 else tuple(-c for c in m.coords)
-        else:
-            coords = tuple(c * scalar for c in m.coords)
-        return Morphism(m.source, m.target, m.degree, coords)
-    components = {seq: scale(m) for seq, m in cochain.components.items()}
-    return NerveCochain(cochain.source, cochain.target, cochain.degree,
-                        {s: m for s, m in components.items() if not m.is_zero()})
+def cochain_scale(cochain: NerveCochain, sign: int | float) -> NerveCochain:
+    """``sign·cochain`` for a sign ±1, an int or a float such as
+    ``(−1) ** degree``: each coordinate is kept or negated."""
+    if sign not in (1, -1):
+        raise ValueError(f"cochain_scale takes a sign ±1, not {sign!r}")
+    return NerveCochain(cochain.source, cochain.target, cochain.degree, {
+        seq: m if sign == 1 else Morphism(m.source, m.target, m.degree,
+                                          tuple(-c for c in m.coords))
+        for seq, m in cochain.components.items() if not m.is_zero()})

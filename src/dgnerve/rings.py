@@ -26,13 +26,13 @@ ideal layers.
 >>> x = B.element(2, [5])
 >>> x * x == B.element(4, [20])
 True
->>> x * invert(x) == B.one()
+>>> x * x.invert() == B.one()
 True
 >>> reduce_mod_ideal(x).body
 Fraction(2, 1)
 >>> B.element("1/2", ["1/3"]).nums, B.element("1/2", ["1/3"]).den
 ((3, 2), 6)
->>> invert(B.element(0, [1]))
+>>> B.element(0, [1]).invert()
 Traceback (most recent call last):
     ...
 dgnerve.rings.NotAUnit: element with body 0 is not invertible
@@ -132,9 +132,7 @@ class RingElement:
 
     def __mul__(self, other: Scalar) -> "RingElement":
         o = self._coerce(other)
-        (a0, *a), (b0, *b) = self.nums, o.nums
-        return from_layers([a0 * b0] + [a0 * y + b0 * x for x, y in zip(a, b)],
-                           self.den * o.den)
+        return from_layers(_product(self.nums, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -155,9 +153,14 @@ def from_layers(nums: Sequence[int], den: int) -> RingElement:
     return x
 
 
-def invert(x: RingElement) -> RingElement:
-    """Multiplicative inverse; raises :class:`NotAUnit` if the body is 0."""
-    return x.invert()
+def _product(a: Sequence[int], c: Sequence[int]) -> list[int]:
+    """Layers of a product in Q ⊕ I, where ε·ε terms vanish."""
+    a0, c0 = a[0], c[0]
+    out = [a0 * c0]
+    if len(a) > 1:                            # Q alone has one layer
+        for al, cl in zip(a[1:], c[1:]):
+            out.append(a0 * cl + al * c0)
+    return out
 
 
 def reduce_mod_ideal(x: RingElement) -> RingElement:

@@ -1,0 +1,80 @@
+"""Nerve constructions that only the tests use: the directed-interval
+category, identity simplices, the sixteen candidate sign patterns, a
+simplex read backwards in the opposite category, the reduction of a filler
+mod the ideal, and a cochain's component with absent sequences read as
+zero.
+"""
+
+import itertools
+
+from dgnerve.dgcat import DgCategory
+from dgnerve.horn import Filler, _op_cells
+from dgnerve.mc import reduce_morphism
+from dgnerve.nerve import NerveSimplex, SignPattern, increasing_sequences
+from dgnerve.rings import SquareZeroRing
+
+
+def all_sign_patterns():
+    return [SignPattern(*bits) for bits in itertools.product((0, 1), repeat=4)]
+
+
+def identity_simplex(cat, obj, n):
+    """All vertices at ``obj``, identity edges, zero higher cells."""
+    cells = {}
+    for seq in increasing_sequences(n):
+        k = len(seq) - 1
+        cells[seq] = cat.identity(obj) if k == 1 else cat.zero(obj, obj, 1 - k)
+    return NerveSimplex((obj,) * (n + 1), cells)
+
+
+def interval_category(n, ring=None):
+    """The directed-interval dg-category on objects 0 … n.
+
+    One degree-0 generator e_ij for each i ≤ j, zero differential, and
+    e_jk ∘ e_ij = e_ik.  Simplices of the nerve of a dg-category are
+    exactly strictly-unital weak functors out of this category.
+    """
+    ring = ring or SquareZeroRing(0)
+    names = tuple(str(i) for i in range(n + 1))
+    ranks = {}
+    comps = {}
+    identities = {}
+    one = ring.one()
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            ranks[(names[i], names[j], 0)] = 1
+        identities[names[i]] = (one,)
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            for k in range(j, n + 1):
+                comps[(names[i], names[j], names[k], 0, 0)] = \
+                    {(0, 0): ((0, one),)}
+    return DgCategory(ring=ring, objects=names, ranks=ranks, diffs={},
+                      comps=comps, identities=identities)
+
+
+def opposite_simplex(simplex):
+    """The same simplex read backwards in the opposite category.
+
+    Vertices map by i ↦ n−i; a bar-length-k cell picks up the sign
+    (−1)^{k(k+1)/2+1}, which makes all residuals transport on the nose.
+    Involutive.
+    """
+    return NerveSimplex(tuple(reversed(simplex.objects)),
+                        _op_cells(simplex.n, simplex.cells))
+
+
+def reduce_filler(filler):
+    return Filler(filler.n, filler.k,
+                  reduce_morphism(filler.top), reduce_morphism(filler.face))
+
+
+def component(cat, cochain, seq):
+    """The cochain's morphism at ``seq``, zero when none is stored."""
+    seq = tuple(seq)
+    stored = cochain.components.get(seq)
+    if stored is not None:
+        return stored
+    return cat.zero(cochain.source.objects[seq[0]],
+                    cochain.target.objects[seq[-1]],
+                    cochain.degree - (len(seq) - 1))

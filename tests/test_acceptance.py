@@ -41,14 +41,14 @@ from dgnerve.cli import main
 from dgnerve.dgcat import check_axioms, witness_call_count
 from dgnerve.fixtures import standard_fixtures, three_term_category
 from dgnerve.horn import (complete_horn, compute_obstruction, fill_horn,
-                          lift_filler, random_horn, reduce_filler,
-                          reduce_horn)
+                          lift_filler, random_horn, reduce_horn)
 from dgnerve.laws import law_cochain_d_squared, law_cochain_leibniz
 from dgnerve.mc import check_mc, random_mc_element, reduce_category, twist
 from dgnerve.nerve import (PINNED, SignPattern, cell_residual,
                            validate_simplex, validate_star)
 from dgnerve.rings import SquareZeroRing
 from lincomb import lin
+from nervekit import reduce_filler
 
 GRID = ((2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2))
 FIXTURES = standard_fixtures()

@@ -23,10 +23,10 @@ from dgnerve.laws import (
 from dgnerve.nerve import (
     PINNED,
     SignPattern,
-    all_sign_patterns,
     cell_residual,
 )
 from lincomb import lin
+from nervekit import all_sign_patterns
 
 ANCHOR_TRIALS = 5
 LAW_TRIALS = 6

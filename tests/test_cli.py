@@ -32,11 +32,11 @@ from dgnerve.fixtures import (random_complex_category, standard_fixtures,
                               three_term_category)
 from dgnerve.horn import (IncompatibleHorn, check_horn, complete_horn,
                           extract_horn, fill_horn, lift_filler, random_horn,
-                          reduce_filler, reduce_horn, _trial_seed)
+                          reduce_horn, _trial_seed)
 from dgnerve.mc import reduce_category, tensor_with_ring
-from dgnerve.nerve import (NerveSimplex, SignPattern, identity_simplex,
-                           increasing_sequences)
+from dgnerve.nerve import NerveSimplex, SignPattern, increasing_sequences
 from dgnerve.rings import SquareZeroRing
+from nervekit import identity_simplex, reduce_filler
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -591,6 +591,26 @@ def test_lift_malformed_filler_exit_2(dual_setup, capsys):
                            "--category", str(paths["category"]))
     assert code == 2
     assert "invalid JSON" in err
+
+
+@pytest.mark.parametrize("bad, edit, message", [
+    ("horn", lambda cells: cells.update({"0,9": cells["0,1"]}),
+     "cell key '0,9' exceeds dimension 3"),
+    ("filler", lambda cells: cells.pop("0,2,3"),
+     "filler must provide exactly the cells 0,1,2,3 and 0,2,3"),
+], ids=["horn", "filler"])
+def test_lift_names_the_document_it_cannot_read(dual_setup, capsys, bad,
+                                                edit, message):
+    """Each of the two documents ``lift`` reads is named when it is bad."""
+    _, _, _, paths, tmp = dual_setup
+    doc = json.loads(paths[bad].read_text())
+    edit(doc["cells"])
+    argv = {"horn": str(paths["horn"]), "filler": str(paths["filler"]),
+            bad: write_doc(tmp, f"bad_{bad}.json", doc)}
+    code, out, err = run_cli(capsys, "lift", argv["horn"], argv["filler"],
+                             "--category", str(paths["category"]))
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[bad]}: {message}\n"
 
 
 def test_lift_filler_of_another_horn_exit_2(tmp_path, capsys):

@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from dgnerve import fixtures, jsonio
-from dgnerve.glin import solve_linear
+from dgnerve.glin import nullspace, solve_linear
 from dgnerve.dgcat import (
     ChainComplex,
     DgCategory,
@@ -38,9 +38,9 @@ from dgnerve.dgcat import (
 )
 from dgnerve.fixtures import three_term_category
 from dgnerve.mc import tensor_with_ring, twist
-from dgnerve.nerve import interval_category
-from lincomb import degrees, lin
 from dgnerve.rings import RATIONALS, SquareZeroRing
+from lincomb import degrees, lin
+from nervekit import interval_category
 
 
 def flip_one_diff_sign(cat):
@@ -930,6 +930,47 @@ def test_full_size_random_category_passes_axioms():
                  random_complex(RATIONALS, rng, total_dim=2)]
     assert sum(sum(c.dims.values()) for c in complexes) == 8
     assert check_axioms(make_complex_category(complexes)) == []
+
+
+# ---------------------------------------------------------------------------
+# Cycle bases.
+# ---------------------------------------------------------------------------
+
+
+def _reference_edge_basis(cat, x, y, t):
+    """Oracle: the edge sampler's basis over ``cat.ring``, as its own code."""
+    ncols = cat.rank(x, y, t)
+    matrix = cat.dense_differential(x, y, t)
+    if matrix:
+        return nullspace(matrix, cat.ring)
+    return [cat.basis_morphism(x, y, t, j).coords for j in range(ncols)]
+
+
+def _reference_mc_basis(cat, x, y, t):
+    """Oracle: the MC sampler's body basis over Q, as its own code."""
+    rank = cat.rank(x, y, t)
+    dense = cat.dense_differential(x, y, t)
+    return ([[e.body for e in vec] for vec in nullspace(dense, RATIONALS)]
+            if dense else [[Fraction(int(i == j)) for j in range(rank)]
+                           for i in range(rank)])
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", list(fixtures.FIXTURES))
+def test_cycle_basis_matches_both_samplers(name, rank):
+    """``cycle_basis`` is ``==`` to the edge sampler's basis over the
+    category's ring and to the MC sampler's bodies over Q, vector by vector
+    and in order, on every hom block, those with a zero block above too."""
+    cat = tensor_with_ring(fixtures.FIXTURES[name](), SquareZeroRing(rank))
+    above_zero = 0
+    for x, y, t in cat.ranks:
+        assert cat.cycle_basis(x, y, t, cat.ring) == \
+            [list(v) for v in _reference_edge_basis(cat, x, y, t)]
+        assert [[e.body for e in v]
+                for v in cat.cycle_basis(x, y, t, RATIONALS)] == \
+            _reference_mc_basis(cat, x, y, t)
+        above_zero += cat.rank(x, y, t + 1) == 0
+    assert above_zero > 0
 
 
 # ---------------------------------------------------------------------------

@@ -41,19 +41,18 @@ from dgnerve.horn import (
     obstruction_violations,
     opposite_filler,
     opposite_horn,
-    opposite_simplex,
     random_horn,
     random_valid_simplex,
-    reduce_filler,
     reduce_horn,
     _trial_seed,
 )
 from dgnerve.mc import (promote_morphism, reduce_category, reduce_morphism,
                         tensor_with_ring)
-from dgnerve.nerve import (PINNED, NerveSimplex, degeneracy, identity_simplex,
-                           validate_simplex, validate_star)
+from dgnerve.nerve import (PINNED, NerveSimplex, degeneracy, validate_simplex,
+                           validate_star)
 from dgnerve.rings import RATIONALS, SquareZeroRing
 from lincomb import lin
+from nervekit import identity_simplex, opposite_simplex, reduce_filler
 
 GRID = [(2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2)]
 

@@ -27,14 +27,14 @@ from dgnerve.horn import (
     opposite_filler,
     random_horn,
     random_valid_simplex,
-    reduce_filler,
     reduce_horn,
     promote_filler,
 )
 from dgnerve.mc import reduce_category, reduce_morphism, tensor_with_ring
-from dgnerve.nerve import NerveSimplex, identity_simplex, validate_simplex
+from dgnerve.nerve import NerveSimplex, validate_simplex
 from dgnerve.rings import SquareZeroRing
 from lincomb import lin
+from nervekit import identity_simplex, reduce_filler
 
 GRID = [(2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2)]
 

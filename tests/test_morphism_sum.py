@@ -27,6 +27,7 @@ from dgnerve.nerve import (PINNED, NerveCochain, cochain_compose,
                            required_boundary)
 from dgnerve.rings import SquareZeroRing, random_element
 from lincomb import degrees, lin
+from nervekit import component
 
 
 # -- the Fraction-loop oracles -------------------------------------------------
@@ -95,10 +96,10 @@ def _reference_convolve_component(cat, outer, inner, seq, signs):
                           outer.target.objects[seq[-1]], degree))]
     for p in range(1, k):
         top, bot = seq[p:], seq[:p + 1]
-        outer_part = outer.component(cat, top)
+        outer_part = component(cat, outer, top)
         if outer_part.is_zero():
             continue
-        inner_part = inner.component(cat, bot)
+        inner_part = component(cat, inner, bot)
         if inner_part.is_zero():
             continue
         sign = signs.cut_sign(p, k) * (-1) ** (inner.degree * (k - p))
@@ -115,10 +116,10 @@ def _reference_cochain_differential(cat, cochain, signs=PINNED):
     for seq in increasing_sequences(cochain.n):
         k = len(seq) - 1
         terms = [(1, _reference_differential(cat,
-                                             cochain.component(cat, seq)))]
+                                             component(cat, cochain, seq)))]
         for p in range(1, k):
             face_seq = seq[:p] + seq[p + 1:]
-            part = cochain.component(cat, face_seq)
+            part = component(cat, cochain, face_seq)
             if not part.is_zero():
                 terms.append(((-1) ** t * signs.face_sign(p, k), part))
         g_eta = _reference_convolve_component(cat, g_cells, cochain, seq,

@@ -11,6 +11,7 @@ Frozen hand values (derived by expanding the defining formulas by hand):
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,14 +31,13 @@ from dgnerve.nerve import (
     cochain_scale,
     degeneracy,
     face,
-    identity_simplex,
     increasing_sequences,
-    interval_category,
     validate_simplex,
     validate_star,
 )
 from dgnerve.rings import SquareZeroRing
 from lincomb import degrees, lin
+from nervekit import component, identity_simplex, interval_category
 
 
 def is_zero_cochain(cochain):
@@ -324,12 +324,12 @@ def test_cochain_differential_hand_values(three_term):
             v = three_term.basis_morphism(obj, obj, degree, j)
             eta = NerveCochain(simplex, simplex, degree + 1, {(0, 1): v})
             d_eta = cochain_differential(three_term, eta)
-            assert d_eta.component(three_term, (0, 1)) == \
+            assert component(three_term, d_eta, (0, 1)) == \
                 three_term.differential(v)
-            assert d_eta.component(three_term, (0, 1, 2)) == \
+            assert component(three_term, d_eta, (0, 1, 2)) == \
                 lin(((-1) ** (degree + 1), v))
-            assert d_eta.component(three_term, (1, 2)).is_zero()
-            assert d_eta.component(three_term, (0, 2)).is_zero()
+            assert component(three_term, d_eta, (1, 2)).is_zero()
+            assert component(three_term, d_eta, (0, 2)).is_zero()
 
 
 def test_differential_of_zero_cochain(three_term):
@@ -375,7 +375,8 @@ def test_leibniz_on_random_pairs(three_term, n):
 
 
 def test_cochain_scale_reads_float_signs_exactly(three_term):
-    # (−1) ** degree is the float −1.0 at degree −1, and callers pass it.
+    # (−1) ** degree is the float −1.0 at degree −1, and callers pass it;
+    # a scalar that is not a sign is refused.
     rng = random.Random(73)
     f = random_valid_simplex(three_term, rng, 2, witnessed=False)
     g = random_valid_simplex(three_term, rng, 2, witnessed=False)
@@ -384,6 +385,16 @@ def test_cochain_scale_reads_float_signs_exactly(three_term):
     assert cochain_scale(c, -1.0) == cochain_scale(c, -1)
     assert cochain_scale(c, 1) == c
     assert cochain_add(c, cochain_scale(c, -1)).components == {}
+    seq, part = next(iter(c.components.items()))
+    zero = three_term.zero(part.source, part.target, part.degree)
+    padded = NerveCochain(f, g, c.degree, {**c.components, seq: zero})
+    for sign in (1, -1, -1.0):
+        assert cochain_scale(padded, sign).components == {
+            s: m for s, m in cochain_scale(c, sign).components.items()
+            if s != seq}
+    for scalar in (2, 0, 0.5, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="sign"):
+            cochain_scale(c, scalar)
 
 
 def test_compose_with_zero(three_term):
