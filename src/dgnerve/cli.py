@@ -26,6 +26,10 @@ from .mc import check_mc, reduce_category
 from .nerve import validate_simplex, validate_star
 
 PASS, FAIL, USAGE = 0, 1, 2
+# A trial seed of laws or gp is seed·1 000 003 plus a small offset
+# (laws.run_laws, horn._trial_seed), so a --seed of at most this many digits
+# keeps every trial seed a report prints within jsonio.MAX_DIGITS.
+_SEED_DIGITS = jsonio.MAX_DIGITS - 7
 
 
 class CliInputError(Exception):
@@ -139,7 +143,8 @@ def _write_out(path: str, payload: str) -> None:
 
 
 def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
-    payload = jsonio.canonical_dumps(doc)
+    payload = jsonio.canonical_dumps(doc) \
+        if args.out or args.format == "json" else None
     if args.out:
         _write_out(args.out, payload)
     text = payload if args.format == "json" else \
@@ -150,6 +155,11 @@ def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
         sys.stdout.buffer.flush()
     else:                                  # a text stream such as StringIO
         sys.stdout.write(text)
+
+
+def _check_seed(seed: int) -> None:
+    if abs(seed) >= 10 ** _SEED_DIGITS:
+        raise CliInputError(f"--seed must have at most {_SEED_DIGITS} digits")
 
 
 def _violations_doc(violations: Sequence[Violation]) -> list[dict]:
@@ -272,6 +282,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
 def cmd_laws(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise CliInputError("--trials must be nonnegative")
+    _check_seed(args.seed)
     cat = _load_category(args.category)
     axioms = check_axioms(cat)
     if axioms:
@@ -293,6 +304,7 @@ def cmd_laws(args: argparse.Namespace) -> int:
 def cmd_gp(args: argparse.Namespace) -> int:
     if args.n > jsonio.MAX_DIMENSION:
         raise CliInputError(f"--n must be at most {jsonio.MAX_DIMENSION}")
+    _check_seed(args.seed)
     cat = _load_category(args.category)
     try:
         report = check_gp(cat, args.n, args.k, trials=args.trials,

@@ -26,7 +26,9 @@ and products, twisted differentials) are all computed by one accumulator,
 :class:`MorphismSum`.  It reads the integer layers of each ``RingElement``
 coordinate and structure constant (see :mod:`dgnerve.rings`) and multiplies
 and adds them as Python ints.  A sum that is only tested for zero is tested
-on the accumulator; a ``Morphism`` is built only for sums that are kept.
+on the accumulator; a ``Morphism`` is built only for sums that are kept.  A
+composite takes one step per stored pair of its tensor, and the residual
+sums of one nerve sweep read each cell once.
 :func:`check_axioms` reads the structure blocks as ints itself: d² = 0,
 Leibniz and associativity are one sparse join over one denominator, and the
 unit laws one pass over each unit's composition blocks.  The
@@ -199,16 +201,18 @@ class MorphismSum:
         self.width = cat.ring.ideal_rank + 1
         self.den = 1
         self.num = [0] * (self.rank * self.width)
+        # id(operand) → (operand, read), shared by the sums of a nerve sweep
+        self._reads: dict[int, tuple] | None = None
 
     def add(self, f: Morphism, sign: int = 1) -> "MorphismSum":
         """``self += sign·f``."""
         self._check_shape((f.source, f.target, f.degree))
         if len(f.coords) != self.rank:
             raise ValueError("morphism rank mismatch")
-        for r, nums, den in self._nonzero(f):
-            scale, base = sign * self._scale(den), r * self.width
-            for offset, v in enumerate(nums):
-                self.num[base + offset] += scale * v
+        for r, c in self._nonzero(f).items():
+            scale = sign * self._scale(c.den)
+            for at, v in enumerate(c.nums, r * self.width):
+                self.num[at] += scale * v
         return self
 
     def add_differential(self, f: Morphism, sign: int = 1) -> "MorphismSum":
@@ -216,10 +220,10 @@ class MorphismSum:
         self._check_shape((f.source, f.target, f.degree + 1))
         cols = self.cat.diffs.get((f.source, f.target, f.degree))
         if cols:
-            for j, nums, den in self._nonzero(f):
+            for j, c in self._nonzero(f).items():
                 entries = cols.get(j)
                 if entries:
-                    self._add_entries(entries, nums, den, sign)
+                    self._add_entries(entries, c.nums, c.den, sign)
         return self
 
     def add_compose(self, outer: Morphism, inner: Morphism,
@@ -234,13 +238,18 @@ class MorphismSum:
         tensor = self.cat.comps.get((inner.source, inner.target, outer.target,
                                      inner.degree, outer.degree))
         if tensor:
-            nz_inner = self._nonzero(inner)
-            for i, o_nums, o_den in self._nonzero(outer):
-                for j, i_nums, i_den in nz_inner:
-                    entries = tensor.get((i, j))
-                    if entries:
-                        self._add_entries(entries, _product(o_nums, i_nums),
-                                          o_den * i_den, sign)
+            right, left = self._nonzero(inner), self._nonzero(outer)
+            w = self.width
+            for (i, j), entries in tensor.items() if right and left else ():
+                a = left.get(i)
+                b = right.get(j) if a is not None else None
+                if b is not None:       # the layers of a·b; ε·ε terms vanish
+                    o, c = a.nums, b.nums
+                    o0, c0 = o[0], c[0]
+                    product = [o0 * c0]
+                    for k in range(1, w):
+                        product.append(o0 * c[k] + o[k] * c0)
+                    self._add_entries(entries, product, a.den * b.den, sign)
         return self
 
     def is_zero(self) -> bool:
@@ -260,30 +269,40 @@ class MorphismSum:
                 "morphism shape mismatch: {}->{} deg {} vs {}->{} deg {}"
                 .format(*self.shape, *shape))
 
-    def _nonzero(self, f: Morphism) -> list[tuple[int, tuple[int, ...], int]]:
-        """(index, layers, denominator) of the nonzero coordinates of ``f``;
-        zero ones are skipped like missing terms."""
-        out = [(i, c.nums, c.den) for i, c in enumerate(f.coords)
-               if any(c.nums)]
-        for _, nums, _ in out:
-            if len(nums) != self.width:
+    def _nonzero(self, f: Morphism) -> dict[int, RingElement]:
+        """The nonzero coordinates of ``f`` by index; zero ones are skipped
+        like missing terms.  A sweep's read holds its operand, so that the
+        id it is keyed by is not reused while the read lasts."""
+        hit = self._reads and self._reads.get(id(f))
+        if hit:
+            return hit[1]
+        read = {i: c for i, c in enumerate(f.coords) if any(c.nums)}
+        for c in read.values():
+            if len(c.nums) != self.width:
                 raise ValueError("ring elements of different ideal rank")
-        return out
+        if self._reads is not None:
+            self._reads[id(f)] = (f, read)
+        return read
 
-    def _add_entries(self, entries: Entries, c: Sequence[int], c_den: int,
+    def _add_entries(self, entries: Entries, c: Sequence[int], den: int,
                      sign: int) -> None:
-        """Coordinate ``r += sign·a·(c/c_den)`` for each structure constant
-        entry (r, a); ε·ε terms vanish."""
-        w, c0 = self.width, c[0]
+        """Coordinate ``r += sign·a·(c/den)`` for each structure constant
+        entry (r, a); ε·ε terms vanish.  The term is put on the shared
+        denominator once, and again for a constant of denominator ≠ 1."""
+        scale = sign * self._scale(den)
+        w, num, c0 = self.width, self.num, c[0]
         for r, a in entries:
             a_nums = a.nums
             if len(a_nums) != w:
                 raise ValueError("ring elements of different ideal rank")
-            scale = sign * self._scale(a.den * c_den)
-            num, base, a0 = self.num, r * w, a_nums[0]
-            num[base] += scale * a0 * c0
+            s = scale
+            if a.den != 1:
+                s = sign * self._scale(den * a.den)
+                scale, num = sign * (self.den // den), self.num
+            base, a0 = r * w, a_nums[0]
+            num[base] += s * a0 * c0
             for k in range(1, w):
-                num[base + k] += scale * (a0 * c[k] + a_nums[k] * c0)
+                num[base + k] += s * (a0 * c[k] + a_nums[k] * c0)
 
     def _scale(self, den: int) -> int:
         """The factor that puts a term over ``den`` onto the shared

@@ -117,9 +117,11 @@ def required_boundary(cat: DgCategory, objects: Sequence[str],
 
 
 def _residual_sum(cat: DgCategory, cells: Mapping[Seq, Morphism], seq: Seq,
-                  signs: SignPattern) -> MorphismSum:
+                  signs: SignPattern, reads: dict | None) -> MorphismSum:
+    """R(seq) on the accumulator, reading cells through ``reads``."""
     cell = cells[seq]
     total = MorphismSum(cat, cell.source, cell.target, cell.degree + 1)
+    total._reads = reads
     _add_faces(total.add_differential(cell), cells, seq, signs, -1)
     return _add_convolution(total, cells, cells, 1, seq, signs, -1)
 
@@ -128,7 +130,7 @@ def cell_residual(cat: DgCategory, cells: Mapping[Seq, Morphism], seq: Seq,
                   signs: SignPattern = PINNED) -> Morphism:
     """R(seq) = d(cell(seq)) − required boundary, for simplex or horn data;
     zero exactly when the cell at ``seq`` satisfies its equation."""
-    return _residual_sum(cat, cells, seq, signs).result()
+    return _residual_sum(cat, cells, seq, signs, None).result()
 
 
 def cell_shape_violation(cat: DgCategory, objects: Sequence[str], seq: Seq,
@@ -156,14 +158,15 @@ def cell_violations(cat: DgCategory, objects: Sequence[str],
                     found: Sequence[Violation] = ()) -> list[Violation]:
     """``found`` plus the shape violations of the cells at ``seqs``; when
     there are none, one ``residual`` (with ``detail``) per cell at ``seqs``
-    whose equation fails."""
+    whose equation fails.  The sweep reads each cell once."""
     shapes = (cell_shape_violation(cat, objects, seq, cells.get(seq))
               for seq in seqs)
     out = [*found, *filter(None, shapes)]
     if out:
         return out
+    reads: dict = {}
     return [Violation("residual", seq, detail) for seq in seqs
-            if not _residual_sum(cat, cells, seq, PINNED).is_zero()]
+            if not _residual_sum(cat, cells, seq, PINNED, reads).is_zero()]
 
 
 def validate_simplex(cat: DgCategory,

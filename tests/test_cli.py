@@ -750,6 +750,62 @@ def test_gp_dimension_past_cap_exit_2(capsys):
     assert "all trials pass" in out
 
 
+def seed_of(digits: int, sign: str = "") -> str:
+    return sign + "9" * digits
+
+
+# A trial seed is seed·1 000 003 plus a small offset, so the seeds of at most
+# MAX_DIGITS − 7 digits are the ones whose trial seeds a report can print.
+SEED_DIGITS = jsonio.MAX_DIGITS - 7
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gp_seed_at_the_bound_reports_its_trial_seed(tmp_path, capsys,
+                                                     doubled_unit, fmt):
+    path = write_doc(tmp_path, "bad.json",
+                     jsonio.category_to_json(doubled_unit))
+    seed = seed_of(SEED_DIGITS)
+    code, out, err = run_cli(capsys, "gp", "--category", path, "--n", "2",
+                             "--k", "0", "--trials", "1", "--seed", seed,
+                             "--format", fmt)
+    assert (code, err) == (1, "")
+    trial_seed = _trial_seed(int(seed), 0, 0)
+    assert len(str(trial_seed)) == jsonio.MAX_DIGITS
+    if fmt == "json":
+        assert json.loads(out)["modes"][0]["failures"][0]["seed"] == trial_seed
+    else:
+        assert f" seed={trial_seed}: residual" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["gp", "--n", "2", "--k", "0", "--trials", "1"],
+    ["laws", "--trials", "1"]], ids=["gp", "laws"])
+@pytest.mark.parametrize("seed", [seed_of(SEED_DIGITS + 1),
+                                  seed_of(SEED_DIGITS + 1, "-"),
+                                  seed_of(jsonio.MAX_DIGITS)],
+                         ids=["past", "negative_past", "max_digits"])
+def test_seed_past_the_bound_exit_2(tmp_path, capsys, doubled_unit, command,
+                                    seed):
+    # Over doubled_unit every gp trial fails and would print its seed.
+    path = write_doc(tmp_path, "bad.json",
+                     jsonio.category_to_json(doubled_unit))
+    code, out, err = run_cli(capsys, *command, "--seed", seed,
+                             "--category", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: --seed must have at most {SEED_DIGITS} digits\n"
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_laws_seed_at_the_bound_runs(capsys, sign):
+    seed = seed_of(SEED_DIGITS, sign)
+    code, out, err = run_cli(capsys, "laws", "--trials", "1", "--seed", seed,
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["seed"] == int(seed)
+    assert all(row["pass"] == 1 for row in report["laws"])
+
+
 # -- determinism and formats --------------------------------------------------------
 
 
@@ -771,6 +827,21 @@ def test_same_seed_identical_gp_report_bytes(tmp_path, capsys):
                              "--out", str(path))
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_json_payload_is_built_only_when_used(tmp_path, capsys, monkeypatch):
+    built = []
+    dumps = jsonio.canonical_dumps
+    monkeypatch.setattr(jsonio, "canonical_dumps",
+                        lambda doc: built.append(doc) or dumps(doc))
+    argv = ["gp", "--n", "2", "--k", "1", "--trials", "1"]
+    out_path = str(tmp_path / "gp.json")
+    for extra, count in (([], 0), (["--format", "json"], 1),
+                         (["--out", out_path], 1)):
+        built.clear()
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0 and len(built) == count
+    assert pathlib.Path(out_path).read_text() == dumps(built[0])
 
 
 def test_json_format_matches_out_file(tmp_path, capsys):

@@ -7,6 +7,7 @@ had before they moved onto the accumulator: every term passes through
 must agree with ``==`` on every input, including sums that cancel to zero.
 """
 
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -321,6 +322,33 @@ def test_boundaries_and_cochain_differentials_match_reference(name, rank, seed,
         assert (obs.U, obs.V) == tuple(
             _reference_required_boundary(obs.category, seen.objects, getter,
                                          seq) for seq in seen.missing)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", CATEGORY_NAMES)
+def test_compose_ignores_stored_pairs_it_cannot_meet(name, rank):
+    """A composite walks the tensor's stored pairs: a pair outside either
+    operand's support, or with a negative or past-rank index, adds nothing
+    (a read kept as a list would wrap at −1)."""
+    cat, rng = category(name, rank), random.Random(rank)
+    one = cat.ring.one()
+    for key, tensor in cat.comps.items():
+        x, y, z, s, t = key
+        n_out, n_in = cat.rank(y, z, t), cat.rank(x, y, s)
+        outer, inner = noisy(cat, y, z, t, rng), noisy(cat, x, y, s, rng)
+        # zero the first outer and the last inner coordinate
+        outer = dataclasses.replace(
+            outer, coords=(cat.ring.zero(),) + outer.coords[1:])
+        inner = dataclasses.replace(
+            inner, coords=inner.coords[:-1] + (cat.ring.zero(),))
+        stray = {(i, j): ((0, one),) for i in range(-1, n_out + 1)
+                 for j in range(-1, n_in + 1)
+                 if i in (-1, 0, n_out) or j in (-1, n_in - 1, n_in)}
+        wide = dataclasses.replace(
+            cat, comps={**cat.comps, key: {**stray, **tensor}})
+        got = wide.compose(outer, inner)
+        assert got == _reference_compose(wide, outer, inner)
+        assert got == _reference_compose(cat, outer, inner)
 
 
 # -- errors (the same type and text as the Fraction loops give) --------------------

@@ -10,6 +10,7 @@ Frozen hand values (derived by expanding the defining formulas by hand):
       d(η)(0,1,2) = (−1)^t · v
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from dgnerve.nerve import (
 from dgnerve.rings import SquareZeroRing
 from lincomb import degrees, lin
 from nervekit import component, identity_simplex, interval_category
+from test_morphism_sum import category
 
 
 def is_zero_cochain(cochain):
@@ -215,6 +217,72 @@ def test_corrupted_interior_cell_reports_containing_sequences(three_term):
     report = validate_simplex(three_term, bad)
     assert sorted(v.location for v in report if v.kind == "residual") == \
         [(0, 1, 2), (0, 1, 2, 3)]
+
+
+# One sweep reads each cell once and shares the read among the residual
+# sums; these check that the shared reads give each sum its own cells.
+SWEEP_CATEGORIES = ("three_term", "complexes_a", "ideal_twisted")
+
+
+def breaker(cat, cell, rng):
+    """A random morphism in the block of ``cell`` with a nonzero
+    differential, or None when the block has none."""
+    for _ in range(10):
+        xi = cat.random_morphism(cell.source, cell.target, cell.degree, rng)
+        if not cat.differential(xi).is_zero():
+            return xi
+    return None
+
+
+def failing_residuals(cat, cells, n):
+    """The sequences whose residual is nonzero, each computed on its own."""
+    return [("residual", seq) for seq in increasing_sequences(n)
+            if not cell_residual(cat, cells, seq).is_zero()]
+
+
+@pytest.mark.parametrize("how", ["one", "two", "all"])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", SWEEP_CATEGORIES)
+def test_sweep_reports_exactly_the_nonzero_residuals(name, rank, how):
+    cat, rng = category(name, rank), random.Random(rank)
+    failures = 0
+    for n in (2, 3, 3, 2, 3, 3):    # some draws have no cell to break
+        simplex = random_valid_simplex(cat, rng, n, witnessed=False)
+        breakers = {seq: xi for seq, cell in simplex.cells.items()
+                    if (xi := breaker(cat, cell, rng)) is not None}
+        count = {"one": 1, "two": 2, "all": len(breakers)}[how]
+        cells = dict(simplex.cells)
+        for seq in rng.sample(sorted(breakers), min(count, len(breakers))):
+            cells[seq] = lin((1, cells[seq]), (1, breakers[seq]))
+        report = validate_simplex(cat, NerveSimplex(simplex.objects, cells))
+        want = failing_residuals(cat, cells, n)
+        assert [(v.kind, v.location) for v in report] == want
+        failures += len(want)
+    assert failures      # corrupted terms can cancel, but not everywhere
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", SWEEP_CATEGORIES)
+def test_sweep_reads_a_replaced_shared_cell_anew(name, rank):
+    # degeneracy puts one Morphism object at several sequences; replacing
+    # it at one of them leaves the others as they were
+    cat, rng = category(name, rank), random.Random(rank)
+    simplex = degeneracy(
+        cat, random_valid_simplex(cat, rng, 2, witnessed=False), 1)
+    assert validate_simplex(cat, simplex) == []
+    shared = [pair for pair in itertools.permutations(simplex.cells, 2)
+              if simplex.cells[pair[0]] is simplex.cells[pair[1]]]
+    assert shared
+    for seq, other in shared:
+        xi = breaker(cat, simplex.cells[seq], rng)
+        if xi is None:
+            continue
+        cells = dict(simplex.cells)
+        cells[seq] = lin((1, cells[seq]), (1, xi))
+        report = validate_simplex(cat, NerveSimplex(simplex.objects, cells))
+        want = failing_residuals(cat, cells, 3)
+        assert ("residual", seq) in want
+        assert [(v.kind, v.location) for v in report] == want
 
 
 def test_validate_flags_shape_problems(three_term):

@@ -1,0 +1,118 @@
+"""Same-outputs digests: one sha256 per benchmark workload, and one over the
+samplers, for comparing two versions of the package.
+
+    python tools/op_digests.py --seeds 3 7
+
+A change that claims only speed must leave every digest as it was.  Each
+workload of ``perfbench/workloads.py`` is built at each seed in a fixed work
+directory (paths show up in CLI reports), and its first two rounds and its
+probes run once.  A workload's digest covers, op by op, the kind, the
+``repr`` of the result (or of the exception it raised) and the verdict of
+the op's check; a CLI op adds its stderr, which ``workloads._cli`` drops, so
+this script puts its own copy of ``_cli`` in its place.  The ``axioms`` ops
+return empty violation lists, so that digest does not see their set-up; the
+``samplers`` digest covers ``random_valid_simplex`` (witnessed and plain,
+n = 1–3) and ``random_mc_element`` on every fixture at ideal ranks 0–2 and
+seeds 0–4, with the state of the generator after each draw.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import random
+import shutil
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import workloads  # noqa: E402
+from dgnerve import cli, fixtures, horn, mc  # noqa: E402
+from dgnerve.rings import SquareZeroRing  # noqa: E402
+
+_stderr: list[str] = []
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    """``workloads._cli``, keeping stderr for the digest."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    _stderr.append(err.getvalue())
+    return code, out.getvalue()
+
+
+def _outcome(call) -> str:
+    try:
+        return repr(call())
+    except Exception as exc:   # an op that raises is an output too
+        return f"raised {exc!r}"
+
+
+def workload_digest(name: str, seeds: list[int], workdir: str) -> str:
+    digest = hashlib.sha256()
+    for seed in seeds:
+        here = os.path.join(workdir, f"{name}-{seed}")
+        shutil.rmtree(here, ignore_errors=True)
+        os.makedirs(here)
+        plan = workloads.WORKLOADS[name](seed, here)
+        for op in [*plan.round(0), *plan.round(1), *plan.probes]:
+            _stderr.clear()
+            try:
+                result = op.run()
+                shown = repr(result)
+            except Exception as exc:
+                result, shown = None, f"raised {exc!r}"
+            verdict = _outcome(lambda: op.check(result))
+            digest.update(f"{op.kind}\n{shown}\n{verdict}\n{_stderr!r}\n"
+                          .encode())
+    return digest.hexdigest()
+
+
+def sampler_digest() -> str:
+    digest = hashlib.sha256()
+    for name, make in fixtures.FIXTURES.items():
+        for rank in (0, 1, 2):
+            cat = make()
+            if rank:
+                cat = mc.tensor_with_ring(cat, SquareZeroRing(rank))
+            for seed in range(5):
+                rng = random.Random(seed)
+                draws = [(n, witnessed) for n in (1, 2, 3)
+                         for witnessed in (True, False)]
+                for n, witnessed in draws:
+                    shown = _outcome(lambda: horn.random_valid_simplex(
+                        cat, rng, n, witnessed=witnessed))
+                    digest.update(f"{name} {rank} {seed} simplex {n} "
+                                  f"{witnessed}\n{shown}\n"
+                                  f"{rng.getstate()!r}\n".encode())
+                for obj in cat.objects:
+                    shown = _outcome(lambda: mc.random_mc_element(cat, obj,
+                                                                  rng))
+                    digest.update(f"{name} {rank} {seed} mc {obj}\n{shown}\n"
+                                  f"{rng.getstate()!r}\n".encode())
+    return digest.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[3, 7])
+    parser.add_argument("--workdir", default=os.path.join(
+        tempfile.gettempdir(), "dgnerve-op-digests"),
+        help="fixed work directory, emptied first (default: %(default)s)")
+    args = parser.parse_args()
+    workloads._cli = _cli
+    for name in workloads.WORKLOADS:
+        print(name, workload_digest(name, args.seeds, args.workdir))
+    print("samplers", sampler_digest())
+    shutil.rmtree(args.workdir, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
