@@ -20,19 +20,18 @@ raised, so corrupted inputs can be reported coordinate by coordinate.
 
 Morphisms are homogeneous: an element of a single ``hom(X, Y)_degree``.
 
-Differentials, composites and the signed sums made of them (nerve
-boundaries and residuals, horn equations and fillers, cochain differentials
-and products, twisted differentials) are all computed by one accumulator,
-:class:`MorphismSum`.  It reads the integer layers of each ``RingElement``
-coordinate and structure constant (see :mod:`dgnerve.rings`) and multiplies
-and adds them as Python ints.  A sum that is only tested for zero is tested
-on the accumulator; a ``Morphism`` is built only for sums that are kept.  A
-composite takes one step per stored pair of its tensor, and the residual
-sums of one nerve sweep read each cell once.
-:func:`check_axioms` reads the structure blocks as ints itself: d² = 0,
-Leibniz and associativity are one sparse join over one denominator, and the
-unit laws one pass over each unit's composition blocks.  The
-equivalence-witness system is read straight from the structure blocks.
+Every layered sum of structure constants times coordinates is one
+:class:`LayerSum`: the integer layers of ``RingElement``s (see
+:mod:`dgnerve.rings`) over one denominator, multiplied and added as Python
+ints by one loop.  :class:`MorphismSum` adds morphisms, differentials and
+composites (nerve boundaries and residuals, horn equations and fillers,
+cochains) at the cost of their nonzero coordinates; a sum only tested for
+zero is tested on the ints.  The twisted differential, the witness system
+and the unit laws read whole structure blocks through one block reader,
+:meth:`LayerSum.add_block`; the unit laws keep a sparse sum, since a large
+block's unit meets few of its pairs.  Only d² = 0, Leibniz and
+associativity (one sparse join of pre-scaled ints) and the scalar product
+multiply layers on their own.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import glin
-from .rings import (RATIONALS, RingElement, SquareZeroRing, _product,
-                    from_layers, random_element)
+from .rings import (RATIONALS, RingElement, SquareZeroRing, from_layers,
+                    random_element)
 
 Entries = tuple[tuple[int, RingElement], ...]   # sparse coordinate vector
 SparseCols = dict[int, Entries]                 # column index → image entries
@@ -116,15 +115,6 @@ class DgCategory:
     def identity(self, obj: str) -> Morphism:
         return Morphism(obj, obj, 0, self.identities[obj])
 
-    def basis_morphism(self, source: str, target: str,
-                       degree: int, index: int) -> Morphism:
-        n = self.rank(source, target, degree)
-        if not 0 <= index < n:
-            raise ValueError("basis index out of range")
-        coords = [self.ring.zero()] * n
-        coords[index] = self.ring.one()
-        return Morphism(source, target, degree, tuple(coords))
-
     def morphism(self, source: str, target: str, degree: int,
                  coords: Iterable) -> Morphism:
         tup = tuple(c if isinstance(c, RingElement)
@@ -182,16 +172,75 @@ class DgCategory:
                               for _ in range(n)))
 
 
-class MorphismSum:
+class LayerSum:
+    """Ring elements summed as integer layers (the body, then one layer per
+    ideal generator) over one shared denominator, element i at ``num[i·width
+    :(i + 1)·width]``: a list of ``size·width`` ints, or a sparse dict for
+    the unit laws (see :func:`_unit_defects`)."""
+
+    def __init__(self, size: int, width: int):
+        self.width, self.den, self.num = width, 1, [0] * (size * width)
+
+    def add_block(self, block: Mapping, fixed: Mapping | None, slot: int,
+                  rows: int, sign: int, col: int = 0, row: int = 0) -> None:
+        """Add ``sign`` times the matrix of d on a ``diffs`` block (``fixed``
+        None), or of composing with the morphism whose nonzero coordinates
+        ``fixed`` holds at index ``slot`` of a ``comps`` block's pairs, in
+        one pass: entry (r, j), j the pair's other index, at element
+        ``(col + j)·rows + row + r``."""
+        w, one = self.width, (1,) + (0,) * (self.width - 1)
+        for key, entries in block.items():
+            if fixed is None:
+                self._add_entries(entries, one, 1, sign,
+                                  (col + key) * rows + row)
+            elif (u := fixed.get(key[slot])) is not None:
+                if len(u.nums) != w:
+                    raise ValueError("ring elements of different ideal rank")
+                self._add_entries(entries, u.nums, u.den, sign,
+                                  (col + key[1 - slot]) * rows + row)
+
+    def nonzero(self) -> dict[int, RingElement]:
+        """The nonzero elements by index, in index order."""
+        w, num = self.width, self.num
+        hit = dict.fromkeys(at // w for at in
+                            itertools.compress(range(len(num)), num))
+        return {i: from_layers(num[i * w:i * w + w], self.den) for i in hit}
+
+    def _add_entries(self, entries: Entries, c: Sequence[int], den: int,
+                     sign: int, offset: int = 0) -> None:
+        """Element ``r + offset`` gets ``sign·a·(c/den)`` for each structure
+        constant entry (r, a); ε·ε terms vanish.  The term is put on the
+        shared denominator once, and again for a constant of denominator
+        ≠ 1."""
+        scale = sign * self._scale(den)
+        w, num, c0 = self.width, self.num, c[0]
+        for r, a in entries:
+            a_nums = a.nums
+            if len(a_nums) != w:
+                raise ValueError("ring elements of different ideal rank")
+            s = scale
+            if a.den != 1:
+                s = sign * self._scale(den * a.den)
+                scale, num = sign * (self.den // den), self.num
+            base, a0 = (r + offset) * w, a_nums[0]
+            num[base] += s * a0 * c0
+            for k in range(1, w):
+                num[base + k] += s * (a0 * c[k] + a_nums[k] * c0)
+
+    def _scale(self, den: int) -> int:
+        """The factor that puts a term over ``den`` onto the shared
+        denominator, which first grows to a common multiple if needed."""
+        if self.den % den:
+            grow = lcm(self.den, den) // self.den
+            self.num = [v * grow for v in self.num]
+            self.den *= grow
+        return self.den // den
+
+
+class MorphismSum(LayerSum):
     """A signed sum of terms in one hom block ``hom(source, target)_degree``:
     morphisms, their differentials and composites, each added with an int
-    sign.
-
-    Each output coordinate is held as the integer layers of a
-    ``RingElement`` (the body, then one layer per ideal generator) over one
-    denominator shared by the whole sum, so structure constants and
-    coordinates are multiplied and added as Python ints.
-    """
+    sign at the cost of the nonzero coordinates of its terms."""
 
     def __init__(self, cat: DgCategory, source: str, target: str,
                  degree: int):
@@ -284,39 +333,6 @@ class MorphismSum:
             self._reads[id(f)] = (f, read)
         return read
 
-    def _add_entries(self, entries: Entries, c: Sequence[int], den: int,
-                     sign: int) -> None:
-        """Coordinate ``r += sign·a·(c/den)`` for each structure constant
-        entry (r, a); ε·ε terms vanish.  The term is put on the shared
-        denominator once, and again for a constant of denominator ≠ 1."""
-        scale = sign * self._scale(den)
-        w, num, c0 = self.width, self.num, c[0]
-        for r, a in entries:
-            a_nums = a.nums
-            if len(a_nums) != w:
-                raise ValueError("ring elements of different ideal rank")
-            s = scale
-            if a.den != 1:
-                s = sign * self._scale(den * a.den)
-                scale, num = sign * (self.den // den), self.num
-            base, a0 = r * w, a_nums[0]
-            num[base] += s * a0 * c0
-            for k in range(1, w):
-                num[base + k] += s * (a0 * c[k] + a_nums[k] * c0)
-
-    def _scale(self, den: int) -> int:
-        """The factor that puts a term over ``den`` onto the shared
-        denominator, which first grows to a common multiple if needed."""
-        if self.den % den:
-            grow = lcm(self.den, den) // self.den
-            self.num = [v * grow for v in self.num]
-            self.den *= grow
-        return self.den // den
-
-
-def sparsify(coords: Sequence[RingElement]) -> Entries:
-    return tuple((i, c) for i, c in enumerate(coords) if not c.is_zero())
-
 
 # -- axiom checking -----------------------------------------------------------
 
@@ -407,20 +423,17 @@ def _unit_defects(tensor: BilTensor, unit: Mapping, n: int, slot: int,
     """The indices j of the basis elements e_j of a rank-n hom block at
     which the unit composed with e_j is not e_j.  The unit is index ``slot``
     of the (outer, inner) pairs of their composition block ``tensor``, and
-    ``unit`` holds its nonzero coordinates; one pass over ``tensor`` adds
-    each product onto −e_j."""
-    if tensor and any(len(c.nums) != width for c in unit.values()):
-        raise ValueError("ring elements of different ideal rank")
-    den = lcm(*(c.den for c in unit.values())) * \
+    ``unit`` holds its nonzero coordinates.  The sum starts at −e_j and is a
+    dict keyed by (j·n + row)·width + layer: a dense n²·width list costs more
+    than the few products of a large block's unit.  Every term's denominator
+    divides the one fixed first, so ``_scale`` never grows it into a list."""
+    sums = LayerSum(0, width)
+    sums.den = lcm(*(c.den for c in unit.values())) * \
         lcm(*(a.den for entries in tensor.values() for _, a in entries))
-    sums = defaultdict(int, {j * (n + 1) * width: -den for j in range(n)})
-    for pair, entries in tensor.items():      # (j·n + row)·width + layer
-        u = unit.get(pair[slot])
-        for r, a in entries if u else ():
-            for key, v in enumerate(_product(a.nums, u.nums),
-                                    (pair[1 - slot] * n + r) * width):
-                sums[key] += den // (a.den * u.den) * v
-    return {key // (n * width) for key, v in sums.items() if v}
+    sums.num = defaultdict(int, {j * (n + 1) * width: -sums.den
+                                 for j in range(n)})
+    sums.add_block(tensor, unit, slot, n, 1)
+    return {key // (n * width) for key, v in sums.num.items() if v}
 
 
 def check_axioms(cat: DgCategory) -> list[Violation]:
@@ -789,30 +802,22 @@ def find_equivalence_witness(cat: DgCategory, alpha: Morphism) -> Witness:
 
     n_a, n_g = cat.rank(y, x, 0), cat.rank(x, x, -1)
     r1, r2 = cat.rank(y, x, 1), cat.rank(x, x, 0)
-    terms = defaultdict(list)       # (row, column) → [(layers, denominator)]
+    height, n = r1 + r2 + cat.rank(y, y, 0), n_a + n_g + cat.rank(y, y, -1)
+    system = LayerSum(height * n, cat.ring.ideal_rank + 1)  # column-major
     for block, row, col, sign in (((y, x, 0), 0, 0, 1),          # d(a)
                                   ((x, x, -1), r1, n_a, -1),     # −d(g)
                                   ((y, y, -1), r1 + r2, n_a + n_g, -1)):
-        for j, entries in cat.diffs.get(block, {}).items():
-            for r, c in entries:
-                terms[row + r, col + j].append((c.nums, sign * c.den))
+        system.add_block(cat.diffs.get(block, {}), None, 0, height, sign,
+                         col, row)
     nonzero = {k: c for k, c in enumerate(alpha.coords) if any(c.nums)}
-    for block, row, swap in (((x, y, x, 0, 0), r1, False),        # a∘α
-                             ((y, x, y, 0, 0), r1 + r2, True)):   # α∘a
-        for pair, entries in cat.comps.get(block, {}).items():
-            j, k = pair[::-1] if swap else pair
-            b = nonzero.get(k)
-            for r, c in entries if b is not None else ():
-                terms[row + r, j].append((_product(c.nums, b.nums),
-                                          c.den * b.den))
+    for block, row, slot in (((x, y, x, 0, 0), r1, 1),           # a∘α
+                             ((y, x, y, 0, 0), r1 + r2, 0)):     # α∘a
+        system.add_block(cat.comps.get(block, {}), nonzero, slot, height, 1,
+                         0, row)
     zero = cat.ring.zero()
-    rows = [[zero] * (n_a + n_g + cat.rank(y, y, -1))
-            for _ in range(r1 + r2 + cat.rank(y, y, 0))]
-    for (r, j), layers in terms.items():
-        den = lcm(*(d for _, d in layers))
-        rows[r][j] = from_layers(
-            [sum(nums[k] * (den // d) for nums, d in layers)
-             for k in range(cat.ring.ideal_rank + 1)], den)
+    rows = [[zero] * n for _ in range(height)]
+    for k, c in system.nonzero().items():      # k = column·height + row
+        rows[k % height][k // height] = c
     rhs = [zero] * r1 + list(cat.identity(x).coords) + \
         list(cat.identity(y).coords)
 

@@ -21,12 +21,13 @@ the ideal; twisting commutes with reduction.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Mapping
 
-from .dgcat import (DgCategory, Morphism, MorphismSum, SparseCols, Violation,
-                    sparsify)
+from .dgcat import (DgCategory, LayerSum, Morphism, MorphismSum, SparseCols,
+                    Violation)
 from .rings import RATIONALS, RingElement, SquareZeroRing, reduce_mod_ideal
 
 
@@ -118,24 +119,22 @@ def twist(cat: DgCategory, elements: Mapping[str, Morphism], *,
         if validate and check_mc(cat, eta):
             raise InvalidMCObject(f"MC equation fails at {obj!r}")
 
+    reads = {obj: {i: c for i, c in enumerate(eta.coords) if any(c.nums)}
+             for obj, eta in elements.items()}
     diffs: dict[tuple[str, str, int], SparseCols] = {}
-    for (x, y, t) in sorted(cat.ranks):
-        n = cat.rank(x, y, t)
-        if n == 0 or cat.rank(x, y, t + 1) == 0:
-            continue
-        eta_src = elements.get(x)
-        eta_tgt = elements.get(y)
-        cols: SparseCols = {}
-        sign = -1 if t % 2 else 1
-        for j in range(n):
-            basis = cat.basis_morphism(x, y, t, j)
-            image = MorphismSum(cat, x, y, t + 1).add_differential(basis)
-            if eta_tgt is not None:
-                image.add_compose(eta_tgt, basis)
-            if eta_src is not None:
-                image.add_compose(basis, eta_src, -sign)
-            if not image.is_zero():
-                cols[j] = sparsify(image.result().coords)
+    for (x, y, t), n in sorted(cat.ranks.items()):
+        m = cat.rank(x, y, t + 1)
+        image = LayerSum(n * m, cat.ring.ideal_rank + 1)  # column j at j·m
+        image.add_block(cat.diffs.get((x, y, t), {}), None, 0, m, 1)
+        if y in reads:                                     # η_target∘f
+            image.add_block(cat.comps.get((x, y, y, t, 1), {}), reads[y],
+                            0, m, 1)
+        if x in reads:                                     # −(−1)^t f∘η_source
+            image.add_block(cat.comps.get((x, x, y, 1, t), {}), reads[x],
+                            1, m, 1 if t % 2 else -1)
+        cols = {j: tuple((k - j * m, c) for k, c in terms)
+                for j, terms in itertools.groupby(image.nonzero().items(),
+                                                  lambda kc: kc[0] // m)}
         if cols:
             diffs[(x, y, t)] = cols
 

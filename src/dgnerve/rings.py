@@ -132,7 +132,13 @@ class RingElement:
 
     def __mul__(self, other: Scalar) -> "RingElement":
         o = self._coerce(other)
-        return from_layers(_product(self.nums, o.nums), self.den * o.den)
+        a, c = self.nums, o.nums
+        a0, c0 = a[0], c[0]                   # ε·ε terms vanish
+        nums = [a0 * c0]
+        if len(a) > 1:                        # Q alone has one layer
+            for al, cl in zip(a[1:], c[1:]):
+                nums.append(a0 * cl + al * c0)
+        return from_layers(nums, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -151,16 +157,6 @@ def from_layers(nums: Sequence[int], den: int) -> RingElement:
     x.nums = tuple(v // g for v in nums) if g != 1 else tuple(nums)
     x.den = den // g
     return x
-
-
-def _product(a: Sequence[int], c: Sequence[int]) -> list[int]:
-    """Layers of a product in Q ⊕ I, where ε·ε terms vanish."""
-    a0, c0 = a[0], c[0]
-    out = [a0 * c0]
-    if len(a) > 1:                            # Q alone has one layer
-        for al, cl in zip(a[1:], c[1:]):
-            out.append(a0 * cl + al * c0)
-    return out
 
 
 def reduce_mod_ideal(x: RingElement) -> RingElement:

@@ -1,17 +1,27 @@
-"""Nerve constructions that only the tests use: the directed-interval
-category, identity simplices, the sixteen candidate sign patterns, a
-simplex read backwards in the opposite category, the reduction of a filler
-mod the ideal, and a cochain's component with absent sequences read as
-zero.
+"""Constructions that only the tests use: basis morphisms, the
+directed-interval category, identity simplices, the sixteen candidate sign
+patterns, a simplex read backwards in the opposite category, the reduction
+of a filler mod the ideal, and a cochain's component with absent sequences
+read as zero.
 """
 
 import itertools
 
-from dgnerve.dgcat import DgCategory
+from dgnerve.dgcat import DgCategory, Morphism
 from dgnerve.horn import Filler, _op_cells
 from dgnerve.mc import reduce_morphism
 from dgnerve.nerve import NerveSimplex, SignPattern, increasing_sequences
 from dgnerve.rings import SquareZeroRing
+
+
+def basis_morphism(cat, source, target, degree, index):
+    """The basis element e_index of ``hom(source, target)_degree``."""
+    n = cat.rank(source, target, degree)
+    if not 0 <= index < n:
+        raise ValueError("basis index out of range")
+    coords = [cat.ring.zero()] * n
+    coords[index] = cat.ring.one()
+    return Morphism(source, target, degree, tuple(coords))
 
 
 def all_sign_patterns():

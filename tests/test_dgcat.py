@@ -15,7 +15,9 @@ import functools
 import itertools
 import random
 import time
+from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -25,8 +27,10 @@ from dgnerve.dgcat import (
     ChainComplex,
     DgCategory,
     InvalidComplex,
+    Morphism,
     NotEquivalence,
     Violation,
+    _unit_defects,
     check_axioms,
     complex_from_dense,
     find_equivalence_witness,
@@ -40,7 +44,7 @@ from dgnerve.fixtures import three_term_category
 from dgnerve.mc import tensor_with_ring, twist
 from dgnerve.rings import RATIONALS, SquareZeroRing
 from lincomb import degrees, lin
-from nervekit import interval_category
+from nervekit import basis_morphism, interval_category
 
 
 def flip_one_diff_sign(cat):
@@ -102,7 +106,7 @@ def _reference_check_axioms(cat):
 
     for (x, y, t) in sorted(cat.ranks):
         for j in range(cat.rank(x, y, t)):
-            basis = cat.basis_morphism(x, y, t, j)
+            basis = basis_morphism(cat, x, y, t, j)
             if not cat.differential(cat.differential(basis)).is_zero():
                 out.append(Violation("d_squared", (x, y, t, j),
                                      "d(d(basis element)) is nonzero"))
@@ -113,7 +117,7 @@ def _reference_check_axioms(cat):
 
     for (x, y, t) in sorted(cat.ranks):
         for j in range(cat.rank(x, y, t)):
-            basis = cat.basis_morphism(x, y, t, j)
+            basis = basis_morphism(cat, x, y, t, j)
             if y in units and compose(cat.identity(y), basis) != basis:
                 out.append(Violation("unit_left", (x, y, t, j),
                                      "1∘f differs from f"))
@@ -125,10 +129,10 @@ def _reference_check_axioms(cat):
         for s in degrees(cat, x, y):
             for t in degrees(cat, y, z):
                 for j in range(cat.rank(x, y, s)):
-                    f = cat.basis_morphism(x, y, s, j)
+                    f = basis_morphism(cat, x, y, s, j)
                     df = cat.differential(f)
                     for i in range(cat.rank(y, z, t)):
-                        g = cat.basis_morphism(y, z, t, i)
+                        g = basis_morphism(cat, y, z, t, i)
                         lhs = cat.differential(compose(g, f))
                         rhs = lin((1, compose(cat.differential(g), f)),
                                   ((-1) ** t, compose(g, df)))
@@ -142,12 +146,12 @@ def _reference_check_axioms(cat):
             for t in degrees(cat, y, z):
                 for u in degrees(cat, z, w):
                     for j in range(cat.rank(x, y, s)):
-                        f = cat.basis_morphism(x, y, s, j)
+                        f = basis_morphism(cat, x, y, s, j)
                         for i in range(cat.rank(y, z, t)):
-                            g = cat.basis_morphism(y, z, t, i)
+                            g = basis_morphism(cat, y, z, t, i)
                             gf = compose(g, f)
                             for l in range(cat.rank(z, w, u)):
-                                h = cat.basis_morphism(z, w, u, l)
+                                h = basis_morphism(cat, z, w, u, l)
                                 if compose(h, gf) != \
                                         compose(compose(h, g), f):
                                     out.append(Violation(
@@ -214,7 +218,7 @@ def unclosed_unit(cat):
     """Copy of ``cat`` whose first object's unit is the first degree-0 basis
     element with a nonzero differential."""
     obj = cat.objects[0]
-    unit = next(e for e in (cat.basis_morphism(obj, obj, 0, j)
+    unit = next(e for e in (basis_morphism(cat, obj, obj, 0, j)
                             for j in range(cat.rank(obj, obj, 0)))
                 if not cat.differential(e).is_zero())
     return dataclasses.replace(cat,
@@ -479,6 +483,67 @@ def test_check_cost_follows_the_document_length():
     assert {v.kind for v in report} == {"unit_left", "unit_right"}
 
 
+def _reference_unit_defects(tensor, unit, n, slot, width):
+    """Oracle: the unit laws' sum with its own product loop, a dict of int
+    layers over the lcm of the unit's denominators times the lcm of the
+    block's, starting with −den on the diagonal."""
+    if tensor and any(len(c.nums) != width for c in unit.values()):
+        raise ValueError("ring elements of different ideal rank")
+    den = lcm(*(c.den for c in unit.values())) * \
+        lcm(*(a.den for entries in tensor.values() for _, a in entries))
+    sums = defaultdict(int, {j * (n + 1) * width: -den for j in range(n)})
+    for pair, entries in tensor.items():      # (j·n + row)·width + layer
+        u = unit.get(pair[slot])
+        for r, a in entries if u else ():
+            (a0, *a_eps), (u0, *u_eps) = a.nums, u.nums
+            product = [a0 * u0, *(a0 * ue + ae * u0
+                                  for ae, ue in zip(a_eps, u_eps))]
+            for key, v in enumerate(product,
+                                    (pair[1 - slot] * n + r) * width):
+                sums[key] += den // (a.den * u.den) * v
+    return {key // (n * width) for key, v in sums.items() if v}
+
+
+def scale_first_unit(cat, factor):
+    """Copy of ``cat`` with the unit of its first object times ``factor``."""
+    obj = cat.objects[0]
+    units = tuple(c * factor for c in cat.identities[obj])
+    return dataclasses.replace(cat, identities={**cat.identities, obj: units})
+
+
+UNIT_LAW_CASES = {
+    "doubled_unit": lambda three_term, doubled_unit: doubled_unit,
+    "mutated_comps_unit_entry": lambda three_term, _: scale_first_entry(
+        three_term, ("C0", "C0", "C0", 0, 0), (0, 0), 3),
+    "fractional_unit_and_block": lambda three_term, _: scale_first_unit(
+        thirds_and_fifths(three_term), Fraction(1, 2)),
+    "fractional_over_ideal": lambda three_term, _: scale_first_unit(
+        tensor_with_ring(thirds_and_fifths(three_term), SquareZeroRing(2)),
+        SquareZeroRing(2).element(Fraction(1, 2), [Fraction(1, 6)])),
+    "halves_unit": lambda *_: halves_unit_category(),
+    "empty_unit_block": lambda *_: jsonio.category_from_json(
+        all_pairs_document(3)),
+}
+
+
+@pytest.mark.parametrize("case", list(UNIT_LAW_CASES))
+def test_unit_defects_match_reference(three_term, doubled_unit, case):
+    """The defects of every hom block, left and right, as the oracle finds
+    them."""
+    cat = UNIT_LAW_CASES[case](three_term, doubled_unit)
+    width = cat.ring.ideal_rank + 1
+    units = {obj: {i: c for i, c in enumerate(unit) if any(c.nums)}
+             for obj, unit in cat.identities.items()}
+    found = []
+    for (x, y, t), n in sorted(cat.ranks.items()):
+        for args in ((cat.comps.get((x, y, y, t, 0), {}), units[y], n, 0),
+                     (cat.comps.get((x, x, y, 0, t), {}), units[x], n, 1)):
+            got = _unit_defects(*args, width)
+            assert got == _reference_unit_defects(*args, width)
+            found.append(got)
+    assert any(found) == (case != "halves_unit")
+
+
 @pytest.mark.parametrize("column, row, bad", [
     (1, 4, [(1, 4)]),               # row index = rank + 1
     (1, -1, [(1, -1)]),             # a negative row index
@@ -627,10 +692,10 @@ def test_violations_serialize():
 def test_two_term_hand_values(two_term):
     cat = two_term
     (obj,) = cat.objects
-    e00 = cat.basis_morphism(obj, obj, 0, 0)
-    e11 = cat.basis_morphism(obj, obj, 0, 1)
-    u = cat.basis_morphism(obj, obj, -1, 0)
-    v = cat.basis_morphism(obj, obj, 1, 0)
+    e00 = basis_morphism(cat, obj, obj, 0, 0)
+    e11 = basis_morphism(cat, obj, obj, 0, 1)
+    u = basis_morphism(cat, obj, obj, -1, 0)
+    v = basis_morphism(cat, obj, obj, 1, 0)
     assert cat.differential(e00) == v
     assert cat.differential(e11) == lin((-1, v))
     assert cat.differential(v).is_zero()
@@ -943,7 +1008,7 @@ def _reference_edge_basis(cat, x, y, t):
     matrix = cat.dense_differential(x, y, t)
     if matrix:
         return nullspace(matrix, cat.ring)
-    return [cat.basis_morphism(x, y, t, j).coords for j in range(ncols)]
+    return [basis_morphism(cat, x, y, t, j).coords for j in range(ncols)]
 
 
 def _reference_mc_basis(cat, x, y, t):
@@ -1069,3 +1134,17 @@ def test_witness_rejects_wrong_degree(three_term):
     (obj,) = three_term.objects
     with pytest.raises(ValueError):
         find_equivalence_witness(three_term, three_term.zero(obj, obj, 1))
+
+
+@pytest.mark.parametrize("alpha_rank, cat_rank", [(2, 1), (1, 0), (0, 1)],
+                         ids=["two_eps_on_one", "one_eps_on_q", "q_on_one"])
+def test_witness_refuses_alpha_of_another_ring_width(alpha_rank, cat_rank):
+    # hom(x, x) has no differential, so only the composition blocks read α
+    cat = make_complex_category([complex_from_dense(RATIONALS, {0: 1}, {})])
+    if cat_rank:
+        cat = tensor_with_ring(cat, SquareZeroRing(cat_rank))
+    (x,) = cat.objects
+    unit = SquareZeroRing(alpha_rank).element(1, [5, 7][:alpha_rank])
+    with pytest.raises(ValueError,
+                       match=r"^ring elements of different ideal rank$"):
+        find_equivalence_witness(cat, Morphism(x, x, 0, (unit,)))

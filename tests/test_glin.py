@@ -22,6 +22,7 @@ from dgnerve.mc import tensor_with_ring
 from dgnerve.rings import RingElement, SquareZeroRing, RATIONALS, random_element
 
 from lincomb import degrees
+from nervekit import basis_morphism
 from test_morphism_sum import CATEGORY_NAMES, category, fractional_category
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -324,15 +325,15 @@ def _reference_witness_system(cat, alpha):
             rows[block_offset + i][col] = -c if negate else c
 
     for j in range(n_a):
-        e = cat.basis_morphism(y, x, 0, j)
+        e = basis_morphism(cat, y, x, 0, j)
         put(j, 0, cat.differential(e).coords)
         put(j, r1, cat.compose(e, alpha).coords)
         put(j, r1 + r2, cat.compose(alpha, e).coords)
     for j in range(n_g):
-        e = cat.basis_morphism(x, x, -1, j)
+        e = basis_morphism(cat, x, x, -1, j)
         put(n_a + j, r1, cat.differential(e).coords, negate=True)
     for j in range(n_h):
-        e = cat.basis_morphism(y, y, -1, j)
+        e = basis_morphism(cat, y, y, -1, j)
         put(n_a + n_g + j, r1 + r2, cat.differential(e).coords, negate=True)
     rhs = [zero] * r1 + list(cat.identity(x).coords) + \
         list(cat.identity(y).coords)

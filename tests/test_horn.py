@@ -52,7 +52,8 @@ from dgnerve.nerve import (PINNED, NerveSimplex, degeneracy, validate_simplex,
                            validate_star)
 from dgnerve.rings import RATIONALS, SquareZeroRing
 from lincomb import lin
-from nervekit import identity_simplex, opposite_simplex, reduce_filler
+from nervekit import (basis_morphism, identity_simplex, opposite_simplex,
+                      reduce_filler)
 
 GRID = [(2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2)]
 
@@ -103,7 +104,7 @@ def test_check_horn_flags_incompatible_data(three_term):
     (obj,) = three_term.objects
     # corrupt a present face so its own residual breaks
     delta = next(
-        b for b in (three_term.basis_morphism(obj, obj, -1, j)
+        b for b in (basis_morphism(three_term, obj, obj, -1, j)
                     for j in range(three_term.rank(obj, obj, -1)))
         if not three_term.differential(b).is_zero())
     cells = dict(horn.cells)
@@ -583,7 +584,7 @@ def _reference_random_edge_simplex(cat, rng, witnessed):
         if matrix:
             basis = nullspace(matrix, cat.ring)
         else:
-            basis = [cat.basis_morphism(X, Y, 0, j).coords
+            basis = [basis_morphism(cat, X, Y, 0, j).coords
                      for j in range(ncols)]
         for _ in range(2 if basis else 0):
             vec = Morphism(X, Y, 0, tuple(rng.choice(basis)))
@@ -720,7 +721,7 @@ def _spoiled_lifts():
 
     def nonclosed(cat, source, target, degree):
         """The first basis morphism of the hom with a nonzero differential."""
-        basis = (cat.basis_morphism(source, target, degree, j)
+        basis = (basis_morphism(cat, source, target, degree, j)
                  for j in range(cat.rank(source, target, degree)))
         return next(b for b in basis if not cat.differential(b).is_zero())
 

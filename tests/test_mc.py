@@ -9,14 +9,15 @@ End² has basis w (level 0→2), and
 so η = s·u + t·v has MC defect (s + s·t)·w: the MC locus is s(1+t) = 0.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from dgnerve import glin
-from dgnerve.dgcat import (Morphism, check_axioms, complex_from_dense,
-                           make_complex_category)
+from dgnerve.dgcat import (Morphism, MorphismSum, check_axioms,
+                           complex_from_dense, make_complex_category)
 from dgnerve.fixtures import FIXTURES
 from dgnerve.mc import (
     InvalidMCObject,
@@ -30,6 +31,8 @@ from dgnerve.mc import (
     twist,
 )
 from dgnerve.rings import RATIONALS, RingElement, SquareZeroRing
+from nervekit import basis_morphism
+from test_morphism_sum import fractional_category
 
 
 def endo(cat, degree, coords):
@@ -261,6 +264,91 @@ def test_random_mc_element_matches_reference(name, rank):
             want = _reference_random_mc_element(cat, obj, want_rng)
             assert got.coords == want.coords
             assert rng.getstate() == want_rng.getstate()
+
+
+def _reference_twist(cat, elements):
+    """Oracle: the twisted differential column by column, each column the
+    image of one basis morphism through ``MorphismSum``, kept when nonzero
+    as its nonzero entries in row order."""
+    diffs = {}
+    for (x, y, t) in sorted(cat.ranks):
+        n = cat.rank(x, y, t)
+        if n == 0 or cat.rank(x, y, t + 1) == 0:
+            continue
+        eta_src, eta_tgt = elements.get(x), elements.get(y)
+        cols = {}
+        sign = -1 if t % 2 else 1
+        for j in range(n):
+            basis = basis_morphism(cat, x, y, t, j)
+            image = MorphismSum(cat, x, y, t + 1).add_differential(basis)
+            if eta_tgt is not None:
+                image.add_compose(eta_tgt, basis)
+            if eta_src is not None:
+                image.add_compose(basis, eta_src, -sign)
+            if not image.is_zero():
+                cols[j] = tuple((i, c) for i, c in
+                                enumerate(image.result().coords)
+                                if not c.is_zero())
+        if cols:
+            diffs[(x, y, t)] = cols
+    return diffs
+
+
+def _ordered(diffs):
+    """``diffs`` with the order of its blocks and columns, which ``==`` on
+    dicts does not see."""
+    return [(key, list(cols.items())) for key, cols in diffs.items()]
+
+
+def halved_comps(cat):
+    """Copy of ``cat`` with every composition constant halved: not a
+    dg-category, but its twist by a non-MC element has η∘f products over
+    the denominator 2."""
+    comps = {key: {pair: tuple((r, a * Fraction(1, 2)) for r, a in entries)
+                   for pair, entries in tensor.items()}
+             for key, tensor in cat.comps.items()}
+    return dataclasses.replace(cat, comps=comps)
+
+
+TWIST_BASES = {**FIXTURES, "fractional": fractional_category,
+               "halved": lambda: halved_comps(FIXTURES["complexes_a"]())}
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", [*FIXTURES, "fractional"])
+def test_twist_matches_basis_oracle(name, rank):
+    """Seeded MC families, on every object and on the first object alone
+    (the others twist by 0): the same blocks, columns and entries, in the
+    same order."""
+    cat = tensor_with_ring(TWIST_BASES[name](), SquareZeroRing(rank))
+    for seed in range(3):
+        rng = random.Random(seed)
+        etas = {obj: random_mc_element(cat, obj, rng) for obj in cat.objects}
+        first = dict(list(etas.items())[:1])
+        for family in (etas, first):
+            got = twist(cat, family).diffs
+            assert _ordered(got) == _ordered(_reference_twist(cat, family))
+
+
+def non_mc_family(cat, rng):
+    """A random degree-1 endomorphism at every object, drawn again until
+    one of them fails the MC equation."""
+    while True:
+        etas = {obj: cat.random_morphism(obj, obj, 1, rng)
+                for obj in cat.objects}
+        if any(check_mc(cat, eta) for eta in etas.values()):
+            return etas
+
+
+# exterior and two_term have no degree-2 endomorphisms: all is MC there
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", [name for name in TWIST_BASES
+                                  if name not in ("exterior", "two_term")])
+def test_twist_by_non_mc_elements_matches_basis_oracle(name, rank):
+    cat = tensor_with_ring(TWIST_BASES[name](), SquareZeroRing(rank))
+    etas = non_mc_family(cat, random.Random(rank))
+    got = twist(cat, etas, validate=False).diffs
+    assert _ordered(got) == _ordered(_reference_twist(cat, etas))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ from dgnerve.nerve import (
 )
 from dgnerve.rings import SquareZeroRing
 from lincomb import degrees, lin
-from nervekit import component, identity_simplex, interval_category
+from nervekit import (basis_morphism, component, identity_simplex,
+                      interval_category)
 from test_morphism_sum import category
 
 
@@ -67,7 +68,7 @@ def test_interval_generators_compose():
     cat = interval_category(3)
 
     def gen(i, j):
-        return cat.basis_morphism(str(i), str(j), 0, 0)
+        return basis_morphism(cat, str(i), str(j), 0, 0)
 
     assert cat.compose(gen(1, 3), gen(0, 1)) == gen(0, 3)
     assert cat.compose(gen(2, 3), gen(1, 2)) == gen(1, 3)
@@ -189,7 +190,7 @@ def test_corrupted_top_cell_reports_only_itself(three_term):
     (obj,) = three_term.objects
     # degree −2 basis element with nonzero differential
     delta = next(
-        b for b in (three_term.basis_morphism(obj, obj, -2, j)
+        b for b in (basis_morphism(three_term, obj, obj, -2, j)
                     for j in range(three_term.rank(obj, obj, -2)))
         if not three_term.differential(b).is_zero())
     cells = dict(simplex.cells)
@@ -207,7 +208,7 @@ def test_corrupted_interior_cell_reports_containing_sequences(three_term):
     # perturb α(0,1,2); the sequences whose residual reads that cell are
     # (0,1,2) itself (d-term) and (0,1,2,3) (cut through vertex 2).
     delta = next(
-        b for b in (three_term.basis_morphism(obj, obj, -1, j)
+        b for b in (basis_morphism(three_term, obj, obj, -1, j)
                     for j in range(three_term.rank(obj, obj, -1)))
         if not three_term.differential(b).is_zero()
         and not three_term.compose(simplex.cell((2, 3)), b).is_zero())
@@ -389,7 +390,7 @@ def test_cochain_differential_hand_values(three_term):
     simplex = identity_simplex(three_term, obj, 2)
     for degree in (-1, 0, 1):
         for j in range(three_term.rank(obj, obj, degree)):
-            v = three_term.basis_morphism(obj, obj, degree, j)
+            v = basis_morphism(three_term, obj, obj, degree, j)
             eta = NerveCochain(simplex, simplex, degree + 1, {(0, 1): v})
             d_eta = cochain_differential(three_term, eta)
             assert component(three_term, d_eta, (0, 1)) == \

@@ -1,5 +1,5 @@
-"""Same-outputs digests: one sha256 per benchmark workload, and one over the
-samplers, for comparing two versions of the package.
+"""Same-outputs digests: one sha256 per benchmark workload, one over the
+samplers and one over MC twists, for comparing two versions of the package.
 
     python tools/op_digests.py --seeds 3 7
 
@@ -13,7 +13,12 @@ this script puts its own copy of ``_cli`` in its place.  The ``axioms`` ops
 return empty violation lists, so that digest does not see their set-up; the
 ``samplers`` digest covers ``random_valid_simplex`` (witnessed and plain,
 n = 1–3) and ``random_mc_element`` on every fixture at ideal ranks 0–2 and
-seeds 0–4, with the state of the generator after each draw.
+seeds 0–4, with the state of the generator after each draw.  The ``twist``
+digest covers ``mc.twist`` on every fixture at ideal ranks 0–2: by the MC
+families that ``random_mc_element`` draws at seeds 0–2, and by one family of
+random degree-1 endomorphisms with ``validate=False``; each twisted
+category enters as its ``jsonio.category_to_json`` document and as the
+``repr`` of its ``diffs``, which keeps the order of columns and entries.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from dgnerve import cli, fixtures, horn, mc  # noqa: E402
+from dgnerve import cli, fixtures, horn, jsonio, mc  # noqa: E402
 from dgnerve.rings import SquareZeroRing  # noqa: E402
 
 _stderr: list[str] = []
@@ -99,6 +104,33 @@ def sampler_digest() -> str:
     return digest.hexdigest()
 
 
+def twist_digest() -> str:
+    digest = hashlib.sha256()
+    for name, make in fixtures.FIXTURES.items():
+        for rank in (0, 1, 2):
+            cat = make()
+            if rank:
+                cat = mc.tensor_with_ring(cat, SquareZeroRing(rank))
+            families = []
+            for seed in range(3):
+                rng = random.Random(seed)
+                families.append((f"mc {seed}", True, {
+                    obj: mc.random_mc_element(cat, obj, rng)
+                    for obj in cat.objects}))
+            rng = random.Random(0)
+            families.append(("random", False, {
+                obj: cat.random_morphism(obj, obj, 1, rng)
+                for obj in cat.objects}))
+            for label, validate, etas in families:
+                def document() -> str:
+                    twisted = mc.twist(cat, etas, validate=validate)
+                    return jsonio.canonical_dumps(
+                        jsonio.category_to_json(twisted)) + repr(twisted.diffs)
+                digest.update(f"{name} {rank} {label}\n{_outcome(document)}\n"
+                              .encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 7])
@@ -110,6 +142,7 @@ def main() -> int:
     for name in workloads.WORKLOADS:
         print(name, workload_digest(name, args.seeds, args.workdir))
     print("samplers", sampler_digest())
+    print("twist", twist_digest())
     shutil.rmtree(args.workdir, ignore_errors=True)
     return 0
 
