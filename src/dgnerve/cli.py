@@ -2,8 +2,9 @@
 
 Exit codes: 0 — all checks pass; 1 — a mathematical identity fails (axiom
 violation, unfillable horn, law failure); 2 — input error (unreadable or
-malformed documents, bad arguments).  Reports are deterministic: the same
-inputs and seed produce byte-identical output, in both text and JSON form.
+malformed documents, bad arguments), and so is any ValueError that reaches
+:func:`main`.  Reports are deterministic: the same inputs and seed produce
+byte-identical output, in both text and JSON form.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import pathlib
 import sys
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import jsonio, laws
 from .dgcat import DgCategory, Violation, check_axioms
@@ -111,6 +112,14 @@ def _load_doc(path: str) -> Mapping:
     return doc
 
 
+def _parse(path: str, read: Callable, doc: Mapping, *args):
+    """``read(doc, *args)``; a ValueError is an input error at ``path``."""
+    try:
+        return read(doc, *args)
+    except ValueError as exc:
+        raise CliInputError(f"{path}: {exc}") from exc
+
+
 def _load_category(source: str) -> DgCategory:
     if not os.path.exists(source):
         try:
@@ -119,11 +128,7 @@ def _load_category(source: str) -> DgCategory:
             raise CliInputError(
                 f"--category {jsonio._shown(source)} is neither a readable "
                 f"file nor a fixture name ({exc.args[0]})") from exc
-    doc = _load_doc(source)
-    try:
-        return jsonio.category_from_json(doc)
-    except ValueError as exc:
-        raise CliInputError(f"{source}: {exc}") from exc
+    return _parse(source, jsonio.category_from_json, _load_doc(source))
 
 
 def _write_out(path: str, payload: str) -> None:
@@ -210,10 +215,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_fill(args: argparse.Namespace) -> int:
     doc = _load_doc(args.input)
     cat = _load_category(args.category)
-    try:
-        horn = jsonio.horn_from_json(doc, cat)
-    except ValueError as exc:
-        raise CliInputError(f"{args.input}: {exc}") from exc
+    horn = _parse(args.input, jsonio.horn_from_json, doc, cat)
     if args.n is not None and args.n != horn.n:
         raise CliInputError(f"--n {args.n} does not match the document "
                             f"(n = {horn.n})")
@@ -234,10 +236,7 @@ def cmd_fill(args: argparse.Namespace) -> int:
                   "error": "cannot_fill_outer_horn", "detail": str(exc)}
         _emit(args, report, [f"FAIL {exc}"])
         return FAIL
-    try:
-        out_doc = jsonio.filler_to_json(filler, horn.objects)
-    except ValueError as exc:               # a scalar past jsonio.MAX_DIGITS
-        raise CliInputError(str(exc)) from exc
+    out_doc = jsonio.filler_to_json(filler, horn.objects)
     residues = validate_simplex(cat, complete_horn(horn, filler))
     if residues:  # defensive: should be unreachable
         _emit(args, {"kind": "fill_report", "ok": False,
@@ -255,14 +254,9 @@ def cmd_lift(args: argparse.Namespace) -> int:
     horn_doc = _load_doc(args.input)
     filler_doc = _load_doc(args.filler)
     reduced = reduce_category(cat)
-    try:
-        horn = jsonio.horn_from_json(horn_doc, cat)
-    except ValueError as exc:
-        raise CliInputError(f"{args.input}: {exc}") from exc
-    try:
-        filler_mod = jsonio.filler_from_json(filler_doc, reduced)
-    except ValueError as exc:
-        raise CliInputError(f"{args.filler}: {exc}") from exc
+    horn = _parse(args.input, jsonio.horn_from_json, horn_doc, cat)
+    filler_mod = _parse(args.filler, jsonio.filler_from_json, filler_doc,
+                        reduced)
     try:
         lifted = lift_filler(cat, horn, filler_mod)
         out_doc = jsonio.filler_to_json(lifted, horn.objects)
@@ -271,8 +265,6 @@ def cmd_lift(args: argparse.Namespace) -> int:
                      "error": type(exc).__name__, "detail": str(exc)},
               [f"FAIL {exc}"])
         return FAIL
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
     _emit(args, out_doc,
           [f"lifted ({horn.n}, {horn.k}) filler through the rank-"
            f"{cat.ring.ideal_rank} square-zero ideal"])
@@ -306,11 +298,7 @@ def cmd_gp(args: argparse.Namespace) -> int:
         raise CliInputError(f"--n must be at most {jsonio.MAX_DIMENSION}")
     _check_seed(args.seed)
     cat = _load_category(args.category)
-    try:
-        report = check_gp(cat, args.n, args.k, trials=args.trials,
-                          seed=args.seed)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    report = check_gp(cat, args.n, args.k, trials=args.trials, seed=args.seed)
     lines = []
     failures = 0
     for mode in report["modes"]:
@@ -342,7 +330,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except CliInputError as exc:
+    except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -41,7 +41,6 @@ import random
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -181,23 +180,31 @@ class LayerSum:
     def __init__(self, size: int, width: int):
         self.width, self.den, self.num = width, 1, [0] * (size * width)
 
-    def add_block(self, block: Mapping, fixed: Mapping | None, slot: int,
-                  rows: int, sign: int, col: int = 0, row: int = 0) -> None:
-        """Add ``sign`` times the matrix of d on a ``diffs`` block (``fixed``
-        None), or of composing with the morphism whose nonzero coordinates
-        ``fixed`` holds at index ``slot`` of a ``comps`` block's pairs, in
-        one pass: entry (r, j), j the pair's other index, at element
-        ``(col + j)·rows + row + r``."""
-        w, one = self.width, (1,) + (0,) * (self.width - 1)
-        for key, entries in block.items():
+    def add_block(self, structure: Mapping, key: tuple, fixed: Mapping | None,
+                  slot: int, shape: tuple[int, int], rows: int, sign: int,
+                  col: int = 0, row: int = 0) -> None:
+        """Add ``sign`` times the matrix of d on the block ``key`` of
+        ``diffs`` (``fixed`` None), or of composing with the morphism whose
+        nonzero coordinates ``fixed`` holds at index ``slot`` of the pairs of
+        the block ``key`` of ``comps``, in one pass: entry (r, j), j the
+        pair's other index, at element ``(col + j)·rows + row + r``.  An
+        entry read outside the block's ``shape`` (height, width) raises."""
+        w, (height, width) = self.width, shape
+        one = (1,) + (0,) * (w - 1)
+        for at, entries in structure.get(key, {}).items():
             if fixed is None:
-                self._add_entries(entries, one, 1, sign,
-                                  (col + key) * rows + row)
-            elif (u := fixed.get(key[slot])) is not None:
-                if len(u.nums) != w:
-                    raise ValueError("ring elements of different ideal rank")
-                self._add_entries(entries, u.nums, u.den, sign,
-                                  (col + key[1 - slot]) * rows + row)
+                j, c, den = at, one, 1
+            elif (u := fixed.get(at[slot])) is None:
+                continue
+            elif len(u.nums) != w:
+                raise ValueError("ring elements of different ideal rank")
+            else:
+                j, c, den = at[1 - slot], u.nums, u.den
+            if not 0 <= j < width or \
+                    any(not 0 <= r < height for r, _ in entries):
+                raise ValueError(f"block {key} has an entry outside its "
+                                 f"{height}×{width} shape at {at}")
+            self._add_entries(entries, c, den, sign, (col + j) * rows + row)
 
     def nonzero(self) -> dict[int, RingElement]:
         """The nonzero elements by index, in index order."""
@@ -418,21 +425,22 @@ def _join(blocks: list, by_result: Mapping, radix: int, rows: int) -> dict:
     return table
 
 
-def _unit_defects(tensor: BilTensor, unit: Mapping, n: int, slot: int,
-                  width: int) -> set[int]:
+def _unit_defects(comps: Mapping, key: tuple, unit: Mapping, n: int,
+                  slot: int, width: int) -> set[int]:
     """The indices j of the basis elements e_j of a rank-n hom block at
     which the unit composed with e_j is not e_j.  The unit is index ``slot``
-    of the (outer, inner) pairs of their composition block ``tensor``, and
+    of the (outer, inner) pairs of their composition block ``comps[key]``, and
     ``unit`` holds its nonzero coordinates.  The sum starts at −e_j and is a
     dict keyed by (j·n + row)·width + layer: a dense n²·width list costs more
     than the few products of a large block's unit.  Every term's denominator
     divides the one fixed first, so ``_scale`` never grows it into a list."""
     sums = LayerSum(0, width)
     sums.den = lcm(*(c.den for c in unit.values())) * \
-        lcm(*(a.den for entries in tensor.values() for _, a in entries))
+        lcm(*(a.den for entries in comps.get(key, {}).values()
+              for _, a in entries))
     sums.num = defaultdict(int, {j * (n + 1) * width: -sums.den
                                  for j in range(n)})
-    sums.add_block(tensor, unit, slot, n, 1)
+    sums.add_block(comps, key, unit, slot, (n, n), n, 1)
     return {key // (n * width) for key, v in sums.num.items() if v}
 
 
@@ -496,10 +504,10 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
             out.append(Violation("unit_not_closed", (obj,),
                                  "d(identity) is nonzero"))
     for (x, y, t), rank in sorted(cat.ranks.items()):   # 1∘f − f and f∘1 − f
-        left = _unit_defects(cat.comps.get((x, y, y, t, 0), {}), units[y],
-                             rank, 0, width) if y in units else ()
-        right = _unit_defects(cat.comps.get((x, x, y, 0, t), {}), units[x],
-                              rank, 1, width) if x in units else ()
+        left = _unit_defects(cat.comps, (x, y, y, t, 0), units[y], rank, 0,
+                             width) if y in units else ()
+        right = _unit_defects(cat.comps, (x, x, y, 0, t), units[x], rank, 1,
+                              width) if x in units else ()
         out.extend(Violation(kind, (x, y, t, j), detail)
                    for j in sorted({*left, *right})
                    for kind, detail, defects in (
@@ -619,7 +627,6 @@ def make_complex_category(complexes: Sequence[ChainComplex],
         if not target_index:
             continue
         cols: SparseCols = {}
-        sign = ring.element(1 if t % 2 else -1)
         for (i, row, col), pos in units.items():
             entries: list[tuple[int, RingElement]] = []
             # d_B ∘ f : unit (i, row, col) pushes forward along d_B at i+t
@@ -634,7 +641,7 @@ def make_complex_category(complexes: Sequence[ChainComplex],
                 coeff = da[col][col2]
                 if not coeff.is_zero():
                     entries.append((target_index[(i - 1, row, col2)],
-                                    coeff * sign))
+                                    coeff if t % 2 else -coeff))
             if entries:
                 cols[pos] = tuple(sorted(entries, key=lambda e: e[0]))
         if cols:
@@ -705,7 +712,7 @@ def random_complex(ring: SquareZeroRing, rng: random.Random, *,
         used = arrows
 
     # random invertible change of basis per degree: L·U with ±1 diagonal
-    def random_invertible(n: int) -> list[list[int]]:
+    def random_lu(n: int) -> tuple[list[list[int]], list[list[int]]]:
         lower = [[int(r == c) for c in range(n)] for r in range(n)]
         upper = [[int(r == c) for c in range(n)] for r in range(n)]
         for r in range(n):
@@ -713,23 +720,31 @@ def random_complex(ring: SquareZeroRing, rng: random.Random, *,
             for c in range(r + 1, n):
                 upper[r][c] = rng.randint(-1, 1)
                 lower[c][r] = rng.randint(-1, 1)
-        return _matmul(lower, upper, 0)
+        return lower, upper
 
-    def inverse(mat: list[list[int]]) -> list[list[Fraction]]:
-        # det = ±1, so [B | I] reduces to [I | B⁻¹]: exact and unique
-        n = len(mat)
-        reduced, _ = glin.rref([row + [int(r == c) for c in range(n)]
-                                for r, row in enumerate(mat)])
-        return [row[n:] for row in reduced]
+    def inverse(lower: list[list[int]],
+                upper: list[list[int]]) -> list[list[int]]:
+        # U⁻¹·L⁻¹ with no division: down L's rows (a unit diagonal), then up
+        # U's rows (a ±1 diagonal)
+        n = len(lower)
+        inv = [[int(r == c) for c in range(n)] for r in range(n)]
+        for r in range(n):
+            for c in range(r):
+                inv[r] = [a - lower[r][c] * b for a, b in zip(inv[r], inv[c])]
+        for r in reversed(range(n)):
+            for c in range(r + 1, n):
+                inv[r] = [a - upper[r][c] * b for a, b in zip(inv[r], inv[c])]
+            inv[r] = [upper[r][r] * a for a in inv[r]]
+        return inv
 
-    basis_change = {i: random_invertible(dims[i]) for i in dims}
+    lu = {i: random_lu(dims[i]) for i in dims}
     conjugated = {}
     for i, pairs in source_of.items():
         split = [[0] * dims[i] for _ in range(dims[i + 1])]
         for s, t in pairs:
             split[t][s] = 1
-        product = _matmul(basis_change[i + 1],
-                          _matmul(split, inverse(basis_change[i]), 0), 0)
+        product = _matmul(_matmul(*lu[i + 1], 0),
+                          _matmul(split, inverse(*lu[i]), 0), 0)
         conjugated[i] = [[ring.element(e) for e in row]
                          for row in product]
     return ChainComplex(ring, dims, conjugated)
@@ -800,20 +815,22 @@ def find_equivalence_witness(cat: DgCategory, alpha: Morphism) -> Witness:
     if not MorphismSum(cat, x, y, 1).add_differential(alpha).is_zero():
         raise ValueError("witness queries require a closed morphism")
 
-    n_a, n_g = cat.rank(y, x, 0), cat.rank(x, x, -1)
-    r1, r2 = cat.rank(y, x, 1), cat.rank(x, x, 0)
-    height, n = r1 + r2 + cat.rank(y, y, 0), n_a + n_g + cat.rank(y, y, -1)
+    n_a, n_g, n_h = cat.rank(y, x, 0), cat.rank(x, x, -1), cat.rank(y, y, -1)
+    r1, r2, r3 = cat.rank(y, x, 1), cat.rank(x, x, 0), cat.rank(y, y, 0)
+    height, n = r1 + r2 + r3, n_a + n_g + n_h
     system = LayerSum(height * n, cat.ring.ideal_rank + 1)  # column-major
-    for block, row, col, sign in (((y, x, 0), 0, 0, 1),          # d(a)
-                                  ((x, x, -1), r1, n_a, -1),     # −d(g)
-                                  ((y, y, -1), r1 + r2, n_a + n_g, -1)):
-        system.add_block(cat.diffs.get(block, {}), None, 0, height, sign,
-                         col, row)
+    for key, shape, row, col, sign in (
+            ((y, x, 0), (r1, n_a), 0, 0, 1),                       # d(a)
+            ((x, x, -1), (r2, n_g), r1, n_a, -1),                  # −d(g)
+            ((y, y, -1), (r3, n_h), r1 + r2, n_a + n_g, -1)):      # −d(h)
+        system.add_block(cat.diffs, key, None, 0, shape, height, sign, col,
+                         row)
     nonzero = {k: c for k, c in enumerate(alpha.coords) if any(c.nums)}
-    for block, row, slot in (((x, y, x, 0, 0), r1, 1),           # a∘α
-                             ((y, x, y, 0, 0), r1 + r2, 0)):     # α∘a
-        system.add_block(cat.comps.get(block, {}), nonzero, slot, height, 1,
-                         0, row)
+    for key, shape, row, slot in (
+            ((x, y, x, 0, 0), (r2, n_a), r1, 1),                   # a∘α
+            ((y, x, y, 0, 0), (r3, n_a), r1 + r2, 0)):             # α∘a
+        system.add_block(cat.comps, key, nonzero, slot, shape, height, 1, 0,
+                         row)
     zero = cat.ring.zero()
     rows = [[zero] * n for _ in range(height)]
     for k, c in system.nonzero().items():      # k = column·height + row

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from typing import Mapping
 
 from .dgcat import (DgCategory, LayerSum, Morphism, MorphismSum, SparseCols,
                     Violation)
-from .rings import RATIONALS, RingElement, SquareZeroRing, reduce_mod_ideal
+from .rings import RATIONALS, SquareZeroRing, reduce_mod_ideal
 
 
 class InvalidMCObject(ValueError):
@@ -74,7 +73,7 @@ def reduce_morphism(f: Morphism) -> Morphism:
 def promote_morphism(cat: DgCategory, f: Morphism) -> Morphism:
     """Lift a rank-0 morphism into ``cat``'s ring with zero ideal part."""
     return Morphism(f.source, f.target, f.degree,
-                    tuple(cat.ring.element(c.body) for c in f.coords))
+                    tuple(map(cat.ring.promote, f.coords)))
 
 
 # -- the MC equation -----------------------------------------------------------
@@ -125,13 +124,13 @@ def twist(cat: DgCategory, elements: Mapping[str, Morphism], *,
     for (x, y, t), n in sorted(cat.ranks.items()):
         m = cat.rank(x, y, t + 1)
         image = LayerSum(n * m, cat.ring.ideal_rank + 1)  # column j at j·m
-        image.add_block(cat.diffs.get((x, y, t), {}), None, 0, m, 1)
+        image.add_block(cat.diffs, (x, y, t), None, 0, (m, n), m, 1)
         if y in reads:                                     # η_target∘f
-            image.add_block(cat.comps.get((x, y, y, t, 1), {}), reads[y],
-                            0, m, 1)
+            image.add_block(cat.comps, (x, y, y, t, 1), reads[y], 0, (m, n),
+                            m, 1)
         if x in reads:                                     # −(−1)^t f∘η_source
-            image.add_block(cat.comps.get((x, x, y, 1, t), {}), reads[x],
-                            1, m, 1 if t % 2 else -1)
+            image.add_block(cat.comps, (x, x, y, 1, t), reads[x], 1, (m, n),
+                            m, 1 if t % 2 else -1)
         cols = {j: tuple((k - j * m, c) for k, c in terms)
                 for j, terms in itertools.groupby(image.nonzero().items(),
                                                   lambda kc: kc[0] // m)}
@@ -155,32 +154,19 @@ def random_mc_element(cat: DgCategory, obj: str,
     quadratic, so cycles are rejection-sampled for a vanishing square.
     Falls back to 0 (always MC) when sampling finds nothing.
     """
-    rank1 = cat.rank(obj, obj, 1)
-    zero = cat.zero(obj, obj, 1)
-    if rank1 == 0:
-        return zero
-
-    m = cat.ring.ideal_rank
-    basis = [[e.body for e in vec]
-             for vec in cat.cycle_basis(obj, obj, 1, RATIONALS)]
-
-    def random_combo() -> list[Fraction]:
-        coords = [Fraction(0)] * rank1
-        for vec in basis:
-            weight = rng.randint(-2, 2)
-            if weight:
-                for i, c in enumerate(vec):
-                    coords[i] += c * weight
-        return coords
-
-    # over Q ⊕ I the m combos are the ideal layers over a zero body; over Q
-    # the one combo is the body
+    ring, m = cat.ring, cat.ring.ideal_rank
+    basis = cat.cycle_basis(obj, obj, 1, RATIONALS)
+    # a draw adds up weights in −2…2 times the ε_l·v over Q ⊕ I (l = 1 … m,
+    # layer by layer), or times the v over Q, for the body cycles v
+    vecs = [Morphism(obj, obj, 1, tuple(e * ring.promote(c) for c in v))
+            for e in [*map(ring.generator, range(m))] or [ring.one()]
+            for v in basis]
     for _ in range(8 if m else 12):
-        combos = [random_combo() for _ in range(max(m, 1))]
-        candidate = Morphism(obj, obj, 1, tuple(
-            RingElement(0 if m else combos[0][i],
-                        tuple(layer[i] for layer in combos[:m]))
-            for i in range(rank1)))
+        draw = MorphismSum(cat, obj, obj, 1)
+        for vec in vecs:
+            if weight := rng.randint(-2, 2):
+                draw.add(vec, weight)
+        candidate = draw.result()
         if not check_mc(cat, candidate):
             return candidate
-    return zero
+    return cat.zero(obj, obj, 1)

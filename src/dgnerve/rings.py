@@ -206,8 +206,8 @@ class SquareZeroRing:
         """The ideal generator ε_{index+1}."""
         if not 0 <= index < self.ideal_rank:
             raise ValueError("no such ideal generator")
-        return self.element(0, [int(k == index)
-                                for k in range(self.ideal_rank)])
+        return from_layers([int(k == index + 1)
+                            for k in range(self.ideal_rank + 1)], 1)
 
     # -- structure maps ----------------------------------------------------
 
@@ -215,7 +215,7 @@ class SquareZeroRing:
         """Embed an element of the rank-0 ring along ``Q → B``."""
         if len(x.nums) != 1:
             raise ValueError("can only promote rank-0 elements")
-        return self.element(x.body)
+        return from_layers(x.nums + (0,) * self.ideal_rank, x.den)
 
 
 RATIONALS = SquareZeroRing(0)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgnerve import jsonio, laws
+from dgnerve import cli, jsonio, laws
 from dgnerve.cli import build_parser, main
 from dgnerve.dgcat import Morphism
 from dgnerve.fixtures import (random_complex_category, standard_fixtures,
@@ -980,6 +980,19 @@ def test_fill_result_past_the_digit_cap_exit_2(tmp_path, capsys, three_term):
         assert code == 2 and out == ""
         assert err == "error: cannot write a scalar of over 4300 digits\n"
     assert not out_path.exists()
+
+
+def test_value_error_outside_every_reader_exit_2(tmp_path, capsys,
+                                                  monkeypatch, three_term):
+    """A ValueError that no document reader raised is exit 2 with its
+    message and no traceback: here ``validate_simplex`` in ``fill``."""
+    horn = random_horn(three_term, random.Random(11), 3, 1, witnessed=False)
+    path = write_doc(tmp_path, "horn.json", jsonio.horn_to_json(horn))
+
+    def refuse(cat, simplex):
+        raise ValueError("no simplex here")
+    monkeypatch.setattr(cli, "validate_simplex", refuse)
+    assert run_cli(capsys, "fill", path) == (2, "", "error: no simplex here\n")
 
 
 def test_lift_result_past_the_digit_cap_exit_2(tmp_path, capsys, three_term):

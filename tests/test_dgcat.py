@@ -536,10 +536,11 @@ def test_unit_defects_match_reference(three_term, doubled_unit, case):
              for obj, unit in cat.identities.items()}
     found = []
     for (x, y, t), n in sorted(cat.ranks.items()):
-        for args in ((cat.comps.get((x, y, y, t, 0), {}), units[y], n, 0),
-                     (cat.comps.get((x, x, y, 0, t), {}), units[x], n, 1)):
-            got = _unit_defects(*args, width)
-            assert got == _reference_unit_defects(*args, width)
+        for key, unit, slot in (((x, y, y, t, 0), units[y], 0),
+                                ((x, x, y, 0, t), units[x], 1)):
+            got = _unit_defects(cat.comps, key, unit, n, slot, width)
+            assert got == _reference_unit_defects(cat.comps.get(key, {}),
+                                                  unit, n, slot, width)
             found.append(got)
     assert any(found) == (case != "halves_unit")
 
@@ -1148,3 +1149,22 @@ def test_witness_refuses_alpha_of_another_ring_width(alpha_rank, cat_rank):
     with pytest.raises(ValueError,
                        match=r"^ring elements of different ideal rank$"):
         find_equivalence_witness(cat, Morphism(x, x, 0, (unit,)))
+
+
+def test_witness_refuses_a_diff_entry_past_its_band():
+    """A hand-built ``diffs[(y, x, 0)]`` entry at row r1 = rank(y, x, 1)
+    would land in the first row of the a∘α band of the system, and a
+    witness came back; a column where the unit is zero is not read by the
+    closedness check."""
+    cat = make_complex_category(
+        [complex_from_dense(RATIONALS, {0: 2, 1: 1}, {0: [[1, 1]]})])
+    (x,) = cat.objects
+    block = cat.diffs[(x, x, 0)]
+    j = next(j for j in block if cat.identity(x).coords[j].is_zero())
+    (_, a), *rest = block[j]
+    bad = dataclasses.replace(cat, diffs={
+        **cat.diffs, (x, x, 0): {**block, j: ((cat.rank(x, x, 1), a), *rest)}})
+    with pytest.raises(ValueError, match=r"block \('C0', 'C0', 0\) has an "
+                                         r"entry outside its 2×5 shape"):
+        find_equivalence_witness(bad, bad.identity(x))
+

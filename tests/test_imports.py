@@ -59,3 +59,19 @@ def test_no_unused_imports(path):
 ])
 def test_unused_imports_scan(source, unused):
     assert unused_imports(source) == unused
+
+
+def imports_fractions(path) -> bool:
+    return any(isinstance(node, ast.ImportFrom) and node.module == "fractions"
+               or isinstance(node, ast.Import)
+               and any(alias.name == "fractions" for alias in node.names)
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_rings_and_glin_import_fractions():
+    """Scalars are int layers: ``Fraction`` is read by the rational
+    constructors and ``.body``/``.ideal`` of ``rings`` and by ``glin.rref``
+    alone."""
+    package = [path for path in MODULES if path.parent.name == "dgnerve"]
+    assert [path.name for path in package if imports_fractions(path)] == \
+        ["glin.py", "rings.py"]

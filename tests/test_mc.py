@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import pytest
 
-from dgnerve import glin
 from dgnerve.dgcat import (Morphism, MorphismSum, check_axioms,
                            complex_from_dense, make_complex_category)
 from dgnerve.fixtures import FIXTURES
@@ -30,7 +29,8 @@ from dgnerve.mc import (
     tensor_with_ring,
     twist,
 )
-from dgnerve.rings import RATIONALS, RingElement, SquareZeroRing
+from dgnerve.rings import (RATIONALS, RingElement, SquareZeroRing,
+                           random_element)
 from nervekit import basis_morphism
 from test_morphism_sum import fractional_category
 
@@ -81,6 +81,23 @@ def test_promote_reduce_round_trip(three_term, rng):
     (obj,) = three_term.objects
     f = three_term.random_morphism(obj, obj, 1, rng)
     assert reduce_morphism(promote_morphism(big, f)) == f
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_promote_keeps_the_body(rank):
+    ring, rng = SquareZeroRing(rank), random.Random(rank)
+    for _ in range(50):
+        x = random_element(RATIONALS, rng, span=9, max_denominator=12)
+        assert ring.promote(x) == ring.element(x.body)
+
+
+def test_promote_morphism_refuses_ideal_layers(three_term, rng):
+    """A rank-1 morphism used to lose its ideal layers on the way."""
+    big = tensor_with_ring(three_term, SquareZeroRing(1))
+    (obj,) = big.objects
+    f = big.random_morphism(obj, obj, 1, rng, ideal_only=True)
+    with pytest.raises(ValueError, match="can only promote rank-0 elements"):
+        promote_morphism(tensor_with_ring(three_term, SquareZeroRing(2)), f)
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +220,17 @@ def test_random_mc_elements_are_sometimes_nonzero(two_term, rng):
 
 
 def _reference_random_mc_element(cat, obj, rng):
-    """Oracle: one rejection loop over Q ⊕ I (ideal layers, 8 tries) and
-    another over Q (the body, 12 tries)."""
+    """Oracle: m combinations of the body cycles as ``Fraction`` lists, the
+    ideal layers over a zero body over Q ⊕ I (8 tries), or one combination
+    as the body over Q (12 tries)."""
     rank1 = cat.rank(obj, obj, 1)
     zero = cat.zero(obj, obj, 1)
     if rank1 == 0:
         return zero
 
-    dense = cat.dense_differential(obj, obj, 1)
     m = cat.ring.ideal_rank
-
-    def body_cycle_basis():
-        if not dense:
-            return [[Fraction(1 if i == j else 0) for j in range(rank1)]
-                    for i in range(rank1)]
-        return [[e.body for e in vec]
-                for vec in glin.nullspace(dense, RATIONALS)]
-
-    basis = body_cycle_basis()
+    basis = [[e.body for e in vec]
+             for vec in cat.cycle_basis(obj, obj, 1, RATIONALS)]
 
     def random_combo():
         coords = [Fraction(0)] * rank1
@@ -231,20 +241,12 @@ def _reference_random_mc_element(cat, obj, rng):
                     coords[i] += c * weight
         return coords
 
-    if m > 0:
-        for _ in range(8):
-            layers = [random_combo() for _ in range(m)]
-            coords = tuple(RingElement(Fraction(0),
-                                       tuple(layers[l][i] for l in range(m)))
-                           for i in range(rank1))
-            candidate = Morphism(obj, obj, 1, coords)
-            if not check_mc(cat, candidate):
-                return candidate
-        return zero
-
-    for _ in range(12):
-        coords = tuple(RingElement(c, ()) for c in random_combo())
-        candidate = Morphism(obj, obj, 1, coords)
+    for _ in range(8 if m else 12):
+        combos = [random_combo() for _ in range(max(m, 1))]
+        candidate = Morphism(obj, obj, 1, tuple(
+            RingElement(0 if m else combos[0][i],
+                        tuple(layer[i] for layer in combos[:m]))
+            for i in range(rank1)))
         if not check_mc(cat, candidate):
             return candidate
     return zero
@@ -261,8 +263,7 @@ def test_random_mc_element_matches_reference(name, rank):
         for seed in range(150):
             rng, want_rng = random.Random(seed), random.Random(seed)
             got = random_mc_element(cat, obj, rng)
-            want = _reference_random_mc_element(cat, obj, want_rng)
-            assert got.coords == want.coords
+            assert got == _reference_random_mc_element(cat, obj, want_rng)
             assert rng.getstate() == want_rng.getstate()
 
 
@@ -328,6 +329,19 @@ def test_twist_matches_basis_oracle(name, rank):
         for family in (etas, first):
             got = twist(cat, family).diffs
             assert _ordered(got) == _ordered(_reference_twist(cat, family))
+
+
+def test_twist_refuses_a_diff_entry_past_its_block():
+    """A hand-built entry at row 3 of the 3×2 block ``diffs[("A", "A",
+    -1)]`` used to land in column 1 of the twisted differential."""
+    cat = FIXTURES["complexes_a"]()
+    block = cat.diffs[("A", "A", -1)]
+    (_, a), *rest = block[0]
+    bad = dataclasses.replace(cat, diffs={
+        **cat.diffs, ("A", "A", -1): {**block, 0: ((3, a), *rest)}})
+    with pytest.raises(ValueError, match=r"block \('A', 'A', -1\) has an "
+                                         r"entry outside its 3×2 shape"):
+        twist(bad, {})
 
 
 def non_mc_family(cat, rng):

@@ -13,7 +13,9 @@ this script puts its own copy of ``_cli`` in its place.  The ``axioms`` ops
 return empty violation lists, so that digest does not see their set-up; the
 ``samplers`` digest covers ``random_valid_simplex`` (witnessed and plain,
 n = 1–3) and ``random_mc_element`` on every fixture at ideal ranks 0–2 and
-seeds 0–4, with the state of the generator after each draw.  The ``twist``
+seeds 0–4, and ``dgcat.random_complex`` over Q at ``total_dim`` 1–8, with
+the default degrees and with degrees −1 to 3, at seeds 0–4, with the state
+of the generator after each draw.  The ``twist``
 digest covers ``mc.twist`` on every fixture at ideal ranks 0–2: by the MC
 families that ``random_mc_element`` draws at seeds 0–2, and by one family of
 random degree-1 endomorphisms with ``validate=False``; each twisted
@@ -37,8 +39,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from dgnerve import cli, fixtures, horn, jsonio, mc  # noqa: E402
-from dgnerve.rings import SquareZeroRing  # noqa: E402
+from dgnerve import cli, dgcat, fixtures, horn, jsonio, mc  # noqa: E402
+from dgnerve.rings import RATIONALS, SquareZeroRing  # noqa: E402
 
 _stderr: list[str] = []
 
@@ -101,6 +103,14 @@ def sampler_digest() -> str:
                                                                   rng))
                     digest.update(f"{name} {rank} {seed} mc {obj}\n{shown}\n"
                                   f"{rng.getstate()!r}\n".encode())
+    for seed in range(5):
+        rng = random.Random(seed)
+        for size in range(1, 9):
+            for degrees in ({}, {"min_degree": -1, "max_degree": 3}):
+                shown = _outcome(lambda: dgcat.random_complex(
+                    RATIONALS, rng, total_dim=size, **degrees))
+                digest.update(f"complex {seed} {size} {degrees}\n{shown}\n"
+                              f"{rng.getstate()!r}\n".encode())
     return digest.hexdigest()
 
 
