@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import jsonio, laws
 from .dgcat import DgCategory, Violation, check_axioms
-from .fixtures import FIXTURES, fixture_by_name
+from .fixtures import FIXTURES
 from .horn import (CannotFillOuterHorn, HornError, IncompatibleHorn,
                    check_gp, check_horn, complete_horn, fill_horn,
                    lift_filler)
@@ -121,14 +121,14 @@ def _parse(path: str, read: Callable, doc: Mapping, *args):
 
 
 def _load_category(source: str) -> DgCategory:
-    if not os.path.exists(source):
-        try:
-            return fixture_by_name(source)
-        except KeyError as exc:
-            raise CliInputError(
-                f"--category {jsonio._shown(source)} is neither a readable "
-                f"file nor a fixture name ({exc.args[0]})") from exc
-    return _parse(source, jsonio.category_from_json, _load_doc(source))
+    if os.path.exists(source):
+        return _parse(source, jsonio.category_from_json, _load_doc(source))
+    if source not in FIXTURES:
+        shown = jsonio._shown(source)
+        raise CliInputError(f"--category {shown} is neither a readable file "
+                            f"nor a fixture name (unknown fixture {shown}; "
+                            f"known: {', '.join(FIXTURES)})")
+    return FIXTURES[source]()
 
 
 def _write_out(path: str, payload: str) -> None:
@@ -179,30 +179,26 @@ def _violation_lines(violations: Sequence[Violation]) -> list[str]:
 
 # -- commands --------------------------------------------------------------------
 
+def _check(doc: Mapping,
+           args: argparse.Namespace) -> tuple[str, list[Violation]]:
+    """A ``check`` document's kind and violations; reads the category last."""
+    kind = jsonio.detect_kind(doc)
+    if kind == "category":
+        return kind, check_axioms(jsonio.category_from_json(doc))
+    if kind == "filler":
+        raise CliInputError("cannot check a 'filler' document on its own; "
+                            "check the completed simplex instead")
+    cat = _load_category(args.category)
+    if kind == "simplex":
+        checker = validate_star if args.star else validate_simplex
+        return kind, checker(cat, jsonio.simplex_from_json(doc, cat))
+    if kind == "horn":
+        return kind, check_horn(cat, jsonio.horn_from_json(doc, cat))
+    return kind, check_mc(cat, jsonio.mc_from_json(doc, cat))
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.input)
-    try:
-        kind = jsonio.detect_kind(doc)
-        if kind == "category":
-            subject = jsonio.category_from_json(doc)
-            violations = check_axioms(subject)
-        elif kind == "simplex":
-            cat = _load_category(args.category)
-            simplex = jsonio.simplex_from_json(doc, cat)
-            checker = validate_star if args.star else validate_simplex
-            violations = checker(cat, simplex)
-        elif kind == "horn":
-            cat = _load_category(args.category)
-            violations = check_horn(cat, jsonio.horn_from_json(doc, cat))
-        elif kind == "mc":
-            cat = _load_category(args.category)
-            violations = check_mc(cat, jsonio.mc_from_json(doc, cat))
-        else:
-            raise CliInputError(f"cannot check a {jsonio._shown(kind)} "
-                                "document on its own; check the completed "
-                                "simplex instead")
-    except ValueError as exc:
-        raise CliInputError(f"{args.input}: {exc}") from exc
+    kind, violations = _parse(args.input, _check, _load_doc(args.input), args)
     vio = _violations_doc(violations)
     report = {"kind": "check_report", "subject": kind,
               "ok": not vio, "violations": vio}

@@ -605,20 +605,14 @@ def make_complex_category(complexes: Sequence[ChainComplex],
     for xn, yn in itertools.product(names, repeat=2):
         a, b = by_name[xn], by_name[yn]
         degs_a = a.degrees()
-        degs_b = b.degrees()
-        if not degs_a or not degs_b:
-            continue
-        tmin = min(degs_b) - max(degs_a)
-        tmax = max(degs_b) - min(degs_a)
-        for t in range(tmin, tmax + 1):
+        for t in sorted({j - i for j in b.degrees() for i in degs_a}):
             units: dict[tuple[int, int, int], int] = {}
             for i in degs_a:
                 for row in range(b.dim(i + t)):
                     for col in range(a.dim(i)):
                         units[(i, row, col)] = len(units)
-            if units:
-                index[(xn, yn, t)] = units
-                block_degrees[(xn, yn)].append(t)
+            index[(xn, yn, t)] = units
+            block_degrees[(xn, yn)].append(t)
 
     diffs: dict[tuple[str, str, int], SparseCols] = {}
     for (xn, yn, t), units in index.items():

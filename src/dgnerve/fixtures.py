@@ -15,7 +15,6 @@ from typing import Callable
 
 from .dgcat import (DgCategory, make_complex_category, complex_from_dense,
                     random_complex)
-from .jsonio import _shown
 from .mc import check_mc, twist
 from .rings import RATIONALS, SquareZeroRing
 
@@ -87,10 +86,3 @@ FIXTURES: dict[str, Callable[[], DgCategory]] = {
 def standard_fixtures() -> list[tuple[str, DgCategory]]:
     """The named fixture stable, in deterministic order."""
     return [(name, build()) for name, build in FIXTURES.items()]
-
-
-def fixture_by_name(name: str) -> DgCategory:
-    if name not in FIXTURES:
-        raise KeyError(f"unknown fixture {_shown(name)}; known: "
-                       + ", ".join(FIXTURES))
-    return FIXTURES[name]()

@@ -23,11 +23,12 @@ True
 True
 
 So solvability over ``B`` implies solvability of the body system over Q,
-but not conversely.  The integer layers of the entries become sparse rows
-``{col: int}``; one forward elimination (:func:`_echelon`) and one
-back-substitution over a common denominator (:func:`_back_substitute`) give
-the solution or each kernel vector, free variables 0, so results are
-deterministic.  :func:`rref` runs the same elimination, then one upward pass.
+but not conversely.  :func:`_expand`, the one row reader (:func:`rref`'s
+too), turns the integer layers into sparse rows ``{col: int}``; one forward
+elimination (:func:`_echelon`) and one back-substitution over a common
+denominator (:func:`_back_substitute`) give the solution or each kernel
+vector, free variables 0, so results are deterministic.  :func:`rref` adds
+one upward pass.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .rings import RingElement, SquareZeroRing, from_layers
+from .rings import RATIONALS, RingElement, SquareZeroRing, from_layers
 
 Matrix = Sequence[Sequence[RingElement]]
 Vector = Sequence[RingElement]
@@ -51,20 +52,23 @@ class NoSolution(ValueError):
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[tuple[int, int]]]:
     """Reduced row echelon form; returns (matrix, pivot (row, col) list).
 
-    :func:`_echelon` on the rows times the lcm of their denominators, then
+    :func:`_echelon` on the rows as :func:`_expand` reads them over Q, then
     one upward pass that clears each pivot column, last first, from the rows
     above it; only then is each pivot row divided by its pivot.  Each step
     keeps the row space and the RREF is unique, so the result is the one any
     exact elimination gives: the pivot rows in column order, then zero rows.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    echelon = _echelon([_integer_row(row) for row in rows], ncols)
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    echelon = _echelon(_expand([[from_layers((v.numerator,), v.denominator)
+                                 for v in row] for row in rows],
+                               None, RATIONALS), ncols)
     for k in range(len(echelon) - 1, 0, -1):
         c, pivot = echelon[k]
         echelon[:k] = [(d, _eliminate(row, pivot, c)) if c in row else (d, row)
                        for d, row in echelon[:k]]
-    mat = [[Fraction(0)] * ncols for _ in range(nrows)]
+    mat = [[Fraction(0)] * ncols for _ in rows]
     for r, (c, row) in enumerate(echelon):
         for j, v in row.items():
             mat[r][j] = Fraction(v, row[c])
@@ -91,14 +95,6 @@ def _echelon(rows: list[dict[int, int]],
                                for row in pending) if r]
         echelon.append((c, pivot))
     return echelon
-
-
-def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
-    """The nonzero entries ``{col: int}`` of ``row`` times the lcm of its
-    denominators."""
-    scale = lcm(*[v.denominator for v in row])
-    return {c: v.numerator * (scale // v.denominator)
-            for c, v in enumerate(row) if v}
 
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int],

@@ -114,7 +114,7 @@ def _scalar(s: Any) -> tuple[int, int]:
     ``"1e999999"``, ``" 1"``), ``"1/0"``, and a numerator or denominator
     past ``MAX_DIGITS`` digits are a ValueError (``json`` itself refuses
     longer int literals)."""
-    if isinstance(s, int) and not isinstance(s, bool):
+    if type(s) is int:
         return s, 1
     match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
     if match is None:
@@ -202,8 +202,7 @@ def category_from_json(doc: Mapping) -> DgCategory:
     if not isinstance(doc, Mapping):
         raise ValueError("category document must be a JSON object")
     rank = doc.get("ring", 0)
-    if (not isinstance(rank, int) or isinstance(rank, bool)
-            or not 0 <= rank <= MAX_IDEAL_RANK):
+    if type(rank) is not int or not 0 <= rank <= MAX_IDEAL_RANK:
         raise ValueError("\"ring\" must be a nonnegative ideal rank "
                          f"up to {MAX_IDEAL_RANK}")
     ring = SquareZeroRing(rank)
@@ -222,7 +221,7 @@ def category_from_json(doc: Mapping) -> DgCategory:
         return name
 
     def integer(value: Any) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if type(value) is not int:
             raise ValueError(f"expected an integer, got {_shown(value)}")
         return value
 
@@ -344,8 +343,7 @@ def _objects_from(doc: Mapping, cat: DgCategory, n: int) -> tuple[str, ...]:
 
 def _dimension_from(doc: Mapping) -> int:
     n = doc.get("n")
-    if (not isinstance(n, int) or isinstance(n, bool)
-            or not 0 <= n <= MAX_DIMENSION):
+    if type(n) is not int or not 0 <= n <= MAX_DIMENSION:
         raise ValueError("\"n\" must be a nonnegative integer up to "
                          f"{MAX_DIMENSION}")
     return n
@@ -375,7 +373,7 @@ def _horn_data(doc: Mapping, cat: DgCategory) -> HornData:
     """The n, k, objects and cells that horn and filler documents share."""
     n = _dimension_from(doc)
     k = doc.get("k")
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= n:
+    if type(k) is not int or not 0 <= k <= n:
         raise ValueError("\"k\" must be an integer with 0 <= k <= n")
     objects = _objects_from(doc, cat, n)
     return HornData(n, k, objects,

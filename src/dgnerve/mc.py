@@ -86,19 +86,16 @@ def mc_defect(cat: DgCategory, eta: Morphism) -> Morphism:
 
 def check_mc(cat: DgCategory, eta: Morphism) -> list[Violation]:
     """Violations of 'η is an MC element' (empty report = valid)."""
-    out: list[Violation] = []
     if eta.source != eta.target:
-        out.append(Violation("mc_not_endomorphism", (eta.source, eta.target),
-                             "MC elements are endomorphisms"))
-        return out
+        return [Violation("mc_not_endomorphism", (eta.source, eta.target),
+                          "MC elements are endomorphisms")]
     if eta.degree != 1:
-        out.append(Violation("mc_degree", (eta.source, eta.degree),
-                             "MC elements have degree 1"))
-        return out
+        return [Violation("mc_degree", (eta.source, eta.degree),
+                          "MC elements have degree 1")]
     if not mc_defect(cat, eta).is_zero():
-        out.append(Violation("mc_equation", (eta.source,),
-                             "d(η) + η∘η is nonzero"))
-    return out
+        return [Violation("mc_equation", (eta.source,),
+                          "d(η) + η∘η is nonzero")]
+    return []
 
 
 def twist(cat: DgCategory, elements: Mapping[str, Morphism], *,

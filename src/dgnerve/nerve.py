@@ -62,20 +62,17 @@ class SignPattern:
         return (-1) ** (p * (k + 1) + self.cut_flip
                         + self.cut_p_twist * (p + 1))
 
-    def bits(self) -> tuple[int, int, int, int]:
-        return (self.face_flip, self.face_k_twist,
-                self.cut_flip, self.cut_p_twist)
-
 
 PINNED = SignPattern()
 
 
 # -- simplices ----------------------------------------------------------------
 
-def increasing_sequences(n: int, min_length: int = 2) -> list[Seq]:
-    """All strictly increasing vertex sequences in {0..n}, shortest first."""
+def increasing_sequences(n: int) -> list[Seq]:
+    """All strictly increasing sequences of at least two vertices in {0..n},
+    shortest first."""
     out: list[Seq] = []
-    for length in range(min_length, n + 2):
+    for length in range(2, n + 2):
         out.extend(itertools.combinations(range(n + 1), length))
     return out
 

@@ -31,6 +31,7 @@ The seven criteria:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -136,7 +137,7 @@ def test_criterion_2_sign_calibration(three_term, twisted):
     assert len(survivors) == 1
     # The regression pin: the unique survivor is the shipped pattern.
     assert survivors[0] == PINNED
-    assert PINNED.bits() == (0, 0, 0, 0)
+    assert dataclasses.astuple(PINNED) == (0, 0, 0, 0)
     print("criterion 2: PASS — 16 candidate sign patterns, unique survivor "
           "equals the pinned convention (0, 0, 0, 0)")
 

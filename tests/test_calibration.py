@@ -11,6 +11,7 @@ fails exactly when its cochain operations break the laws on pinned-valid
 simplices.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -62,7 +63,7 @@ def law_holds(cat, law, signs):
 
 def test_pinned_pattern_regression():
     assert PINNED == SignPattern(0, 0, 0, 0)
-    assert PINNED.bits() == (0, 0, 0, 0)
+    assert dataclasses.astuple(PINNED) == (0, 0, 0, 0)
     # frozen sign table: face_sign(p,k) = (−1)^p, cut_sign(p,k) = (−1)^{p(k+1)}
     assert PINNED.face_sign(1, 2) == -1
     assert PINNED.face_sign(2, 3) == 1
@@ -74,16 +75,17 @@ def test_pinned_pattern_regression():
 
 def test_search_has_unique_survivor(three_term):
     survivors = [
-        signs.bits() for signs in all_sign_patterns()
+        dataclasses.astuple(signs) for signs in all_sign_patterns()
         if anchor_holds(three_term, signs)
         and law_holds(three_term, law_cochain_d_squared, signs)
         and law_holds(three_term, law_cochain_leibniz, signs)
     ]
-    assert survivors == [PINNED.bits()]
+    assert survivors == [dataclasses.astuple(PINNED)]
 
 
 def test_anchor_fixes_the_flip_bits(three_term):
-    survivors = sorted(signs.bits() for signs in all_sign_patterns()
+    survivors = sorted(dataclasses.astuple(signs)
+                       for signs in all_sign_patterns()
                        if anchor_holds(three_term, signs))
     assert survivors == [(0, 0, 0, 0), (0, 0, 0, 1),
                          (0, 1, 0, 0), (0, 1, 0, 1)]

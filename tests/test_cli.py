@@ -56,7 +56,7 @@ def zero_simplex(cat, obj: str, n: int) -> NerveSimplex:
     equivalence."""
     objects = (obj,) * (n + 1)
     cells = {}
-    for seq in increasing_sequences(n, min_length=2):
+    for seq in increasing_sequences(n):
         degree = 1 - (len(seq) - 1)
         rank = cat.rank(obj, obj, degree)
         cells[seq] = Morphism(obj, obj, degree,
@@ -383,21 +383,43 @@ def test_check_mc_document(tmp_path, capsys, three_term):
 
 
 def test_check_filler_document_is_rejected(tmp_path, capsys, three_term):
+    """A filler document is refused before ``--category`` is read, so an
+    unknown fixture name does not change the error."""
     horn = random_horn(three_term, random.Random(6), 3, 2, witnessed=False)
     filler = fill_horn(three_term, horn)
     path = write_doc(tmp_path, "filler.json",
                      jsonio.filler_to_json(filler, horn.objects))
-    code, _, err = run_cli(capsys, "check", path, "--category", "three_term")
-    assert code == 2
-    assert "cannot check a 'filler' document" in err
+    for category in ("three_term", "no_such"):
+        assert run_cli(capsys, "check", path, "--category", category) == (
+            2, "", "error: cannot check a 'filler' document on its own; "
+            "check the completed simplex instead\n")
 
 
 def test_check_unknown_fixture_name_exit_2(tmp_path, capsys, three_term):
+    known = "exterior, two_term, three_term, twisted, complexes_a, complexes_b"
     simplex = identity_simplex(three_term, "C0", 1)
     path = write_doc(tmp_path, "simplex.json", jsonio.simplex_to_json(simplex))
-    code, _, err = run_cli(capsys, "check", path, "--category", "no_such")
-    assert code == 2
-    assert "neither a readable file nor a fixture name" in err
+    assert run_cli(capsys, "check", path, "--category", "no_such") == (
+        2, "", "error: --category 'no_such' is neither a readable file nor a "
+        f"fixture name (unknown fixture 'no_such'; known: {known})\n")
+    shown = "'" + "x" * 59 + "..."      # a name cut at 60 characters
+    assert run_cli(capsys, "check", path, "--category", "x" * 70) == (
+        2, "", f"error: --category {shown} is neither a readable file nor a "
+        f"fixture name (unknown fixture {shown}; known: {known})\n")
+
+
+def test_check_time_value_error_keeps_the_path(tmp_path, capsys, monkeypatch,
+                                               three_term):
+    """A ValueError raised while ``check`` checks a document is reported
+    under the document's path, like a reader's."""
+    simplex = identity_simplex(three_term, "C0", 1)
+    path = write_doc(tmp_path, "simplex.json", jsonio.simplex_to_json(simplex))
+
+    def refuse(cat, simplex):
+        raise ValueError("no simplex here")
+    monkeypatch.setattr(cli, "validate_simplex", refuse)
+    assert run_cli(capsys, "check", path, "--category", "three_term") == (
+        2, "", f"error: {path}: no simplex here\n")
 
 
 # -- fill -------------------------------------------------------------------------

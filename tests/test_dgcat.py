@@ -711,6 +711,22 @@ def test_empty_category():
     assert check_axioms(cat) == []
 
 
+def test_complex_category_blocks_skip_degree_gaps():
+    """Dims {0: 1, 2: 1} beside {1: 2}: a block for each degree j − i of a
+    pair, in pair order then degree order, none of rank 0, although the
+    degrees −1 and 1 of (C0, C0) lie inside its range."""
+    gap = complex_from_dense(RATIONALS, {0: 1, 2: 1})
+    wide = complex_from_dense(RATIONALS, {1: 2})
+    cat = make_complex_category([gap, wide])
+    assert list(cat.ranks.items()) == [
+        (("C0", "C0", -2), 1), (("C0", "C0", 0), 2), (("C0", "C0", 2), 1),
+        (("C0", "C1", -1), 2), (("C0", "C1", 1), 2),
+        (("C1", "C0", -1), 2), (("C1", "C0", 1), 2),
+        (("C1", "C1", 0), 4)]
+    assert check_axioms(cat) == []
+    _assert_matches_reference([gap, wide])
+
+
 @pytest.mark.parametrize("ring, dims, d, rejected", [
     # d² ≠ 0: two composable identity blocks.
     (RATIONALS, {0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]}, True),

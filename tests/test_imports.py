@@ -61,17 +61,47 @@ def test_unused_imports_scan(source, unused):
     assert unused_imports(source) == unused
 
 
-def imports_fractions(path) -> bool:
-    return any(isinstance(node, ast.ImportFrom) and node.module == "fractions"
-               or isinstance(node, ast.Import)
-               and any(alias.name == "fractions" for alias in node.names)
-               for node in ast.walk(ast.parse(path.read_text())))
+def imported_modules(path) -> set[str]:
+    """The modules ``path`` imports; a package sibling goes by its own name,
+    so ``from . import jsonio`` and ``from .jsonio import _shown`` both give
+    ``jsonio``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module} if node.module else \
+                {alias.name for alias in node.names}
+    return names
+
+
+PACKAGE = [path for path in MODULES if path.parent.name == "dgnerve"]
 
 
 def test_only_rings_and_glin_import_fractions():
     """Scalars are int layers: ``Fraction`` is read by the rational
     constructors and ``.body``/``.ideal`` of ``rings`` and by ``glin.rref``
     alone."""
-    package = [path for path in MODULES if path.parent.name == "dgnerve"]
-    assert [path.name for path in package if imports_fractions(path)] == \
+    assert [path.name for path in PACKAGE
+            if "fractions" in imported_modules(path)] == \
         ["glin.py", "rings.py"]
+
+
+def test_only_the_cli_imports_jsonio():
+    """The document layer sits on top: the command line reads and writes
+    documents, and no module below it (``fixtures`` included) imports
+    ``jsonio``."""
+    assert [path.name for path in PACKAGE
+            if "jsonio" in imported_modules(path)] == ["cli.py"]
+
+
+@pytest.mark.parametrize("source, modules", [
+    ("import os.path\n", {"os.path"}),
+    ("from fractions import Fraction\n", {"fractions"}),
+    ("from . import jsonio, laws\n", {"jsonio", "laws"}),
+    ("from .jsonio import _shown\n", {"jsonio"}),
+])
+def test_imported_modules_scan(tmp_path, source, modules):
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert imported_modules(path) == modules

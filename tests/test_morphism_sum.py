@@ -294,7 +294,7 @@ def test_boundaries_and_cochain_differentials_match_reference(name, rank, seed,
     target = random_valid_simplex(cat, rng, n, witnessed=False)
     cells = {seq: noisy(cat, cell.source, cell.target, cell.degree, rng)
              for seq, cell in source.cells.items()}
-    for seq in increasing_sequences(n, min_length=3):
+    for seq in (s for s in increasing_sequences(n) if len(s) > 2):
         assert required_boundary(cat, source.objects, cells, seq) == \
             _reference_required_boundary(cat, source.objects, cells.get, seq)
     eta = random_cochain(cat, rng, source, target,

@@ -4,12 +4,16 @@ samplers and one over MC twists, for comparing two versions of the package.
     python tools/op_digests.py --seeds 3 7
 
 A change that claims only speed must leave every digest as it was.  Each
-workload of ``perfbench/workloads.py`` is built at each seed in a fixed work
-directory (paths show up in CLI reports), and its first two rounds and its
-probes run once.  A workload's digest covers, op by op, the kind, the
-``repr`` of the result (or of the exception it raised) and the verdict of
-the op's check; a CLI op adds its stderr, which ``workloads._cli`` drops, so
-this script puts its own copy of ``_cli`` in its place.  The ``axioms`` ops
+workload of ``perfbench/workloads.py`` is built at each seed in its own
+directory under ``--workdir``, and its first two rounds and its probes run
+once.  Paths show up in CLI reports and errors, so each hashed record has
+the seed's directory replaced by ``<workdir>``, and the digests do not
+depend on where ``--workdir`` is.  A path that an error message cuts at 60
+characters (``jsonio._shown``) is not mapped, so keep ``--workdir`` short.
+A workload's digest covers, op by op, the kind, the ``repr`` of the result
+(or of the exception it raised) and the verdict of the op's check; a CLI
+op adds its stderr, which ``workloads._cli`` drops, so this script puts its
+own copy of ``_cli`` in its place.  The ``axioms`` ops
 return empty violation lists, so that digest does not see their set-up; the
 ``samplers`` digest covers ``random_valid_simplex`` (witnessed and plain,
 n = 1–3) and ``random_mc_element`` on every fixture at ideal ranks 0–2 and
@@ -76,8 +80,8 @@ def workload_digest(name: str, seeds: list[int], workdir: str) -> str:
             except Exception as exc:
                 result, shown = None, f"raised {exc!r}"
             verdict = _outcome(lambda: op.check(result))
-            digest.update(f"{op.kind}\n{shown}\n{verdict}\n{_stderr!r}\n"
-                          .encode())
+            record = f"{op.kind}\n{shown}\n{verdict}\n{_stderr!r}\n"
+            digest.update(record.replace(here, "<workdir>").encode())
     return digest.hexdigest()
 
 
