@@ -29,9 +29,10 @@ cochains) at the cost of their nonzero coordinates; a sum only tested for
 zero is tested on the ints.  The twisted differential, the witness system
 and the unit laws read whole structure blocks through one block reader,
 :meth:`LayerSum.add_block`; the unit laws keep a sparse sum, since a large
-block's unit meets few of its pairs.  Only d² = 0, Leibniz and
-associativity (one sparse join of pre-scaled ints) and the scalar product
-multiply layers on their own.
+block's unit meets few of its pairs.  The witness system goes to
+:func:`glin.solve_layered` as its sum holds it, in ints.  Only d² = 0,
+Leibniz and associativity (one sparse join of pre-scaled ints) and the
+scalar product multiply layers on their own.
 """
 
 from __future__ import annotations
@@ -797,8 +798,10 @@ def find_equivalence_witness(cat: DgCategory, alpha: Morphism) -> Witness:
 
     The three conditions form one linear system over the ring, read from
     the nonzero ``diffs`` entries and the ``comps`` entries against α's
-    nonzero coordinates, and solved exactly; raises
-    :class:`NotEquivalence` when it is inconsistent.
+    nonzero coordinates into one :class:`LayerSum`, column-major, with b
+    (the identities at the a∘α and α∘a rows) as one more column.  Its int
+    layers go to :func:`glin.solve_layered` as they are, with no ring
+    element built; raises :class:`NotEquivalence` when it is inconsistent.
     """
     global _witness_calls
     _witness_calls += 1
@@ -811,8 +814,8 @@ def find_equivalence_witness(cat: DgCategory, alpha: Morphism) -> Witness:
 
     n_a, n_g, n_h = cat.rank(y, x, 0), cat.rank(x, x, -1), cat.rank(y, y, -1)
     r1, r2, r3 = cat.rank(y, x, 1), cat.rank(x, x, 0), cat.rank(y, y, 0)
-    height, n = r1 + r2 + r3, n_a + n_g + n_h
-    system = LayerSum(height * n, cat.ring.ideal_rank + 1)  # column-major
+    height, n, w = r1 + r2 + r3, n_a + n_g + n_h, cat.ring.ideal_rank + 1
+    system = LayerSum(height * (n + 1), w)      # column-major, b in column n
     for key, shape, row, col, sign in (
             ((y, x, 0), (r1, n_a), 0, 0, 1),                       # d(a)
             ((x, x, -1), (r2, n_g), r1, n_a, -1),                  # −d(g)
@@ -825,15 +828,12 @@ def find_equivalence_witness(cat: DgCategory, alpha: Morphism) -> Witness:
             ((y, x, y, 0, 0), (r3, n_a), r1 + r2, 0)):             # α∘a
         system.add_block(cat.comps, key, nonzero, slot, shape, height, 1, 0,
                          row)
-    zero = cat.ring.zero()
-    rows = [[zero] * n for _ in range(height)]
-    for k, c in system.nonzero().items():      # k = column·height + row
-        rows[k % height][k // height] = c
-    rhs = [zero] * r1 + list(cat.identity(x).coords) + \
-        list(cat.identity(y).coords)
+    for obj, row in ((x, r1), (y, r1 + r2)):                       # b
+        system._add_entries(tuple(enumerate(cat.identity(obj).coords)),
+                            (1,) + (0,) * (w - 1), 1, 1, n * height + row)
 
     try:
-        solution = glin.solve_linear(rows, rhs, cat.ring)
+        solution = glin.solve_layered(system.num, height, n, cat.ring)
     except glin.NoSolution as exc:
         raise NotEquivalence(
             f"no homotopy-inverse witness for {x}->{y}") from exc

@@ -3,9 +3,10 @@
 The horn fillers and square-zero lifts need an exact solve for the
 equivalence witness (a, g, h) and kernels of a hom block's differential:
 :func:`solve_linear` and :func:`nullspace`, on lists of rows of
-:class:`~dgnerve.rings.RingElement`.  Writing ``x = x⁰ + Σ_l ε_l·x^l`` and
-splitting every entry into layers turns ``A·x = b`` over ``B = Q ⊕ I`` into
-a single rational system,
+:class:`~dgnerve.rings.RingElement`, and :func:`solve_layered`, on the
+integer layers that :class:`~dgnerve.dgcat.LayerSum` holds.  Writing
+``x = x⁰ + Σ_l ε_l·x^l`` and splitting every entry into layers turns
+``A·x = b`` over ``B = Q ⊕ I`` into a single rational system,
 
     A⁰·x⁰           = b⁰          (body layer)
     A⁰·x^l + A^l·x⁰ = b^l         (one block per ideal generator),
@@ -23,21 +24,30 @@ True
 True
 
 So solvability over ``B`` implies solvability of the body system over Q,
-but not conversely.  :func:`_expand`, the one row reader (:func:`rref`'s
-too), turns the integer layers into sparse rows ``{col: int}``; one forward
-elimination (:func:`_echelon`) and one back-substitution over a common
-denominator (:func:`_back_substitute`) give the solution or each kernel
-vector, free variables 0, so results are deterministic.  :func:`rref` adds
-one upward pass.
+but not conversely.  :func:`solve_layered` takes ``[A | b]`` as the int
+layers a :class:`~dgnerve.dgcat.LayerSum` holds (:func:`_columns` reads
+``RingElement`` rows into that array, for the other entries), and
+:func:`_rows`, the one row reader, makes one sparse int row per equation.
+One elimination loop (:func:`_echelon`) first reduces A⁰ once, over the
+body columns, carrying the layers along: pivot rows ``E·[A⁰ | A^l | b]``,
+cokernel rows ``[0 | C·A^l | C·b]``.  Rebuilt from these (:func:`_layered`),
+the layered system differs from the one above by row operations and a
+reordering, which keep its kernel and its greedy column profile, and one
+more pass finds that profile with little left to eliminate, since each
+block l holds the echelon of A⁰.  One back-substitution over a common
+denominator (:func:`_back_substitute`) gives the solution or each kernel
+vector: the one that is zero off the profile, so results are
+deterministic.  :func:`rref` adds one upward pass.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .rings import RATIONALS, RingElement, SquareZeroRing, from_layers
+from .rings import RingElement, SquareZeroRing, from_layers
 
 Matrix = Sequence[Sequence[RingElement]]
 Vector = Sequence[RingElement]
@@ -52,7 +62,7 @@ class NoSolution(ValueError):
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[tuple[int, int]]]:
     """Reduced row echelon form; returns (matrix, pivot (row, col) list).
 
-    :func:`_echelon` on the rows as :func:`_expand` reads them over Q, then
+    :func:`_echelon` on the rows as :func:`_rows` reads them over Q, then
     one upward pass that clears each pivot column, last first, from the rows
     above it; only then is each pivot row divided by its pivot.  Each step
     keeps the row space and the RREF is unique, so the result is the one any
@@ -61,9 +71,10 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     if not rows:
         return [], []
     ncols = len(rows[0])
-    echelon = _echelon(_expand([[from_layers((v.numerator,), v.denominator)
-                                 for v in row] for row in rows],
-                               None, RATIONALS), ncols)
+    matrix = [[from_layers((v.numerator,), v.denominator) for v in row]
+              for row in rows]
+    echelon, _ = _echelon(_rows(_columns(matrix, 1), len(rows), ncols, 1),
+                          ncols)
     for k in range(len(echelon) - 1, 0, -1):
         c, pivot = echelon[k]
         echelon[:k] = [(d, _eliminate(row, pivot, c)) if c in row else (d, row)
@@ -75,26 +86,25 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return mat, [(r, c) for r, (c, _) in enumerate(echelon)]
 
 
-def _echelon(rows: list[dict[int, int]],
-             ncols: int) -> list[tuple[int, dict[int, int]]]:
-    """The one elimination loop, forward only: the (pivot column, row) pairs
-    in column order, each row zero left of its pivot.  Column by column, the
-    first pending row that is nonzero there becomes the pivot row and is
-    eliminated from the pending rows only, so the pivot columns are the
-    greedy column profile of the matrix."""
-    pending = [row for row in rows if row]
-    echelon: list[tuple[int, dict[int, int]]] = []
-    for c in range(ncols):
-        if not pending:
-            break
-        i = next((i for i, row in enumerate(pending) if c in row), None)
-        if i is None:
-            continue
-        pivot = pending.pop(i)
-        pending = [r for r in (_eliminate(row, pivot, c) if c in row else row
-                               for row in pending) if r]
-        echelon.append((c, pivot))
-    return echelon
+def _echelon(rows: list[dict[int, int]], ncols: int) -> tuple[
+        list[tuple[int, dict[int, int]]], list[dict[int, int]]]:
+    """The one elimination loop, forward only over columns ``0 … ncols−1``:
+    the (pivot column, row) pairs in column order, each row zero left of its
+    pivot, and the nonzero rows left over, zero on those columns, in order.
+    Each row in turn is reduced at its leading column by the kept row that
+    leads there until it is zero or leads at a new column, where it is kept.
+    So the kept row at a column is the first row to lead there, and the
+    pivot columns are the greedy column profile of the matrix."""
+    kept: dict[int, dict[int, int]] = {}
+    rest = []
+    for row in rows:
+        while row and (c := min(row)) in kept:
+            row = _eliminate(row, kept[c], c)
+        if row and c < ncols:
+            kept[c] = row
+        elif row:
+            rest.append(row)
+    return sorted(kept.items()), rest
 
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int],
@@ -135,29 +145,56 @@ def _back_substitute(echelon: list[tuple[int, dict[int, int]]],
 
 # -- layered systems over B ---------------------------------------------------
 
-def _expand(matrix: Matrix, rhs: Vector | None,
-            ring: SquareZeroRing) -> list[dict[int, int]]:
-    """The integer rows of the layered rational system, block ``l`` of
-    columns holding ``x^l``; ``rhs``, if given, is the last column.  Every
-    layer of equation ``i`` is scaled by the lcm of its denominators."""
-    ncols = len(matrix[0])
-    m = ring.ideal_rank
-    scales = [lcm(*[e.den for e in row], 1 if rhs is None else rhs[i].den)
-              for i, row in enumerate(matrix)]
-    rows = []
-    for layer in range(m + 1):
-        for i, scale in enumerate(scales):
-            row = {}
-            for j, e in enumerate(matrix[i]):
-                if e.nums[0]:
-                    row[layer * ncols + j] = e.nums[0] * (scale // e.den)
-                if layer and e.nums[layer]:
-                    row[j] = e.nums[layer] * (scale // e.den)
-            if rhs is not None and rhs[i].nums[layer]:
-                row[(m + 1) * ncols] = \
-                    rhs[i].nums[layer] * (scale // rhs[i].den)
-            rows.append(row)
+def _columns(rows: Matrix, w: int) -> list[int]:
+    """The rows of ``[A | b]`` (or of A) as :func:`solve_layered` reads them,
+    each over the lcm of its denominators; only ``w`` layers are read."""
+    height = len(rows)
+    num = [0] * (height * len(rows[0]) * w) if rows else []
+    for i, row in enumerate(rows):
+        scale = lcm(*[e.den for e in row])
+        for j, e in enumerate(row):
+            for layer, v in enumerate(e.nums[:w]):
+                num[(j * height + i) * w + layer] = v * (scale // e.den)
+    return num
+
+
+def _rows(num: Sequence[int], height: int, ncols: int,
+          w: int) -> list[dict[int, int]]:
+    """Equation i of the array as one sparse int row: layer l of unknown j
+    at column ``l·ncols + j``, layer l of b at ``w·ncols + l``."""
+    rows: list[dict[int, int]] = [{} for _ in range(height)]
+    for k in itertools.compress(range(len(num)), num):
+        (j, i), layer = divmod(k // w, height), k % w
+        rows[i][layer * ncols + j if j < ncols else w * ncols + layer] = num[k]
     return rows
+
+
+def _layer(row: dict[int, int], layer: int, ncols: int,
+           width: int) -> dict[int, int]:
+    """A combined row as a row of the layered system in ``layer``: A^l (A⁰
+    in layer 0) in block 0, the body part in block l, b^l at ``width``."""
+    shift = layer * ncols
+    return {width if c >= width else c + shift if c < ncols else c - shift: v
+            for c, v in row.items() if c < ncols or c == width + layer
+            or c < width and c // ncols == layer}
+
+
+def _layered(num: Sequence[int], height: int, ncols: int,
+             m: int) -> list[tuple[int, dict[int, int]]]:
+    """The echelon of the layered system, A⁰ reduced once: the body pass,
+    then one :func:`_echelon` over the body rows ``[R | b⁰]``, then the
+    cokernel rows ``[C·A^l | b^l]`` and the pivot rows ``[E·A^l | R in
+    block l | b^l]`` of each layer.  A cokernel row with ``b⁰ ≠ 0`` raises
+    NoSolution at once."""
+    width, layers = (m + 1) * ncols, range(1, m + 1)
+    body, coker = _echelon(_rows(num, height, ncols, m + 1), ncols)
+    if any(width in row for row in coker):
+        raise NoSolution("inconsistent linear system")
+    pivots = [row for _, row in body]
+    return _echelon([_layer(row, layer, ncols, width) for layer, rows in
+                     [(0, pivots), *((k, coker) for k in layers),
+                      *((k, pivots) for k in layers)] for row in rows],
+                    width + 1)[0]
 
 
 def _ring_vector(x: dict[int, int], den: int, ncols: int,
@@ -168,20 +205,26 @@ def _ring_vector(x: dict[int, int], den: int, ncols: int,
             for j in range(ncols)]
 
 
-def solve_linear(matrix: Matrix, rhs: Vector,
-                 ring: SquareZeroRing) -> list[RingElement]:
-    """Some exact solution of ``A·x = b`` over ``ring``, or NoSolution."""
-    ncols = len(matrix[0]) if matrix else 0
-    if ncols == 0:
-        if any(not b.is_zero() for b in rhs):
-            raise NoSolution("inconsistent linear system (no unknowns)")
-        return []
+def solve_layered(num: Sequence[int], height: int, ncols: int,
+                  ring: SquareZeroRing) -> list[RingElement]:
+    """Some exact solution of ``A·x = b`` over ``ring``, or NoSolution, for
+    ``[A | b]`` as a :class:`~dgnerve.dgcat.LayerSum` holds it: entry (i, j),
+    b in column ``ncols``, has its ``w = ring.ideal_rank + 1`` int layers at
+    ``num[(j·height + i)·w:]``, over a denominator that A and b share."""
     m = ring.ideal_rank
     width = (m + 1) * ncols          # the column of b, where x holds −1
-    echelon = _echelon(_expand(matrix, rhs, ring), width + 1)
+    echelon = _layered(num, height, ncols, m)
     if echelon and echelon[-1][0] == width:
         raise NoSolution("inconsistent linear system")
     return _ring_vector(*_back_substitute(echelon, {width: -1}), ncols, m)
+
+
+def solve_linear(matrix: Matrix, rhs: Vector,
+                 ring: SquareZeroRing) -> list[RingElement]:
+    """Some exact solution of ``A·x = b`` over ``ring``, or NoSolution."""
+    return solve_layered(_columns([[*row, rhs[i]] for i, row in
+                                   enumerate(matrix)], ring.ideal_rank + 1),
+                         len(matrix), len(matrix[0]) if matrix else 0, ring)
 
 
 def nullspace(matrix: Matrix, ring: SquareZeroRing) -> list[list[RingElement]]:
@@ -194,8 +237,7 @@ def nullspace(matrix: Matrix, ring: SquareZeroRing) -> list[list[RingElement]]:
         raise ValueError("nullspace of a matrix with no rows")
     ncols = len(matrix[0])
     m = ring.ideal_rank
-    echelon = _echelon(_expand(matrix, None, ring), (m + 1) * ncols)
+    echelon = _layered(_columns(matrix, m + 1), len(matrix), ncols, m)
     pivots = {c for c, _ in echelon}
     return [_ring_vector(*_back_substitute(echelon, {j: 1}), ncols, m)
             for j in range((m + 1) * ncols) if j not in pivots]
-

@@ -1149,8 +1149,19 @@ def test_witness_counter_instruments_calls(three_term):
 
 def test_witness_rejects_wrong_degree(three_term):
     (obj,) = three_term.objects
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^witness queries require a "
+                                         "degree-0 morphism$"):
         find_equivalence_witness(three_term, three_term.zero(obj, obj, 1))
+
+
+def test_witness_rejects_a_morphism_that_is_not_closed(three_term):
+    (obj,) = three_term.objects
+    basis = [basis_morphism(three_term, obj, obj, 0, j)
+             for j in range(three_term.rank(obj, obj, 0))]
+    alpha = next(e for e in basis if not three_term.differential(e).is_zero())
+    with pytest.raises(ValueError, match="^witness queries require a closed "
+                                         "morphism$"):
+        find_equivalence_witness(three_term, alpha)
 
 
 @pytest.mark.parametrize("alpha_rank, cat_rank", [(2, 1), (1, 0), (0, 1)],

@@ -7,6 +7,7 @@ matrix is singular; the regression tests below pin the counterexamples that
 force the joint formulation.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 
 from dgnerve import dgcat, glin
 from dgnerve.fixtures import random_complex_category, three_term_category
-from dgnerve.glin import NoSolution, nullspace, rref, solve_linear
+from dgnerve.glin import (NoSolution, nullspace, rref, solve_layered,
+                          solve_linear)
 from dgnerve.horn import random_valid_simplex
 from dgnerve.mc import tensor_with_ring
-from dgnerve.rings import RingElement, SquareZeroRing, RATIONALS, random_element
+from dgnerve.rings import (RATIONALS, RingElement, SquareZeroRing, from_layers,
+                           random_element)
 
 from lincomb import degrees
 from nervekit import basis_morphism
@@ -88,6 +91,96 @@ def test_empty_systems():
     assert solve_linear([], [], ring) == []
     with pytest.raises(NoSolution):
         solve_linear([[]], [ring.one()], ring)
+
+
+# ---------------------------------------------------------------------------
+# The array entry and the body-once elimination: edge cases, each outcome
+# as ``solve_linear`` gave it when it eliminated the layered rows directly.
+# ---------------------------------------------------------------------------
+
+B2 = SquareZeroRing(2)
+E1, E2, ONE = B2.generator(0), B2.generator(1), B2.one()
+
+
+def _array(matrix, rhs, ncols, ring):
+    """``[A | b]`` as a ``LayerSum`` holds it: column-major int layers over
+    one denominator shared by every entry."""
+    entries = [e for row in matrix for e in row] + list(rhs)
+    den, w = math.lcm(1, *[e.den for e in entries]), ring.ideal_rank + 1
+    num = [0] * (len(matrix) * (ncols + 1) * w)
+    for i, row in enumerate(matrix):
+        for j, e in enumerate([*row, rhs[i]]):
+            for layer, v in enumerate(e.nums):
+                num[(j * len(matrix) + i) * w + layer] = v * (den // e.den)
+    return num
+
+
+def _echelon_passes(matrix, rhs, ring):
+    """The outcome of ``solve_layered`` on the system, ``==`` to that of
+    ``solve_linear``, and how many passes of ``glin._echelon`` it took."""
+    ncols = len(matrix[0]) if matrix else 0
+    passes = []
+    echelon = glin._echelon
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(glin, "_echelon",
+                      lambda rows, n: passes.append(n) or echelon(rows, n))
+        outcome = _layered_outcome(_array(matrix, rhs, ncols, ring),
+                                   len(matrix), ncols, ring)
+    assert _solve_outcome(matrix, rhs, ring) == outcome
+    return outcome, len(passes)
+
+
+@pytest.mark.parametrize("b, want, passes", [
+    (B2.zero(), [], 2), (ONE, NoSolution, 1), (E1, NoSolution, 2)],
+    ids=["zero", "body", "ideal"])
+def test_no_unknowns(b, want, passes):
+    """n = 0: b = 0 is solved by the empty vector; a body in b is caught by
+    the body pass, an ideal part only by the layer pass."""
+    assert _echelon_passes([[]], [b], B2) == (want, passes)
+
+
+def test_zero_height():
+    """No equations: every unknown is free, so every layer is 0."""
+    assert _echelon_passes([], [], B2) == ([], 2)
+    assert solve_layered([], 0, 2, B2) == [B2.zero()] * 2
+    assert nullspace([[]], B2) == []
+
+
+def test_body_only_systems_leave_the_ideal_layers_zero():
+    """No ideal part anywhere: x^l = 0, and the kernel over B is that of the
+    body once per layer."""
+    a = [[B2.element(1), B2.element(2)], [B2.element(3), B2.element(4)]]
+    b = [B2.element(5), B2.element(6)]
+    assert _echelon_passes(a, b, B2) == \
+        ([B2.element(-4), B2.element("9/2")], 2)
+    singular = [[B2.element(1), B2.element(2)], [B2.element(2), B2.element(4)]]
+    assert _echelon_passes(singular, [ONE, B2.element(2)], B2) == \
+        ([ONE, B2.zero()], 2)
+    assert nullspace(singular, B2) == [
+        [B2.element(-2), ONE], [B2.element(0, [-2, 0]), E1],
+        [B2.element(0, [0, -2]), E2]]
+
+
+def test_inconsistent_in_the_body_pass():
+    """A cokernel row with b⁰ ≠ 0 raises before the layer pass runs."""
+    singular = [[B2.element(1), B2.element(2)], [B2.element(2), B2.element(4)]]
+    assert _echelon_passes(singular, [ONE, B2.element(3)], B2) == \
+        (NoSolution, 1)
+
+
+def test_inconsistent_only_in_the_layer_pass():
+    """x⁰₁ + x⁰₂ = 1 twice is consistent; x¹₁ + x¹₂ = 0 and = 1 is not."""
+    assert _echelon_passes([[ONE, ONE], [ONE, ONE]], [ONE, ONE + E1], B2) == \
+        (NoSolution, 2)
+
+
+def test_coupled_body_and_layers():
+    """x₁ + ε₁x₂ = ε₂, x₁ + x₂ = 1: the layer pass fixes x⁰ and x^l
+    together, and the kernel is zero."""
+    a = [[ONE, E1], [ONE, ONE]]
+    assert _echelon_passes(a, [E2, ONE], B2) == \
+        ([B2.element(0, [-1, 1]), B2.element(1, [1, -1])], 2)
+    assert nullspace(a, B2) == []
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +378,49 @@ def _witness_systems(cat, seed, edges=3):
 
 def _posed_systems(cat, alphas):
     """The linear system each witness query on ``alphas`` hands to
-    ``glin.solve_linear``."""
-    systems = []
+    ``glin.solve_layered``, as (rows, rhs): its array read back into ring
+    elements over the denominator of the ``LayerSum`` that holds it.  The
+    array's outcome is asserted ``==`` to ``solve_linear``'s on them."""
+    systems, arrays, sums = [], [], []
 
-    def record(matrix, rhs, ring):
-        systems.append((matrix, rhs))
-        return solve_linear(matrix, rhs, ring)
+    class Recorded(dgcat.LayerSum):
+        def __init__(self, size, width):
+            super().__init__(size, width)
+            sums.append(self)
+
+    def record(num, height, ncols, ring):
+        w = ring.ideal_rank + 1
+        assert num is sums[-1].num and len(num) == height * (ncols + 1) * w
+
+        def entry(j, i):
+            return from_layers(num[(j * height + i) * w:
+                                   (j * height + i + 1) * w], sums[-1].den)
+
+        rows = [[entry(j, i) for j in range(ncols)] for i in range(height)]
+        rhs = [entry(ncols, i) for i in range(height)]
+        systems.append((rows, rhs))
+        arrays.append((num, height, ncols))
+        return solve_layered(num, height, ncols, ring)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(glin, "solve_linear", record)
+        patch.setattr(dgcat, "LayerSum", Recorded)
+        patch.setattr(glin, "solve_layered", record)
         for alpha in alphas:
             try:
                 dgcat.find_equivalence_witness(cat, alpha)
             except dgcat.NotEquivalence:
                 pass
+    for (rows, rhs), array in zip(systems, arrays):
+        assert _layered_outcome(*array, cat.ring) == \
+            _solve_outcome(rows, rhs, cat.ring)
     return systems
+
+
+def _layered_outcome(num, height, ncols, ring):
+    try:
+        return solve_layered(num, height, ncols, ring)
+    except NoSolution:
+        return NoSolution
 
 
 def _solve_outcome(matrix, rhs, ring):

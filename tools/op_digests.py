@@ -1,5 +1,6 @@
 """Same-outputs digests: one sha256 per benchmark workload, one over the
-samplers and one over MC twists, for comparing two versions of the package.
+samplers, one over MC twists and one over equivalence witnesses, for
+comparing two versions of the package.
 
     python tools/op_digests.py --seeds 3 7
 
@@ -25,6 +26,10 @@ families that ``random_mc_element`` draws at seeds 0–2, and by one family of
 random degree-1 endomorphisms with ``validate=False``; each twisted
 category enters as its ``jsonio.category_to_json`` document and as the
 ``repr`` of its ``diffs``, which keeps the order of columns and entries.
+The ``witness`` digest covers ``dgcat.find_equivalence_witness`` (the
+``repr`` of the ``Witness``, or of the ``NotEquivalence`` it raised) on the
+(0, 1) edge of witnessed and plain ``random_valid_simplex`` draws (n = 1, 2)
+at seeds 0–4, on every fixture and on its ``opposite``, at ideal ranks 0–2.
 """
 
 from __future__ import annotations
@@ -145,6 +150,28 @@ def twist_digest() -> str:
     return digest.hexdigest()
 
 
+def witness_digest() -> str:
+    digest = hashlib.sha256()
+    for name, make in fixtures.FIXTURES.items():
+        for rank in (0, 1, 2):
+            cat = make()
+            if rank:
+                cat = mc.tensor_with_ring(cat, SquareZeroRing(rank))
+            for side, c in (("cat", cat), ("opposite", dgcat.opposite(cat))):
+                for seed in range(5):
+                    rng = random.Random(seed)
+                    for n in (1, 2):
+                        for witnessed in (True, False):
+                            shown = _outcome(
+                                lambda: dgcat.find_equivalence_witness(
+                                    c, horn.random_valid_simplex(
+                                        c, rng, n, witnessed=witnessed)
+                                    .cells[(0, 1)]))
+                            digest.update(f"{name} {rank} {side} {seed} {n} "
+                                          f"{witnessed}\n{shown}\n".encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 7])
@@ -157,6 +184,7 @@ def main() -> int:
         print(name, workload_digest(name, args.seeds, args.workdir))
     print("samplers", sampler_digest())
     print("twist", twist_digest())
+    print("witness", witness_digest())
     shutil.rmtree(args.workdir, ignore_errors=True)
     return 0
 
