@@ -26,13 +26,13 @@ Every layered sum of structure constants times coordinates is one
 ints by one loop.  :class:`MorphismSum` adds morphisms, differentials and
 composites (nerve boundaries and residuals, horn equations and fillers,
 cochains) at the cost of their nonzero coordinates; a sum only tested for
-zero is tested on the ints.  The twisted differential, the witness system
-and the unit laws read whole structure blocks through one block reader,
-:meth:`LayerSum.add_block`; the unit laws keep a sparse sum, since a large
-block's unit meets few of its pairs.  The witness system goes to
-:func:`glin.solve_layered` as its sum holds it, in ints.  Only d² = 0,
-Leibniz and associativity (one sparse join of pre-scaled ints) and the
-scalar product multiply layers on their own.
+zero is tested on the ints.  Cycle bases, the twisted differential, the
+witness system and the unit laws read whole structure blocks through one
+block reader, :meth:`LayerSum.add_block`; the unit laws keep a sparse sum,
+since a large block's unit meets few of its pairs.  The witness system and
+the cycle bases go to :mod:`glin` as int layers, with no ring element
+built.  Only d² = 0, Leibniz and associativity (one sparse join of
+pre-scaled ints) and the scalar product multiply layers on their own.
 """
 
 from __future__ import annotations
@@ -136,27 +136,22 @@ class DgCategory:
                            inner.degree + outer.degree) \
             .add_compose(outer, inner).result()
 
-    def dense_differential(self, source: str, target: str,
-                           degree: int) -> list[list[RingElement]]:
-        """The differential hom_degree → hom_{degree+1} as a dense matrix."""
-        rows = self.rank(source, target, degree + 1)
-        cols_n = self.rank(source, target, degree)
-        mat = [[self.ring.zero() for _ in range(cols_n)] for _ in range(rows)]
-        cols = self.diffs.get((source, target, degree), {})
-        for j, entries in cols.items():
-            for i, a in entries:
-                mat[i][j] = a
-        return mat
-
     def cycle_basis(self, source: str, target: str, degree: int,
                     ring: SquareZeroRing) -> list[list[RingElement]]:
         """The closed elements of ``hom(source, target)_degree`` over ``ring``:
-        ``glin.nullspace`` of the differential if the block above is nonzero,
-        else the unit vectors.  Over ``Q ⊕ I`` the kernel includes
-        ε-multiples, but the unit vectors are bodies only."""
-        if matrix := self.dense_differential(source, target, degree):
-            return glin.nullspace(matrix, ring)
-        n = self.rank(source, target, degree)
+        ``glin.nullspace`` of the ``diffs`` block as ``LayerSum.add_block``
+        reads it, cut to ``ring``'s layers, if the block above is nonzero
+        (with ε-multiples over ``Q ⊕ I``), else the unit vectors (bodies)."""
+        n, m = self.rank(source, target, degree), \
+            self.rank(source, target, degree + 1)
+        if m:
+            w, v = self.ring.ideal_rank + 1, ring.ideal_rank + 1
+            block = LayerSum(m * n, w)
+            block.add_block(self.diffs, (source, target, degree), None, 0,
+                            (m, n), m, 1)
+            return glin.nullspace([block.num[k + i] if i < w else 0
+                                   for k in range(0, m * n * w, w)
+                                   for i in range(v)], m, n, ring)
         return [[ring.one() if i == j else ring.zero() for j in range(n)]
                 for i in range(n)]
 

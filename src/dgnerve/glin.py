@@ -2,9 +2,9 @@
 
 The horn fillers and square-zero lifts need an exact solve for the
 equivalence witness (a, g, h) and kernels of a hom block's differential:
-:func:`solve_linear` and :func:`nullspace`, on lists of rows of
-:class:`~dgnerve.rings.RingElement`, and :func:`solve_layered`, on the
-integer layers that :class:`~dgnerve.dgcat.LayerSum` holds.  Writing
+:func:`solve_layered` and :func:`nullspace`, on the integer layers that
+:class:`~dgnerve.dgcat.LayerSum` holds, and :func:`solve_linear`, on lists
+of rows of :class:`~dgnerve.rings.RingElement`.  Writing
 ``x = x⁰ + Σ_l ε_l·x^l`` and splitting every entry into layers turns
 ``A·x = b`` over ``B = Q ⊕ I`` into a single rational system,
 
@@ -14,30 +14,30 @@ integer layers that :class:`~dgnerve.dgcat.LayerSum` holds.  Writing
 which is solved *jointly*: when the body matrix is singular, the body
 solution must be chosen compatibly with the ideal blocks.  ``A=[[ε]],
 b=[ε]`` has the solution ``x=1`` although the body system is ``0·x = 0``;
-over Q, the kernel of ``[[1, 2]]`` is spanned by ``(−2, 1)``:
+over Q, the kernel of ``[[1, 2]]`` (one layer per entry) is ``Q·(−2, 1)``:
 
 >>> from dgnerve.rings import RATIONALS as Q, SquareZeroRing
 >>> B = SquareZeroRing(1)
 >>> solve_linear([[B.generator(0)]], [B.generator(0)], B) == [B.one()]
 True
->>> nullspace([[Q.element(1), Q.element(2)]], Q) == [[Q.element(-2), Q.one()]]
+>>> nullspace([1, 2], 1, 2, Q) == [[Q.element(-2), Q.one()]]
 True
 
-So solvability over ``B`` implies solvability of the body system over Q,
-but not conversely.  :func:`solve_layered` takes ``[A | b]`` as the int
-layers a :class:`~dgnerve.dgcat.LayerSum` holds (:func:`_columns` reads
-``RingElement`` rows into that array, for the other entries), and
-:func:`_rows`, the one row reader, makes one sparse int row per equation.
-One elimination loop (:func:`_echelon`) first reduces A⁰ once, over the
-body columns, carrying the layers along: pivot rows ``E·[A⁰ | A^l | b]``,
-cokernel rows ``[0 | C·A^l | C·b]``.  Rebuilt from these (:func:`_layered`),
-the layered system differs from the one above by row operations and a
-reordering, which keep its kernel and its greedy column profile, and one
-more pass finds that profile with little left to eliminate, since each
-block l holds the echelon of A⁰.  One back-substitution over a common
-denominator (:func:`_back_substitute`) gives the solution or each kernel
-vector: the one that is zero off the profile, so results are
-deterministic.  :func:`rref` adds one upward pass.
+So solvability over ``B`` implies solvability of the body system over Q, but
+not conversely.  :func:`solve_layered` takes ``[A | b]`` as the int layers a
+:class:`~dgnerve.dgcat.LayerSum` holds (:func:`_columns` reads rows of
+``RingElement`` into that array for :func:`solve_linear` and :func:`rref`),
+and :func:`_rows`, the one row reader, makes one sparse int row per
+equation.  One elimination loop (:func:`_echelon`) first reduces A⁰ once,
+over the body columns, carrying the layers along: pivot rows
+``E·[A⁰ | A^l | b]``, cokernel rows ``[0 | C·A^l | C·b]``.  Rebuilt from these
+(:func:`_layered`), the layered system differs from the one above by row
+operations and a reordering, which keep its kernel and its greedy column
+profile, and one more pass finds that profile with little left to eliminate,
+since each block l holds the echelon of A⁰.  One back-substitution over a
+common denominator (:func:`_back_substitute`) gives the solution or each
+kernel vector: the one that is zero off the profile, so results are
+deterministic.  :func:`rref` reads its free columns off those vectors.
 """
 
 from __future__ import annotations
@@ -62,28 +62,28 @@ class NoSolution(ValueError):
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[tuple[int, int]]]:
     """Reduced row echelon form; returns (matrix, pivot (row, col) list).
 
-    :func:`_echelon` on the rows as :func:`_rows` reads them over Q, then
-    one upward pass that clears each pivot column, last first, from the rows
-    above it; only then is each pivot row divided by its pivot.  Each step
-    keeps the row space and the RREF is unique, so the result is the one any
-    exact elimination gives: the pivot rows in column order, then zero rows.
+    The echelon that :func:`_echelon` builds over Q fixes the pivot columns.
+    Pivot row r, at column c, holds 1 there and ``−v_f[c]`` at each free
+    column f, where v_f is the kernel vector of :func:`_back_substitute`, 1
+    at f and 0 at the other free columns.  The RREF is unique, so this is
+    the one any exact elimination gives: the pivot rows in column order,
+    then zero rows.
     """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if rows else 0
     matrix = [[from_layers((v.numerator,), v.denominator) for v in row]
               for row in rows]
     echelon, _ = _echelon(_rows(_columns(matrix, 1), len(rows), ncols, 1),
                           ncols)
-    for k in range(len(echelon) - 1, 0, -1):
-        c, pivot = echelon[k]
-        echelon[:k] = [(d, _eliminate(row, pivot, c)) if c in row else (d, row)
-                       for d, row in echelon[:k]]
+    pivots = [c for c, _ in echelon]
     mat = [[Fraction(0)] * ncols for _ in rows]
-    for r, (c, row) in enumerate(echelon):
-        for j, v in row.items():
-            mat[r][j] = Fraction(v, row[c])
-    return mat, [(r, c) for r, (c, _) in enumerate(echelon)]
+    for row, c in zip(mat, pivots):
+        row[c] = Fraction(1)
+    for f in set(range(ncols)) - set(pivots):
+        x, den = _back_substitute(echelon, {f: 1})
+        for row, c in zip(mat, pivots):
+            if c in x:
+                row[f] = Fraction(-x[c], den)
+    return mat, list(enumerate(pivots))
 
 
 def _echelon(rows: list[dict[int, int]], ncols: int) -> tuple[
@@ -227,17 +227,13 @@ def solve_linear(matrix: Matrix, rhs: Vector,
                          len(matrix), len(matrix[0]) if matrix else 0, ring)
 
 
-def nullspace(matrix: Matrix, ring: SquareZeroRing) -> list[list[RingElement]]:
+def nullspace(num: Sequence[int], height: int, ncols: int,
+              ring: SquareZeroRing) -> list[list[RingElement]]:
     """A rational basis of ``{x : A·x = 0}`` over ``ring`` (as a Q-space),
-    one vector per free column, 1 there and 0 at the other free columns.
-
-    It reads only the layers ``ring`` has: over RATIONALS, only bodies.
-    """
-    if not matrix:      # the kernel is all of Q^n, but n is unknown
-        raise ValueError("nullspace of a matrix with no rows")
-    ncols = len(matrix[0])
+    one vector per free column, 1 there and 0 at the other free columns,
+    for A as :func:`solve_layered` takes it, with no b column."""
     m = ring.ideal_rank
-    echelon = _layered(_columns(matrix, m + 1), len(matrix), ncols, m)
+    echelon = _layered(num, height, ncols, m)
     pivots = {c for c, _ in echelon}
     return [_ring_vector(*_back_substitute(echelon, {j: 1}), ncols, m)
             for j in range((m + 1) * ncols) if j not in pivots]

@@ -255,22 +255,13 @@ class NerveCochain:
 
 
 def cochain_equal(left: NerveCochain, right: NerveCochain) -> bool:
-    if (left.degree, left.source.objects, left.target.objects) != \
-            (right.degree, right.source.objects, right.target.objects):
-        return False
-    keys = set(left.components) | set(right.components)
-    for seq in keys:
-        a = left.components.get(seq)
-        b = right.components.get(seq)
-        if a is None:
-            if not b.is_zero():
-                return False
-        elif b is None:
-            if not a.is_zero():
-                return False
-        elif a != b:
-            return False
-    return True
+    """Same degree, same vertex objects and the same nonzero components: a
+    stored zero counts as absent."""
+    def nonzero(c: NerveCochain) -> dict[Seq, Morphism]:
+        return {s: f for s, f in c.components.items() if not f.is_zero()}
+    return (left.degree, left.source.objects, left.target.objects) == \
+        (right.degree, right.source.objects, right.target.objects) and \
+        nonzero(left) == nonzero(right)
 
 
 def _add_faces(total: MorphismSum, parts: Mapping[Seq, Morphism], seq: Seq,

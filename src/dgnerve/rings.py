@@ -13,11 +13,7 @@ equal elements are stored alike and arithmetic runs on ints.  ``body`` and
 ``ideal`` read the layers as ``Fraction``s.  Multiplication truncates all
 ε·ε terms,
 
-    (b + v)·(b′ + v′) = b·b′ + (b·v′ + b′·v),
-
-and an element is a unit exactly when its body is nonzero,
-
-    (b + v)⁻¹ = b⁻¹ − b⁻²·v.
+    (b + v)·(b′ + v′) = b·b′ + (b·v′ + b′·v).
 
 The rank-0 ring is plain Q; quotienting by the ideal is just dropping the
 ideal layers.
@@ -26,16 +22,10 @@ ideal layers.
 >>> x = B.element(2, [5])
 >>> x * x == B.element(4, [20])
 True
->>> x * x.invert() == B.one()
-True
 >>> reduce_mod_ideal(x).body
 Fraction(2, 1)
 >>> B.element("1/2", ["1/3"]).nums, B.element("1/2", ["1/3"]).den
 ((3, 2), 6)
->>> B.element(0, [1]).invert()
-Traceback (most recent call last):
-    ...
-dgnerve.rings.NotAUnit: element with body 0 is not invertible
 """
 
 from __future__ import annotations
@@ -48,10 +38,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, "RingElement"]
-
-
-class NotAUnit(ArithmeticError):
-    """Raised when inverting an element whose body vanishes."""
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -124,12 +110,6 @@ class RingElement:
     def __neg__(self) -> "RingElement":
         return from_layers([-v for v in self.nums], self.den)
 
-    def __sub__(self, other: Scalar) -> "RingElement":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: Scalar) -> "RingElement":
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other: Scalar) -> "RingElement":
         o = self._coerce(other)
         a, c = self.nums, o.nums
@@ -141,12 +121,6 @@ class RingElement:
         return from_layers(nums, self.den * o.den)
 
     __rmul__ = __mul__
-
-    def invert(self) -> "RingElement":
-        (n0, *ideal), den = self.nums, self.den
-        if n0 == 0:
-            raise NotAUnit("element with body 0 is not invertible")
-        return from_layers([den * n0] + [-den * v for v in ideal], n0 * n0)
 
 
 def from_layers(nums: Sequence[int], den: int) -> RingElement:

@@ -1,13 +1,16 @@
 """Constructions that only the tests use: basis morphisms, the
 directed-interval category, identity simplices, the sixteen candidate sign
 patterns, a simplex read backwards in the opposite category, the reduction
-of a filler mod the ideal, and a cochain's component with absent sequences
-read as zero.
+of a filler mod the ideal, a cochain's component with absent sequences
+read as zero, a hom differential as a dense matrix, and the kernel of a
+matrix given as rows of ring elements.
 """
 
 import itertools
+import math
 
 from dgnerve.dgcat import DgCategory, Morphism
+from dgnerve.glin import nullspace
 from dgnerve.horn import Filler, _op_cells
 from dgnerve.mc import reduce_morphism
 from dgnerve.nerve import NerveSimplex, SignPattern, increasing_sequences
@@ -88,3 +91,34 @@ def component(cat, cochain, seq):
     return cat.zero(cochain.source.objects[seq[0]],
                     cochain.target.objects[seq[-1]],
                     cochain.degree - (len(seq) - 1))
+
+
+def dense_differential(cat, source, target, degree):
+    """The differential hom_degree → hom_{degree+1} as a dense matrix."""
+    rows = cat.rank(source, target, degree + 1)
+    mat = [[cat.ring.zero()] * cat.rank(source, target, degree)
+           for _ in range(rows)]
+    for j, entries in cat.diffs.get((source, target, degree), {}).items():
+        for i, a in entries:
+            mat[i][j] = a
+    return mat
+
+
+def layer_array(rows, ring):
+    """The rows as a ``LayerSum`` holds them: column-major int layers, the
+    first ``ring.ideal_rank + 1`` of each entry, over one denominator that
+    every entry shares."""
+    entries = [e for row in rows for e in row]
+    den, w = math.lcm(1, *[e.den for e in entries]), ring.ideal_rank + 1
+    num = [0] * (len(entries) * w)
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            for layer, v in enumerate(e.nums[:w]):
+                num[(j * len(rows) + i) * w + layer] = v * (den // e.den)
+    return num
+
+
+def kernel(matrix, ring):
+    """``glin.nullspace`` of A given as rows of ring elements."""
+    return nullspace(layer_array(matrix, ring), len(matrix),
+                     len(matrix[0]) if matrix else 0, ring)

@@ -22,7 +22,7 @@ from math import lcm
 import pytest
 
 from dgnerve import fixtures, jsonio
-from dgnerve.glin import nullspace, solve_linear
+from dgnerve.glin import solve_linear
 from dgnerve.dgcat import (
     ChainComplex,
     DgCategory,
@@ -44,7 +44,8 @@ from dgnerve.fixtures import three_term_category
 from dgnerve.mc import tensor_with_ring, twist
 from dgnerve.rings import RATIONALS, SquareZeroRing
 from lincomb import degrees, lin
-from nervekit import basis_morphism, interval_category
+from nervekit import (basis_morphism, dense_differential, interval_category,
+                      kernel)
 
 
 def flip_one_diff_sign(cat):
@@ -1022,17 +1023,17 @@ def test_full_size_random_category_passes_axioms():
 def _reference_edge_basis(cat, x, y, t):
     """Oracle: the edge sampler's basis over ``cat.ring``, as its own code."""
     ncols = cat.rank(x, y, t)
-    matrix = cat.dense_differential(x, y, t)
+    matrix = dense_differential(cat, x, y, t)
     if matrix:
-        return nullspace(matrix, cat.ring)
+        return kernel(matrix, cat.ring)
     return [basis_morphism(cat, x, y, t, j).coords for j in range(ncols)]
 
 
 def _reference_mc_basis(cat, x, y, t):
     """Oracle: the MC sampler's body basis over Q, as its own code."""
     rank = cat.rank(x, y, t)
-    dense = cat.dense_differential(x, y, t)
-    return ([[e.body for e in vec] for vec in nullspace(dense, RATIONALS)]
+    dense = dense_differential(cat, x, y, t)
+    return ([[e.body for e in vec] for vec in kernel(dense, RATIONALS)]
             if dense else [[Fraction(int(i == j)) for j in range(rank)]
                            for i in range(rank)])
 
@@ -1053,6 +1054,23 @@ def test_cycle_basis_matches_both_samplers(name, rank):
             _reference_mc_basis(cat, x, y, t)
         above_zero += cat.rank(x, y, t + 1) == 0
     assert above_zero > 0
+
+
+@pytest.mark.parametrize("row", [-1, 3], ids=["minus_one", "rank"])
+def test_cycle_basis_refuses_an_entry_outside_its_block(row):
+    """A hand-built ``diffs`` entry at row −1, or at the rank 3 of the block
+    above, is refused with the block named, over the category's ring and
+    over Q: not read from the end, nor left to an IndexError."""
+    cat = fixtures.FIXTURES["complexes_a"]()
+    key = ("A", "A", -1)
+    assert cat.rank("A", "A", 0) == 3
+    (_, a), *rest = cat.diffs[key][0]
+    cols = {**cat.diffs[key], 0: ((row, a), *rest)}
+    bad = dataclasses.replace(cat, diffs={**cat.diffs, key: cols})
+    for ring in (cat.ring, RATIONALS):
+        with pytest.raises(ValueError, match=r"^block \('A', 'A', -1\) has "
+                                             r"an entry outside its 3×2 "):
+            bad.cycle_basis("A", "A", -1, ring)
 
 
 # ---------------------------------------------------------------------------

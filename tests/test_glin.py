@@ -7,7 +7,6 @@ matrix is singular; the regression tests below pin the counterexamples that
 force the joint formulation.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from dgnerve.rings import (RATIONALS, RingElement, SquareZeroRing, from_layers,
                            random_element)
 
 from lincomb import degrees
-from nervekit import basis_morphism
+from nervekit import basis_morphism, dense_differential, kernel, layer_array
 from test_morphism_sum import CATEGORY_NAMES, category, fractional_category
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -102,19 +101,6 @@ B2 = SquareZeroRing(2)
 E1, E2, ONE = B2.generator(0), B2.generator(1), B2.one()
 
 
-def _array(matrix, rhs, ncols, ring):
-    """``[A | b]`` as a ``LayerSum`` holds it: column-major int layers over
-    one denominator shared by every entry."""
-    entries = [e for row in matrix for e in row] + list(rhs)
-    den, w = math.lcm(1, *[e.den for e in entries]), ring.ideal_rank + 1
-    num = [0] * (len(matrix) * (ncols + 1) * w)
-    for i, row in enumerate(matrix):
-        for j, e in enumerate([*row, rhs[i]]):
-            for layer, v in enumerate(e.nums):
-                num[(j * len(matrix) + i) * w + layer] = v * (den // e.den)
-    return num
-
-
 def _echelon_passes(matrix, rhs, ring):
     """The outcome of ``solve_layered`` on the system, ``==`` to that of
     ``solve_linear``, and how many passes of ``glin._echelon`` it took."""
@@ -124,8 +110,9 @@ def _echelon_passes(matrix, rhs, ring):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(glin, "_echelon",
                       lambda rows, n: passes.append(n) or echelon(rows, n))
-        outcome = _layered_outcome(_array(matrix, rhs, ncols, ring),
-                                   len(matrix), ncols, ring)
+        outcome = _layered_outcome(
+            layer_array([[*row, b] for row, b in zip(matrix, rhs)], ring),
+            len(matrix), ncols, ring)
     assert _solve_outcome(matrix, rhs, ring) == outcome
     return outcome, len(passes)
 
@@ -143,7 +130,7 @@ def test_zero_height():
     """No equations: every unknown is free, so every layer is 0."""
     assert _echelon_passes([], [], B2) == ([], 2)
     assert solve_layered([], 0, 2, B2) == [B2.zero()] * 2
-    assert nullspace([[]], B2) == []
+    assert kernel([[]], B2) == []
 
 
 def test_body_only_systems_leave_the_ideal_layers_zero():
@@ -156,7 +143,7 @@ def test_body_only_systems_leave_the_ideal_layers_zero():
     singular = [[B2.element(1), B2.element(2)], [B2.element(2), B2.element(4)]]
     assert _echelon_passes(singular, [ONE, B2.element(2)], B2) == \
         ([ONE, B2.zero()], 2)
-    assert nullspace(singular, B2) == [
+    assert kernel(singular, B2) == [
         [B2.element(-2), ONE], [B2.element(0, [-2, 0]), E1],
         [B2.element(0, [0, -2]), E2]]
 
@@ -180,7 +167,7 @@ def test_coupled_body_and_layers():
     a = [[ONE, E1], [ONE, ONE]]
     assert _echelon_passes(a, [E2, ONE], B2) == \
         ([B2.element(0, [-1, 1]), B2.element(1, [1, -1])], 2)
-    assert nullspace(a, B2) == []
+    assert kernel(a, B2) == []
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +236,7 @@ def test_nullspace_vectors_annihilate():
         for trial in range(10):
             nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 6)
             a = random_matrix(ring, rng, nrows, ncols)
-            basis = nullspace(a, ring)
+            basis = kernel(a, ring)
             zero = [ring.zero()] * nrows
             for vec in basis:
                 assert mat_vec(a, vec, ring) == zero
@@ -259,18 +246,20 @@ def test_rational_nullspace_dimension():
     # rank-nullity on a rank-1 rational matrix.
     rows = [[Fraction(1), Fraction(2), Fraction(3)],
             [Fraction(2), Fraction(4), Fraction(6)]]
-    basis = nullspace(matrix_of(RATIONALS, rows), RATIONALS)
+    basis = kernel(matrix_of(RATIONALS, rows), RATIONALS)
     assert len(basis) == 2
     for vec in basis:
         assert sum(c * v.body for c, v in zip(rows[0], vec)) == 0
 
 
 def test_rational_nullspace_of_zero_rows():
-    # The kernel of a 0×n map is all of Q^n, but rows are what carry n: an
-    # empty answer would claim the kernel is {0}, so this is an error.
+    # The kernel of a 0×n map is the whole space: the array states n, so
+    # height 0 gives every unit vector, over B once per layer.
     for ring in (RATIONALS, SquareZeroRing(1)):
-        with pytest.raises(ValueError):
-            nullspace([], ring)
+        units = [ring.one(), *map(ring.generator, range(ring.ideal_rank))]
+        assert nullspace([], 0, 3, ring) == [
+            [u if k == j else ring.zero() for k in range(3)]
+            for u in units for j in range(3)]
 
 
 @settings(max_examples=60)
@@ -570,7 +559,7 @@ def test_witness_systems_match_reference(build, rank):
         if x is not NoSolution:
             assert mat_vec(a, x, ring) == list(b)
         zero = [ring.zero()] * len(a)
-        for v in nullspace(a, ring):
+        for v in kernel(a, ring):
             assert mat_vec(a, v, ring) == zero
 
 
@@ -639,7 +628,7 @@ def _assert_layered_match(systems, ring):
     outcomes = []
     for a, b in systems:
         outcomes.append(_solve_outcome(a, b, ring))
-        assert (outcomes[-1], nullspace(a, ring)) == \
+        assert (outcomes[-1], kernel(a, ring)) == \
             _reference_layered(a, b, ring)
     return outcomes
 
@@ -706,10 +695,10 @@ def test_hom_rank_ladder_witness_systems_match_dense_reference(d, rank):
 
 
 def _differential_blocks(cat):
-    """The dense differential of every hom block with a nonzero target."""
-    return [dense for x in cat.objects for y in cat.objects
+    """Every hom block with a nonzero target, with its dense differential."""
+    return [((x, y, t), dense) for x in cat.objects for y in cat.objects
             for t in degrees(cat, x, y)
-            if (dense := cat.dense_differential(x, y, t))]
+            if (dense := dense_differential(cat, x, y, t))]
 
 
 def _assert_body_kernel(dense):
@@ -718,7 +707,7 @@ def _assert_body_kernel(dense):
     ncols = len(dense[0])
     want = _reference_kernel(*_reference_rref([[e.body for e in row]
                                                for row in dense]), ncols)
-    got = nullspace(dense, RATIONALS)
+    got = kernel(dense, RATIONALS)
     assert all(len(e.nums) == 1 for vec in got for e in vec)
     assert [[e.body for e in vec] for vec in got] == want
 
@@ -727,14 +716,17 @@ def _assert_body_kernel(dense):
 def test_body_kernels_match_reference(name):
     """Every hom block's differential, over the category, its opposite and
     its scalar extensions to ranks 1 and 2 (``ideal_twisted`` has ideal
-    layers in its differentials)."""
+    layers in its differentials); ``cycle_basis`` over RATIONALS, which
+    reads the block through ``add_block``, gives the same vectors."""
     for rank in (0, 1, 2):
         cat = category(name, rank)
         for c in (cat, dgcat.opposite(cat)):
             blocks = _differential_blocks(c)
             assert blocks
-            for dense in blocks:
+            for block, dense in blocks:
                 _assert_body_kernel(dense)
+                assert c.cycle_basis(*block, RATIONALS) == \
+                    kernel(dense, RATIONALS)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -750,4 +742,4 @@ def test_body_kernel_skips_ideal_layers(rank):
              [ring.element(0, half), ring.zero(), ring.element(0, ["1/5"])]]
     assert dense[0][0].den == 2 and dense[0][0].body.denominator == 1
     _assert_body_kernel(dense)
-    assert len(nullspace(dense, RATIONALS)) == 2
+    assert len(kernel(dense, RATIONALS)) == 2

@@ -23,7 +23,6 @@ from dgnerve.dgcat import (Morphism, MorphismSum, NotEquivalence,
                            make_complex_category, opposite,
                            reset_witness_calls, witness_call_count)
 from dgnerve.fixtures import FIXTURES
-from dgnerve.glin import nullspace
 from dgnerve.horn import (
     CannotFillOuterHorn,
     Filler,
@@ -52,8 +51,8 @@ from dgnerve.nerve import (PINNED, NerveSimplex, degeneracy, validate_simplex,
                            validate_star)
 from dgnerve.rings import RATIONALS, SquareZeroRing
 from lincomb import lin
-from nervekit import (basis_morphism, identity_simplex, opposite_simplex,
-                      reduce_filler)
+from nervekit import (basis_morphism, dense_differential, identity_simplex,
+                      kernel, opposite_simplex, reduce_filler)
 
 GRID = [(2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2)]
 
@@ -580,9 +579,9 @@ def _reference_random_edge_simplex(cat, rng, witnessed):
     ncols = cat.rank(X, Y, 0)
     edge = MorphismSum(cat, X, Y, 0)
     if ncols:
-        matrix = cat.dense_differential(X, Y, 0)
+        matrix = dense_differential(cat, X, Y, 0)
         if matrix:
-            basis = nullspace(matrix, cat.ring)
+            basis = kernel(matrix, cat.ring)
         else:
             basis = [basis_morphism(cat, X, Y, 0, j).coords
                      for j in range(ncols)]

@@ -95,6 +95,14 @@ def test_only_the_cli_imports_jsonio():
             if "jsonio" in imported_modules(path)] == ["cli.py"]
 
 
+def test_only_dgcat_imports_glin():
+    """Exact solving sits behind the category: kernels and witness solves
+    are reached through ``DgCategory.cycle_basis`` and
+    ``find_equivalence_witness``, and no other module imports ``glin``."""
+    assert [path.name for path in PACKAGE
+            if "glin" in imported_modules(path)] == ["dgcat.py"]
+
+
 @pytest.mark.parametrize("source, modules", [
     ("import os.path\n", {"os.path"}),
     ("from fractions import Fraction\n", {"fractions"}),

@@ -515,3 +515,6 @@ def test_cochain_equal_reads_a_stored_zero_as_absent(three_term):
     stored = NerveCochain(f, f, 0, {**rest, seq: zero})
     assert cochain_equal(omitted, stored) and cochain_equal(stored, omitted)
     assert not cochain_equal(omitted, c) and not cochain_equal(c, omitted)
+    shifted = NerveCochain(f, f, 1, rest)       # another degree, same parts
+    assert not cochain_equal(omitted, shifted)
+    assert not cochain_equal(shifted, omitted)

@@ -1,6 +1,6 @@
 """Same-outputs digests: one sha256 per benchmark workload, one over the
-samplers, one over MC twists and one over equivalence witnesses, for
-comparing two versions of the package.
+samplers, one over MC twists, one over equivalence witnesses and one over
+kernels, for comparing two versions of the package.
 
     python tools/op_digests.py --seeds 3 7
 
@@ -30,6 +30,11 @@ The ``witness`` digest covers ``dgcat.find_equivalence_witness`` (the
 ``repr`` of the ``Witness``, or of the ``NotEquivalence`` it raised) on the
 (0, 1) edge of witnessed and plain ``random_valid_simplex`` draws (n = 1, 2)
 at seeds 0–4, on every fixture and on its ``opposite``, at ideal ranks 0–2.
+The ``kernels`` digest covers ``glin.rref`` (over the bodies) on every
+differential of the ``random_complex`` draws that the ``samplers`` digest
+makes, and ``DgCategory.cycle_basis`` on every hom block of every fixture at
+ideal ranks 0–2, over the category's ring and over ``RATIONALS``; no
+workload reaches ``rref`` outside its set-up.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from dgnerve import cli, dgcat, fixtures, horn, jsonio, mc  # noqa: E402
+from dgnerve import cli, dgcat, fixtures, glin, horn, jsonio, mc  # noqa: E402
 from dgnerve.rings import RATIONALS, SquareZeroRing  # noqa: E402
 
 _stderr: list[str] = []
@@ -172,6 +177,32 @@ def witness_digest() -> str:
     return digest.hexdigest()
 
 
+def kernels_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(5):
+        rng = random.Random(seed)
+        for size in range(1, 9):
+            for degrees in ({}, {"min_degree": -1, "max_degree": 3}):
+                cx = dgcat.random_complex(RATIONALS, rng, total_dim=size,
+                                          **degrees)
+                for degree, matrix in sorted(cx.d.items()):
+                    shown = _outcome(lambda: glin.rref(
+                        [[e.body for e in row] for row in matrix]))
+                    digest.update(f"rref {seed} {size} {degrees} {degree}\n"
+                                  f"{shown}\n".encode())
+    for name, make in fixtures.FIXTURES.items():
+        for rank in (0, 1, 2):
+            cat = make()
+            if rank:
+                cat = mc.tensor_with_ring(cat, SquareZeroRing(rank))
+            for block in sorted(cat.ranks):
+                for ring in (cat.ring, RATIONALS):
+                    shown = _outcome(lambda: cat.cycle_basis(*block, ring))
+                    digest.update(f"{name} {rank} {block} {ring.ideal_rank}"
+                                  f"\n{shown}\n".encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 7])
@@ -185,6 +216,7 @@ def main() -> int:
     print("samplers", sampler_digest())
     print("twist", twist_digest())
     print("witness", witness_digest())
+    print("kernels", kernels_digest())
     shutil.rmtree(args.workdir, ignore_errors=True)
     return 0
 
