@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import glin
 from .rings import (RATIONALS, RingElement, SquareZeroRing, from_layers,
-                    random_element)
+                    random_elements)
 
 Entries = tuple[tuple[int, RingElement], ...]   # sparse coordinate vector
 SparseCols = dict[int, Entries]                 # column index → image entries
@@ -159,12 +159,9 @@ class DgCategory:
                         rng: random.Random, *,
                         ideal_noise: bool = True,
                         ideal_only: bool = False) -> Morphism:
-        n = self.rank(source, target, degree)
-        return Morphism(source, target, degree,
-                        tuple(random_element(self.ring, rng,
-                                             ideal_noise=ideal_noise,
-                                             ideal_only=ideal_only)
-                              for _ in range(n)))
+        return Morphism(source, target, degree, random_elements(
+            self.ring, rng, self.rank(source, target, degree),
+            ideal_noise=ideal_noise, ideal_only=ideal_only))
 
 
 class LayerSum:

@@ -185,11 +185,13 @@ def _layered(num: Sequence[int], height: int, ncols: int,
     then one :func:`_echelon` over the body rows ``[R | b⁰]``, then the
     cokernel rows ``[C·A^l | b^l]`` and the pivot rows ``[E·A^l | R in
     block l | b^l]`` of each layer.  A cokernel row with ``b⁰ ≠ 0`` raises
-    NoSolution at once."""
+    NoSolution at once.  Over Q (m = 0) the body echelon is the answer."""
     width, layers = (m + 1) * ncols, range(1, m + 1)
     body, coker = _echelon(_rows(num, height, ncols, m + 1), ncols)
     if any(width in row for row in coker):
         raise NoSolution("inconsistent linear system")
+    if not m:
+        return body
     pivots = [row for _, row in body]
     return _echelon([_layer(row, layer, ncols, width) for layer, rows in
                      [(0, pivots), *((k, coker) for k in layers),

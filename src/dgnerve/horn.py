@@ -395,45 +395,44 @@ def _random_edge_simplex(cat: DgCategory, rng: random.Random,
 def random_valid_simplex(cat: DgCategory, rng: random.Random, n: int, *,
                          witnessed: bool = True) -> NerveSimplex:
     """A random simplex passing validate_simplex (and, when ``witnessed``,
-    validate_star), built bottom-up.
+    validate_star), built bottom-up in one loop.
 
     Dimension 1 samples closed edges (witnessed: unit·identity + exact
-    term, which always admits a witness).  Higher dimensions degenerate a
-    random (n−1)-sample and then shake every top-adjacent cell with moves
-    that preserve all residuals exactly: adding d(ξ) to a codim-1 face
-    while correcting the top cell through the face or cut term it feeds.
+    term, which always admits a witness).  Each level m = 2 … n degenerates
+    the (m−1)-simplex at ``rng.randrange(m)``, then shakes every
+    top-adjacent cell with moves that preserve all residuals exactly:
+    adding d(ξ) to a codim-1 face while correcting the top cell through the
+    face or cut term it feeds, then adds d(ζ) to the top cell.
     """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     if n == 0:
         return NerveSimplex((rng.choice(cat.objects),), {})
-    if n == 1:
-        return _random_edge_simplex(cat, rng, witnessed)
-    base = random_valid_simplex(cat, rng, n - 1, witnessed=witnessed)
-    simplex = degeneracy(cat, base, rng.randrange(n))
-    objects = simplex.objects
-    cells = dict(simplex.cells)
-    full = tuple(range(n + 1))
-    first, last = objects[0], objects[-1]
-    # the degenerate top cell spans both copies of a vertex, so it is zero
-    top = MorphismSum(cat, first, last, 1 - n)
 
     def shake(seq: Seq, xi: Morphism) -> None:   # cells[seq] += d(ξ)
         cells[seq] = MorphismSum(cat, xi.source, xi.target, xi.degree + 1) \
             .add(cells[seq]).add_differential(xi).result()
-    for a in range(1, n):
-        xi = cat.random_morphism(first, last, 1 - n, rng)
-        shake(full[:a] + full[a + 1:], xi)
-        top.add(xi, PINNED.face_sign(a, n))
-    xi1 = cat.random_morphism(objects[1], last, 1 - n, rng)
-    shake(full[1:], xi1)
-    top.add_compose(xi1, cells[(0, 1)])
-    xi2 = cat.random_morphism(first, objects[-2], 1 - n, rng)
-    shake(full[:-1], xi2)
-    top.add_compose(cells[(n - 1, n)], xi2, (-1) ** n)
-    zeta = cat.random_morphism(first, last, -n, rng)
-    cells[full] = top.add_differential(zeta).result()
-    return NerveSimplex(objects, cells)
+    simplex = _random_edge_simplex(cat, rng, witnessed)
+    for m in range(2, n + 1):
+        # degeneracy's new dict is this level's to write
+        simplex = degeneracy(cat, simplex, rng.randrange(m))
+        objects, cells, full = simplex.objects, simplex.cells, (*range(m + 1),)
+        first, last = objects[0], objects[-1]
+        # the degenerate top cell spans both copies of a vertex, so it is zero
+        top = MorphismSum(cat, first, last, 1 - m)
+        for a in range(1, m):
+            xi = cat.random_morphism(first, last, 1 - m, rng)
+            shake(full[:a] + full[a + 1:], xi)
+            top.add(xi, PINNED.face_sign(a, m))
+        xi1 = cat.random_morphism(objects[1], last, 1 - m, rng)
+        shake(full[1:], xi1)
+        top.add_compose(xi1, cells[(0, 1)])
+        xi2 = cat.random_morphism(first, objects[-2], 1 - m, rng)
+        shake(full[:-1], xi2)
+        top.add_compose(cells[(m - 1, m)], xi2, (-1) ** m)
+        zeta = cat.random_morphism(first, last, -m, rng)
+        cells[full] = top.add_differential(zeta).result()
+    return simplex
 
 
 def random_horn(cat: DgCategory, rng: random.Random, n: int, k: int, *,

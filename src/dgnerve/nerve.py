@@ -71,10 +71,8 @@ PINNED = SignPattern()
 def increasing_sequences(n: int) -> list[Seq]:
     """All strictly increasing sequences of at least two vertices in {0..n},
     shortest first."""
-    out: list[Seq] = []
-    for length in range(2, n + 2):
-        out.extend(itertools.combinations(range(n + 1), length))
-    return out
+    return [seq for length in range(2, n + 2)
+            for seq in itertools.combinations(range(n + 1), length)]
 
 
 @dataclass(frozen=True)
@@ -203,38 +201,34 @@ def face(simplex: NerveSimplex, i: int) -> NerveSimplex:
     if not 0 <= i <= n:
         raise ValueError("face index out of range")
     objects = simplex.objects[:i] + simplex.objects[i + 1:]
-
-    def old_vertex(v: int) -> int:
-        return v if v < i else v + 1
-
-    cells = {}
-    for seq in increasing_sequences(n - 1):
-        cells[seq] = simplex.cell(tuple(old_vertex(v) for v in seq))
-    return NerveSimplex(objects, cells)
+    old = (*range(i), *range(i + 1, n + 1))          # new vertex → old
+    return NerveSimplex(objects, {
+        seq: simplex.cell(tuple(old[v] for v in seq))
+        for seq in increasing_sequences(n - 1)})
 
 
 def degeneracy(cat: DgCategory, simplex: NerveSimplex, i: int) -> NerveSimplex:
     """Repeat vertex i; the new (i, i+1) edge is the identity, and cells
-    spanning both copies otherwise vanish (strict unitality)."""
+    spanning both copies otherwise vanish (strict unitality).  Each other
+    cell is the one at the sequence's image, which ``combinations`` over the
+    images of the new vertices gives in step with
+    :func:`increasing_sequences`, so the cells come in that order."""
     n = simplex.n
     if not 0 <= i <= n:
         raise ValueError("degeneracy index out of range")
     objects = simplex.objects[:i + 1] + simplex.objects[i:]
-
-    def collapse(v: int) -> int:
-        return v if v <= i else v - 1
-
-    cells = {}
-    for seq in increasing_sequences(n + 1):
-        k = len(seq) - 1
-        if i in seq and i + 1 in seq:
-            if seq == (i, i + 1):
-                cells[seq] = cat.identity(simplex.objects[i])
-            else:
-                cells[seq] = cat.zero(objects[seq[0]], objects[seq[-1]], 1 - k)
-            continue
-        image = tuple(sorted({collapse(v) for v in seq}))
-        cells[seq] = simplex.cell(image)
+    collapse = (*range(i + 1), *range(i, n + 1))
+    images = (image for length in range(2, n + 3)
+              for image in itertools.combinations(collapse, length))
+    old, cells = simplex.cells, {}
+    for seq, image in zip(increasing_sequences(n + 1), images):
+        if i not in seq or i + 1 not in seq:
+            cells[seq] = old[image]
+        elif len(seq) == 2:
+            cells[seq] = cat.identity(simplex.objects[i])
+        else:
+            cells[seq] = cat.zero(objects[seq[0]], objects[seq[-1]],
+                                  2 - len(seq))
     return NerveSimplex(objects, cells)
 
 

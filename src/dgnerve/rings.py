@@ -195,17 +195,29 @@ class SquareZeroRing:
 RATIONALS = SquareZeroRing(0)
 
 
-def random_element(ring: SquareZeroRing, rng: random.Random, *,
-                   span: int = 2, max_denominator: int = 2,
-                   ideal_noise: bool = True,
-                   ideal_only: bool = False) -> RingElement:
-    """A random element of ``ring``: each drawn layer is ``p/q`` with
-    ``|p| ≤ span`` and ``1 ≤ q ≤ max_denominator``, the body first."""
-    def draw() -> tuple[int, int]:
-        return rng.randint(-span, span), rng.randint(1, max_denominator)
-    pairs = [(0, 1) if ideal_only else draw()]
-    pairs += [draw() if ideal_noise or ideal_only else (0, 1)
-              for _ in range(ring.ideal_rank)]
-    den = lcm(*[q for _, q in pairs])
-    return from_layers([p * (den // q) for p, q in pairs], den)
-
+def random_elements(ring: SquareZeroRing, rng: random.Random, count: int, *,
+                    span: int = 2, max_denominator: int = 2,
+                    ideal_noise: bool = True,
+                    ideal_only: bool = False) -> tuple[RingElement, ...]:
+    """``count`` random elements of ``ring``, one after another: each drawn
+    layer is ``p/q`` with ``|p| ≤ span`` and ``1 ≤ q ≤ max_denominator``,
+    ``p`` first; the body unless ``ideal_only``, then the ideal layers if
+    ``ideal_noise`` or ``ideal_only``, 0 where not drawn.  The ints go
+    straight into lowest terms, so a draw costs little over its rng calls."""
+    draw, lo, hi, top = rng.randrange, -span, span + 1, max_denominator + 1
+    layers = range(ring.ideal_rank if ideal_noise or ideal_only else 0)
+    pad, out = (0,) * (ring.ideal_rank - len(layers)), []
+    for _ in range(count):
+        p, den = (0, 1) if ideal_only else (draw(lo, hi), draw(1, top))
+        if not layers:                    # the body alone: p/q, then 0s
+            g = gcd(p, den)
+            x = object.__new__(RingElement)
+            x.nums, x.den = (p // g, *pad), den // g
+            out.append(x)
+            continue
+        nums = [p]
+        for _ in layers:                  # over the product of the q's
+            p, q = draw(lo, hi), draw(1, top)
+            nums, den = [v * q for v in nums] + [p * den], den * q
+        out.append(from_layers(nums, den))
+    return tuple(out)

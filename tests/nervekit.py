@@ -13,8 +13,9 @@ from dgnerve.dgcat import DgCategory, Morphism
 from dgnerve.glin import nullspace
 from dgnerve.horn import Filler, _op_cells
 from dgnerve.mc import reduce_morphism
-from dgnerve.nerve import NerveSimplex, SignPattern, increasing_sequences
-from dgnerve.rings import SquareZeroRing
+from dgnerve.nerve import (NerveCochain, NerveSimplex, SignPattern,
+                           increasing_sequences)
+from dgnerve.rings import SquareZeroRing, from_layers
 
 
 def basis_morphism(cat, source, target, degree, index):
@@ -122,3 +123,59 @@ def kernel(matrix, ring):
     """``glin.nullspace`` of A given as rows of ring elements."""
     return nullspace(layer_array(matrix, ring), len(matrix),
                      len(matrix[0]) if matrix else 0, ring)
+
+
+def old_degeneracy(cat, simplex, i):
+    """``nerve.degeneracy`` as it looked every cell up through the sorted
+    set of its collapsed vertices."""
+    n = simplex.n
+    if not 0 <= i <= n:
+        raise ValueError("degeneracy index out of range")
+    objects = simplex.objects[:i + 1] + simplex.objects[i:]
+
+    def collapse(v):
+        return v if v <= i else v - 1
+
+    cells = {}
+    for seq in increasing_sequences(n + 1):
+        k = len(seq) - 1
+        if i in seq and i + 1 in seq:
+            if seq == (i, i + 1):
+                cells[seq] = cat.identity(simplex.objects[i])
+            else:
+                cells[seq] = cat.zero(objects[seq[0]], objects[seq[-1]], 1 - k)
+            continue
+        image = tuple(sorted({collapse(v) for v in seq}))
+        cells[seq] = simplex.cell(image)
+    return NerveSimplex(objects, cells)
+
+
+def old_random_morphism(cat, source, target, degree, rng, *,
+                        ideal_noise=True, ideal_only=False):
+    """``DgCategory.random_morphism`` as it drew each coordinate through
+    ``randint`` pairs and one ``lcm`` over them."""
+    def draw():
+        return rng.randint(-2, 2), rng.randint(1, 2)
+
+    def element():
+        pairs = [(0, 1) if ideal_only else draw()]
+        pairs += [draw() if ideal_noise or ideal_only else (0, 1)
+                  for _ in range(cat.ring.ideal_rank)]
+        den = math.lcm(*[q for _, q in pairs])
+        return from_layers([p * (den // q) for p, q in pairs], den)
+    return Morphism(source, target, degree,
+                    tuple(element() for _ in range(
+                        cat.rank(source, target, degree))))
+
+
+def old_random_cochain(cat, rng, source, target, degree):
+    """``laws.random_cochain`` on :func:`old_random_morphism`."""
+    components = {}
+    for seq in increasing_sequences(source.n):
+        k = len(seq) - 1
+        morphism = old_random_morphism(cat, source.objects[seq[0]],
+                                       target.objects[seq[-1]], degree - k,
+                                       rng)
+        if not morphism.is_zero():
+            components[seq] = morphism
+    return NerveCochain(source, target, degree, components)

@@ -45,7 +45,8 @@ from dgnerve.mc import tensor_with_ring, twist
 from dgnerve.rings import RATIONALS, SquareZeroRing
 from lincomb import degrees, lin
 from nervekit import (basis_morphism, dense_differential, interval_category,
-                      kernel)
+                      kernel, old_random_morphism)
+from test_rings import assert_matches, old_random_element
 
 
 def flip_one_diff_sign(cat):
@@ -1054,6 +1055,29 @@ def test_cycle_basis_matches_both_samplers(name, rank):
             _reference_mc_basis(cat, x, y, t)
         above_zero += cat.rank(x, y, t + 1) == 0
     assert above_zero > 0
+
+
+@pytest.mark.parametrize("flags", [{}, {"ideal_noise": False},
+                                   {"ideal_only": True}],
+                         ids=["default", "no_noise", "ideal_only"])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", list(fixtures.FIXTURES))
+def test_random_morphism_draws_like_its_oracles(name, rank, flags):
+    """On every hom block, ``random_morphism`` is its frozen body, and each
+    coordinate is ``old_random_element``'s Fraction draw, with each ``rng``
+    left in the same state."""
+    cat = tensor_with_ring(fixtures.FIXTURES[name](), SquareZeroRing(rank))
+    for seed in range(3):
+        rng, body_rng, old_rng = (random.Random(seed) for _ in range(3))
+        for block in sorted(cat.ranks):
+            got = cat.random_morphism(*block, rng, **flags)
+            assert got == old_random_morphism(cat, *block, body_rng, **flags)
+            assert len(got.coords) == cat.rank(*block)
+            for coord in got.coords:
+                assert_matches(coord, old_random_element(cat.ring, old_rng,
+                                                         **flags))
+            assert rng.getstate() == body_rng.getstate() == \
+                old_rng.getstate()
 
 
 @pytest.mark.parametrize("row", [-1, 3], ids=["minus_one", "rank"])

@@ -21,7 +21,7 @@ from dgnerve.glin import (NoSolution, nullspace, rref, solve_layered,
 from dgnerve.horn import random_valid_simplex
 from dgnerve.mc import tensor_with_ring
 from dgnerve.rings import (RATIONALS, RingElement, SquareZeroRing, from_layers,
-                           random_element)
+                           random_elements)
 
 from lincomb import degrees
 from nervekit import basis_morphism, dense_differential, kernel, layer_array
@@ -176,8 +176,7 @@ def test_coupled_body_and_layers():
 
 
 def random_matrix(ring, rng, nrows, ncols):
-    return [[random_element(ring, rng) for _ in range(ncols)]
-            for _ in range(nrows)]
+    return [list(random_elements(ring, rng, ncols)) for _ in range(nrows)]
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2])
@@ -189,7 +188,7 @@ def test_known_solution_systems_multiply_back(rank):
     for trial in range(25):
         nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 9)
         a = random_matrix(ring, rng, nrows, ncols)
-        x0 = [random_element(ring, rng) for _ in range(ncols)]
+        x0 = random_elements(ring, rng, ncols)
         b = mat_vec(a, x0, ring)
         x = solve_linear(a, b, ring)
         assert mat_vec(a, x, ring) == b
@@ -204,7 +203,7 @@ def test_solver_never_lies(rank):
     for trial in range(25):
         nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
         a = random_matrix(ring, rng, nrows, ncols)
-        b = [random_element(ring, rng) for _ in range(nrows)]
+        b = list(random_elements(ring, rng, nrows))
         try:
             x = solve_linear(a, b, ring)
         except NoSolution:
@@ -218,7 +217,7 @@ def test_solvable_over_extension_implies_solvable_over_residue():
     for trial in range(20):
         nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
         a = random_matrix(ring, rng, nrows, ncols)
-        b = [random_element(ring, rng) for _ in range(nrows)]
+        b = list(random_elements(ring, rng, nrows))
         try:
             solve_linear(a, b, ring)
         except NoSolution:
@@ -673,10 +672,10 @@ def test_block_systems_match_dense_reference(rank):
     for trial in range(4):
         nrows, ncols = rng.randrange(2, 5), rng.randrange(2, 5)
         a = _low_rank_matrix(ring, rng, nrows, ncols)
-        b = mat_vec(a, [random_element(ring, rng) for _ in range(ncols)], ring)
-        noise = [random_element(ring, rng, ideal_only=True) for _ in b]
+        b = mat_vec(a, random_elements(ring, rng, ncols), ring)
+        noise = random_elements(ring, rng, len(b), ideal_only=True)
         systems += [(a, b), (a, [x + y for x, y in zip(b, noise)]),
-                    (a, [random_element(ring, rng) for _ in b])]
+                    (a, list(random_elements(ring, rng, len(b))))]
     outcomes = _assert_layered_match(systems, ring)
     assert all(x is not NoSolution for x in outcomes[::3])
     assert NoSolution in outcomes
@@ -727,6 +726,38 @@ def test_body_kernels_match_reference(name):
                 _assert_body_kernel(dense)
                 assert c.cycle_basis(*block, RATIONALS) == \
                     kernel(dense, RATIONALS)
+
+
+@pytest.mark.parametrize("name", CATEGORY_NAMES)
+def test_rational_systems_run_one_echelon(name, monkeypatch):
+    """Over Q the body pass's echelon is the layered one, so ``_echelon``
+    runs once per ``nullspace`` and once per ``solve_layered``; a second
+    pass over that echelon gives it back as it is.  The blocks are every
+    differential's bodies, on the category and its opposite."""
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return echelon(rows, ncols)
+    echelon = glin._echelon
+    monkeypatch.setattr(glin, "_echelon", counted)
+    cat = category(name, 0)
+    for c in (cat, dgcat.opposite(cat)):
+        for _, dense in _differential_blocks(c):
+            dense = [[RATIONALS.element(e.body) for e in row] for row in dense]
+            height, ncols = len(dense), len(dense[0])
+            num = layer_array(dense, RATIONALS)
+            calls.clear()
+            kernel(dense, RATIONALS)
+            assert calls == [ncols]
+            x = [RATIONALS.element(j - 1) for j in range(ncols)]
+            b = [sum((e * v for e, v in zip(row, x)), RATIONALS.zero())
+                 for row in dense]
+            calls.clear()
+            solve_linear(dense, b, RATIONALS)
+            assert calls == [ncols]
+            got = glin._layered(num, height, ncols, 0)
+            assert echelon([row for _, row in got], ncols + 1)[0] == got
 
 
 @pytest.mark.parametrize("rank", [1, 2])

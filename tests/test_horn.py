@@ -47,12 +47,12 @@ from dgnerve.horn import (
 )
 from dgnerve.mc import (promote_morphism, reduce_category, reduce_morphism,
                         tensor_with_ring)
-from dgnerve.nerve import (PINNED, NerveSimplex, degeneracy, validate_simplex,
-                           validate_star)
+from dgnerve.nerve import PINNED, NerveSimplex, validate_simplex, validate_star
 from dgnerve.rings import RATIONALS, SquareZeroRing
 from lincomb import lin
 from nervekit import (basis_morphism, dense_differential, identity_simplex,
-                      kernel, opposite_simplex, reduce_filler)
+                      kernel, old_degeneracy, old_random_morphism,
+                      opposite_simplex, reduce_filler)
 
 GRID = [(2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2)]
 
@@ -571,7 +571,7 @@ def _reference_random_edge_simplex(cat, rng, witnessed):
     X = rng.choice(cat.objects)
     if witnessed:
         scalar = rng.choice((1, 1, 1, -1, 2))
-        xi = cat.random_morphism(X, X, -1, rng)
+        xi = old_random_morphism(cat, X, X, -1, rng)
         edge = MorphismSum(cat, X, X, 0).add(cat.identity(X), scalar)
         return NerveSimplex((X, X), {(0, 1): edge.add_differential(xi)
                                      .result()})
@@ -592,13 +592,14 @@ def _reference_random_edge_simplex(cat, rng, witnessed):
 
 
 def _reference_random_valid_simplex(cat, rng, n, witnessed):
-    """Oracle: the bottom-up sampler with the degenerate top cell added."""
+    """Oracle: the recursive sampler with the degenerate top cell added, on
+    the frozen degeneracy and coordinate draw."""
     if n == 0:
         return NerveSimplex((rng.choice(cat.objects),), {})
     if n == 1:
         return _reference_random_edge_simplex(cat, rng, witnessed)
     base = _reference_random_valid_simplex(cat, rng, n - 1, witnessed)
-    simplex = degeneracy(cat, base, rng.randrange(n))
+    simplex = old_degeneracy(cat, base, rng.randrange(n))
     objects = simplex.objects
     cells = dict(simplex.cells)
     full = tuple(range(n + 1))
@@ -609,16 +610,16 @@ def _reference_random_valid_simplex(cat, rng, n, witnessed):
         cells[seq] = MorphismSum(cat, xi.source, xi.target, xi.degree + 1) \
             .add(cells[seq]).add_differential(xi).result()
     for a in range(1, n):
-        xi = cat.random_morphism(first, last, 1 - n, rng)
+        xi = old_random_morphism(cat, first, last, 1 - n, rng)
         shake(full[:a] + full[a + 1:], xi)
         top.add(xi, PINNED.face_sign(a, n))
-    xi1 = cat.random_morphism(objects[1], last, 1 - n, rng)
+    xi1 = old_random_morphism(cat, objects[1], last, 1 - n, rng)
     shake(full[1:], xi1)
     top.add_compose(xi1, cells[(0, 1)])
-    xi2 = cat.random_morphism(first, objects[-2], 1 - n, rng)
+    xi2 = old_random_morphism(cat, first, objects[-2], 1 - n, rng)
     shake(full[:-1], xi2)
     top.add_compose(cells[(n - 1, n)], xi2, (-1) ** n)
-    zeta = cat.random_morphism(first, last, -n, rng)
+    zeta = old_random_morphism(cat, first, last, -n, rng)
     cells[full] = top.add_differential(zeta).result()
     return NerveSimplex(objects, cells)
 
@@ -626,7 +627,8 @@ def _reference_random_valid_simplex(cat, rng, n, witnessed):
 @pytest.mark.parametrize("rank", [0, 1, 2])
 @pytest.mark.parametrize("name", [*FIXTURES, "gapped"])
 def test_random_valid_simplex_matches_reference(name, rank):
-    """The same cells as the oracle, with the ``rng`` left in the same state.
+    """The same cells as the oracle, in the same order, with the ``rng`` left
+    in the same state.
     In ``gapped`` hom(X, Y) is zero in degree 0 but not in degree 1."""
     if name == "gapped":
         base = make_complex_category(
@@ -635,7 +637,7 @@ def test_random_valid_simplex_matches_reference(name, rank):
     else:
         base = FIXTURES[name]()
     cat = tensor_with_ring(base, SquareZeroRing(rank))
-    for n in range(5):
+    for n in range(6):
         for witnessed in (True, False):
             for seed in range(4):
                 rng, want_rng = random.Random(seed), random.Random(seed)
@@ -643,6 +645,7 @@ def test_random_valid_simplex_matches_reference(name, rank):
                 want = _reference_random_valid_simplex(cat, want_rng, n,
                                                        witnessed)
                 assert got == want
+                assert list(got.cells) == list(want.cells)
                 assert rng.getstate() == want_rng.getstate()
 
 

@@ -30,7 +30,7 @@ from dgnerve.mc import (
     twist,
 )
 from dgnerve.rings import (RATIONALS, RingElement, SquareZeroRing,
-                           random_element)
+                           random_elements)
 from nervekit import basis_morphism
 from test_morphism_sum import fractional_category
 
@@ -86,8 +86,7 @@ def test_promote_reduce_round_trip(three_term, rng):
 @pytest.mark.parametrize("rank", [0, 1, 2, 3])
 def test_promote_keeps_the_body(rank):
     ring, rng = SquareZeroRing(rank), random.Random(rank)
-    for _ in range(50):
-        x = random_element(RATIONALS, rng, span=9, max_denominator=12)
+    for x in random_elements(RATIONALS, rng, 50, span=9, max_denominator=12):
         assert ring.promote(x) == ring.element(x.body)
 
 

@@ -26,7 +26,7 @@ from dgnerve.mc import tensor_with_ring, twist
 from dgnerve.nerve import (PINNED, NerveCochain, cochain_compose,
                            cochain_differential, increasing_sequences,
                            required_boundary)
-from dgnerve.rings import SquareZeroRing, random_element
+from dgnerve.rings import SquareZeroRing, random_elements
 from lincomb import degrees, lin
 from nervekit import component
 
@@ -183,10 +183,9 @@ def test_test_categories_have_the_constants_they_claim():
 
 def noisy(cat, source, target, degree, rng):
     """A random morphism with denominators up to 7 and ideal noise."""
-    n = cat.rank(source, target, degree)
-    return Morphism(source, target, degree, tuple(
-        random_element(cat.ring, rng, span=9, max_denominator=7)
-        for _ in range(n)))
+    return Morphism(source, target, degree, random_elements(
+        cat.ring, rng, cat.rank(source, target, degree), span=9,
+        max_denominator=7))
 
 
 def random_terms(cat, rng, count):

@@ -39,7 +39,7 @@ from dgnerve.nerve import (
 from dgnerve.rings import SquareZeroRing
 from lincomb import degrees, lin
 from nervekit import (basis_morphism, component, identity_simplex,
-                      interval_category)
+                      interval_category, old_degeneracy, old_random_cochain)
 from test_morphism_sum import category
 
 
@@ -355,6 +355,46 @@ def test_faces_of_valid_simplex_validate(three_term):
     simplex = random_valid_simplex(three_term, rng, 3, witnessed=True)
     for i in range(4):
         assert validate_simplex(three_term, face(simplex, i)) == []
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", SWEEP_CATEGORIES)
+def test_degeneracy_matches_frozen_body(name, rank):
+    """At every i of sampled simplices, n = 0 … 4: the cells of the frozen
+    body, in its order, which is that of ``increasing_sequences``."""
+    cat, rng = category(name, rank), random.Random(rank)
+    for n in range(5):
+        for witnessed in (True, False):
+            simplex = random_valid_simplex(cat, rng, n, witnessed=witnessed)
+            for i in range(n + 1):
+                got = degeneracy(cat, simplex, i)
+                want = old_degeneracy(cat, simplex, i)
+                assert got == want
+                assert list(got.cells) == list(want.cells) == \
+                    increasing_sequences(n + 1)
+    with pytest.raises(ValueError, match="degeneracy index"):
+        degeneracy(cat, simplex, 5)
+
+
+@pytest.mark.parametrize("degree", COCHAIN_DEGREES)
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", SWEEP_CATEGORIES)
+def test_random_cochain_matches_frozen_body(name, rank, degree):
+    """Between sampled simplices, n = 1 … 4: the frozen body's components, in
+    its order, with the ``rng`` left in the same state."""
+    cat = category(name, rank)
+    for n in range(1, 5):
+        for seed in range(3):
+            rng, want_rng = random.Random(seed), random.Random()
+            source, target = (random_valid_simplex(cat, rng, n,
+                                                   witnessed=False)
+                              for _ in range(2))
+            want_rng.setstate(rng.getstate())
+            got = random_cochain(cat, rng, source, target, degree)
+            want = old_random_cochain(cat, want_rng, source, target, degree)
+            assert got == want
+            assert list(got.components) == list(want.components)
+            assert rng.getstate() == want_rng.getstate()
 
 
 def test_degeneracy_then_matching_face_is_identity(three_term):

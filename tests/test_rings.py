@@ -26,7 +26,7 @@ from dgnerve.rings import (
     RingElement,
     SquareZeroRing,
     from_layers,
-    random_element,
+    random_elements,
     reduce_mod_ideal,
 )
 
@@ -107,7 +107,8 @@ class FractionElement:
 
 def old_random_element(ring, rng, *, span=2, max_denominator=2,
                        ideal_noise=True, ideal_only=False):
-    """``random_element`` as it drew Fractions before integer layers."""
+    """One draw of ``random_elements`` as it drew Fractions before integer
+    layers."""
     def rational():
         return Fraction(rng.randint(-span, span),
                         rng.randint(1, max_denominator))
@@ -291,13 +292,18 @@ def test_from_layers_is_canonical(nums, den):
        st.integers(1, 9), st.booleans(), st.booleans())
 def test_random_element_draws_like_fraction_oracle(rank, seed, span, den,
                                                    noise, only):
+    """Five draws in one call, then one in each of two calls, are those of
+    the Fraction oracle, with the ``rng`` left in the same state."""
     ring = SquareZeroRing(rank)
     rng, old_rng = random.Random(seed), random.Random(seed)
-    for _ in range(5):
-        kwargs = dict(span=span, max_denominator=den, ideal_noise=noise,
-                      ideal_only=only)
-        assert_matches(random_element(ring, rng, **kwargs),
-                       old_random_element(ring, old_rng, **kwargs))
+    kwargs = dict(span=span, max_denominator=den, ideal_noise=noise,
+                  ideal_only=only)
+    got = [*random_elements(ring, rng, 5, **kwargs),
+           *random_elements(ring, rng, 1, **kwargs),
+           *random_elements(ring, rng, 1, **kwargs)]
+    assert random_elements(ring, rng, 0, **kwargs) == ()
+    for x in got:
+        assert_matches(x, old_random_element(ring, old_rng, **kwargs))
     assert rng.getstate() == old_rng.getstate()
 
 
@@ -358,11 +364,10 @@ def test_rational_from_str_rejects_other_text(text):
 def test_random_element_lands_in_ring():
     ring = SquareZeroRing(2)
     rng = random.Random(5)
-    for _ in range(20):
-        x = random_element(ring, rng)
+    for x in random_elements(ring, rng, 20):
         assert len(x.nums) == ring.ideal_rank + 1
-    y = random_element(ring, rng, ideal_only=True)
-    assert y.in_ideal()
+    assert all(y.in_ideal()
+               for y in random_elements(ring, rng, 5, ideal_only=True))
 
 
 def test_module_doctest_passes():

@@ -1,6 +1,6 @@
 """Same-outputs digests: one sha256 per benchmark workload, one over the
-samplers, one over MC twists, one over equivalence witnesses and one over
-kernels, for comparing two versions of the package.
+samplers, one over MC twists, one over equivalence witnesses, one over
+kernels and one over the draws, for comparing two versions of the package.
 
     python tools/op_digests.py --seeds 3 7
 
@@ -34,7 +34,14 @@ The ``kernels`` digest covers ``glin.rref`` (over the bodies) on every
 differential of the ``random_complex`` draws that the ``samplers`` digest
 makes, and ``DgCategory.cycle_basis`` on every hom block of every fixture at
 ideal ranks 0–2, over the category's ring and over ``RATIONALS``; no
-workload reaches ``rref`` outside its set-up.
+workload reaches ``rref`` outside its set-up.  The ``draws`` digest holds
+the samplers to their ``rng`` calls: on every fixture at ideal ranks 0–2
+and seeds 0–2, ``random_valid_simplex`` (witnessed and plain, n = 4 and 5,
+past where ``samplers`` stops and up to where the workloads draw),
+``laws.random_cochain`` between each such pair at every degree of
+``laws.COCHAIN_DEGREES``, and ``DgCategory.random_morphism`` on every hom
+block with ``ideal_noise=False`` and with ``ideal_only=True``, each with
+the state of the generator after it.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from dgnerve import cli, dgcat, fixtures, glin, horn, jsonio, mc  # noqa: E402
+from dgnerve import (cli, dgcat, fixtures, glin, horn,  # noqa: E402
+                     jsonio, laws, mc)
 from dgnerve.rings import RATIONALS, SquareZeroRing  # noqa: E402
 
 _stderr: list[str] = []
@@ -203,6 +211,36 @@ def kernels_digest() -> str:
     return digest.hexdigest()
 
 
+def draws_digest() -> str:
+    digest = hashlib.sha256()
+    for name, make in fixtures.FIXTURES.items():
+        for rank in (0, 1, 2):
+            cat = make()
+            if rank:
+                cat = mc.tensor_with_ring(cat, SquareZeroRing(rank))
+            for seed in range(3):
+                rng = random.Random(seed)
+
+                def note(label: str, drawn: object) -> object:
+                    digest.update(f"{name} {rank} {seed} {label}\n{drawn!r}\n"
+                                  f"{rng.getstate()!r}\n".encode())
+                    return drawn
+                for n in (4, 5):
+                    pair = [note(f"simplex {n} {witnessed}",
+                                 horn.random_valid_simplex(
+                                     cat, rng, n, witnessed=witnessed))
+                            for witnessed in (True, False)]
+                    for degree in laws.COCHAIN_DEGREES:
+                        note(f"cochain {n} {degree}",
+                             laws.random_cochain(cat, rng, *pair, degree))
+                for block in sorted(cat.ranks):
+                    for flags in ({"ideal_noise": False},
+                                  {"ideal_only": True}):
+                        note(f"morphism {block} {flags}",
+                             cat.random_morphism(*block, rng, **flags))
+    return digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 7])
@@ -217,6 +255,7 @@ def main() -> int:
     print("twist", twist_digest())
     print("witness", witness_digest())
     print("kernels", kernels_digest())
+    print("draws", draws_digest())
     shutil.rmtree(args.workdir, ignore_errors=True)
     return 0
 
