@@ -18,15 +18,18 @@ The axioms checked by :func:`check_axioms` are d² = 0, the Leibniz rule
 associativity, and strict unitality.  Violations are returned as data, not
 raised, so corrupted inputs can be reported coordinate by coordinate.
 
-Morphisms are homogeneous: an element of a single ``hom(X, Y)_degree``.
+Morphisms are homogeneous: an element of a single ``hom(X, Y)_degree``,
+held as one int vector over one positive denominator, in lowest terms
+(:class:`Morphism`); ``coords`` is a view that rebuilds its ring elements.
 
 Every layered sum of structure constants times coordinates is one
 :class:`LayerSum`: the integer layers of ``RingElement``s (see
 :mod:`dgnerve.rings`) over one denominator, multiplied and added as Python
 ints by one loop.  :class:`MorphismSum` adds morphisms, differentials and
 composites (nerve boundaries and residuals, horn equations and fillers,
-cochains) at the cost of their nonzero coordinates; a sum only tested for
-zero is tested on the ints.  Cycle bases, the twisted differential, the
+cochains): a morphism at the cost of its ints, a differential or composite
+at that of its operands' nonzero coordinates, and a result with one gcd; a
+sum only tested for zero is tested on the ints.  Cycle bases, the twisted differential, the
 witness system and the unit laws read whole structure blocks through one
 block reader, :meth:`LayerSum.add_block`; the unit laws keep a sparse sum,
 since a large block's unit meets few of its pairs.  The witness system and
@@ -47,7 +50,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import glin
 from .rings import (RATIONALS, RingElement, SquareZeroRing, from_layers,
-                    random_elements)
+                    lowest_terms, random_layers, split_layers)
 
 Entries = tuple[tuple[int, RingElement], ...]   # sparse coordinate vector
 SparseCols = dict[int, Entries]                 # column index → image entries
@@ -76,20 +79,60 @@ class Violation:
                 "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, unsafe_hash=True, slots=True)
 class Morphism:
-    """A homogeneous hom element: source, target, degree, coordinates."""
+    """A homogeneous element of ``hom(source, target)_degree``: its ``rank``
+    coordinates as one int vector ``nums`` over ``den > 0``, coordinate i,
+    layer l (the body, then one per ideal generator) at ``nums[i·width +
+    l]``, in lowest terms over the whole vector, so that ``==`` and
+    ``hash`` are value equality.  Built from ring elements of one width, or
+    from ints by :meth:`from_layers`; ``coords`` is a view that rebuilds
+    the elements, for reports, documents and tests.  Treated as immutable."""
 
     source: str
     target: str
     degree: int
-    coords: tuple[RingElement, ...]
+    rank: int
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, source: str, target: str, degree: int,
+                 coords: Sequence[RingElement]) -> None:
+        if len({len(c.nums) for c in coords}) > 1:
+            raise ValueError("ring elements of different ideal rank")
+        self.source, self.target, self.degree = source, target, degree
+        self.rank, self.den = len(coords), lcm(*[c.den for c in coords])
+        self.nums = tuple(v * (self.den // c.den) for c in coords
+                          for v in c.nums)
+
+    @classmethod
+    def from_layers(cls, source: str, target: str, degree: int, rank: int,
+                    nums: Sequence[int], den: int) -> "Morphism":
+        """The morphism of ``rank`` coordinates whose layers are ``nums``
+        over a nonzero ``den``, brought to lowest terms."""
+        f = object.__new__(cls)
+        f.source, f.target, f.degree, f.rank = source, target, degree, rank
+        f.nums, f.den = lowest_terms(nums, den)
+        return f
+
+    @property
+    def width(self) -> int:
+        """Layers per coordinate: the ideal rank + 1 (1 with no coordinate)."""
+        return len(self.nums) // self.rank if self.rank else 1
+
+    @property
+    def coords(self) -> tuple[RingElement, ...]:
+        return split_layers(self.nums, self.den, self.width)
+
+    def __repr__(self) -> str:
+        return (f"Morphism(source={self.source!r}, target={self.target!r}, "
+                f"degree={self.degree!r}, coords={self.coords!r})")
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not any(self.nums)
 
     def in_ideal(self) -> bool:
-        return all(c.in_ideal() for c in self.coords)
+        return not any(self.nums[::self.width])
 
 
 @dataclass
@@ -110,7 +153,8 @@ class DgCategory:
 
     def zero(self, source: str, target: str, degree: int) -> Morphism:
         n = self.rank(source, target, degree)
-        return Morphism(source, target, degree, (self.ring.zero(),) * n)
+        return Morphism.from_layers(source, target, degree, n,
+                                    (0,) * (n * (self.ring.ideal_rank + 1)), 1)
 
     def identity(self, obj: str) -> Morphism:
         return Morphism(obj, obj, 0, self.identities[obj])
@@ -159,9 +203,9 @@ class DgCategory:
                         rng: random.Random, *,
                         ideal_noise: bool = True,
                         ideal_only: bool = False) -> Morphism:
-        return Morphism(source, target, degree, random_elements(
-            self.ring, rng, self.rank(source, target, degree),
-            ideal_noise=ideal_noise, ideal_only=ideal_only))
+        n = self.rank(source, target, degree)
+        return Morphism.from_layers(source, target, degree, n, *random_layers(
+            self.ring, rng, n, ideal_noise=ideal_noise, ideal_only=ideal_only))
 
 
 class LayerSum:
@@ -170,34 +214,55 @@ class LayerSum:
     :(i + 1)·width]``: a list of ``size·width`` ints, or a sparse dict for
     the unit laws (see :func:`_unit_defects`)."""
 
+    # id(operand) → (operand, read), shared by the sums of a nerve sweep
+    _reads: dict[int, tuple] | None = None
+
     def __init__(self, size: int, width: int):
         self.width, self.den, self.num = width, 1, [0] * (size * width)
 
-    def add_block(self, structure: Mapping, key: tuple, fixed: Mapping | None,
-                  slot: int, shape: tuple[int, int], rows: int, sign: int,
-                  col: int = 0, row: int = 0) -> None:
+    def add_block(self, structure: Mapping, key: tuple,
+                  fixed: Morphism | None, slot: int, shape: tuple[int, int],
+                  rows: int, sign: int, col: int = 0, row: int = 0) -> None:
         """Add ``sign`` times the matrix of d on the block ``key`` of
-        ``diffs`` (``fixed`` None), or of composing with the morphism whose
-        nonzero coordinates ``fixed`` holds at index ``slot`` of the pairs of
-        the block ``key`` of ``comps``, in one pass: entry (r, j), j the
-        pair's other index, at element ``(col + j)·rows + row + r``.  An
-        entry read outside the block's ``shape`` (height, width) raises."""
+        ``diffs`` (``fixed`` None), or of composing with the morphism
+        ``fixed`` at index ``slot`` of the pairs of the block ``key`` of
+        ``comps``, in one pass: entry (r, j), j the pair's other index, at
+        element ``(col + j)·rows + row + r``.  An entry read outside the
+        block's ``shape`` (height, width) raises."""
         w, (height, width) = self.width, shape
-        one = (1,) + (0,) * (w - 1)
+        one, den, read = (1,) + (0,) * (w - 1), 1, None
+        if fixed is not None:
+            den, read = fixed.den, self._nonzero(fixed)
         for at, entries in structure.get(key, {}).items():
-            if fixed is None:
-                j, c, den = at, one, 1
-            elif (u := fixed.get(at[slot])) is None:
+            if read is None:
+                j, c = at, one
+            elif (c := read.get(at[slot])) is None:
                 continue
-            elif len(u.nums) != w:
-                raise ValueError("ring elements of different ideal rank")
             else:
-                j, c, den = at[1 - slot], u.nums, u.den
+                j = at[1 - slot]
             if not 0 <= j < width or \
                     any(not 0 <= r < height for r, _ in entries):
                 raise ValueError(f"block {key} has an entry outside its "
                                  f"{height}×{width} shape at {at}")
             self._add_entries(entries, c, den, sign, (col + j) * rows + row)
+
+    def _nonzero(self, f: Morphism) -> dict[int, tuple[int, ...]]:
+        """The nonzero coordinates of ``f`` by index, each as its layers
+        over ``f.den``; zero ones are skipped like missing terms.  An ``f``
+        of another ring width raises, even where it is zero.  A sweep's read
+        holds its operand, so that the id it is keyed by is not reused while
+        the read lasts."""
+        hit = self._reads and self._reads.get(id(f))
+        if hit:
+            return hit[1]
+        w, nums = self.width, f.nums
+        if len(nums) != f.rank * w:
+            raise ValueError("ring elements of different ideal rank")
+        layers = iter(nums)
+        read = {i: c for i, c in enumerate(zip(*[layers] * w)) if any(c)}
+        if self._reads is not None:
+            self._reads[id(f)] = (f, read)
+        return read
 
     def nonzero(self) -> dict[int, RingElement]:
         """The nonzero elements by index, in index order."""
@@ -240,7 +305,8 @@ class LayerSum:
 class MorphismSum(LayerSum):
     """A signed sum of terms in one hom block ``hom(source, target)_degree``:
     morphisms, their differentials and composites, each added with an int
-    sign at the cost of the nonzero coordinates of its terms."""
+    sign: a morphism at the cost of its ints, a differential or a composite
+    at the cost of its operands' nonzero coordinates."""
 
     def __init__(self, cat: DgCategory, source: str, target: str,
                  degree: int):
@@ -250,29 +316,26 @@ class MorphismSum(LayerSum):
         self.width = cat.ring.ideal_rank + 1
         self.den = 1
         self.num = [0] * (self.rank * self.width)
-        # id(operand) → (operand, read), shared by the sums of a nerve sweep
-        self._reads: dict[int, tuple] | None = None
 
     def add(self, f: Morphism, sign: int = 1) -> "MorphismSum":
         """``self += sign·f``."""
         self._check_shape((f.source, f.target, f.degree))
-        if len(f.coords) != self.rank:
+        if f.rank != self.rank:
             raise ValueError("morphism rank mismatch")
-        for r, c in self._nonzero(f).items():
-            scale = sign * self._scale(c.den)
-            for at, v in enumerate(c.nums, r * self.width):
-                self.num[at] += scale * v
+        if len(f.nums) != len(self.num):
+            raise ValueError("ring elements of different ideal rank")
+        scale = sign * self._scale(f.den)
+        self.num = [a + scale * b for a, b in zip(self.num, f.nums)]
         return self
 
     def add_differential(self, f: Morphism, sign: int = 1) -> "MorphismSum":
         """``self += sign·d(f)``."""
         self._check_shape((f.source, f.target, f.degree + 1))
         cols = self.cat.diffs.get((f.source, f.target, f.degree))
-        if cols:
-            for j, c in self._nonzero(f).items():
-                entries = cols.get(j)
-                if entries:
-                    self._add_entries(entries, c.nums, c.den, sign)
+        for j, c in self._nonzero(f).items() if cols else ():
+            entries = cols.get(j)
+            if entries:
+                self._add_entries(entries, c, f.den, sign)
         return self
 
     def add_compose(self, outer: Morphism, inner: Morphism,
@@ -288,17 +351,16 @@ class MorphismSum(LayerSum):
                                      inner.degree, outer.degree))
         if tensor:
             right, left = self._nonzero(inner), self._nonzero(outer)
-            w = self.width
+            w, den = self.width, outer.den * inner.den
             for (i, j), entries in tensor.items() if right and left else ():
-                a = left.get(i)
-                b = right.get(j) if a is not None else None
-                if b is not None:       # the layers of a·b; ε·ε terms vanish
-                    o, c = a.nums, b.nums
+                o = left.get(i)
+                c = right.get(j) if o is not None else None
+                if c is not None:       # the layers of o·c; ε·ε terms vanish
                     o0, c0 = o[0], c[0]
                     product = [o0 * c0]
                     for k in range(1, w):
                         product.append(o0 * c[k] + o[k] * c0)
-                    self._add_entries(entries, product, a.den * b.den, sign)
+                    self._add_entries(entries, product, den, sign)
         return self
 
     def is_zero(self) -> bool:
@@ -307,32 +369,13 @@ class MorphismSum(LayerSum):
 
     def result(self) -> Morphism:
         """The sum as a morphism."""
-        w, den, zero = self.width, self.den, self.cat.ring.zero()
-        layers = [self.num[b:b + w] for b in range(0, len(self.num), w)]
-        return Morphism(*self.shape, tuple(
-            from_layers(v, den) if any(v) else zero for v in layers))
+        return Morphism.from_layers(*self.shape, self.rank, self.num, self.den)
 
     def _check_shape(self, shape: tuple[str, str, int]) -> None:
         if shape != self.shape:
             raise ValueError(
                 "morphism shape mismatch: {}->{} deg {} vs {}->{} deg {}"
                 .format(*self.shape, *shape))
-
-    def _nonzero(self, f: Morphism) -> dict[int, RingElement]:
-        """The nonzero coordinates of ``f`` by index; zero ones are skipped
-        like missing terms.  A sweep's read holds its operand, so that the
-        id it is keyed by is not reused while the read lasts."""
-        hit = self._reads and self._reads.get(id(f))
-        if hit:
-            return hit[1]
-        read = {i: c for i, c in enumerate(f.coords) if any(c.nums)}
-        for c in read.values():
-            if len(c.nums) != self.width:
-                raise ValueError("ring elements of different ideal rank")
-        if self._reads is not None:
-            self._reads[id(f)] = (f, read)
-        return read
-
 
 # -- axiom checking -----------------------------------------------------------
 
@@ -418,19 +461,20 @@ def _join(blocks: list, by_result: Mapping, radix: int, rows: int) -> dict:
     return table
 
 
-def _unit_defects(comps: Mapping, key: tuple, unit: Mapping, n: int,
-                  slot: int, width: int) -> set[int]:
+def _unit_defects(comps: Mapping, key: tuple, unit: Morphism, n: int,
+                  slot: int, width: int, reads: dict | None = None) -> set[int]:
     """The indices j of the basis elements e_j of a rank-n hom block at
     which the unit composed with e_j is not e_j.  The unit is index ``slot``
-    of the (outer, inner) pairs of their composition block ``comps[key]``, and
-    ``unit`` holds its nonzero coordinates.  The sum starts at −e_j and is a
-    dict keyed by (j·n + row)·width + layer: a dense n²·width list costs more
-    than the few products of a large block's unit.  Every term's denominator
-    divides the one fixed first, so ``_scale`` never grows it into a list."""
+    of the (outer, inner) pairs of their composition block ``comps[key]``,
+    read through ``reads`` (see :meth:`LayerSum._nonzero`).  The sum starts
+    at −e_j and is a dict keyed by (j·n + row)·width + layer: a dense
+    n²·width list costs more than the few products of a large block's unit.
+    Every term's denominator divides the one fixed first, so ``_scale``
+    never grows it into a list."""
     sums = LayerSum(0, width)
-    sums.den = lcm(*(c.den for c in unit.values())) * \
-        lcm(*(a.den for entries in comps.get(key, {}).values()
-              for _, a in entries))
+    sums._reads = reads
+    sums.den = unit.den * lcm(*(a.den for entries in comps.get(key, {}).values()
+                                for _, a in entries))
     sums.num = defaultdict(int, {j * (n + 1) * width: -sums.den
                                  for j in range(n)})
     sums.add_block(comps, key, unit, slot, (n, n), n, 1)
@@ -489,18 +533,19 @@ def check_axioms(cat: DgCategory) -> list[Violation]:
                    for ident, basis in sorted(found[n], key=order))
     report("d_squared", 1, "d(d(basis element)) is nonzero")
     # the unit laws are checked only with units of the hom rank
-    units = {obj: {i: c for i, c in enumerate(unit) if any(c.nums)}
-             for obj, unit in ids.items() if len(unit) == cat.rank(obj, obj, 0)}
+    units = {obj: cat.identity(obj) for obj, unit in ids.items()
+             if len(unit) == cat.rank(obj, obj, 0)}
+    reads: dict = {}                  # each unit is read once
     for obj in objects:
         if obj in units and not MorphismSum(cat, obj, obj, 1) \
-                .add_differential(cat.identity(obj)).is_zero():
+                .add_differential(units[obj]).is_zero():
             out.append(Violation("unit_not_closed", (obj,),
                                  "d(identity) is nonzero"))
     for (x, y, t), rank in sorted(cat.ranks.items()):   # 1∘f − f and f∘1 − f
         left = _unit_defects(cat.comps, (x, y, y, t, 0), units[y], rank, 0,
-                             width) if y in units else ()
+                             width, reads) if y in units else ()
         right = _unit_defects(cat.comps, (x, x, y, 0, t), units[x], rank, 1,
-                              width) if x in units else ()
+                              width, reads) if x in units else ()
         out.extend(Violation(kind, (x, y, t, j), detail)
                    for j in sorted({*left, *right})
                    for kind, detail, defects in (
@@ -792,8 +837,9 @@ def find_equivalence_witness(cat: DgCategory, alpha: Morphism) -> Witness:
     the nonzero ``diffs`` entries and the ``comps`` entries against α's
     nonzero coordinates into one :class:`LayerSum`, column-major, with b
     (the identities at the a∘α and α∘a rows) as one more column.  Its int
-    layers go to :func:`glin.solve_layered` as they are, with no ring
-    element built; raises :class:`NotEquivalence` when it is inconsistent.
+    layers go to :func:`glin.solve_layered` as they are, and a, g and h are
+    cut from the int vector it returns, with no ring element built; raises
+    :class:`NotEquivalence` when the system is inconsistent.
     """
     global _witness_calls
     _witness_calls += 1
@@ -814,23 +860,23 @@ def find_equivalence_witness(cat: DgCategory, alpha: Morphism) -> Witness:
             ((y, y, -1), (r3, n_h), r1 + r2, n_a + n_g, -1)):      # −d(h)
         system.add_block(cat.diffs, key, None, 0, shape, height, sign, col,
                          row)
-    nonzero = {k: c for k, c in enumerate(alpha.coords) if any(c.nums)}
     for key, shape, row, slot in (
             ((x, y, x, 0, 0), (r2, n_a), r1, 1),                   # a∘α
             ((y, x, y, 0, 0), (r3, n_a), r1 + r2, 0)):             # α∘a
-        system.add_block(cat.comps, key, nonzero, slot, shape, height, 1, 0,
+        system.add_block(cat.comps, key, alpha, slot, shape, height, 1, 0,
                          row)
     for obj, row in ((x, r1), (y, r1 + r2)):                       # b
-        system._add_entries(tuple(enumerate(cat.identity(obj).coords)),
+        system._add_entries(tuple(enumerate(cat.identities[obj])),
                             (1,) + (0,) * (w - 1), 1, 1, n * height + row)
 
     try:
-        solution = glin.solve_layered(system.num, height, n, cat.ring)
+        nums, den = glin.solve_layered(system.num, height, n, cat.ring)
     except glin.NoSolution as exc:
         raise NotEquivalence(
             f"no homotopy-inverse witness for {x}->{y}") from exc
-
-    a = Morphism(y, x, 0, tuple(solution[:n_a]))
-    g = Morphism(x, x, -1, tuple(solution[n_a:n_a + n_g]))
-    h = Morphism(y, y, -1, tuple(solution[n_a + n_g:]))
+    a, g, h = (Morphism.from_layers(*shape, rank,
+                                    nums[at * w:(at + rank) * w], den)
+               for shape, rank, at in (((y, x, 0), n_a, 0),
+                                       ((x, x, -1), n_g, n_a),
+                                       ((y, y, -1), n_h, n_a + n_g)))
     return Witness(a, g, h)

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .rings import RingElement, SquareZeroRing, from_layers
+from .rings import RingElement, SquareZeroRing, from_layers, split_layers
 
 Matrix = Sequence[Sequence[RingElement]]
 Vector = Sequence[RingElement]
@@ -199,34 +199,35 @@ def _layered(num: Sequence[int], height: int, ncols: int,
                     width + 1)[0]
 
 
-def _ring_vector(x: dict[int, int], den: int, ncols: int,
-                 m: int) -> list[RingElement]:
-    """Coordinate j from its layers ``x[j], x[ncols + j], …`` over ``den``."""
-    return [from_layers([x.get(layer * ncols + j, 0)
-                         for layer in range(m + 1)], den)
-            for j in range(ncols)]
+def _layers(x: dict[int, int], ncols: int, m: int) -> list[int]:
+    """The layers ``x[j], x[ncols + j], …`` of each coordinate j in turn."""
+    return [x.get(layer * ncols + j, 0)
+            for j in range(ncols) for layer in range(m + 1)]
 
 
 def solve_layered(num: Sequence[int], height: int, ncols: int,
-                  ring: SquareZeroRing) -> list[RingElement]:
+                  ring: SquareZeroRing) -> tuple[list[int], int]:
     """Some exact solution of ``A·x = b`` over ``ring``, or NoSolution, for
     ``[A | b]`` as a :class:`~dgnerve.dgcat.LayerSum` holds it: entry (i, j),
     b in column ``ncols``, has its ``w = ring.ideal_rank + 1`` int layers at
-    ``num[(j·height + i)·w:]``, over a denominator that A and b share."""
+    ``num[(j·height + i)·w:]``, over a denominator that A and b share.  The
+    solution is ints over a nonzero den, layer l of x_j at ``j·w + l``."""
     m = ring.ideal_rank
     width = (m + 1) * ncols          # the column of b, where x holds −1
     echelon = _layered(num, height, ncols, m)
     if echelon and echelon[-1][0] == width:
         raise NoSolution("inconsistent linear system")
-    return _ring_vector(*_back_substitute(echelon, {width: -1}), ncols, m)
+    x, den = _back_substitute(echelon, {width: -1})
+    return _layers(x, ncols, m), den
 
 
 def solve_linear(matrix: Matrix, rhs: Vector,
                  ring: SquareZeroRing) -> list[RingElement]:
     """Some exact solution of ``A·x = b`` over ``ring``, or NoSolution."""
-    return solve_layered(_columns([[*row, rhs[i]] for i, row in
-                                   enumerate(matrix)], ring.ideal_rank + 1),
-                         len(matrix), len(matrix[0]) if matrix else 0, ring)
+    w = ring.ideal_rank + 1
+    return list(split_layers(*solve_layered(
+        _columns([[*row, rhs[i]] for i, row in enumerate(matrix)], w),
+        len(matrix), len(matrix[0]) if matrix else 0, ring), w))
 
 
 def nullspace(num: Sequence[int], height: int, ncols: int,
@@ -237,5 +238,7 @@ def nullspace(num: Sequence[int], height: int, ncols: int,
     m = ring.ideal_rank
     echelon = _layered(num, height, ncols, m)
     pivots = {c for c, _ in echelon}
-    return [_ring_vector(*_back_substitute(echelon, {j: 1}), ncols, m)
-            for j in range((m + 1) * ncols) if j not in pivots]
+    kernel = (_back_substitute(echelon, {j: 1})
+              for j in range((m + 1) * ncols) if j not in pivots)
+    return [list(split_layers(_layers(x, ncols, m), den, m + 1))
+            for x, den in kernel]

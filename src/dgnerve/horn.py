@@ -285,8 +285,9 @@ def _mu(k: int) -> int:
 
 
 def _op_cell(cell: Morphism, k: int) -> Morphism:
-    coords = cell.coords if _mu(k) == 1 else tuple(-c for c in cell.coords)
-    return Morphism(cell.target, cell.source, cell.degree, coords)
+    nums = cell.nums if _mu(k) == 1 else [-v for v in cell.nums]
+    return Morphism.from_layers(cell.target, cell.source, cell.degree,
+                                cell.rank, nums, cell.den)
 
 
 def _op_cells(n: int, cells: Mapping[Seq, Morphism]) -> dict[Seq, Morphism]:

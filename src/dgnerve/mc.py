@@ -66,14 +66,18 @@ def reduce_category(cat: DgCategory) -> DgCategory:
 
 
 def reduce_morphism(f: Morphism) -> Morphism:
-    return Morphism(f.source, f.target, f.degree,
-                    tuple(map(reduce_mod_ideal, f.coords)))
+    """``f`` with its ideal layers dropped: its image over Q."""
+    return Morphism.from_layers(f.source, f.target, f.degree, f.rank,
+                                f.nums[::f.width], f.den)
 
 
 def promote_morphism(cat: DgCategory, f: Morphism) -> Morphism:
     """Lift a rank-0 morphism into ``cat``'s ring with zero ideal part."""
-    return Morphism(f.source, f.target, f.degree,
-                    tuple(map(cat.ring.promote, f.coords)))
+    if f.width != 1:
+        raise ValueError("can only promote rank-0 elements")
+    pad = (0,) * cat.ring.ideal_rank
+    return Morphism.from_layers(f.source, f.target, f.degree, f.rank,
+                                [u for v in f.nums for u in (v, *pad)], f.den)
 
 
 # -- the MC equation -----------------------------------------------------------
@@ -115,19 +119,17 @@ def twist(cat: DgCategory, elements: Mapping[str, Morphism], *,
         if validate and check_mc(cat, eta):
             raise InvalidMCObject(f"MC equation fails at {obj!r}")
 
-    reads = {obj: {i: c for i, c in enumerate(eta.coords) if any(c.nums)}
-             for obj, eta in elements.items()}
     diffs: dict[tuple[str, str, int], SparseCols] = {}
     for (x, y, t), n in sorted(cat.ranks.items()):
         m = cat.rank(x, y, t + 1)
         image = LayerSum(n * m, cat.ring.ideal_rank + 1)  # column j at j·m
         image.add_block(cat.diffs, (x, y, t), None, 0, (m, n), m, 1)
-        if y in reads:                                     # η_target∘f
-            image.add_block(cat.comps, (x, y, y, t, 1), reads[y], 0, (m, n),
-                            m, 1)
-        if x in reads:                                     # −(−1)^t f∘η_source
-            image.add_block(cat.comps, (x, x, y, 1, t), reads[x], 1, (m, n),
-                            m, 1 if t % 2 else -1)
+        if y in elements:                                  # η_target∘f
+            image.add_block(cat.comps, (x, y, y, t, 1), elements[y], 0,
+                            (m, n), m, 1)
+        if x in elements:                                  # −(−1)^t f∘η_source
+            image.add_block(cat.comps, (x, x, y, 1, t), elements[x], 1,
+                            (m, n), m, 1 if t % 2 else -1)
         cols = {j: tuple((k - j * m, c) for k, c in terms)
                 for j, terms in itertools.groupby(image.nonzero().items(),
                                                   lambda kc: kc[0] // m)}

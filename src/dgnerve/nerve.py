@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Mapping, Sequence
 
 from .dgcat import (DgCategory, Morphism, MorphismSum, NotEquivalence,
@@ -142,7 +143,7 @@ def cell_shape_violation(cat: DgCategory, objects: Sequence[str], seq: Seq,
     if cell.degree != deg:
         return Violation("cell_degree", seq,
                          f"degree {cell.degree}, expected {deg}")
-    if len(cell.coords) != cat.rank(src, tgt, deg):
+    if cell.rank != cat.rank(src, tgt, deg):
         return Violation("cell_rank", seq, "wrong coordinate count")
     return None
 
@@ -342,17 +343,22 @@ def cochain_add(left: NerveCochain, right: NerveCochain) -> NerveCochain:
             (right.degree, right.source.objects, right.target.objects):
         raise ValueError("cochain shapes differ")
     components = dict(left.components)
-    for seq, morphism in right.components.items():
+    for seq, b in right.components.items():
         if seq in components:
-            coords = zip(components[seq].coords, morphism.coords, strict=True)
-            total = Morphism(morphism.source, morphism.target, morphism.degree,
-                             tuple(a + b for a, b in coords))
+            a = components[seq]
+            if (a.rank, len(a.nums)) != (b.rank, len(b.nums)):
+                raise ValueError("cochain shapes differ")
+            den = lcm(a.den, b.den)
+            total = Morphism.from_layers(
+                b.source, b.target, b.degree, b.rank,
+                [x * (den // a.den) + y * (den // b.den)
+                 for x, y in zip(a.nums, b.nums)], den)
             if total.is_zero():
                 del components[seq]
             else:
                 components[seq] = total
         else:
-            components[seq] = morphism
+            components[seq] = b
     return NerveCochain(left.source, left.target, left.degree, components)
 
 
@@ -362,6 +368,6 @@ def cochain_scale(cochain: NerveCochain, sign: int | float) -> NerveCochain:
     if sign not in (1, -1):
         raise ValueError(f"cochain_scale takes a sign ±1, not {sign!r}")
     return NerveCochain(cochain.source, cochain.target, cochain.degree, {
-        seq: m if sign == 1 else Morphism(m.source, m.target, m.degree,
-                                          tuple(-c for c in m.coords))
+        seq: m if sign == 1 else Morphism.from_layers(
+            m.source, m.target, m.degree, m.rank, [-v for v in m.nums], m.den)
         for seq, m in cochain.components.items() if not m.is_zero()})

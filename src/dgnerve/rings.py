@@ -123,14 +123,27 @@ class RingElement:
     __rmul__ = __mul__
 
 
+def lowest_terms(nums: Sequence[int],
+                 den: int) -> tuple[tuple[int, ...], int]:
+    """``nums`` over a nonzero ``den`` in lowest terms, with ``den > 0``."""
+    g = gcd(den, *nums) * (-1 if den < 0 else 1)
+    return (tuple(v // g for v in nums) if g != 1 else tuple(nums)), den // g
+
+
 def from_layers(nums: Sequence[int], den: int) -> RingElement:
     """The element ``(nums[0] + Σ_k nums[k]·ε_k) / den`` for a nonzero
     ``den``, brought to lowest terms with a positive denominator."""
-    g = gcd(den, *nums) * (-1 if den < 0 else 1)
     x = object.__new__(RingElement)
-    x.nums = tuple(v // g for v in nums) if g != 1 else tuple(nums)
-    x.den = den // g
+    x.nums, x.den = lowest_terms(nums, den)
     return x
+
+
+def split_layers(nums: Sequence[int], den: int,
+                 width: int) -> tuple[RingElement, ...]:
+    """The elements ``nums[i·width:(i + 1)·width] / den``, one per ``width``
+    ints, each in lowest terms."""
+    return tuple(from_layers(nums[i:i + width], den)
+                 for i in range(0, len(nums), width))
 
 
 def reduce_mod_ideal(x: RingElement) -> RingElement:
@@ -195,29 +208,23 @@ class SquareZeroRing:
 RATIONALS = SquareZeroRing(0)
 
 
-def random_elements(ring: SquareZeroRing, rng: random.Random, count: int, *,
-                    span: int = 2, max_denominator: int = 2,
-                    ideal_noise: bool = True,
-                    ideal_only: bool = False) -> tuple[RingElement, ...]:
-    """``count`` random elements of ``ring``, one after another: each drawn
-    layer is ``p/q`` with ``|p| ≤ span`` and ``1 ≤ q ≤ max_denominator``,
-    ``p`` first; the body unless ``ideal_only``, then the ideal layers if
-    ``ideal_noise`` or ``ideal_only``, 0 where not drawn.  The ints go
-    straight into lowest terms, so a draw costs little over its rng calls."""
+def random_layers(ring: SquareZeroRing, rng: random.Random, count: int, *,
+                  span: int = 2, max_denominator: int = 2,
+                  ideal_noise: bool = True,
+                  ideal_only: bool = False) -> tuple[list[int], int]:
+    """The layers of ``count`` random elements of ``ring``, one element
+    after another, over the lcm of the drawn denominators (not reduced).
+    Each drawn layer is ``p/q`` with ``|p| ≤ span`` and ``1 ≤ q ≤
+    max_denominator``, ``p`` first: the body unless ``ideal_only``, then
+    the ideal layers if ``ideal_noise`` or ``ideal_only``; 0 where not
+    drawn."""
     draw, lo, hi, top = rng.randrange, -span, span + 1, max_denominator + 1
-    layers = range(ring.ideal_rank if ideal_noise or ideal_only else 0)
-    pad, out = (0,) * (ring.ideal_rank - len(layers)), []
+    drawn = ring.ideal_rank if ideal_noise or ideal_only else 0
+    pad = ((0, 1),) * (ring.ideal_rank - drawn)
+    pairs: list[tuple[int, int]] = []
     for _ in range(count):
-        p, den = (0, 1) if ideal_only else (draw(lo, hi), draw(1, top))
-        if not layers:                    # the body alone: p/q, then 0s
-            g = gcd(p, den)
-            x = object.__new__(RingElement)
-            x.nums, x.den = (p // g, *pad), den // g
-            out.append(x)
-            continue
-        nums = [p]
-        for _ in layers:                  # over the product of the q's
-            p, q = draw(lo, hi), draw(1, top)
-            nums, den = [v * q for v in nums] + [p * den], den * q
-        out.append(from_layers(nums, den))
-    return tuple(out)
+        pairs.append((0, 1) if ideal_only else (draw(lo, hi), draw(1, top)))
+        pairs += [(draw(lo, hi), draw(1, top)) for _ in range(drawn)]
+        pairs += pad
+    den = lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den

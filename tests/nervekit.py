@@ -3,11 +3,13 @@ directed-interval category, identity simplices, the sixteen candidate sign
 patterns, a simplex read backwards in the opposite category, the reduction
 of a filler mod the ideal, a cochain's component with absent sequences
 read as zero, a hom differential as a dense matrix, and the kernel of a
-matrix given as rows of ring elements.
+matrix given as rows of ring elements, random ring elements, and the
+frozen-dataclass ``Morphism`` that the int-vector one replaced.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 from dgnerve.dgcat import DgCategory, Morphism
 from dgnerve.glin import nullspace
@@ -15,7 +17,8 @@ from dgnerve.horn import Filler, _op_cells
 from dgnerve.mc import reduce_morphism
 from dgnerve.nerve import (NerveCochain, NerveSimplex, SignPattern,
                            increasing_sequences)
-from dgnerve.rings import SquareZeroRing, from_layers
+from dgnerve.rings import (RingElement, SquareZeroRing, from_layers,
+                           random_layers, split_layers)
 
 
 def basis_morphism(cat, source, target, degree, index):
@@ -123,6 +126,33 @@ def kernel(matrix, ring):
     """``glin.nullspace`` of A given as rows of ring elements."""
     return nullspace(layer_array(matrix, ring), len(matrix),
                      len(matrix[0]) if matrix else 0, ring)
+
+
+@dataclass(frozen=True)
+class OldMorphism:
+    """``dgcat.Morphism`` as it was before it held one int vector: a frozen
+    dataclass over a tuple of ring elements, each in lowest terms on its
+    own.  It keeps the name ``Morphism`` so that its repr is the old one."""
+
+    __qualname__ = "Morphism"
+
+    source: str
+    target: str
+    degree: int
+    coords: tuple[RingElement, ...]
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coords)
+
+    def in_ideal(self) -> bool:
+        return all(c.in_ideal() for c in self.coords)
+
+
+def random_elements(ring, rng, count, **draws):
+    """``count`` random elements of ``ring``, drawn as
+    ``rings.random_layers`` draws their layers."""
+    return split_layers(*random_layers(ring, rng, count, **draws),
+                        ring.ideal_rank + 1)
 
 
 def old_degeneracy(cat, simplex, i):

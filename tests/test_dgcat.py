@@ -534,15 +534,15 @@ def test_unit_defects_match_reference(three_term, doubled_unit, case):
     them."""
     cat = UNIT_LAW_CASES[case](three_term, doubled_unit)
     width = cat.ring.ideal_rank + 1
-    units = {obj: {i: c for i, c in enumerate(unit) if any(c.nums)}
-             for obj, unit in cat.identities.items()}
+    units = {obj: cat.identity(obj) for obj in cat.identities}
     found = []
     for (x, y, t), n in sorted(cat.ranks.items()):
         for key, unit, slot in (((x, y, y, t, 0), units[y], 0),
                                 ((x, x, y, 0, t), units[x], 1)):
             got = _unit_defects(cat.comps, key, unit, n, slot, width)
+            nonzero = {i: c for i, c in enumerate(unit.coords) if any(c.nums)}
             assert got == _reference_unit_defects(cat.comps.get(key, {}),
-                                                  unit, n, slot, width)
+                                                  nonzero, n, slot, width)
             found.append(got)
     assert any(found) == (case != "halves_unit")
 

@@ -21,10 +21,11 @@ from dgnerve.glin import (NoSolution, nullspace, rref, solve_layered,
 from dgnerve.horn import random_valid_simplex
 from dgnerve.mc import tensor_with_ring
 from dgnerve.rings import (RATIONALS, RingElement, SquareZeroRing, from_layers,
-                           random_elements)
+                           split_layers)
 
 from lincomb import degrees
-from nervekit import basis_morphism, dense_differential, kernel, layer_array
+from nervekit import (basis_morphism, dense_differential, kernel, layer_array,
+                      random_elements)
 from test_morphism_sum import CATEGORY_NAMES, category, fractional_category
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -129,7 +130,7 @@ def test_no_unknowns(b, want, passes):
 def test_zero_height():
     """No equations: every unknown is free, so every layer is 0."""
     assert _echelon_passes([], [], B2) == ([], 2)
-    assert solve_layered([], 0, 2, B2) == [B2.zero()] * 2
+    assert solve_layered([], 0, 2, B2) == ([0] * 6, 1)
     assert kernel([[]], B2) == []
 
 
@@ -405,10 +406,13 @@ def _posed_systems(cat, alphas):
 
 
 def _layered_outcome(num, height, ncols, ring):
+    """``solve_layered``'s int vector read back into ring elements."""
     try:
-        return solve_layered(num, height, ncols, ring)
+        x, den = solve_layered(num, height, ncols, ring)
     except NoSolution:
         return NoSolution
+    assert len(x) == ncols * (ring.ideal_rank + 1) and den
+    return list(split_layers(x, den, ring.ideal_rank + 1))
 
 
 def _solve_outcome(matrix, rhs, ring):

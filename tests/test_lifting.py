@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from dgnerve.dgcat import Morphism
 from dgnerve.horn import (
     CannotFillOuterHorn,
     Filler,
@@ -204,7 +205,8 @@ def test_lifts_of_the_wrong_degree_are_rejected(towers, cell):
     horn = random_horn(big, random.Random(53), 3, 1, witnessed=True)
     red_filler = fill_horn(red, reduce_horn(horn))
     lifts = promote_filler(big, red_filler)
-    shifted = dataclasses.replace(getattr(lifts, cell), degree=5)
+    f = getattr(lifts, cell)
+    shifted = Morphism(f.source, f.target, 5, f.coords)
     with pytest.raises(ValueError, match="degree 5, expected"):
         lift_filler(big, horn, red_filler,
                     lifts=dataclasses.replace(lifts, **{cell: shifted}))

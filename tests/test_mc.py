@@ -29,9 +29,8 @@ from dgnerve.mc import (
     tensor_with_ring,
     twist,
 )
-from dgnerve.rings import (RATIONALS, RingElement, SquareZeroRing,
-                           random_elements)
-from nervekit import basis_morphism
+from dgnerve.rings import RATIONALS, RingElement, SquareZeroRing
+from nervekit import basis_morphism, random_elements
 from test_morphism_sum import fractional_category
 
 

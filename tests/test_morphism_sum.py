@@ -26,9 +26,9 @@ from dgnerve.mc import tensor_with_ring, twist
 from dgnerve.nerve import (PINNED, NerveCochain, cochain_compose,
                            cochain_differential, increasing_sequences,
                            required_boundary)
-from dgnerve.rings import SquareZeroRing, random_elements
+from dgnerve.rings import SquareZeroRing
 from lincomb import degrees, lin
-from nervekit import component
+from nervekit import component, random_elements
 
 
 # -- the Fraction-loop oracles -------------------------------------------------
@@ -336,10 +336,8 @@ def test_compose_ignores_stored_pairs_it_cannot_meet(name, rank):
         n_out, n_in = cat.rank(y, z, t), cat.rank(x, y, s)
         outer, inner = noisy(cat, y, z, t, rng), noisy(cat, x, y, s, rng)
         # zero the first outer and the last inner coordinate
-        outer = dataclasses.replace(
-            outer, coords=(cat.ring.zero(),) + outer.coords[1:])
-        inner = dataclasses.replace(
-            inner, coords=inner.coords[:-1] + (cat.ring.zero(),))
+        outer = Morphism(y, z, t, (cat.ring.zero(),) + outer.coords[1:])
+        inner = Morphism(x, y, s, inner.coords[:-1] + (cat.ring.zero(),))
         stray = {(i, j): ((0, one),) for i in range(-1, n_out + 1)
                  for j in range(-1, n_in + 1)
                  if i in (-1, 0, n_out) or j in (-1, n_in - 1, n_in)}

@@ -26,9 +26,9 @@ from dgnerve.rings import (
     RingElement,
     SquareZeroRing,
     from_layers,
-    random_elements,
     reduce_mod_ideal,
 )
+from nervekit import random_elements
 
 # ---------------------------------------------------------------------------
 # Independent oracle: truncated polynomial arithmetic on monomial dicts.
