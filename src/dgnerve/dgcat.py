@@ -29,11 +29,12 @@ ints by one loop.  :class:`MorphismSum` adds morphisms, differentials and
 composites (nerve boundaries and residuals, horn equations and fillers,
 cochains): a morphism at the cost of its ints, a differential or composite
 at that of its operands' nonzero coordinates, and a result with one gcd; a
-sum only tested for zero is tested on the ints.  Cycle bases, the twisted differential, the
-witness system and the unit laws read whole structure blocks through one
-block reader, :meth:`LayerSum.add_block`; the unit laws keep a sparse sum,
-since a large block's unit meets few of its pairs.  The witness system and
-the cycle bases go to :mod:`glin` as int layers, with no ring element
+sum only tested for zero is tested on the ints.  Cycle bases, the twisted
+differential, the witness system and the unit laws read whole structure
+blocks through one block reader, :meth:`LayerSum.add_block`; the unit laws
+keep a sparse sum, since a large block's unit meets few of its pairs.  The
+witness system and the cycle bases go to :mod:`glin` as int layers and come
+back as int vectors (a cycle basis as morphisms), with no ring element
 built.  Only d² = 0, Leibniz and associativity (one sparse join of
 pre-scaled ints) and the scalar product multiply layers on their own.
 """
@@ -181,23 +182,25 @@ class DgCategory:
             .add_compose(outer, inner).result()
 
     def cycle_basis(self, source: str, target: str, degree: int,
-                    ring: SquareZeroRing) -> list[list[RingElement]]:
-        """The closed elements of ``hom(source, target)_degree`` over ``ring``:
-        ``glin.nullspace`` of the ``diffs`` block as ``LayerSum.add_block``
-        reads it, cut to ``ring``'s layers, if the block above is nonzero
-        (with ε-multiples over ``Q ⊕ I``), else the unit vectors (bodies)."""
+                    ring: SquareZeroRing) -> list[Morphism]:
+        """The closed elements of ``hom(source, target)_degree`` over ``ring``,
+        as morphisms of its width: ``glin.nullspace`` of the ``diffs`` block
+        as ``LayerSum.add_block`` reads it, cut to ``ring``'s layers, if the
+        block above is nonzero (with ε-multiples over ``Q ⊕ I``), else the
+        unit bodies alone, whose count fixes the edge sampler's draws."""
         n, m = self.rank(source, target, degree), \
             self.rank(source, target, degree + 1)
-        if m:
-            w, v = self.ring.ideal_rank + 1, ring.ideal_rank + 1
-            block = LayerSum(m * n, w)
-            block.add_block(self.diffs, (source, target, degree), None, 0,
-                            (m, n), m, 1)
-            return glin.nullspace([block.num[k + i] if i < w else 0
-                                   for k in range(0, m * n * w, w)
-                                   for i in range(v)], m, n, ring)
-        return [[ring.one() if i == j else ring.zero() for j in range(n)]
-                for i in range(n)]
+        w, v = self.ring.ideal_rank + 1, ring.ideal_rank + 1
+        if not m:
+            return [Morphism.from_layers(source, target, degree, n, [
+                int(k == i * v) for k in range(n * v)], 1) for i in range(n)]
+        block = LayerSum(m * n, w)
+        block.add_block(self.diffs, (source, target, degree), None, 0,
+                        (m, n), m, 1)
+        return [Morphism.from_layers(source, target, degree, n, *x)
+                for x in glin.nullspace([block.num[k + i] if i < w else 0
+                                         for k in range(0, m * n * w, w)
+                                         for i in range(v)], m, n, ring)]
 
     def random_morphism(self, source: str, target: str, degree: int,
                         rng: random.Random, *,

@@ -1,12 +1,13 @@
 """Exact linear algebra over square-zero extensions: elimination only.
 
 The horn fillers and square-zero lifts need an exact solve for the
-equivalence witness (a, g, h) and kernels of a hom block's differential:
-:func:`solve_layered` and :func:`nullspace`, on the integer layers that
-:class:`~dgnerve.dgcat.LayerSum` holds, and :func:`solve_linear`, on lists
-of rows of :class:`~dgnerve.rings.RingElement`.  Writing
-``x = x⁰ + Σ_l ε_l·x^l`` and splitting every entry into layers turns
-``A·x = b`` over ``B = Q ⊕ I`` into a single rational system,
+equivalence witness (a, g, h), the samplers kernels of hom differentials:
+:func:`solve_layered` and :func:`nullspace` take the int layers that
+:class:`~dgnerve.dgcat.LayerSum` holds and answer in int vectors, the layout
+of :class:`~dgnerve.dgcat.Morphism`.  The two adapters are
+:func:`solve_linear`, on rows of ring elements, and :func:`rref`, on
+Fractions.  Writing ``x = x⁰ + Σ_l ε_l·x^l`` and splitting every entry into
+layers turns ``A·x = b`` over ``B = Q ⊕ I`` into a single rational system,
 
     A⁰·x⁰           = b⁰          (body layer)
     A⁰·x^l + A^l·x⁰ = b^l         (one block per ideal generator),
@@ -20,24 +21,23 @@ over Q, the kernel of ``[[1, 2]]`` (one layer per entry) is ``Q·(−2, 1)``:
 >>> B = SquareZeroRing(1)
 >>> solve_linear([[B.generator(0)]], [B.generator(0)], B) == [B.one()]
 True
->>> nullspace([1, 2], 1, 2, Q) == [[Q.element(-2), Q.one()]]
-True
+>>> nullspace([1, 2], 1, 2, Q)
+[([-2, 1], 1)]
 
 So solvability over ``B`` implies solvability of the body system over Q, but
-not conversely.  :func:`solve_layered` takes ``[A | b]`` as the int layers a
-:class:`~dgnerve.dgcat.LayerSum` holds (:func:`_columns` reads rows of
-``RingElement`` into that array for :func:`solve_linear` and :func:`rref`),
-and :func:`_rows`, the one row reader, makes one sparse int row per
-equation.  One elimination loop (:func:`_echelon`) first reduces A⁰ once,
-over the body columns, carrying the layers along: pivot rows
-``E·[A⁰ | A^l | b]``, cokernel rows ``[0 | C·A^l | C·b]``.  Rebuilt from these
-(:func:`_layered`), the layered system differs from the one above by row
-operations and a reordering, which keep its kernel and its greedy column
-profile, and one more pass finds that profile with little left to eliminate,
-since each block l holds the echelon of A⁰.  One back-substitution over a
-common denominator (:func:`_back_substitute`) gives the solution or each
-kernel vector: the one that is zero off the profile, so results are
-deterministic.  :func:`rref` reads its free columns off those vectors.
+not conversely.  :func:`solve_layered` takes ``[A | b]`` in that layout
+(:func:`_columns` reads the adapters' rows into it), and :func:`_rows`, the
+one row reader, makes one sparse int row per equation.  One elimination loop
+(:func:`_echelon`) first reduces A⁰ once, over the body columns, carrying
+the layers along: pivot rows ``E·[A⁰ | A^l | b]``, cokernel rows
+``[0 | C·A^l | C·b]``.  Rebuilt from these (:func:`_layered`), the layered
+system differs from the one above by row operations and a reordering, which
+keep its kernel and its greedy column profile, and one more pass finds that
+profile with little left to eliminate, since each block l holds the echelon
+of A⁰.  One back-substitution over a common denominator
+(:func:`_back_substitute`) gives the solution or each kernel vector: the one
+that is zero off the profile, so results are deterministic.  :func:`rref`
+reads its free columns off those vectors.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from typing import Sequence
 from .rings import RingElement, SquareZeroRing, from_layers, split_layers
 
 Matrix = Sequence[Sequence[RingElement]]
-Vector = Sequence[RingElement]
 
 
 class NoSolution(ValueError):
@@ -221,7 +220,7 @@ def solve_layered(num: Sequence[int], height: int, ncols: int,
     return _layers(x, ncols, m), den
 
 
-def solve_linear(matrix: Matrix, rhs: Vector,
+def solve_linear(matrix: Matrix, rhs: Sequence[RingElement],
                  ring: SquareZeroRing) -> list[RingElement]:
     """Some exact solution of ``A·x = b`` over ``ring``, or NoSolution."""
     w = ring.ideal_rank + 1
@@ -231,14 +230,14 @@ def solve_linear(matrix: Matrix, rhs: Vector,
 
 
 def nullspace(num: Sequence[int], height: int, ncols: int,
-              ring: SquareZeroRing) -> list[list[RingElement]]:
+              ring: SquareZeroRing) -> list[tuple[list[int], int]]:
     """A rational basis of ``{x : A·x = 0}`` over ``ring`` (as a Q-space),
     one vector per free column, 1 there and 0 at the other free columns,
-    for A as :func:`solve_layered` takes it, with no b column."""
+    each ``(nums, den)`` as :func:`solve_layered` answers, for A as it
+    takes it, with no b column."""
     m = ring.ideal_rank
     echelon = _layered(num, height, ncols, m)
     pivots = {c for c, _ in echelon}
-    kernel = (_back_substitute(echelon, {j: 1})
-              for j in range((m + 1) * ncols) if j not in pivots)
-    return [list(split_layers(_layers(x, ncols, m), den, m + 1))
-            for x, den in kernel]
+    return [(_layers(x, ncols, m), den) for x, den in
+            (_back_substitute(echelon, {j: 1})
+             for j in range((m + 1) * ncols) if j not in pivots)]

@@ -388,8 +388,7 @@ def _random_edge_simplex(cat: DgCategory, rng: random.Random,
     edge = MorphismSum(cat, X, Y, 0)
     basis = cat.cycle_basis(X, Y, 0, cat.ring)
     for _ in range(2 if basis else 0):
-        vec = Morphism(X, Y, 0, tuple(rng.choice(basis)))
-        edge.add(vec, rng.choice((0, 1, 1, -1, 2)))
+        edge.add(rng.choice(basis), rng.choice((0, 1, 1, -1, 2)))
     return NerveSimplex((X, Y), {(0, 1): edge.result()})
 
 
@@ -463,9 +462,8 @@ def _gp_trial(cat_b: DgCategory, red_cat: DgCategory, rng: random.Random,
         red_filler = fill_horn(red_cat, reduce_horn(horn))
         lifted = lift_filler(cat_b, horn, red_filler)
         bad = validate_simplex(cat_b, complete_horn(horn, lifted))
-        reduces = (reduce_morphism(lifted.top).coords == red_filler.top.coords
-                   and reduce_morphism(lifted.face).coords
-                   == red_filler.face.coords)
+        reduces = (reduce_morphism(lifted.top) == red_filler.top
+                   and reduce_morphism(lifted.face) == red_filler.face)
     except HornError as exc:
         return "lift", str(exc)
     if bad or not reduces:

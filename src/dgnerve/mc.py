@@ -153,13 +153,13 @@ def random_mc_element(cat: DgCategory, obj: str,
     quadratic, so cycles are rejection-sampled for a vanishing square.
     Falls back to 0 (always MC) when sampling finds nothing.
     """
-    ring, m = cat.ring, cat.ring.ideal_rank
+    m = cat.ring.ideal_rank
     basis = cat.cycle_basis(obj, obj, 1, RATIONALS)
-    # a draw adds up weights in −2…2 times the ε_l·v over Q ⊕ I (l = 1 … m,
-    # layer by layer), or times the v over Q, for the body cycles v
-    vecs = [Morphism(obj, obj, 1, tuple(e * ring.promote(c) for c in v))
-            for e in [*map(ring.generator, range(m))] or [ring.one()]
-            for v in basis]
+    # a draw adds up weights in −2…2 times the ε_l·v over Q ⊕ I (l = 1 … m:
+    # v's ints in layer l), or times the v over Q, for the body cycles v
+    vecs = [Morphism.from_layers(obj, obj, 1, v.rank, [
+        c if k == layer else 0 for c in v.nums for k in range(m + 1)], v.den)
+        for layer in range(1, m + 1) for v in basis] if m else basis
     for _ in range(8 if m else 12):
         draw = MorphismSum(cat, obj, obj, 1)
         for vec in vecs:

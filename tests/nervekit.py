@@ -123,9 +123,12 @@ def layer_array(rows, ring):
 
 
 def kernel(matrix, ring):
-    """``glin.nullspace`` of A given as rows of ring elements."""
-    return nullspace(layer_array(matrix, ring), len(matrix),
-                     len(matrix[0]) if matrix else 0, ring)
+    """``glin.nullspace`` of A given as rows of ring elements, each int
+    vector read back as a row of ring elements."""
+    w = ring.ideal_rank + 1
+    return [list(split_layers(nums, den, w)) for nums, den in
+            nullspace(layer_array(matrix, ring), len(matrix),
+                      len(matrix[0]) if matrix else 0, ring)]
 
 
 @dataclass(frozen=True)

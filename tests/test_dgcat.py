@@ -28,6 +28,7 @@ from dgnerve.dgcat import (
     DgCategory,
     InvalidComplex,
     Morphism,
+    MorphismSum,
     NotEquivalence,
     Violation,
     _unit_defects,
@@ -41,7 +42,7 @@ from dgnerve.dgcat import (
     witness_call_count,
 )
 from dgnerve.fixtures import three_term_category
-from dgnerve.mc import tensor_with_ring, twist
+from dgnerve.mc import reduce_category, tensor_with_ring, twist
 from dgnerve.rings import RATIONALS, SquareZeroRing
 from lincomb import degrees, lin
 from nervekit import (basis_morphism, dense_differential, interval_category,
@@ -1048,13 +1049,31 @@ def test_cycle_basis_matches_both_samplers(name, rank):
     cat = tensor_with_ring(fixtures.FIXTURES[name](), SquareZeroRing(rank))
     above_zero = 0
     for x, y, t in cat.ranks:
-        assert cat.cycle_basis(x, y, t, cat.ring) == \
-            [list(v) for v in _reference_edge_basis(cat, x, y, t)]
-        assert [[e.body for e in v]
+        assert [list(v.coords) for v in cat.cycle_basis(x, y, t, cat.ring)] \
+            == [list(v) for v in _reference_edge_basis(cat, x, y, t)]
+        assert [[e.body for e in v.coords]
                 for v in cat.cycle_basis(x, y, t, RATIONALS)] == \
             _reference_mc_basis(cat, x, y, t)
         above_zero += cat.rank(x, y, t + 1) == 0
     assert above_zero > 0
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", list(fixtures.FIXTURES))
+def test_cycle_basis_returns_closed_morphisms(name, rank):
+    """Each basis vector is a morphism of the asked block, rank and ring
+    width, closed in ``cat`` over the category's ring and in its reduction
+    mod the ideal over Q."""
+    cat = tensor_with_ring(fixtures.FIXTURES[name](), SquareZeroRing(rank))
+    for ring, closed_in in ((cat.ring, cat), (RATIONALS, reduce_category(cat))):
+        for x, y, t in cat.ranks:
+            n, w = cat.rank(x, y, t), ring.ideal_rank + 1
+            for f in cat.cycle_basis(x, y, t, ring):
+                assert isinstance(f, Morphism)
+                assert (f.source, f.target, f.degree, f.rank) == (x, y, t, n)
+                assert len(f.nums) == n * w
+                assert MorphismSum(closed_in, x, y, t + 1) \
+                    .add_differential(f).is_zero()
 
 
 @pytest.mark.parametrize("flags", [{}, {"ideal_noise": False},

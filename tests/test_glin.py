@@ -254,12 +254,13 @@ def test_rational_nullspace_dimension():
 
 def test_rational_nullspace_of_zero_rows():
     # The kernel of a 0×n map is the whole space: the array states n, so
-    # height 0 gives every unit vector, over B once per layer.
+    # height 0 gives every unit vector, over B once per layer, each as ints
+    # over den 1 with layer l of x_j at j·w + l.
     for ring in (RATIONALS, SquareZeroRing(1)):
-        units = [ring.one(), *map(ring.generator, range(ring.ideal_rank))]
+        w = ring.ideal_rank + 1
         assert nullspace([], 0, 3, ring) == [
-            [u if k == j else ring.zero() for k in range(3)]
-            for u in units for j in range(3)]
+            ([int(k == j * w + layer) for k in range(3 * w)], 1)
+            for layer in range(w) for j in range(3)]
 
 
 @settings(max_examples=60)
@@ -728,7 +729,8 @@ def test_body_kernels_match_reference(name):
             assert blocks
             for block, dense in blocks:
                 _assert_body_kernel(dense)
-                assert c.cycle_basis(*block, RATIONALS) == \
+                assert [list(f.coords) for f in
+                        c.cycle_basis(*block, RATIONALS)] == \
                     kernel(dense, RATIONALS)
 
 

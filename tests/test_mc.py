@@ -227,7 +227,7 @@ def _reference_random_mc_element(cat, obj, rng):
         return zero
 
     m = cat.ring.ideal_rank
-    basis = [[e.body for e in vec]
+    basis = [[e.body for e in vec.coords]
              for vec in cat.cycle_basis(obj, obj, 1, RATIONALS)]
 
     def random_combo():

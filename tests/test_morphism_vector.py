@@ -6,7 +6,8 @@ noisy coordinates with denominators up to 7, zeros, coordinates with
 unequal denominators (1/3 and 2/7) and sums that the accumulator built.
 On them both classes must agree on ``==``, ``!=``, hash equality, the
 repr, ``coords``, ``is_zero`` and ``in_ideal``, also across rings, and the
-accumulator's sums must be the old per-coordinate sums.
+accumulator's sums must be the old per-coordinate sums.  The samplers build
+their morphisms as int vectors too, with no ring element arithmetic.
 """
 
 import itertools
@@ -15,8 +16,11 @@ import random
 import pytest
 
 from dgnerve.dgcat import Morphism, MorphismSum
+from dgnerve.fixtures import FIXTURES
+from dgnerve.horn import random_valid_simplex
+from dgnerve.mc import random_mc_element, tensor_with_ring
 from dgnerve.nerve import NerveCochain, NerveSimplex, cochain_add
-from dgnerve.rings import SquareZeroRing
+from dgnerve.rings import RingElement, SquareZeroRing
 from nervekit import OldMorphism, random_elements
 from test_morphism_sum import CATEGORY_NAMES, category
 
@@ -117,3 +121,22 @@ def test_zero_operand_of_another_width_is_refused(op):
             cat.differential(alien)
         else:
             cat.compose(f, alien)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_samplers_do_no_ring_element_arithmetic(name, rank, monkeypatch):
+    """MC elements at every object and witnessed and plain 4-simplices are
+    drawn with ``RingElement`` addition, negation and products raising."""
+    cat = tensor_with_ring(FIXTURES[name](), SquareZeroRing(rank))
+
+    def refuse(*args):
+        raise AssertionError("ring element arithmetic in a sampler")
+    for op in ("__add__", "__radd__", "__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(RingElement, op, refuse)
+    for seed in range(3):
+        rng = random.Random(seed)
+        for obj in cat.objects:
+            random_mc_element(cat, obj, rng)
+        for witnessed in (True, False):
+            random_valid_simplex(cat, rng, 4, witnessed=witnessed)

@@ -33,15 +33,18 @@ at seeds 0–4, on every fixture and on its ``opposite``, at ideal ranks 0–2.
 The ``kernels`` digest covers ``glin.rref`` (over the bodies) on every
 differential of the ``random_complex`` draws that the ``samplers`` digest
 makes, and ``DgCategory.cycle_basis`` on every hom block of every fixture at
-ideal ranks 0–2, over the category's ring and over ``RATIONALS``; no
-workload reaches ``rref`` outside its set-up.  The ``draws`` digest holds
-the samplers to their ``rng`` calls: on every fixture at ideal ranks 0–2
-and seeds 0–2, ``random_valid_simplex`` (witnessed and plain, n = 4 and 5,
-past where ``samplers`` stops and up to where the workloads draw),
-``laws.random_cochain`` between each such pair at every degree of
-``laws.COCHAIN_DEGREES``, and ``DgCategory.random_morphism`` on every hom
-block with ``ideal_noise=False`` and with ``ideal_only=True``, each with
-the state of the generator after it.
+ideal ranks 0–2, over the category's ring and over ``RATIONALS``, each
+basis as the lists of its morphisms' ``coords``, the rows of ring elements
+that ``cycle_basis`` returned before it returned morphisms, so the digest
+compares across that change; no workload reaches ``rref`` outside its
+set-up.  The ``draws`` digest holds the samplers to their ``rng`` calls: on
+every fixture at ideal ranks 0–2 and seeds 0–2, ``random_valid_simplex``
+(witnessed and plain, n = 4 and 5, past where ``samplers`` stops and up to
+where the workloads draw), ``laws.random_cochain`` between each such pair
+at every degree of ``laws.COCHAIN_DEGREES``, and
+``DgCategory.random_morphism`` on every hom block with
+``ideal_noise=False`` and with ``ideal_only=True``, each with the state of
+the generator after it.
 """
 
 from __future__ import annotations
@@ -205,7 +208,8 @@ def kernels_digest() -> str:
                 cat = mc.tensor_with_ring(cat, SquareZeroRing(rank))
             for block in sorted(cat.ranks):
                 for ring in (cat.ring, RATIONALS):
-                    shown = _outcome(lambda: cat.cycle_basis(*block, ring))
+                    shown = _outcome(lambda: [
+                        list(f.coords) for f in cat.cycle_basis(*block, ring)])
                     digest.update(f"{name} {rank} {block} {ring.ideal_rank}"
                                   f"\n{shown}\n".encode())
     return digest.hexdigest()
